@@ -14,7 +14,7 @@ from .poly import (NEG_INF, PolyHH, Rational, format_rational, parse_poly,
 from .algebra import (GENERATORS, AlgebraElement, Monomial, bracket,
                       check_theta_automorphism, commutator, normal_form,
                       parse_word_expr, theta)
-from .linalg import RowBasis, nullspace, rank_of, vec_axpy, vec_clean
+from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
 from .freemod import (FreeModuleSpec, GENERATOR_PAIRS, act, act_word,
                       alpha_from_beta, e34_residual, iso_invariants_free,
                       make_gamma, make_omega, make_theta_mod,
@@ -42,7 +42,7 @@ __all__ = [
     "GENERATORS", "AlgebraElement", "Monomial", "bracket",
     "check_theta_automorphism", "commutator", "normal_form",
     "parse_word_expr", "theta",
-    "RowBasis", "nullspace", "rank_of", "vec_axpy", "vec_clean",
+    "RowBasis", "nullspace", "vec_axpy", "vec_clean",
     "FreeModuleSpec", "GENERATOR_PAIRS", "act", "act_word",
     "alpha_from_beta", "e34_residual", "iso_invariants_free", "make_gamma",
     "make_omega", "make_theta_mod", "omega_layer_action",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .poly import RationalLike, to_rational
 
@@ -103,9 +103,6 @@ class Monomial(NamedTuple):
 
     def is_localized(self) -> bool:
         return self.n < 0
-
-    def unbarred_length(self) -> int:
-        return self.b + self.d + self.g
 
 
 ONE_MONO = Monomial(0, 0, 0, 0, 0, 0)
@@ -445,7 +442,10 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
                     k = -k
                 word.extend([letter] * k)
             else:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
         _validate_letters(word, localized)
         out = out + AlgebraElement.from_word(tuple(word), coeff)
     return out

@@ -31,8 +31,8 @@ from fractions import Fraction
 from . import freemod, functors, weightmod
 from .algebra import normal_form, check_theta_automorphism, parse_word_expr, theta
 from .poly import PolyHH, parse_poly
-from .report import (emit, load_config, make_report, parse_rational_list,
-                     parse_window)
+from .report import (config_value, emit, load_config, make_report,
+                     parse_int_pair, parse_rational_list, parse_window)
 from .scan import SCAN_CSV_COLUMNS, builtin_scan_grid, run_scan
 from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
                         singular_vectors, verma_check, weight_bracket_report,
@@ -45,33 +45,33 @@ SUITES = ("nf", "verify-free", "saturate", "omega-quotient", "verify-weight",
 
 def _free_spec_from_cfg(cfg: dict) -> freemod.FreeModuleSpec:
     family = cfg.get("family", "gamma")
-    lam = Fraction(cfg.get("lambda", "1"))
+    lam = config_value(cfg, "lambda", "1", Fraction)
+    b = config_value(cfg, "b", "0", Fraction)
     if family == "gamma":
-        return freemod.make_gamma(lam, Fraction(cfg.get("a", "0")),
-                                  Fraction(cfg.get("b", "0")))
+        return freemod.make_gamma(lam, config_value(cfg, "a", "0", Fraction), b)
     if family == "theta":
-        return freemod.make_theta_mod(lam, Fraction(cfg.get("a", "0")),
-                                      Fraction(cfg.get("b", "0")))
+        return freemod.make_theta_mod(lam, config_value(cfg, "a", "0", Fraction), b)
     if family == "omega":
-        return freemod.make_omega(lam, Fraction(cfg.get("b", "0")),
-                                  parse_rational_list(cfg.get("beta1", "0")))
+        return freemod.make_omega(
+            lam, b, config_value(cfg, "beta1", "0", parse_rational_list))
     raise ValueError(f"unknown free family {family!r}")
 
 
 def _weight_spec_from_cfg(cfg: dict, prefix: str = "") -> weightmod.WeightModuleSpec:
-    get = lambda key, default: cfg.get(prefix + key, default)
-    family = get("family", "M")
-    alpha = Fraction(get("alpha", "0"))
-    beta = Fraction(get("beta", "1"))
-    lam = Fraction(get("lambda", "1"))
-    a = Fraction(get("a", "-1"))
+    get = lambda key, default, parse=Fraction: config_value(
+        cfg, prefix + key, default, parse)
+    family = cfg.get(prefix + "family", "M")
+    alpha = get("alpha", "0")
+    beta = get("beta", "1")
+    lam = get("lambda", "1")
+    a = get("a", "-1")
     if family == "M":
-        return weightmod.make_weight_m(alpha, beta, lam, a, Fraction(get("b", "-2")))
+        return weightmod.make_weight_m(alpha, beta, lam, a, get("b", "-2"))
     if family == "N":
-        return weightmod.make_weight_n(alpha, beta, lam, a, Fraction(get("b", "-2")))
+        return weightmod.make_weight_n(alpha, beta, lam, a, get("b", "-2"))
     if family == "V":
         return weightmod.make_weight_v(alpha, beta, lam, a,
-                                       parse_rational_list(get("beta1", "1,1")))
+                                       get("beta1", "1,1", parse_rational_list))
     raise ValueError(f"unknown weight family {family!r}")
 
 
@@ -102,18 +102,18 @@ def _free_grid_specs(cfg, family):
     Grid values are comma-separated rationals; omega fixes beta1 (itself a
     coefficient list) and grids over lambda and b only.
     """
-    lams = parse_rational_list(cfg.get("lambda", "1"))
-    bs = parse_rational_list(cfg.get("b", "0"))
+    lams = config_value(cfg, "lambda", "1", parse_rational_list)
+    bs = config_value(cfg, "b", "0", parse_rational_list)
     specs = []
     if family == "omega":
-        beta1 = parse_rational_list(cfg.get("beta1", "0"))
+        beta1 = config_value(cfg, "beta1", "0", parse_rational_list)
         for lam in lams:
             for b in bs:
                 specs.append(freemod.make_omega(lam, b, beta1))
         return specs
     mk = freemod.make_gamma if family == "gamma" else freemod.make_theta_mod
     for lam in lams:
-        for a in parse_rational_list(cfg.get("a", "0")):
+        for a in config_value(cfg, "a", "0", parse_rational_list):
             for b in bs:
                 specs.append(mk(lam, a, b))
     return specs
@@ -121,8 +121,8 @@ def _free_grid_specs(cfg, family):
 
 def _suite_verify_free(cfg, args, rng, window):
     families = [f.strip() for f in cfg.get("families", "gamma,theta,omega").split(",")]
-    trials = int(cfg.get("trials", "50"))
-    n_specs = int(cfg.get("specs", "5"))
+    trials = config_value(cfg, "trials", "50", int)
+    n_specs = config_value(cfg, "specs", "5", int)
     explicit = any(key in cfg for key in ("lambda", "a", "b", "beta1"))
     cases = []
     ok = True
@@ -145,10 +145,10 @@ def _suite_saturate(cfg, args, rng, window):
     spec = _free_spec_from_cfg(cfg)
     seed_text = args.words[0] if args.words else cfg.get("seed_poly", "h")
     seed_poly = parse_poly(seed_text)
-    cap_vals = [int(x) for x in cfg.get("cap", "8,8").split(",")]
-    result = freemod.submodule_saturate(spec, seed_poly, cap=(cap_vals[0], cap_vals[1]))
+    cap = config_value(cfg, "cap", "8,8", parse_int_pair)
+    result = freemod.submodule_saturate(spec, seed_poly, cap=cap)
     case = {"family": spec.family, "params": spec.params(),
-            "seed_poly": seed_poly.to_text(), "cap": cap_vals,
+            "seed_poly": seed_poly.to_text(), "cap": list(cap),
             "basis_size": len(result.basis),
             "contains_one": result.contains_one,
             "saturated": result.saturated,
@@ -162,11 +162,12 @@ def _suite_saturate(cfg, args, rng, window):
 
 
 def _suite_omega_quotient(cfg, args, rng, window):
-    lam = Fraction(cfg.get("lambda", "1"))
-    beta1 = parse_rational_list(cfg.get("beta1", "0"))
+    lam = config_value(cfg, "lambda", "1", Fraction)
+    beta1 = config_value(cfg, "beta1", "0", parse_rational_list)
     spec = freemod.make_omega(lam, 0, beta1)
-    layers = [int(x) for x in cfg.get("i", "0,1,2,3").split(",")]
-    n_max = int(cfg.get("n_max", "8"))
+    layers = config_value(cfg, "i", "0,1,2,3",
+                          lambda text: [int(x) for x in text.split(",")])
+    n_max = config_value(cfg, "n_max", "8", int)
     cases = []
     ok = True
     for i in layers:
@@ -187,8 +188,8 @@ def _suite_omega_quotient(cfg, args, rng, window):
 
 def _suite_verify_weight(cfg, args, rng, window):
     families = [f.strip() for f in cfg.get("families", "M,N,V").split(",")]
-    trials = int(cfg.get("trials", "50"))
-    n_specs = int(cfg.get("specs", "3"))
+    trials = config_value(cfg, "trials", "50", int)
+    n_specs = config_value(cfg, "specs", "3", int)
     cases = []
     ok = True
     for family in families:
@@ -231,14 +232,13 @@ def _suite_singular(cfg, args, rng, window):
 def _suite_verma_check(cfg, args, rng, window):
     spec = _weight_spec_from_cfg(cfg)
     if "hit" in cfg:
-        parts = [int(x) for x in cfg["hit"].split(",")]
-        hit = (parts[0], parts[1])
+        hit = config_value(cfg, "hit", None, parse_int_pair)
     else:
         crit = simplicity_criterion_weight(spec)
         if crit.simple:
             raise ValueError("module is simple; give hit=K,S explicitly")
         hit = crit.witness
-    depth = int(cfg.get("depth", "4"))
+    depth = config_value(cfg, "depth", "4", int)
     win = Window(hit[0] - depth, hit[0] + depth, max(window.s_max, hit[1] + 2))
     rep = verma_check(spec, hit, win)
     case = {"family": spec.family, "params": spec.params(),
@@ -265,7 +265,7 @@ def _suite_twist_check(cfg, args, rng, window):
     spec = _weight_spec_from_cfg(cfg)
     if spec.family != "M":
         raise ValueError("twist-check runs on the M family")
-    z_values = parse_rational_list(cfg.get("z", "1,-2,1/2"))
+    z_values = config_value(cfg, "z", "1,-2,1/2", parse_rational_list)
     cases = []
     ok = True
     for z in z_values:
@@ -307,7 +307,7 @@ def _suite_iso_check(cfg, args, rng, window):
                                         "a": cfg.get("a", "1"),
                                         "beta1": cfg.get("beta1", "1,1")})
         if "b_m" in cfg:
-            b_m = Fraction(cfg["b_m"])
+            b_m = config_value(cfg, "b_m", None, Fraction)
         else:
             b_m = functors.vm_matching_b(spec_v)
         spec_m = weightmod.make_weight_m(spec_v.alpha, spec_v.beta, spec_v.lam,
@@ -336,11 +336,11 @@ def _suite_intertwine(cfg, args, rng, window):
             "dimension": result["dimension"], "verified": result["verified"],
             "window": result["window"],
             "codomain_window": result["codomain_window"]}
-    expect = cfg.get("expect_dimension")
     ok = result["verified"]
-    if expect is not None:
-        ok = ok and result["dimension"] == int(expect)
-        case["expected_dimension"] = int(expect)
+    if "expect_dimension" in cfg:
+        expect = config_value(cfg, "expect_dimension", None, int)
+        ok = ok and result["dimension"] == expect
+        case["expected_dimension"] = expect
     return [case], ok, None
 
 
@@ -386,7 +386,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg = load_config(args.config) if args.config else {}
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
+        seed = (args.seed if args.seed is not None
+                else config_value(cfg, "seed", "0", int))
         window = parse_window(args.window or cfg.get("window", "-5:5:5"))
         fmt = args.fmt or cfg.get("format", "json")
         out_path = args.out or cfg.get("out")

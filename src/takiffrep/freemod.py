@@ -2,8 +2,13 @@
 
 Each family realizes the Takiff algebra of sl2 on C[h, hbar], with h and
 hbar acting by multiplication and the remaining four generators acting by
-the explicit first-order formulas below (gamma denotes the module element,
-a polynomial; substitutions are exact).
+first-order difference-differential operators.  Every generator x is
+stored once, as a table of terms (c, m) with c a polynomial:
+
+    x . g = sum over (c, m) of  c * dbar^m (g(h + SHIFT[x], hbar)),  m <= 1
+
+with SHIFT = -2 for e and eb, +2 for f and fb, 0 for h and hbar (gamma
+denotes the module element, a polynomial; substitutions are exact).
 
 Gamma(lambda, a, b), lambda != 0:
 
@@ -13,13 +18,10 @@ Gamma(lambda, a, b), lambda != 0:
     f . g  = -(1/(2 lambda)) ((h+2) hbar + b) g(h+2, hbar)
              - (1/(2 lambda)) (hbar^2 + a) dbar(g(h+2, hbar))
 
-Theta(lambda, a, b) is the mirror (e <-> f, eb <-> fb, h-shifts negated):
-
-    f . g  =  2*lambda * dbar(g(h+2, hbar))
-    fb . g =  lambda * g(h+2, hbar)
-    eb . g = -(1/(4 lambda)) (hbar^2 + a) g(h-2, hbar)
-    e . g  = -(1/(2 lambda)) ((h-2) hbar + b) g(h-2, hbar)
-             + (1/(2 lambda)) (hbar^2 + a) dbar(g(h-2, hbar))
+Theta(lambda, a, b) is Gamma(lambda, a, b) transported by the Chevalley
+involution omega (e <-> f, eb <-> fb, h -> -h, hbar -> -hbar) and the
+reflection sigma(g)(h, hbar) = g(-h, -hbar):
+x . g = sigma(omega(x) . sigma(g)) computed in Gamma.
 
 Omega(lambda, b, beta1) carries two polynomial parameters alpha1, beta1 in
 hbar linked by an upper-triangular system (``alpha_from_beta``); with that
@@ -36,12 +38,12 @@ link the compatibility residual (``e34_residual``) vanishes identically and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import (GENERATORS, AlgebraElement, Monomial, bracket,
-                      parse_word_expr)
+from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
 from .linalg import RowBasis
 from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_poly,
                    random_rational, to_rational)
@@ -51,6 +53,20 @@ GENERATOR_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
     for i in range(len(GENERATORS))
     for j in range(i + 1, len(GENERATORS))
 )
+
+# h-shift of each generator's operator: x . g only sees g(h + SHIFT[x], hbar)
+SHIFT: Dict[str, int] = {"e": -2, "eb": -2, "f": 2, "fb": 2, "h": 0, "hb": 0}
+
+# Chevalley involution: omega(x) = sign * image, e <-> f, eb <-> fb,
+# h -> -h, hbar -> -hbar
+CHEVALLEY: Dict[str, Tuple[str, int]] = {
+    "e": ("f", 1), "f": ("e", 1), "eb": ("fb", 1), "fb": ("eb", 1),
+    "h": ("h", -1), "hb": ("hb", -1)}
+
+# one generator's operator: terms (c, m) meaning c * dbar^m; m is 0 or 1,
+# every action being first order in dbar; c is a PolyHH, or a Fraction
+# when constant (multiplied by scaling)
+OpTable = Dict[str, Tuple[Tuple[Union[PolyHH, Fraction], int], ...]]
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,11 @@ class FreeModuleSpec:
             out["alpha1"] = self.alpha1
         return out
 
+    @cached_property
+    def ops(self) -> OpTable:
+        """The operator table of every generator, built once per spec."""
+        return _OP_TABLES[self.family](self)
+
 
 def make_gamma(lam: RationalLike, a: RationalLike, b: RationalLike) -> FreeModuleSpec:
     lam = to_rational(lam)
@@ -87,10 +108,7 @@ def make_gamma(lam: RationalLike, a: RationalLike, b: RationalLike) -> FreeModul
 
 
 def make_theta_mod(lam: RationalLike, a: RationalLike, b: RationalLike) -> FreeModuleSpec:
-    lam = to_rational(lam)
-    if not lam:
-        raise ValueError("lambda must be nonzero")
-    return FreeModuleSpec("theta", lam, to_rational(b), a=to_rational(a))
+    return replace(make_gamma(lam, a, b), family="theta")
 
 
 def alpha_from_beta(beta1: Sequence[RationalLike], lam: RationalLike,
@@ -157,61 +175,70 @@ def make_omega(lam: RationalLike, b: RationalLike,
 
 # -- actions -------------------------------------------------------------------
 
+def _reflect(c):
+    """sigma(c)(h, hbar) = c(-h, -hbar); constants are fixed."""
+    if not isinstance(c, PolyHH):
+        return c
+    return PolyHH({(i, j): v if (i + j) % 2 == 0 else -v
+                   for (i, j), v in c.terms()})
+
+
+def _cartan_ops() -> OpTable:
+    return {"h": ((PolyHH.h(), 0),), "hb": ((PolyHH.hbar(), 0),)}
+
+
+def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
+    lam, a, b = spec.lam, spec.a, spec.b
+    hbar = PolyHH.hbar()
+    quad = hbar * hbar + PolyHH.const(a)
+    lead = (PolyHH.h() + PolyHH.const(2)) * hbar + PolyHH.const(b)
+    return {**_cartan_ops(),
+            "e": ((-2 * lam, 1),),
+            "eb": ((lam, 0),),
+            "fb": ((quad.scale(Fraction(-1, 4) / lam), 0),),
+            "f": ((lead.scale(Fraction(-1, 2) / lam), 0),
+                  (quad.scale(Fraction(-1, 2) / lam), 1))}
+
+
+def _theta_ops(spec: FreeModuleSpec) -> OpTable:
+    """Gamma's table transported by the Chevalley involution and sigma.
+
+    sigma conjugates c to sigma(c) and dbar to -dbar, hence (-1)^m.
+    """
+    gamma = _gamma_ops(spec)
+    return {x: tuple((sign * (-1) ** m * _reflect(c), m) for c, m in gamma[y])
+            for x, (y, sign) in CHEVALLEY.items()}
+
+
+def _omega_ops(spec: FreeModuleSpec) -> OpTable:
+    lam, b = spec.lam, spec.b
+    hbar = PolyHH.hbar()
+    a1 = poly1_to_polyhh(spec.alpha1)
+    b1 = poly1_to_polyhh(spec.beta1)
+    plus_b = hbar + PolyHH.const(b)
+    minus_b = hbar - PolyHH.const(b)
+    return {**_cartan_ops(),
+            "e": ((PolyHH.h().scale(lam / 2) + a1, 0),
+                  (plus_b.scale(-lam), 1)),
+            "f": ((b1 - PolyHH.h().scale(Fraction(1, 2) / lam), 0),
+                  (minus_b.scale(Fraction(-1) / lam), 1)),
+            "eb": ((plus_b.scale(lam / 2), 0),),
+            "fb": ((minus_b.scale(Fraction(-1, 2) / lam), 0),)}
+
+
+_OP_TABLES = {"gamma": _gamma_ops, "theta": _theta_ops, "omega": _omega_ops}
+
+
 def act(spec: FreeModuleSpec, x: str, p: PolyHH) -> PolyHH:
     """Apply a generator to a polynomial in the given free module."""
-    lam = spec.lam
-    hbar = PolyHH.hbar()
-    if x == "h":
-        return PolyHH.h() * p
-    if x == "hb":
-        return hbar * p
-    if spec.family == "gamma":
-        a, b = spec.a, spec.b
-        if x == "e":
-            return p.shift_h(-2).dbar().scale(-2 * lam)
-        if x == "eb":
-            return p.shift_h(-2).scale(lam)
-        if x == "fb":
-            q = p.shift_h(2)
-            return (hbar * hbar + PolyHH.const(a)) * q * PolyHH.const(Fraction(-1, 4) / lam)
-        if x == "f":
-            q = p.shift_h(2)
-            lead = (PolyHH.h() + PolyHH.const(2)) * hbar + PolyHH.const(b)
-            tail = (hbar * hbar + PolyHH.const(a)) * q.dbar()
-            return (lead * q + tail).scale(Fraction(-1, 2) / lam)
-    elif spec.family == "theta":
-        a, b = spec.a, spec.b
-        if x == "f":
-            return p.shift_h(2).dbar().scale(2 * lam)
-        if x == "fb":
-            return p.shift_h(2).scale(lam)
-        if x == "eb":
-            q = p.shift_h(-2)
-            return (hbar * hbar + PolyHH.const(a)) * q * PolyHH.const(Fraction(-1, 4) / lam)
-        if x == "e":
-            q = p.shift_h(-2)
-            lead = (PolyHH.h() - PolyHH.const(2)) * hbar + PolyHH.const(b)
-            tail = (hbar * hbar + PolyHH.const(a)) * q.dbar()
-            return (lead * q).scale(Fraction(-1, 2) / lam) + tail.scale(Fraction(1, 2) / lam)
-    elif spec.family == "omega":
-        b = spec.b
-        a1 = poly1_to_polyhh(spec.alpha1)
-        b1 = poly1_to_polyhh(spec.beta1)
-        if x == "e":
-            q = p.shift_h(-2)
-            lead = PolyHH.h().scale(lam / 2) + a1
-            tail = (hbar + PolyHH.const(b)) * q.dbar()
-            return lead * q - tail.scale(lam)
-        if x == "f":
-            q = p.shift_h(2)
-            lead = PolyHH.h().scale(Fraction(1, 2) / lam) - b1
-            tail = (hbar - PolyHH.const(b)) * q.dbar()
-            return -(lead * q) - tail.scale(Fraction(1) / lam)
-        if x == "eb":
-            return (hbar + PolyHH.const(b)) * p.shift_h(-2) * PolyHH.const(lam / 2)
-        if x == "fb":
-            return (hbar - PolyHH.const(b)) * p.shift_h(2) * PolyHH.const(Fraction(-1, 2) / lam)
-    raise ValueError(f"unknown generator {x!r} for family {spec.family!r}")
+    try:
+        terms = spec.ops[x]
+    except KeyError:
+        raise ValueError(f"unknown generator {x!r} for family "
+                         f"{spec.family!r}") from None
+    q = p.shift_h(SHIFT[x])
+    out = [c * (q.dbar() if m else q) for c, m in terms]
+    return sum(out[1:], out[0])
 
 
 def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:

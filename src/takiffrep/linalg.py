@@ -80,16 +80,6 @@ class RowBasis:
     def rows(self) -> List[Vec]:
         return [dict(self._rows[p]) for p in sorted(self._rows, key=self._key)]
 
-    def pivots(self) -> List[Hashable]:
-        return sorted(self._rows, key=self._key)
-
-
-def rank_of(vectors: Iterable[Vec], key: Optional[Callable] = None) -> int:
-    basis = RowBasis(key=key)
-    for v in vectors:
-        basis.add(v)
-    return basis.rank
-
 
 def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
     """Basis of the solution space of a homogeneous system.

@@ -281,32 +281,6 @@ class PolyHH:
         return f"PolyHH({self.to_text()})"
 
 
-# Module-level operation names used throughout the package and the CLI.
-
-def add(p: PolyHH, q: PolyHH) -> PolyHH:
-    return p + q
-
-
-def mul(p: PolyHH, q: PolyHH) -> PolyHH:
-    return p * q
-
-
-def scale(c: RationalLike, p: PolyHH) -> PolyHH:
-    return p.scale(c)
-
-
-def shift_h(p: PolyHH, d: RationalLike) -> PolyHH:
-    return p.shift_h(d)
-
-
-def shift_hbar(p: PolyHH, d: RationalLike) -> PolyHH:
-    return p.shift_hbar(d)
-
-
-def dbar(p: PolyHH) -> PolyHH:
-    return p.dbar()
-
-
 class ShiftedExpansion:
     """Coefficients of p in the shifted basis (h - h0)^i (hbar - hb0)^j.
 
@@ -416,7 +390,10 @@ def parse_poly(text: str) -> PolyHH:
                 else:
                     raise ValueError(f"unknown variable {name!r}")
             else:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
         total = total + PolyHH.term(i, j, coeff)
     return total
 

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .poly import PolyHH, format_rational
 from .weightmod import Window
@@ -109,3 +109,29 @@ def parse_rational_list(text: str) -> tuple:
     """Comma-separated rationals: '0,1,-3/2' -> (0, 1, -3/2)."""
     items = [t.strip() for t in text.split(",") if t.strip()]
     return tuple(Fraction(t) for t in items)
+
+
+def parse_int_pair(text: str) -> Tuple[int, int]:
+    """Two comma-separated integers: '3,1' -> (3, 1)."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated integers")
+    return int(parts[0]), int(parts[1])
+
+
+def config_value(cfg: Dict[str, str], key: str, default: Optional[str],
+                 parse: Callable[[str], Any]) -> Any:
+    """Parse ``cfg[key]`` (or ``default`` when absent) with ``parse``.
+
+    Any parse failure, a zero denominator included, becomes a ValueError
+    that names the key, so the CLI reports it as a usage error.
+    """
+    text = cfg.get(key, default)
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        raise ValueError(f"config key {key!r}: zero denominator in "
+                         f"{text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: bad value {text!r} "
+                         f"({exc})") from None

@@ -1,9 +1,9 @@
 """Parameter-grid reducibility scan for the weight families.
 
-The built-in grid (540 points) walks all three families across the
-reducibility strata: beta^2 + a = 0 with and without an integral root of
-alpha_j beta + b = 0 for M and N, and the beta = a, beta = -a walls
-(including beta = a = 0) for V.  Each point is judged twice: by the
+The built-in grid (521 points: 201 M, 201 N, 119 V) walks all three
+families across the reducibility strata: beta^2 + a = 0 with and without
+an integral root of alpha_j beta + b = 0 for M and N, and the beta = a,
+beta = -a walls (including beta = a = 0) for V.  Each point is judged twice: by the
 closed-form criterion and by an exact windowed singular-vector search
 centered on the predicted witness; the scan row records whether the two
 agree.

@@ -17,21 +17,27 @@ M(alpha, beta, lam, a, b) pairs with Gamma(lam, a, b) through
 V(alpha, beta, lam, a, beta1) with Omega(lam, b := a, beta1) -- the scalar
 called `a` on the V side occupies the parent Omega's `b` slot, and alpha1
 is derived from beta1 by the same triangular linkage.
+
+As Theta is Gamma transported by the Chevalley involution omega, N is M
+transported: with M' = M(-alpha, -beta, lam, a, b) and the isomorphism
+eta_{k,s} -> (-1)^(s-1) eta'_{-k,s} from N to M', the action of x on N
+is that of omega(x) on M' carried back (an extra sign -1 for h and hbar).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, bracket
-from .freemod import (FreeModuleSpec, GENERATOR_PAIRS, alpha_from_beta,
-                      make_gamma, make_omega, make_theta_mod)
+from .freemod import (CHEVALLEY, FreeModuleSpec, GENERATOR_PAIRS,
+                      alpha_from_beta, make_gamma, make_omega, make_theta_mod)
 from .freemod import act as act_free
-from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
+from .linalg import RowBasis, nullspace, vec_axpy
 from .poly import (PolyHH, RationalLike, poly1_eval, random_poly,
                    shifted_expand, to_rational)
 
@@ -61,6 +67,11 @@ class WeightModuleSpec:
             out["beta1"] = self.beta1
         return out
 
+    @cached_property
+    def mirror(self) -> "WeightModuleSpec":
+        """M(-alpha, -beta, lam, a, b), the M module an N spec transports to."""
+        return replace(self, family="M", alpha=-self.alpha, beta=-self.beta)
+
 
 def make_weight_m(alpha, beta, lam, a, b) -> WeightModuleSpec:
     lam = to_rational(lam)
@@ -71,11 +82,7 @@ def make_weight_m(alpha, beta, lam, a, b) -> WeightModuleSpec:
 
 
 def make_weight_n(alpha, beta, lam, a, b) -> WeightModuleSpec:
-    lam = to_rational(lam)
-    if not lam:
-        raise ValueError("lambda must be nonzero")
-    return WeightModuleSpec("N", to_rational(alpha), to_rational(beta), lam,
-                            to_rational(a), b=to_rational(b))
+    return replace(make_weight_m(alpha, beta, lam, a, b), family="N")
 
 
 def make_weight_v(alpha, beta, lam, a, beta1: Sequence[RationalLike]) -> WeightModuleSpec:
@@ -194,34 +201,15 @@ def _act_m_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
 
 
 def _act_n_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
-    lam, a, b = spec.lam, spec.a, spec.b
-    beta = spec.beta
-    ak = spec.alpha_k(k)
-    if x == "h":
-        return wv_clean({(k, s): -ak})
-    if x == "hb":
-        out = {(k, s): -beta}
-        if s > 1:
-            out[(k, s - 1)] = Fraction(-(s - 1))
-        return wv_clean(out)
-    if x == "f":
-        return wv_clean({(k + 1, s + 1): -2 * lam})
-    if x == "fb":
-        return wv_clean({(k + 1, s): -lam})
-    if x == "eb":
-        out: WeightVec = {(k - 1, s): (beta * beta + a) / (4 * lam)}
-        if s > 1:
-            out[(k - 1, s - 1)] = (s - 1) * beta / (2 * lam)
-        if s > 2:
-            out[(k - 1, s - 2)] = Fraction((s - 2) * (s - 1)) / (4 * lam)
-        return wv_clean(out)
-    if x == "e":
-        out = {(k - 1, s): ((ak - 2 * s) * beta + b) / (2 * lam),
-               (k - 1, s + 1): -(beta * beta + a) / (2 * lam)}
-        if s > 1:
-            out[(k - 1, s - 1)] = (s - 1) * (ak - s) / (2 * lam)
-        return wv_clean(out)
-    raise ValueError(f"unknown generator {x!r}")
+    if x not in CHEVALLEY:
+        raise ValueError(f"unknown generator {x!r}")
+    y, sign = CHEVALLEY[x]
+    image = _act_m_basis(spec.mirror, y, -k, s)
+    # eta_{k,s} -> (-1)^(s-1) eta'_{-k,s} and back: the sign of each image
+    # term is sign * (-1)^(s - s2)
+    odd = sign < 0
+    return {(-k2, s2): c if (s - s2) % 2 == odd else -c
+            for (k2, s2), c in image.items()}
 
 
 def _act_v_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
@@ -288,24 +276,6 @@ def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
     for (k, s), c in v.items():
         out = vec_axpy(out, c, basis_action(spec, x, k, s))
     return out
-
-
-def act_M(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
-    if spec.family != "M":
-        raise ValueError("act_M expects an M spec")
-    return act_weight(spec, x, v)
-
-
-def act_N(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
-    if spec.family != "N":
-        raise ValueError("act_N expects an N spec")
-    return act_weight(spec, x, v)
-
-
-def act_V(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
-    if spec.family != "V":
-        raise ValueError("act_V expects a V spec")
-    return act_weight(spec, x, v)
 
 
 def act_weight_word(spec: WeightModuleSpec, word: Sequence[str],
@@ -482,15 +452,21 @@ def simplicity_criterion_weight(spec: WeightModuleSpec) -> WeightSimplicityResul
 
     For M: reducible iff beta^2 + a = 0 and some integer j solves
     alpha_j * beta + b = 0; the witness eta_{j-1, 1} is killed by {f, fb}.
-    For N the same stratum applies with witness eta_{j+1, 1} killed by
-    {e, eb}.  For V: reducible iff beta = a = 0 (barred pair kills every
-    eta_{k,1}), or beta = a != 0 with (2 lam beta1(beta) - alpha)/2 = j
-    integral (witness eta_{j,1}, pair {f, fb}), or beta = -a != 0 with
-    (-2 alpha1(beta)/lam - alpha)/2 = j integral (witness eta_{j,1},
-    pair {e, eb}).
+    N is M(-alpha, -beta, lam, a, b) transported: the same stratum, with
+    witness eta_{j+1, 1} killed by {e, eb}.  For V: reducible iff
+    beta = a = 0 (barred pair kills every eta_{k,1}), or beta = a != 0
+    with (2 lam beta1(beta) - alpha)/2 = j integral (witness eta_{j,1},
+    pair {f, fb}), or beta = -a != 0 with (-2 alpha1(beta)/lam - alpha)/2
+    = j integral (witness eta_{j,1}, pair {e, eb}).
     """
     beta, a = spec.beta, spec.a
-    if spec.family in ("M", "N"):
+    if spec.family == "N":
+        result = simplicity_criterion_weight(spec.mirror)
+        if not result.simple:
+            result.witness = (-result.witness[0], result.witness[1])
+            result.pair = tuple(CHEVALLEY[x][0] for x in result.pair)
+        return result
+    if spec.family == "M":
         if beta * beta + a != 0:
             return WeightSimplicityResult(True, reason="beta^2 + a != 0")
         if beta == 0:
@@ -504,12 +480,8 @@ def simplicity_criterion_weight(spec: WeightModuleSpec) -> WeightSimplicityResul
             if j is None:
                 return WeightSimplicityResult(
                     True, reason="alpha_j beta + b = 0 has no integer root")
-        if spec.family == "M":
-            return WeightSimplicityResult(
-                False, witness=(j - 1, 1), pair=("f", "fb"),
-                reason="beta^2 + a = 0 and alpha_j beta + b = 0 at integer j")
         return WeightSimplicityResult(
-            False, witness=(j + 1, 1), pair=("e", "eb"),
+            False, witness=(j - 1, 1), pair=("f", "fb"),
             reason="beta^2 + a = 0 and alpha_j beta + b = 0 at integer j")
     if spec.family == "V":
         if beta == a and beta == -a:  # beta = a = 0

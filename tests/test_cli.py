@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,9 +203,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 def test_malformed_config_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this line has no equals sign\n")
-    code = main(["nf", "h", "--config", str(cfg)])
-    assert code == 2
+    for suite, config in (("nf", "this line has no equals sign\n"),
+                          ("saturate", "cap=8\n"),
+                          ("verma-check", "hit=1\n"),
+                          ("saturate", "lambda=1/0\n")):
+        cfg.write_text(config)
+        assert main([suite, "--config", str(cfg)]) == 2, config
+        assert "error:" in capsys.readouterr().err
+    # a zero denominator in inline input is a usage error too
+    for argv in (["nf", "1/0*e"], ["saturate", "1/0*h"]):
+        assert main(argv) == 2, argv
+        assert "zero denominator" in capsys.readouterr().err
 
 
 def test_unknown_suite_exits_2():
@@ -223,3 +232,29 @@ def test_console_script_entry_point():
     # timing goes to stderr, never into the payload
     assert "elapsed" in proc.stderr
     assert "elapsed" not in proc.stdout
+
+
+# Reports saved while Theta and N still had their own hand-written action
+# formulas; deriving them from Gamma and M must not change a byte.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [
+    ("verify_free_theta.json", "verify-free",
+     "families=theta\ntrials=5\nspecs=4\n"),
+    ("saturate_theta.json", "saturate", "family=theta\ncap=5,5\n"),
+    ("singular_n.json", "singular", "family=N\n"),
+    ("intertwine_default.json", "intertwine", None),
+    ("iso_check_n.json", "iso-check", "family=N\nkinds=lambda-rescale\n"),
+]
+
+
+@pytest.mark.parametrize("name, suite, config", GOLDEN_CASES,
+                         ids=[name for name, _, _ in GOLDEN_CASES])
+def test_golden_report_bytes(capsys, tmp_path, name, suite, config):
+    argv = [suite]
+    if config is not None:
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -16,7 +16,7 @@ from takiffrep.freemod import (GENERATOR_PAIRS, act, act_word,
                                omega_quotient_delta_params, random_free_spec,
                                simplicity_criterion_free, submodule_saturate,
                                verify_axioms)
-from takiffrep.poly import PolyHH, parse_poly, random_poly
+from takiffrep.poly import PolyHH, parse_poly, random_poly, random_rational
 from takiffrep.weightmod import delta_action
 
 F = Fraction
@@ -55,6 +55,29 @@ def test_theta_actions():
     t2 = make_theta_mod(1, 0, 5)
     want = (H - PolyHH.const(2)) * HB + PolyHH.const(5)
     assert act(t2, "e", ONE) == want.scale(F(-1, 2))
+
+
+# Chevalley involution as (image, sign): e <-> f, eb <-> fb, h -> -h, hb -> -hb
+CHEVALLEY = {"e": ("f", 1), "f": ("e", 1), "eb": ("fb", 1), "fb": ("eb", 1),
+             "h": ("h", -1), "hb": ("hb", -1)}
+
+
+def reflect(p):
+    """p(h, hbar) -> p(-h, -hbar)."""
+    return PolyHH({(i, j): v * (-1) ** (i + j) for (i, j), v in p.terms()})
+
+
+def test_theta_is_gamma_transported_by_chevalley_involution():
+    rng = random.Random(307)
+    for _ in range(6):
+        lam = random_rational(rng, nonzero=True)
+        a, b = random_rational(rng), random_rational(rng)
+        gamma, theta = make_gamma(lam, a, b), make_theta_mod(lam, a, b)
+        for _ in range(4):
+            p = random_poly(rng)
+            for x, (y, sign) in CHEVALLEY.items():
+                want = reflect(act(gamma, y, reflect(p))).scale(sign)
+                assert act(theta, x, p) == want, (x, lam, a, b, p)
 
 
 def test_omega_actions():

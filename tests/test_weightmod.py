@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from takiffrep.poly import PolyHH, random_poly
+from takiffrep.poly import PolyHH, random_poly, random_rational
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  act_weight_word, delta_action,
                                  dual_consistency, eval_functional,
@@ -68,6 +68,41 @@ def test_act_n_frozen_values():
     assert act_weight(n, "fb", wv_unit(0, 1)) == {(1, 1): F(-1)}
     assert act_weight(n, "f", wv_unit(0, 1)) == {(1, 2): F(-2)}
     assert act_weight(n, "hb", wv_unit(0, 1)) == {(0, 1): F(-2)}
+    # s = 2, 3: the s-dependent signs and the (s-1), (s-2)(s-1) factors,
+    # checked by hand against (x.eta)(p) = -eta(x.p) in Theta
+    assert act_weight(n, "e", wv_unit(0, 2)) == {
+        (-1, 1): F(-1), (-1, 2): F(-4), (-1, 3): F(-2)}
+    assert act_weight(n, "e", wv_unit(0, 3)) == {
+        (-1, 2): F(-3), (-1, 3): F(-6), (-1, 4): F(-2)}
+    assert act_weight(n, "eb", wv_unit(0, 2)) == {(-1, 1): F(1), (-1, 2): F(1)}
+    assert act_weight(n, "eb", wv_unit(0, 3)) == {
+        (-1, 1): F(1, 2), (-1, 2): F(2), (-1, 3): F(1)}
+    assert act_weight(n, "fb", wv_unit(0, 2)) == {(1, 2): F(-1)}
+    assert act_weight(n, "fb", wv_unit(0, 3)) == {(1, 3): F(-1)}
+
+
+# Chevalley involution as (image, sign): e <-> f, eb <-> fb, h -> -h, hb -> -hb
+CHEVALLEY = {"e": ("f", 1), "f": ("e", 1), "eb": ("fb", 1), "fb": ("eb", 1),
+             "h": ("h", -1), "hb": ("hb", -1)}
+
+
+def test_n_is_m_transported_by_chevalley_involution():
+    # N(alpha, beta, ...) ~ M(-alpha, -beta, ...) via
+    # eta_{k,s} -> (-1)^(s-1) eta'_{-k,s}, with x acting as omega(x)
+    rng = random.Random(405)
+    for _ in range(4):
+        alpha, beta = random_rational(rng), random_rational(rng)
+        lam = random_rational(rng, nonzero=True)
+        a, b = random_rational(rng), random_rational(rng)
+        n = make_weight_n(alpha, beta, lam, a, b)
+        m = make_weight_m(-alpha, -beta, lam, a, b)
+        for x, (y, sign) in CHEVALLEY.items():
+            for k in range(-3, 4):
+                for s in range(1, 5):
+                    image = act_weight(m, y, wv_unit(-k, s))
+                    want = {(-k2, s2): c * sign * (-1) ** ((s - s2) % 2)
+                            for (k2, s2), c in image.items()}
+                    assert act_weight(n, x, wv_unit(k, s)) == want, (x, k, s)
 
 
 def test_act_v_frozen_values():
