@@ -124,6 +124,10 @@ def _suite_verify_free(cfg, args, rng, window):
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "5", int)
     explicit = any(key in cfg for key in ("lambda", "a", "b", "beta1"))
+    if trials < 1:
+        raise ValueError("config key 'trials': must be at least 1")
+    if n_specs < 1 and not explicit:
+        raise ValueError("config key 'specs': must be at least 1")
     cases = []
     ok = True
     for family in families:
@@ -190,6 +194,8 @@ def _suite_verify_weight(cfg, args, rng, window):
     families = [f.strip() for f in cfg.get("families", "M,N,V").split(",")]
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "3", int)
+    if n_specs < 1:
+        raise ValueError("config key 'specs': must be at least 1")
     cases = []
     ok = True
     for family in families:
@@ -288,11 +294,13 @@ def _suite_iso_check(cfg, args, rng, window):
     cases = []
     ok = True
     kinds = [k.strip() for k in cfg.get("kinds", "lambda-rescale,vm").split(",")]
+    unknown = [k for k in kinds if k not in ("lambda-rescale", "vm")]
+    if unknown:
+        raise ValueError(f"config key 'kinds': unknown kind {unknown[0]!r}")
     if "lambda-rescale" in kinds:
         spec_a = _weight_spec_from_cfg(cfg)
-        cfg_b = dict(cfg)
-        cfg_b["lambda"] = cfg.get("lambda2", "3")
-        spec_b = _weight_spec_from_cfg(cfg_b)
+        lam2 = config_value(cfg, "lambda2", "3", Fraction)
+        spec_b = _weight_spec_from_cfg({**cfg, "lambda": str(lam2)})
         res = functors.lambda_rescale_iso(spec_a, spec_b, window)
         ok = ok and res.intertwines
         cases.append({"kind": "lambda-rescale",

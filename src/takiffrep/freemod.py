@@ -189,9 +189,8 @@ def _cartan_ops() -> OpTable:
 
 def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
     lam, a, b = spec.lam, spec.a, spec.b
-    hbar = PolyHH.hbar()
-    quad = hbar * hbar + PolyHH.const(a)
-    lead = (PolyHH.h() + PolyHH.const(2)) * hbar + PolyHH.const(b)
+    quad = PolyHH({(0, 2): 1, (0, 0): a})  # hbar^2 + a
+    lead = PolyHH({(1, 1): 1, (0, 1): 2, (0, 0): b})  # (h + 2) hbar + b
     return {**_cartan_ops(),
             "e": ((-2 * lam, 1),),
             "eb": ((lam, 0),),

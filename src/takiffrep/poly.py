@@ -12,6 +12,7 @@ compares strictly below every integer; it is never the integer -1.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, Iterator, Tuple, Union
@@ -345,16 +346,17 @@ def poly1_to_polyhh(coeffs: Iterable[RationalLike]) -> PolyHH:
 def parse_poly(text: str) -> PolyHH:
     """Parse the canonical text form (and mild variants) back to a PolyHH.
 
-    Accepts terms joined by '+' (a leading '-' inside a term negates it),
-    factors joined by '*', each factor a rational, 'h', 'hb', 'h^i' or
+    Accepts terms joined by '+' or '-' (a leading '-' inside a term negates
+    it), factors joined by '*', each factor a rational, 'h', 'hb', 'h^i' or
     'hb^j'.  '0' parses to the zero polynomial.
     """
     text = text.strip()
     if not text or text == "0":
         return PolyHH.zero()
-    # normalize "a - b" to "a + -b" without touching exponents like ^-1
-    # (exponents of h/hb are never negative, so '-' only occurs as a sign)
-    chunks = text.replace("- ", "+ -").split("+")
+    # normalize "a - b" and "a-b" to "a + -b": a '-' right after a term ends
+    # it, any other '-' is a sign (exponents of h/hb are never negative)
+    chunks = re.sub(r"(?<=[0-9hb])\s*-", "+-",
+                    text.replace("- ", "+ -")).split("+")
     total = PolyHH.zero()
     for chunk in chunks:
         chunk = chunk.strip()

@@ -7,10 +7,7 @@ polynomial p in C[h, hbar] the functional evaluates to
     eta_{alpha_k, beta^s}(p) = (s-1)! * [coefficient of (h - alpha_k)^0
                                          (hbar - beta)^(s-1) in p]
 
-with alpha_k = alpha + 2k.  The families act by the explicit finite
-formulas below; actions are computed exactly on the infinite basis (no
-truncation), so bracket identities hold on the nose and windows only
-scope searches and reports.
+with alpha_k = alpha + 2k.
 
 M(alpha, beta, lam, a, b) pairs with Gamma(lam, a, b) through
 (x.eta)(p) = -eta(x.p); N pairs the same way with Theta, and
@@ -18,10 +15,13 @@ V(alpha, beta, lam, a, beta1) with Omega(lam, b := a, beta1) -- the scalar
 called `a` on the V side occupies the parent Omega's `b` slot, and alpha1
 is derived from beta1 by the same triangular linkage.
 
-As Theta is Gamma transported by the Chevalley involution omega, N is M
-transported: with M' = M(-alpha, -beta, lam, a, b) and the isomorphism
-eta_{k,s} -> (-1)^(s-1) eta'_{-k,s} from N to M', the action of x on N
-is that of omega(x) on M' carried back (an extra sign -1 for h and hbar).
+No family has action formulas of its own: each is the adjoint of its
+parent's operator table (``FreeModuleSpec.ops``), dualized term by term
+into ``WeightModuleSpec.adjoint``.  So N, whose parent Theta is Gamma
+transported by the Chevalley involution, is M transported the same way.
+Each image is a finite vector computed exactly on the infinite basis (no
+truncation), so bracket identities hold on the nose and windows only
+scope searches and reports.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, bracket
-from .freemod import (CHEVALLEY, FreeModuleSpec, GENERATOR_PAIRS,
+from .freemod import (CHEVALLEY, SHIFT, FreeModuleSpec, GENERATOR_PAIRS,
                       alpha_from_beta, make_gamma, make_omega, make_theta_mod)
 from .freemod import act as act_free
 from .linalg import RowBasis, nullspace, vec_axpy
@@ -42,6 +42,11 @@ from .poly import (PolyHH, RationalLike, poly1_eval, random_poly,
                    shifted_expand, to_rational)
 
 WeightVec = Dict[Tuple[int, int], Fraction]
+
+# one generator's action on eta_{k,s}: (dk, terms), each term (m, r, c0, c1)
+# meaning (c0 + c1*k) * C(s-1, r) * eta_{k+dk, s-r+m}, present when r < s;
+# degree 1 in k suffices, every operator-table coefficient being linear in h
+AdjointTable = Dict[str, Tuple[int, Tuple[Tuple[int, int, Fraction, RationalLike], ...]]]
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,11 @@ class WeightModuleSpec:
         return out
 
     @cached_property
+    def adjoint(self) -> AdjointTable:
+        """The action of every generator on eta_{k,s}, built once per spec."""
+        return _adjoint_table(self)
+
+    @property
     def mirror(self) -> "WeightModuleSpec":
         """M(-alpha, -beta, lam, a, b), the M module an N spec transports to."""
         return replace(self, family="M", alpha=-self.alpha, beta=-self.beta)
@@ -160,121 +170,57 @@ def eval_weightvec(spec: WeightModuleSpec, v: WeightVec, p: PolyHH) -> Fraction:
 
 # -- actions on a single basis functional -------------------------------------
 
-def _falling(s: int, s_to: int) -> int:
-    """(s-1)! / (s_to-1)! for 1 <= s_to <= s."""
-    out = 1
-    for t in range(s_to, s):
-        out *= t
-    return out
+def _adjoint_table(spec: WeightModuleSpec) -> AdjointTable:
+    """Dualize the parent's operator table by Leibniz.
+
+    eta_{k,s}(p) is dbar^(s-1) p at (alpha_k, beta), so a parent term
+    c * dbar^m g(h + d, hbar) gives
+
+        x.eta_{k,s} = -sum_r C(s-1, r) (dbar^r c)(alpha_k, beta)
+                                          eta_{k+d/2, s-r+m}.
+
+    Expanding c = sum e_ij (h - alpha)^i (hbar - beta)^j gives
+    (dbar^r c)(alpha + 2k, beta) = r! sum_i e_ir (2k)^i, stored with the
+    sign as c0 + c1*k and summed over the terms that share (m, r); c1 is
+    the int 0 when the term is constant in k, which keeps the table small.
+    """
+    table = {}
+    for x, terms in parent_spec(spec).ops.items():
+        coeffs: Dict[Tuple[int, int], List[Fraction]] = {}
+        for c, m in terms:
+            exp = shifted_expand(c if isinstance(c, PolyHH) else PolyHH.const(c),
+                                 (spec.alpha, spec.beta))
+            for (i, r), e in exp.coeffs.items():
+                pair = coeffs.setdefault((m, r), [Fraction(0), Fraction(0)])
+                pair[i] -= factorial(r) * 2 ** i * e
+        table[x] = (SHIFT[x] // 2, tuple((m, r, c0, c1 or 0)
+                                         for (m, r), (c0, c1) in coeffs.items()
+                                         if c0 or c1))
+    return table
 
 
-def _act_m_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
-    lam, a, b = spec.lam, spec.a, spec.b
-    beta = spec.beta
-    ak = spec.alpha_k(k)
-    if x == "h":
-        return wv_clean({(k, s): -ak})
-    if x == "hb":
-        out = {(k, s): -beta}
-        if s > 1:
-            out[(k, s - 1)] = Fraction(-(s - 1))
-        return wv_clean(out)
-    if x == "e":
-        return wv_clean({(k - 1, s + 1): 2 * lam})
-    if x == "eb":
-        return wv_clean({(k - 1, s): -lam})
-    if x == "fb":
-        out: WeightVec = {(k + 1, s): (beta * beta + a) / (4 * lam)}
-        if s > 1:
-            out[(k + 1, s - 1)] = (s - 1) * beta / (2 * lam)
-        if s > 2:
-            out[(k + 1, s - 2)] = Fraction((s - 2) * (s - 1)) / (4 * lam)
-        return wv_clean(out)
-    if x == "f":
-        aks = spec.alpha_k(k + s)
-        out = {(k + 1, s): (aks * beta + b) / (2 * lam),
-               (k + 1, s + 1): (beta * beta + a) / (2 * lam)}
-        if s > 1:
-            out[(k + 1, s - 1)] = (s - 1) * (ak + s) / (2 * lam)
-        return wv_clean(out)
-    raise ValueError(f"unknown generator {x!r}")
-
-
-def _act_n_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
-    if x not in CHEVALLEY:
-        raise ValueError(f"unknown generator {x!r}")
-    y, sign = CHEVALLEY[x]
-    image = _act_m_basis(spec.mirror, y, -k, s)
-    # eta_{k,s} -> (-1)^(s-1) eta'_{-k,s} and back: the sign of each image
-    # term is sign * (-1)^(s - s2)
-    odd = sign < 0
-    return {(-k2, s2): c if (s - s2) % 2 == odd else -c
-            for (k2, s2), c in image.items()}
-
-
-def _act_v_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
-    lam, a = spec.lam, spec.a
-    beta = spec.beta
-    ak = spec.alpha_k(k)
-    if x == "h":
-        return wv_clean({(k, s): -ak})
-    if x == "hb":
-        out = {(k, s): -beta}
-        if s > 1:
-            out[(k, s - 1)] = Fraction(-(s - 1))
-        return wv_clean(out)
-    if x == "fb":
-        out: WeightVec = {(k + 1, s): (beta - a) / (2 * lam)}
-        if s > 1:
-            out[(k + 1, s - 1)] = Fraction(s - 1) / (2 * lam)
-        return wv_clean(out)
-    if x == "eb":
-        out = {(k - 1, s): -lam * (beta + a) / 2}
-        if s > 1:
-            out[(k - 1, s - 1)] = -lam * (s - 1) / 2
-        return wv_clean(out)
-    if x == "e":
-        a1_at_beta = poly1_eval(spec.alpha1, beta)
-        out = {(k - 1, s): -(lam * spec.alpha_k(k - s + 1) + 2 * a1_at_beta) / 2,
-               (k - 1, s + 1): lam * (beta + a)}
-        m = len(spec.alpha1) - 1
-        for ell in range(1, m + 1):
-            p_ell = spec.alpha1[ell]
-            for i in range(ell):
-                s_to = s - ell + i
-                if s_to < 1:
-                    continue
-                c = p_ell * comb(ell, i) * beta**i * _falling(s, s_to)
-                key = (k - 1, s_to)
-                out[key] = out.get(key, Fraction(0)) - c
-        return wv_clean(out)
-    if x == "f":
-        b1_at_beta = poly1_eval(spec.beta1, beta)
-        out = {(k + 1, s): (spec.alpha_k(k + s - 1) - 2 * lam * b1_at_beta) / (2 * lam),
-               (k + 1, s + 1): (beta - a) / lam}
-        m = len(spec.beta1) - 1
-        for r in range(1, m + 1):
-            q_r = spec.beta1[r]
-            for j in range(r):
-                s_to = s - r + j
-                if s_to < 1:
-                    continue
-                c = q_r * comb(r, j) * beta**j * _falling(s, s_to)
-                key = (k + 1, s_to)
-                out[key] = out.get(key, Fraction(0)) - c
-        return wv_clean(out)
-    raise ValueError(f"unknown generator {x!r}")
-
-
-_BASIS_ACTION = {"M": _act_m_basis, "N": _act_n_basis, "V": _act_v_basis}
+def _act_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
+    try:
+        dk, terms = spec.adjoint[x]
+    except KeyError:
+        raise ValueError(f"unknown generator {x!r}") from None
+    out: WeightVec = {}
+    for m, r, c0, c1 in terms:
+        if r >= s:
+            continue
+        c = c0 + c1 * k if c1 else c0
+        if r:
+            c *= comb(s - 1, r)
+        key = (k + dk, s - r + m)
+        out[key] = out.get(key, 0) + c
+    return wv_clean(out)
 
 
 def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
     """Apply a generator to a weight vector (exact, untruncated)."""
-    basis_action = _BASIS_ACTION[spec.family]
     out: WeightVec = {}
     for (k, s), c in v.items():
-        out = vec_axpy(out, c, basis_action(spec, x, k, s))
+        out = vec_axpy(out, c, _act_basis(spec, x, k, s))
     return out
 
 
@@ -321,10 +267,10 @@ DEFAULT_WINDOW = Window(-5, 5, 5)
 
 def dual_consistency(spec: WeightModuleSpec, window: Window = DEFAULT_WINDOW,
                      trials: int = 50, seed: int = 0) -> dict:
-    """Cross-check the closed-form action against the defining duality.
+    """Cross-check the adjoint-table action against the defining duality.
 
     For random probes (k, s, generator x, polynomial p) it compares
-    (x.eta_{k,s})(p), computed from the weight-side formulas, with
+    (x.eta_{k,s})(p), computed from the weight-side adjoint table, with
     -eta_{k,s}(x.p) computed in the parent free module.  Exact equality.
     """
     rng = random.Random(seed)

@@ -206,10 +206,20 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
     for suite, config in (("nf", "this line has no equals sign\n"),
                           ("saturate", "cap=8\n"),
                           ("verma-check", "hit=1\n"),
-                          ("saturate", "lambda=1/0\n")):
+                          ("saturate", "lambda=1/0\n"),
+                          # inputs that would check nothing
+                          ("verify-free", "families=gamma\ntrials=0\nspecs=1\n"),
+                          ("verify-free", "families=gamma\nspecs=0\n"),
+                          ("verify-weight", "families=M\nspecs=0\n"),
+                          ("iso-check", "kinds=nothing\n"),
+                          ("iso-check", "kinds=vm,nothing\n")):
         cfg.write_text(config)
         assert main([suite, "--config", str(cfg)]) == 2, config
         assert "error:" in capsys.readouterr().err
+    # a bad lambda2 is blamed on lambda2, not on lambda
+    cfg.write_text("kinds=lambda-rescale\nlambda2=1/0\n")
+    assert main(["iso-check", "--config", str(cfg)]) == 2
+    assert "config key 'lambda2'" in capsys.readouterr().err
     # a zero denominator in inline input is a usage error too
     for argv in (["nf", "1/0*e"], ["saturate", "1/0*h"]):
         assert main(argv) == 2, argv

@@ -149,6 +149,8 @@ def test_parse_poly_roundtrip():
     for _ in range(25):
         p = random_poly(rng)
         assert parse_poly(p.to_text()) == p
+        compact = p.to_text().replace(" + -", "-").replace(" ", "")
+        assert parse_poly(compact) == p
 
 
 def test_parse_poly_tolerant_inputs():
@@ -157,6 +159,11 @@ def test_parse_poly_tolerant_inputs():
     assert parse_poly("-h^2*hb") == PolyHH.term(2, 1, -1)
     assert parse_poly("1/2*h + 1/2*h") == PolyHH.term(1, 0, 1)
     assert parse_poly("0") == PolyHH.zero()
+    # a '-' right after a term separates terms, with or without spaces
+    assert parse_poly("h-2") == PolyHH.h() - PolyHH.const(2)
+    assert parse_poly("h^2*hb-1/2*h -3") == (
+        PolyHH.term(2, 1) - PolyHH.term(1, 0, Fraction(1, 2)) - PolyHH.const(3))
+    assert parse_poly("2*-h") == PolyHH.term(1, 0, -2)
 
 
 def test_from_hbar_coeffs_and_poly1():

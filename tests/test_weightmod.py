@@ -1,8 +1,11 @@
 """Tests for the dual weight families M, N, V.
 
-The single-action expected values were derived by hand by dualizing the
-parent actions at sample points; dual_consistency then re-checks the same
-formulas against the parents wholesale.
+The library derives every M/N/V action as the adjoint of the parent free
+module's operator table.  The single-action expected values below do not
+come from that code: they were derived by hand by dualizing the parent
+actions at sample points, or frozen from the earlier hand-written action
+formulas.  dual_consistency then re-checks the actions against the
+parents wholesale.
 """
 
 import random
@@ -60,6 +63,12 @@ def test_act_m_frozen_values():
     m3 = make_weight_m(0, 2, 1, 3, 0)
     assert act_weight(m3, "fb", wv_unit(0, 3)) == {
         (1, 1): F(1, 2), (1, 2): F(2), (1, 3): F(7, 4)}
+    # alpha, a, b != 0 and k != 0, so every parameter reaches f and fb
+    m4 = make_weight_m(1, 2, 2, 3, -1)
+    assert act_weight(m4, "f", wv_unit(1, 3)) == {
+        (2, 2): F(3), (2, 3): F(17, 4), (2, 4): F(7, 4)}
+    assert act_weight(m4, "fb", wv_unit(1, 3)) == {
+        (2, 1): F(1, 4), (2, 2): F(1), (2, 3): F(7, 8)}
 
 
 def test_act_n_frozen_values():
@@ -115,6 +124,29 @@ def test_act_v_frozen_values():
         (1, 1): F(-1), (1, 2): F(-2), (1, 3): F(2)}
     assert act_weight(v, "eb", wv_unit(0, 2)) == {(-1, 2): F(-2), (-1, 1): F(-1, 2)}
     assert act_weight(v, "fb", wv_unit(0, 2)) == {(1, 2): F(1), (1, 1): F(1, 2)}
+    # quadratic beta1, so alpha1 has degree 2 and e, f reach down two levels
+    v2 = make_weight_v(1, 2, 2, 1, (1, -1, 1))
+    assert v2.alpha1 == (F(4), F(4), F(4))
+    e_want = {
+        1: {(0, 1): F(-31), (0, 2): F(6)},
+        2: {(0, 1): F(-20), (0, 2): F(-29), (0, 3): F(6)},
+        3: {(0, 1): F(-8), (0, 2): F(-40), (0, 3): F(-27), (0, 4): F(6)},
+        4: {(0, 2): F(-24), (0, 3): F(-60), (0, 4): F(-25), (0, 5): F(6)}}
+    f_want = {
+        1: {(2, 1): F(-9, 4), (2, 2): F(1, 2)},
+        2: {(2, 1): F(-3), (2, 2): F(-7, 4), (2, 3): F(1, 2)},
+        3: {(2, 1): F(-2), (2, 2): F(-6), (2, 3): F(-5, 4), (2, 4): F(1, 2)},
+        4: {(2, 2): F(-6), (2, 3): F(-9), (2, 4): F(-3, 4), (2, 5): F(1, 2)}}
+    for s in range(1, 5):
+        assert act_weight(v2, "e", wv_unit(1, s)) == e_want[s], s
+        assert act_weight(v2, "f", wv_unit(1, s)) == f_want[s], s
+
+
+def test_act_weight_rejects_unknown_generator():
+    for spec in (make_weight_m(0, 1, 1, 0, 0), make_weight_n(0, 1, 1, 0, 0),
+                 make_weight_v(0, 1, 1, 1, (F(1),))):
+        with pytest.raises(ValueError):
+            act_weight(spec, "x", wv_unit(0, 1))
 
 
 def test_act_weight_is_linear():
