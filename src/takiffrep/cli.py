@@ -33,7 +33,8 @@ from .algebra import normal_form, check_theta_automorphism, parse_word_expr, the
 from .poly import PolyHH, parse_poly
 from .report import (config_value, emit, load_config, make_report,
                      parse_int_pair, parse_rational_list, parse_window)
-from .scan import SCAN_CSV_COLUMNS, builtin_scan_grid, run_scan
+from .scan import (SCAN_CSV_COLUMNS, builtin_scan_grid, criterion_agrees,
+                   run_scan)
 from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
                         singular_vectors, verma_check, weight_bracket_report,
                         wv_text)
@@ -172,6 +173,8 @@ def _suite_omega_quotient(cfg, args, rng, window):
     layers = config_value(cfg, "i", "0,1,2,3",
                           lambda text: [int(x) for x in text.split(",")])
     n_max = config_value(cfg, "n_max", "8", int)
+    if n_max < 0:
+        raise ValueError("config key 'n_max': must be at least 0")
     cases = []
     ok = True
     for i in layers:
@@ -194,6 +197,8 @@ def _suite_verify_weight(cfg, args, rng, window):
     families = [f.strip() for f in cfg.get("families", "M,N,V").split(",")]
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "3", int)
+    if trials < 1:
+        raise ValueError("config key 'trials': must be at least 1")
     if n_specs < 1:
         raise ValueError("config key 'specs': must be at least 1")
     cases = []
@@ -219,15 +224,15 @@ def _suite_verify_weight(cfg, args, rng, window):
 def _suite_singular(cfg, args, rng, window):
     spec = _weight_spec_from_cfg(cfg)
     crit = simplicity_criterion_weight(spec)
+    if not crit.simple and not window.contains(crit.witness):
+        raise ValueError(
+            f"criterion witness eta[{crit.witness[0]},{crit.witness[1]}] lies "
+            f"outside the window {window.as_text()}; widen --window")
     report = singular_vectors(spec, window)
     hits = [{"k": h.k, "s": h.s, "vector": wv_text(h.vector),
              "killed_by": list(h.killed_by), "h_eigenvalue": h.h_eigenvalue}
             for h in report.hits]
-    if crit.simple:
-        agrees = not report.found
-    else:
-        agrees = any(h.k == crit.witness[0] and h.s == crit.witness[1]
-                     and h.killed_by == crit.pair for h in report.hits)
+    agrees = criterion_agrees(spec, crit, report)
     case = {"family": spec.family, "params": spec.params(),
             "criterion_simple": crit.simple,
             "witness": list(crit.witness) if crit.witness else None,
@@ -262,6 +267,9 @@ def _suite_scan(cfg, args, rng, window):
     if families:
         keep = {f.strip() for f in families.split(",")}
         specs = [s for s in specs if s.family in keep]
+        if not specs:
+            raise ValueError("config key 'families': names no scan family "
+                             "(M, N or V)")
     rows = run_scan(specs)
     ok = all(r["agrees"] for r in rows)
     return rows, ok, SCAN_CSV_COLUMNS
@@ -272,6 +280,8 @@ def _suite_twist_check(cfg, args, rng, window):
     if spec.family != "M":
         raise ValueError("twist-check runs on the M family")
     z_values = config_value(cfg, "z", "1,-2,1/2", parse_rational_list)
+    if not z_values:
+        raise ValueError("config key 'z': must name at least one value")
     cases = []
     ok = True
     for z in z_values:

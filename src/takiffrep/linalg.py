@@ -1,8 +1,9 @@
 """Exact linear algebra over Fraction with sparse dict vectors.
 
 Vectors are dicts from hashable coordinate keys (monomial exponents, weight
-basis indices, ...) to nonzero Fractions.  Everything here is plain Gaussian
-elimination done exactly; no floats anywhere.
+basis indices, ...) to nonzero Fractions.  There is one elimination, the
+incremental reduced row-echelon form of ``RowBasis``; ``nullspace`` reads
+its kernels off that form.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -86,31 +87,19 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
 
     ``equations`` are linear forms in the unknowns named by ``columns``;
     the returned vectors assign a Fraction to every column in their
-    support.  One basis vector per free column, in column order.
+    support.  One basis vector per free column, in column order, with that
+    column set to 1.
     """
     col_index = {c: i for i, c in enumerate(columns)}
-    pivot_rows: Dict[Hashable, Vec] = {}
+    basis = RowBasis(key=col_index.__getitem__)
     for eq in equations:
-        row = vec_clean(eq)
-        for c in row:
-            if c not in col_index:
+        for c, x in eq.items():
+            if x and c not in col_index:
                 raise ValueError(f"equation touches unknown column {c!r}")
-        while row:
-            lead = min(row, key=col_index.get)
-            if lead in pivot_rows:
-                row = vec_axpy(row, -row[lead], pivot_rows[lead])
-            else:
-                inv = Fraction(1) / row[lead]
-                pivot_rows[lead] = {c: x * inv for c, x in row.items()}
-                break
-    # back-substitute to reduced echelon form
-    for lead in sorted(pivot_rows, key=col_index.get, reverse=True):
-        row = pivot_rows[lead]
-        for other in list(pivot_rows):
-            if other != lead and lead in pivot_rows[other]:
-                pivot_rows[other] = vec_axpy(
-                    pivot_rows[other], -pivot_rows[other][lead], row)
-    basis: List[Vec] = []
+        basis.add(eq)
+    # the stored rows are the reduced row-echelon form, keyed by pivot
+    pivot_rows = basis._rows
+    kernel: List[Vec] = []
     for free in columns:
         if free in pivot_rows:
             continue
@@ -118,5 +107,5 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
         for lead, row in pivot_rows.items():
             if free in row:
                 v[lead] = -row[free]
-        basis.append(vec_clean(v))
-    return basis
+        kernel.append(v)
+    return kernel

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import List
 
 from .poly import poly1_eval
-from .weightmod import (WeightModuleSpec, Window, make_weight_m,
+from .weightmod import (SingularReport, WeightModuleSpec,
+                        WeightSimplicityResult, Window, make_weight_m,
                         make_weight_n, make_weight_v,
                         simplicity_criterion_weight, singular_vectors)
 
@@ -76,23 +77,32 @@ def _params_text(spec: WeightModuleSpec) -> str:
     return ";".join(f"{k}={v}" for k, v in items)
 
 
+def criterion_agrees(spec: WeightModuleSpec, crit: WeightSimplicityResult,
+                     report: SingularReport) -> bool:
+    """Whether a windowed singular search confirms the closed-form verdict.
+
+    A simple module must show no hit; a reducible one must show a hit at
+    the criterion's witness, killed by its pair, with the witness's
+    h-eigenvalue.  The window must contain the witness.
+    """
+    if crit.simple:
+        return not report.found
+    wk, ws = crit.witness
+    return any(hit.k == wk and hit.s == ws and hit.killed_by == crit.pair
+               and hit.h_eigenvalue == -spec.alpha_k(wk)
+               for hit in report.hits)
+
+
 def scan_point(spec: WeightModuleSpec) -> dict:
     """One scan row: closed-form verdict vs windowed singular search."""
     crit = simplicity_criterion_weight(spec)
     if crit.simple:
         window = Window(-3, 3, 4)
-        report = singular_vectors(spec, window)
-        agrees = not report.found
         witness_k = witness_s = ""
     else:
-        wk, ws = crit.witness
-        window = Window(wk - 2, wk + 2, max(4, ws + 1))
-        report = singular_vectors(spec, window)
-        agrees = any(
-            hit.k == wk and hit.s == ws and hit.killed_by == crit.pair
-            and hit.h_eigenvalue == -spec.alpha_k(wk)
-            for hit in report.hits)
-        witness_k, witness_s = wk, ws
+        witness_k, witness_s = crit.witness
+        window = Window(witness_k - 2, witness_k + 2, max(4, witness_s + 1))
+    agrees = criterion_agrees(spec, crit, singular_vectors(spec, window))
     return {
         "family": spec.family,
         "params": _params_text(spec),

@@ -37,7 +37,7 @@ from .algebra import GENERATORS, bracket
 from .freemod import (CHEVALLEY, SHIFT, FreeModuleSpec, GENERATOR_PAIRS,
                       alpha_from_beta, make_gamma, make_omega, make_theta_mod)
 from .freemod import act as act_free
-from .linalg import RowBasis, nullspace, vec_axpy
+from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
 from .poly import (PolyHH, RationalLike, poly1_eval, random_poly,
                    shifted_expand, to_rational)
 
@@ -119,10 +119,6 @@ def parent_spec(spec: WeightModuleSpec) -> FreeModuleSpec:
 
 # -- weight vectors ----------------------------------------------------------
 
-def wv_clean(v: WeightVec) -> WeightVec:
-    return {k: c for k, c in v.items() if c}
-
-
 def wv_unit(k: int, s: int) -> WeightVec:
     if s < 1:
         raise ValueError("functional index s starts at 1")
@@ -168,7 +164,7 @@ def eval_weightvec(spec: WeightModuleSpec, v: WeightVec, p: PolyHH) -> Fraction:
     return total
 
 
-# -- actions on a single basis functional -------------------------------------
+# -- generator actions ---------------------------------------------------------
 
 def _adjoint_table(spec: WeightModuleSpec) -> AdjointTable:
     """Dualize the parent's operator table by Leibniz.
@@ -199,29 +195,23 @@ def _adjoint_table(spec: WeightModuleSpec) -> AdjointTable:
     return table
 
 
-def _act_basis(spec: WeightModuleSpec, x: str, k: int, s: int) -> WeightVec:
+def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
+    """Apply a generator to a weight vector (exact, untruncated)."""
     try:
         dk, terms = spec.adjoint[x]
     except KeyError:
         raise ValueError(f"unknown generator {x!r}") from None
     out: WeightVec = {}
-    for m, r, c0, c1 in terms:
-        if r >= s:
-            continue
-        c = c0 + c1 * k if c1 else c0
-        if r:
-            c *= comb(s - 1, r)
-        key = (k + dk, s - r + m)
-        out[key] = out.get(key, 0) + c
-    return wv_clean(out)
-
-
-def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
-    """Apply a generator to a weight vector (exact, untruncated)."""
-    out: WeightVec = {}
-    for (k, s), c in v.items():
-        out = vec_axpy(out, c, _act_basis(spec, x, k, s))
-    return out
+    for (k, s), a in v.items():
+        for m, r, c0, c1 in terms:
+            if r >= s:
+                continue
+            c = c0 + c1 * k if c1 else c0
+            if r:
+                c *= comb(s - 1, r)
+            key = (k + dk, s - r + m)
+            out[key] = out.get(key, 0) + a * c
+    return vec_clean(out)
 
 
 def act_weight_word(spec: WeightModuleSpec, word: Sequence[str],

@@ -105,6 +105,21 @@ def test_singular_default_and_window_flag(capsys):
     assert case["hits"][0]["killed_by"] == ["f", "fb"]
 
 
+def test_singular_witness_outside_window(capsys, tmp_path):
+    # the criterion puts the witness at eta[6,1], beyond the default window
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("family=V\nbeta=1\na=1\nbeta1=1,2,3\n")
+    assert main(["singular", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "eta[6,1]" in err and "-5:5:5" in err
+    code, doc = run_json(capsys, "singular", "--config", str(cfg),
+                         "--window=-5:8:5")
+    assert code == 0
+    case = doc["cases"][0]
+    assert case["witness"] == [6, 1]
+    assert case["pass"] is True
+
+
 def test_verma_check_suite(capsys):
     code, doc = run_json(capsys, "verma-check")
     assert code == 0
@@ -211,8 +226,12 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
                           ("verify-free", "families=gamma\ntrials=0\nspecs=1\n"),
                           ("verify-free", "families=gamma\nspecs=0\n"),
                           ("verify-weight", "families=M\nspecs=0\n"),
+                          ("verify-weight", "families=M\ntrials=0\n"),
                           ("iso-check", "kinds=nothing\n"),
-                          ("iso-check", "kinds=vm,nothing\n")):
+                          ("iso-check", "kinds=vm,nothing\n"),
+                          ("scan", "families=X\n"),
+                          ("twist-check", "z=\n"),
+                          ("omega-quotient", "n_max=-1\n")):
         cfg.write_text(config)
         assert main([suite, "--config", str(cfg)]) == 2, config
         assert "error:" in capsys.readouterr().err
@@ -254,6 +273,13 @@ GOLDEN_CASES = [
     ("singular_n.json", "singular", "family=N\n"),
     ("intertwine_default.json", "intertwine", None),
     ("iso_check_n.json", "iso-check", "family=N\nkinds=lambda-rescale\n"),
+    # saved while nullspace, act_weight and the map checks each still had
+    # two or more code paths
+    ("twist_check_default.json", "twist-check", None),
+    ("iso_check_vm.json", "iso-check", "kinds=vm\n"),
+    ("verify_weight_mnv.json", "verify-weight",
+     "families=M,N,V\nspecs=1\ntrials=10\n"),
+    ("scan_v.csv", "scan", "families=V\nformat=csv\n"),
 ]
 
 

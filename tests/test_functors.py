@@ -102,12 +102,13 @@ def test_lambda_rescale_iso():
 def test_lambda_rescale_iso_detects_parameter_mismatch():
     win = Window(-3, 3, 4)
     a = make_weight_m(0, 1, 2, 2, F(1, 3))
-    for bad in (make_weight_m(0, 1, 3, 2, F(1, 2)),   # b differs
-                make_weight_m(0, 1, 3, 1, F(1, 3)),   # a differs
-                make_weight_m(0, 2, 3, 2, F(1, 3))):  # beta differs
+    bads = (make_weight_m(0, 1, 3, 2, F(1, 2)),   # b differs
+            make_weight_m(0, 1, 3, 1, F(1, 3)),   # a differs
+            make_weight_m(0, 2, 3, 2, F(1, 3)))   # beta differs
+    for bad, x in zip(bads, ("f", "fb", "fb")):
         res = lambda_rescale_iso(a, bad, win)
         assert not res.intertwines
-        assert res.failing_probe is not None
+        assert res.failing_probe == {"k": -3, "s": 1, "x": x}
 
 
 def test_lambda_rescale_iso_rejects_v_family():
@@ -137,7 +138,7 @@ def test_vm_iso_check_fails_off_the_matched_b():
     m_bad = make_weight_m(0, 3, 1, -1, -5)
     res = vm_iso_check(v, m_bad, Window(-3, 3, 4))
     assert not res.intertwines
-    assert res.failing_probe is not None
+    assert res.failing_probe == {"k": -3, "s": 1, "x": "f"}
     assert not res.details["p_identity_ok"]
 
 

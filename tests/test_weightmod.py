@@ -145,8 +145,9 @@ def test_act_v_frozen_values():
 def test_act_weight_rejects_unknown_generator():
     for spec in (make_weight_m(0, 1, 1, 0, 0), make_weight_n(0, 1, 1, 0, 0),
                  make_weight_v(0, 1, 1, 1, (F(1),))):
-        with pytest.raises(ValueError):
-            act_weight(spec, "x", wv_unit(0, 1))
+        for v in (wv_unit(0, 1), {}):
+            with pytest.raises(ValueError):
+                act_weight(spec, "x", v)
 
 
 def test_act_weight_is_linear():
