@@ -97,14 +97,22 @@ def _suite_nf(cfg, args, rng, window):
     return cases, ok, None
 
 
+def _nonempty_list(cfg, key, default):
+    """A comma-separated rational list that names at least one value."""
+    values = config_value(cfg, key, default, parse_rational_list)
+    if not values:
+        raise ValueError(f"config key {key!r}: must name at least one value")
+    return values
+
+
 def _free_grid_specs(cfg, family):
     """Cross product of the lambda/a/b grids for one free family.
 
     Grid values are comma-separated rationals; omega fixes beta1 (itself a
     coefficient list) and grids over lambda and b only.
     """
-    lams = config_value(cfg, "lambda", "1", parse_rational_list)
-    bs = config_value(cfg, "b", "0", parse_rational_list)
+    lams = _nonempty_list(cfg, "lambda", "1")
+    bs = _nonempty_list(cfg, "b", "0")
     specs = []
     if family == "omega":
         beta1 = config_value(cfg, "beta1", "0", parse_rational_list)
@@ -114,7 +122,7 @@ def _free_grid_specs(cfg, family):
         return specs
     mk = freemod.make_gamma if family == "gamma" else freemod.make_theta_mod
     for lam in lams:
-        for a in config_value(cfg, "a", "0", parse_rational_list):
+        for a in _nonempty_list(cfg, "a", "0"):
             for b in bs:
                 specs.append(mk(lam, a, b))
     return specs
@@ -279,9 +287,7 @@ def _suite_twist_check(cfg, args, rng, window):
     spec = _weight_spec_from_cfg(cfg)
     if spec.family != "M":
         raise ValueError("twist-check runs on the M family")
-    z_values = config_value(cfg, "z", "1,-2,1/2", parse_rational_list)
-    if not z_values:
-        raise ValueError("config key 'z': must name at least one value")
+    z_values = _nonempty_list(cfg, "z", "1,-2,1/2")
     cases = []
     ok = True
     for z in z_values:

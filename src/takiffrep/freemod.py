@@ -45,8 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
 from .linalg import RowBasis
-from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_poly,
-                   random_rational, to_rational)
+from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_rational,
+                   to_rational)
 
 GENERATOR_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
     (GENERATORS[i], GENERATORS[j])
@@ -267,29 +267,67 @@ def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:
     return q
 
 
-def verify_axioms(spec: FreeModuleSpec, trials: int = 20, seed: int = 0) -> dict:
-    """Check [x,y].p == x.(y.p) - y.(x.p) on random polynomials.
+# one operator as its coefficient table: (d, m) -> c, meaning c * T^d dbar^m
+# with T^d g(h, hbar) = g(h + d, hbar); absent keys have coefficient zero
+Operator = Dict[Tuple[int, int], PolyHH]
 
-    Runs every one of the 15 generator pairs against ``trials`` random
-    polynomials of bidegree at most (5,5); exact comparison.
+
+def _add_term(op: Operator, key: Tuple[int, int], c: PolyHH) -> None:
+    total = op[key] + c if key in op else c
+    if total.is_zero():
+        op.pop(key, None)
+    else:
+        op[key] = total
+
+
+def _operator(spec: FreeModuleSpec, x: str) -> Operator:
+    op: Operator = {}
+    for c, m in spec.ops[x]:
+        _add_term(op, (SHIFT[x], m),
+                  c if isinstance(c, PolyHH) else PolyHH.const(c))
+    return op
+
+
+def _compose(a: Operator, b: Operator) -> Operator:
+    """The table of a o b, term by term.
+
+    T^d1 dbar^m1 (c T^d2 dbar^m2 g) = c(h+d1) T^(d1+d2) dbar^(m1+m2) g,
+    plus the Leibniz term (dbar c)(h+d1) T^(d1+d2) dbar^m2 g when m1 = 1.
     """
-    rng = random.Random(seed)
-    polys = [random_poly(rng) for _ in range(trials)]
+    out: Operator = {}
+    for (d1, m1), c1 in a.items():
+        for (d2, m2), c2 in b.items():
+            _add_term(out, (d1 + d2, m1 + m2), c1 * c2.shift_h(d1))
+            if m1:
+                _add_term(out, (d1 + d2, m2), c1 * c2.dbar().shift_h(d1))
+    return out
+
+
+def verify_axioms(spec: FreeModuleSpec, trials: int = 20, seed: int = 0) -> dict:
+    """Prove or refute [x,y].g == x.(y.g) - y.(x.g) for all polynomials g.
+
+    For each of the 15 generator pairs the coefficient table of the
+    operator x o y - y o x - [x,y] is computed exactly from the operator
+    tables; the pair passes when the table is empty.  This is a proof for
+    every polynomial at once: the operators T^d dbar^m with distinct
+    (d, m) are linearly independent over C[h, hbar], so an operator is
+    zero exactly when all its coefficients are.  ``trials`` and ``seed``
+    are echoed in the report only; nothing is sampled.
+    """
+    ops = {x: _operator(spec, x) for x in GENERATORS}
     pairs = []
-    ok_all = True
     for x, y in GENERATOR_PAIRS:
-        br = bracket(x, y)
-        ok = True
-        for p in polys:
-            lhs = act(spec, x, act(spec, y, p)) - act(spec, y, act(spec, x, p))
-            rhs = act_word(spec, br, p)
-            if lhs != rhs:
-                ok = False
-                break
-        ok_all = ok_all and ok
-        pairs.append({"x": x, "y": y, "pass": ok})
+        residual = _compose(ops[x], ops[y])
+        for key, c in _compose(ops[y], ops[x]).items():
+            _add_term(residual, key, -c)
+        for mono, coeff in bracket(x, y).terms():
+            (z,) = mono.to_word()
+            for key, c in ops[z].items():
+                _add_term(residual, key, c.scale(-coeff))
+        pairs.append({"x": x, "y": y, "pass": not residual})
     return {"family": spec.family, "params": spec.params(), "pairs": pairs,
-            "seed": seed, "trials": trials, "ok": ok_all}
+            "seed": seed, "trials": trials,
+            "ok": all(p["pass"] for p in pairs)}
 
 
 # -- submodule saturation --------------------------------------------------------

@@ -52,7 +52,7 @@ def test_criterion_01_module_axioms():
             assert len(report["pairs"]) == 15
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"module-axiom suite took {elapsed:.1f}s"
-    print(f"criterion 1: PASS (60 specs x 15 pairs x 20 polys, {elapsed:.1f}s)")
+    print(f"criterion 1: PASS (60 specs x 15 pairs proved, {elapsed:.1f}s)")
 
 
 def test_criterion_02_e34_residual():

@@ -235,6 +235,11 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
         cfg.write_text(config)
         assert main([suite, "--config", str(cfg)]) == 2, config
         assert "error:" in capsys.readouterr().err
+    # an explicit but empty grid would check nothing; it is blamed on its key
+    for key in ("lambda", "a", "b"):
+        cfg.write_text(f"families=gamma\n{key}=\n")
+        assert main(["verify-free", "--config", str(cfg)]) == 2, key
+        assert f"config key {key!r}" in capsys.readouterr().err
     # a bad lambda2 is blamed on lambda2, not on lambda
     cfg.write_text("kinds=lambda-rescale\nlambda2=1/0\n")
     assert main(["iso-check", "--config", str(cfg)]) == 2

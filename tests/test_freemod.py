@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from takiffrep.algebra import bracket
 from takiffrep.freemod import (GENERATOR_PAIRS, act, act_word,
                                alpha_from_beta, e34_residual,
                                iso_invariants_free, make_gamma, make_omega,
@@ -160,6 +161,49 @@ def test_verify_axioms_catches_unlinked_alpha1():
     failing = {frozenset((p["x"], p["y"]))
                for p in report["pairs"] if not p["pass"]}
     assert frozenset(("e", "f")) in failing
+
+
+# -- verify_axioms against an independent random-probe oracle ------------------
+
+def probe_flags(spec, trials=4, seed=0):
+    """Per-pair verdicts of x.(y.p) - y.(x.p) == [x,y].p on random probes.
+
+    Applies single generators to polynomials and never composes operator
+    tables, so it is independent of how verify_axioms reaches its verdict.
+    """
+    rng = random.Random(seed)
+    polys = [random_poly(rng) for _ in range(trials)]
+    return [all(act(spec, x, act(spec, y, p)) - act(spec, y, act(spec, x, p))
+                == act_word(spec, bracket(x, y), p) for p in polys)
+            for x, y in GENERATOR_PAIRS]
+
+
+def test_verify_axioms_agrees_with_probe_oracle():
+    rng = random.Random(309)
+    specs = [random_free_spec(rng, family)
+             for family in ("gamma", "theta", "omega") for _ in range(2)]
+    perturbed = []
+    for _ in range(3):
+        spec = random_free_spec(rng, "omega")
+        alpha1 = ((spec.alpha1[0] + random_rational(rng, nonzero=True),)
+                  + spec.alpha1[1:])
+        perturbed.append(make_omega(spec.lam, spec.b, spec.beta1, alpha1))
+    for spec in specs + perturbed:
+        flags = [p["pass"] for p in verify_axioms(spec)["pairs"]]
+        assert flags == probe_flags(spec), spec
+        assert all(flags) == (spec in specs), spec
+
+
+@pytest.mark.parametrize("family", ["gamma", "theta", "omega"])
+@pytest.mark.parametrize("x", ["e", "f", "fb"])
+def test_verify_axioms_detects_planted_fault(family, x):
+    spec = random_free_spec(random.Random(310), family)
+    (c, m), *rest = spec.ops[x]
+    # double one term of one generator in the cached table only
+    spec.__dict__["ops"] = {**spec.ops, x: ((c * 2, m), *rest)}
+    report = verify_axioms(spec)
+    assert not report["ok"]
+    assert [p["pass"] for p in report["pairs"]] == probe_flags(spec)
 
 
 def test_act_word_matches_composition():
