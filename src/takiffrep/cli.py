@@ -133,6 +133,8 @@ def _suite_verify_free(cfg, args, rng, window):
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "5", int)
     explicit = any(key in cfg for key in ("lambda", "a", "b", "beta1"))
+    # trials is echoed only (verify_axioms samples nothing); it is
+    # validated for compatibility, so trials < 1 still exits 2
     if trials < 1:
         raise ValueError("config key 'trials': must be at least 1")
     if n_specs < 1 and not explicit:
@@ -205,6 +207,8 @@ def _suite_verify_weight(cfg, args, rng, window):
     families = [f.strip() for f in cfg.get("families", "M,N,V").split(",")]
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "3", int)
+    # trials is echoed only (verify_axioms samples nothing); it is
+    # validated for compatibility, so trials < 1 still exits 2
     if trials < 1:
         raise ValueError("config key 'trials': must be at least 1")
     if n_specs < 1:

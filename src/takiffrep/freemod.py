@@ -41,10 +41,11 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
-from .linalg import RowBasis
+from .linalg import RowBasis, vec_primitive
 from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_rational,
                    to_rational)
 
@@ -288,18 +289,24 @@ def _operator(spec: FreeModuleSpec, x: str) -> Operator:
     return op
 
 
-def _compose(a: Operator, b: Operator) -> Operator:
-    """The table of a o b, term by term.
+def _compose(ops: Dict[str, Operator], x: str, y: str,
+             shifted: Dict[tuple, PolyHH]) -> Operator:
+    """The table of x o y, term by term.
 
     T^d1 dbar^m1 (c T^d2 dbar^m2 g) = c(h+d1) T^(d1+d2) dbar^(m1+m2) g,
     plus the Leibniz term (dbar c)(h+d1) T^(d1+d2) dbar^m2 g when m1 = 1.
+    ``shifted`` keeps each (dbar^n c)(h+d1) under (y, key, d1, n), so a
+    coefficient is shifted once however many pairs use it.
     """
     out: Operator = {}
-    for (d1, m1), c1 in a.items():
-        for (d2, m2), c2 in b.items():
-            _add_term(out, (d1 + d2, m1 + m2), c1 * c2.shift_h(d1))
-            if m1:
-                _add_term(out, (d1 + d2, m2), c1 * c2.dbar().shift_h(d1))
+    for (d1, m1), c1 in ops[x].items():
+        for key, c2 in ops[y].items():
+            d2, m2 = key
+            for n in range(m1 + 1):
+                k = (y, key, d1, n)
+                if k not in shifted:
+                    shifted[k] = (c2.dbar() if n else c2).shift_h(d1)
+                _add_term(out, (d1 + d2, m1 - n + m2), c1 * shifted[k])
     return out
 
 
@@ -315,10 +322,11 @@ def verify_axioms(spec: FreeModuleSpec, trials: int = 20, seed: int = 0) -> dict
     are echoed in the report only; nothing is sampled.
     """
     ops = {x: _operator(spec, x) for x in GENERATORS}
+    shifted: Dict[tuple, PolyHH] = {}
     pairs = []
     for x, y in GENERATOR_PAIRS:
-        residual = _compose(ops[x], ops[y])
-        for key, c in _compose(ops[y], ops[x]).items():
+        residual = _compose(ops, x, y, shifted)
+        for key, c in _compose(ops, y, x, shifted).items():
             _add_term(residual, key, -c)
         for mono, coeff in bracket(x, y).terms():
             (z,) = mono.to_word()
@@ -348,37 +356,98 @@ class SaturationResult:
     saturated: bool
 
 
+# the saturation works on primitive integer polynomials, (i, j) -> int:
+# it only needs spans, so each product x . p may be any nonzero multiple
+IntPoly = Dict[Tuple[int, int], int]
+# each generator's operator table as terms (m, c), c an IntPoly
+IntOps = Dict[str, Tuple[Tuple[int, IntPoly], ...]]
+
+
+def _int_ops(spec: FreeModuleSpec) -> IntOps:
+    """Each generator's table from ``spec.ops``, scaled by one nonzero
+    rational to primitive integer coefficients."""
+    out = {}
+    for x, terms in spec.ops.items():
+        flat: Dict[Tuple[int, Tuple[int, int]], Fraction] = {}
+        for c, m in terms:
+            for e, v in (c.terms() if isinstance(c, PolyHH) else [((0, 0), c)]):
+                flat[(m, e)] = flat.get((m, e), 0) + v
+        table: Dict[int, IntPoly] = {}
+        for (m, e), v in vec_primitive(flat).items():
+            table.setdefault(m, {})[e] = v
+        out[x] = tuple(table.items())
+    return out
+
+
+def _int_shift(p: IntPoly, d: int) -> IntPoly:
+    """p(h + d, hbar)."""
+    out: IntPoly = {}
+    for (i, j), v in p.items():
+        for k in range(i + 1):
+            out[(k, j)] = out.get((k, j), 0) + v * comb(i, k) * d ** (i - k)
+    return {e: v for e, v in out.items() if v}
+
+
+def _int_products(ops: IntOps, p: IntPoly) -> Dict[str, IntPoly]:
+    """x -> a nonzero multiple of x . p (or {}), in ``GENERATORS`` order;
+    p(h + d, hbar) and its dbar are formed once per shift d."""
+    shifted = {}
+    for d in set(SHIFT.values()):
+        q = _int_shift(p, d) if d else p
+        shifted[d] = (q, {(i, j - 1): v * j for (i, j), v in q.items() if j})
+    products = {}
+    for x in GENERATORS:
+        out: IntPoly = {}
+        for m, c in ops[x]:
+            q = shifted[SHIFT[x]][m]
+            for (i1, j1), v1 in c.items():
+                for (i2, j2), v2 in q.items():
+                    e = (i1 + i2, j1 + j2)
+                    out[e] = out.get(e, 0) + v1 * v2
+        products[x] = {e: v for e, v in out.items() if v}
+    return products
+
+
 def submodule_saturate(spec: FreeModuleSpec, seed_poly: PolyHH,
                        cap: Tuple[int, int] = (8, 8)) -> SaturationResult:
+    """Close the cyclic submodule generated by ``seed_poly`` inside a
+    bidegree cap.
+
+    Depth first from the seed: every popped polynomial p contributes x . p
+    for each generator x; a product inside the cap that is independent of
+    the span so far joins the basis and the frontier.  The closure stops
+    at a fixed point or as soon as 1 lies in the span.  Products are taken
+    up to nonzero scalars, as primitive integer polynomials from the
+    integer multiple of each operator table, and the span lives in a
+    fraction-free ``RowBasis``; the returned basis is its reduced
+    row-echelon form over Q.
+    """
     if seed_poly.is_zero():
         return SaturationResult([], False, True)
     cap_h, cap_hb = cap
-    basis = RowBasis()
-    frontier: List[PolyHH] = []
-    discarded = False
-
-    def vec_of(p: PolyHH):
-        return {e: c for e, c in p.terms()}
-
     if not seed_poly.within_bidegree(cap_h, cap_hb):
         raise ValueError("seed polynomial exceeds the bidegree cap")
-    basis.add(vec_of(seed_poly))
-    frontier.append(seed_poly)
-    one = {(0, 0): Fraction(1)}
+    ops = _int_ops(spec)
+    basis = RowBasis()
+    seed = vec_primitive(dict(seed_poly.terms()))
+    basis.add(seed)
+    frontier: List[IntPoly] = [seed]
+    discarded = False
+    one = {(0, 0): 1}
     while frontier and not basis.contains(one):
         p = frontier.pop()
-        for x in GENERATORS:
-            q = act(spec, x, p)
-            if q.is_zero():
+        for q in _int_products(ops, p).values():
+            if not q:
                 continue
-            if not q.within_bidegree(cap_h, cap_hb):
+            if any(i > cap_h or j > cap_hb for i, j in q):
                 discarded = True
                 continue
-            if basis.add(vec_of(q)):
+            q = vec_primitive(q)
+            if basis.add(q):
                 frontier.append(q)
     contains_one = basis.contains(one)
     completed = not frontier
-    rows = [PolyHH({e: c for e, c in row.items()}) for row in basis.rows()]
+    rows = [PolyHH(row) for row in basis.rows()]
     return SaturationResult(rows, contains_one,
                             saturated=completed and not discarded)
 

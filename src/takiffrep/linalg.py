@@ -1,17 +1,22 @@
-"""Exact linear algebra over Fraction with sparse dict vectors.
+"""Exact linear algebra over the rationals with sparse dict vectors.
 
 Vectors are dicts from hashable coordinate keys (monomial exponents, weight
-basis indices, ...) to nonzero Fractions.  There is one elimination, the
-incremental reduced row-echelon form of ``RowBasis``; ``nullspace`` reads
-its kernels off that form.  Everything is exact; no floats anywhere.
+basis indices, ...) to nonzero Fractions or ints.  There is one
+elimination, the incremental reduced row-echelon form of ``RowBasis``.  It
+is fraction-free (Bareiss, Math. Comp. 22, 1968): rows are stored as
+primitive integer vectors and reduced by gcd cross-multiplication, and
+Fractions appear only where rows leave it.  ``nullspace`` reads its kernels
+off that form.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 Vec = Dict[Hashable, Fraction]
+IntVec = Dict[Hashable, int]
 
 
 def vec_clean(v: Vec) -> Vec:
@@ -30,31 +35,76 @@ def vec_axpy(v: Vec, c: Fraction, w: Vec) -> Vec:
     return out
 
 
+def vec_primitive(v: Vec) -> IntVec:
+    """The primitive integer multiple of v: denominators cleared and the
+    content divided out, signs kept.  ``{}`` for the zero vector."""
+    v = {k: x for k, x in v.items() if x}
+    if any(type(x) is not int for x in v.values()):
+        den = 1
+        for x in v.values():
+            den = lcm(den, x.denominator)
+        v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+    return _divide_content(v)
+
+
+def _divide_content(v: IntVec) -> IntVec:
+    """v, a cleaned integer vector, divided by the gcd of its entries."""
+    # gcd and lcm are folded pairwise here and below: unpacking a generator
+    # into their *args left the interpreter's tuple free lists about
+    # 0.6 MiB fuller at peak over the saturate benchmark's prefix
+    g = 0
+    for x in v.values():
+        g = gcd(g, x)
+        if g == 1:
+            return v
+    return {k: x // g for k, x in v.items()} if g else v
+
+
+def _subtract(v: IntVec, t: int, w: IntVec) -> IntVec:
+    """v - t*w over the integers, in place, cleaned."""
+    for k, x in w.items():
+        y = v.get(k, 0) - t * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+    return v
+
+
 class RowBasis:
     """An incrementally built reduced row-echelon basis.
 
     ``key`` orders the coordinates (defaults to natural ordering); the
-    pivot of each stored row is its smallest coordinate, every stored row
-    is normalized to pivot coefficient 1, and rows are mutually reduced,
-    so membership tests and residues are canonical.
+    pivot of each stored row is its smallest coordinate, and rows are
+    mutually reduced, so membership tests are canonical.  Each row is kept
+    as the primitive integer vector with a positive pivot coefficient;
+    ``rows()`` returns the same rows normalized to pivot coefficient 1.
     """
 
     def __init__(self, key: Optional[Callable] = None):
         self._key = key if key is not None else (lambda k: k)
-        self._rows: Dict[Hashable, Vec] = {}
+        self._rows: Dict[Hashable, IntVec] = {}
 
-    def reduce(self, v: Vec) -> Vec:
-        """Residue of v modulo the current row space."""
-        v = vec_clean(v)
-        while v:
-            hits = [k for k in v if k in self._rows]
-            if not hits:
-                break
-            k = min(hits, key=self._key)
-            # stored rows carry no other pivot coordinates, so each step
-            # strictly removes the pivot k from v
-            v = vec_axpy(v, -v[k], self._rows[k])
-        return v
+    def reduce(self, v: Vec) -> IntVec:
+        """A nonzero multiple of the residue of v modulo the current row
+        space, as a primitive integer vector; ``{}`` when v lies in it."""
+        v = vec_primitive(v)
+        hits = [k for k in v if k in self._rows]
+        if not hits:
+            return v
+        # stored rows carry no other pivot coordinates, so v's entries at
+        # the pivots stay as they are while the rows are subtracted: m*v
+        # minus (m*v[k]/row[k]) times the row of each pivot k hit, with m
+        # the least multiplier that keeps every factor an integer
+        m = 1
+        for k in hits:
+            p = self._rows[k][k]
+            m = lcm(m, p // gcd(p, v[k]))
+        out = {k: m * x for k, x in v.items()}
+        for k in hits:
+            row = self._rows[k]
+            _subtract(out, m * v[k] // row[k], row)
+        return _divide_content(out)
 
     def add(self, v: Vec) -> bool:
         """Insert v; returns True when v was independent of the basis."""
@@ -62,12 +112,16 @@ class RowBasis:
         if not v:
             return False
         lead = min(v, key=self._key)
-        inv = Fraction(1) / v[lead]
-        v = {k: x * inv for k, x in v.items()}
-        # keep the basis mutually reduced
+        if v[lead] < 0:
+            v = {k: -x for k, x in v.items()}
+        # keep the basis mutually reduced; each row is multiplied by a
+        # positive factor, so its pivot stays positive
         for p, row in list(self._rows.items()):
             if lead in row:
-                self._rows[p] = vec_axpy(row, -row[lead], v)
+                g = gcd(v[lead], row[lead])
+                scaled = {k: v[lead] // g * x for k, x in row.items()}
+                self._rows[p] = _divide_content(
+                    _subtract(scaled, row[lead] // g, v))
         self._rows[lead] = v
         return True
 
@@ -79,7 +133,12 @@ class RowBasis:
         return len(self._rows)
 
     def rows(self) -> List[Vec]:
-        return [dict(self._rows[p]) for p in sorted(self._rows, key=self._key)]
+        """The reduced rows in pivot order, each with pivot coefficient 1."""
+        out = []
+        for p in sorted(self._rows, key=self._key):
+            row = self._rows[p]
+            out.append({k: Fraction(x, row[p]) for k, x in row.items()})
+        return out
 
 
 def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
@@ -97,7 +156,8 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
             if x and c not in col_index:
                 raise ValueError(f"equation touches unknown column {c!r}")
         basis.add(eq)
-    # the stored rows are the reduced row-echelon form, keyed by pivot
+    # the stored rows are multiples of the reduced row-echelon form, keyed
+    # by pivot
     pivot_rows = basis._rows
     kernel: List[Vec] = []
     for free in columns:
@@ -106,6 +166,6 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
         v: Vec = {free: Fraction(1)}
         for lead, row in pivot_rows.items():
             if free in row:
-                v[lead] = -row[free]
+                v[lead] = Fraction(-row[free], row[lead])
         kernel.append(v)
     return kernel

@@ -222,8 +222,10 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
                           ("saturate", "cap=8\n"),
                           ("verma-check", "hit=1\n"),
                           ("saturate", "lambda=1/0\n"),
-                          # inputs that would check nothing
+                          # verify-free's trials is echoed only; it is
+                          # validated for compatibility
                           ("verify-free", "families=gamma\ntrials=0\nspecs=1\n"),
+                          # inputs that would check nothing
                           ("verify-free", "families=gamma\nspecs=0\n"),
                           ("verify-weight", "families=M\nspecs=0\n"),
                           ("verify-weight", "families=M\ntrials=0\n"),
@@ -285,6 +287,9 @@ GOLDEN_CASES = [
     ("verify_weight_mnv.json", "verify-weight",
      "families=M,N,V\nspecs=1\ntrials=10\n"),
     ("scan_v.csv", "scan", "families=V\nformat=csv\n"),
+    # saved while saturation still computed over Fractions
+    ("saturate_omega_b0.json", "saturate",
+     "family=omega\nb=0\nbeta1=1,1/2\nseed_poly=hb\n"),
 ]
 
 

@@ -9,14 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from takiffrep.algebra import bracket
-from takiffrep.freemod import (GENERATOR_PAIRS, act, act_word,
+from takiffrep.algebra import GENERATORS, bracket
+from takiffrep.freemod import (GENERATOR_PAIRS, _int_ops, _int_products,
+                               act, act_word,
                                alpha_from_beta, e34_residual,
                                iso_invariants_free, make_gamma, make_omega,
                                make_theta_mod, omega_layer_action,
                                omega_quotient_delta_params, random_free_spec,
                                simplicity_criterion_free, submodule_saturate,
                                verify_axioms)
+from takiffrep.linalg import vec_primitive
 from takiffrep.poly import PolyHH, parse_poly, random_poly, random_rational
 from takiffrep.weightmod import delta_action
 
@@ -247,6 +249,109 @@ def test_saturation_omega_b_zero_stays_divisible():
     assert not res.contains_one
     for p in res.basis:
         assert all(p.coeff(i, 0) == 0 for i in range(9)), p.to_text()
+
+
+# -- submodule_saturate against an independent Fraction oracle ---------------
+
+def saturate_oracle(spec, seed_poly, cap):
+    """The capped saturation over Fractions: exact ``act`` products and a
+    reduced row-echelon basis with pivot coefficient 1, in the same
+    depth-first frontier order.  It shares nothing with the integer
+    products and the fraction-free RowBasis of submodule_saturate.
+    Returns (basis, contains_one, saturated)."""
+    rows = {}  # pivot -> row, mutually reduced
+
+    def reduce(v):
+        v = {e: c for e, c in v.items() if c}
+        for k in [k for k in v if k in rows]:
+            c = v[k]
+            for e, x in rows[k].items():
+                v[e] = v.get(e, 0) - c * x
+            v = {e: y for e, y in v.items() if y}
+        return v
+
+    def add(v):
+        v = reduce(v)
+        if not v:
+            return False
+        lead = min(v)
+        v = {e: c / v[lead] for e, c in v.items()}
+        for p, row in rows.items():
+            if lead in row:
+                c = row[lead]
+                row = {e: row.get(e, 0) - c * v.get(e, 0) for e in row | v}
+                rows[p] = {e: y for e, y in row.items() if y}
+        rows[lead] = v
+        return True
+
+    one = {(0, 0): F(1)}
+    add(dict(seed_poly.terms()))
+    frontier, discarded = [seed_poly], False
+    while frontier and reduce(one):
+        p = frontier.pop()
+        for x in GENERATORS:
+            q = act(spec, x, p)
+            if q.is_zero():
+                continue
+            if not q.within_bidegree(*cap):
+                discarded = True
+                continue
+            if add(dict(q.terms())):
+                frontier.append(q)
+    basis = [PolyHH(rows[p]) for p in sorted(rows)]
+    return basis, not reduce(one), not frontier and not discarded
+
+
+def saturation_cases(rng):
+    """(spec, seed) pairs: gamma, theta and omega from a random seed, and
+    omega at b = 0 from an hbar-divisible seed."""
+    for kind in ("gamma", "theta", "omega", "omega-b0"):
+        for _ in range(3):
+            seed = PolyHH.zero()
+            while seed.is_zero():
+                seed = random_poly(rng, max_deg_h=2, max_deg_hbar=2,
+                                   max_terms=4)
+            if kind == "omega-b0":
+                spec = random_free_spec(rng, "omega", beta1_deg=1)
+                yield make_omega(spec.lam, 0, spec.beta1), seed * HB
+            else:
+                yield random_free_spec(rng, kind, beta1_deg=1), seed
+
+
+@pytest.mark.parametrize("cap", [(4, 4), (5, 5)])
+def test_saturation_agrees_with_fraction_oracle(cap):
+    for spec, seed in saturation_cases(random.Random(311)):
+        if not seed.within_bidegree(*cap):
+            continue
+        res = submodule_saturate(spec, seed, cap=cap)
+        want = saturate_oracle(spec, seed, cap)
+        assert (res.basis, res.contains_one, res.saturated) == want, \
+            (spec, seed.to_text())
+
+
+def test_integer_products_are_multiples_of_act():
+    rng = random.Random(312)
+    specs = [random_free_spec(rng, family)
+             for family in ("gamma", "theta", "omega")]
+    spec = random_free_spec(rng, "omega")
+    alpha1 = ((spec.alpha1[0] + random_rational(rng, nonzero=True),)
+              + spec.alpha1[1:])
+    specs.append(make_omega(spec.lam, spec.b, spec.beta1, alpha1))
+    for spec in specs:
+        ops = _int_ops(spec)
+        for _ in range(5):
+            p = random_poly(rng, max_deg_h=3, max_deg_hbar=3)
+            products = _int_products(ops, vec_primitive(dict(p.terms())))
+            assert list(products) == list(GENERATORS)
+            for x, q in products.items():
+                assert all(type(v) is int for v in q.values())
+                want = act(spec, x, p)
+                if want.is_zero():
+                    assert not q, (spec, x, p)
+                    continue
+                e, v = next(iter(q.items()))
+                ratio = want.coeff(*e) / v
+                assert ratio and PolyHH(q).scale(ratio) == want, (spec, x, p)
 
 
 def test_saturation_rejects_oversized_seed():
