@@ -14,9 +14,14 @@ Normal form in the enveloping algebra orders monomials as
 
     eb^n * fb^a * f^b * hb^c * h^d * e^g
 
-obtained by bubbling adjacent out-of-order letters with the commutation
-rules; each side term strictly reduces the number of unbarred letters, so
-the rewriting terminates, and the result is independent of reduction order.
+A word is folded from the right, nf(x*w) = x*nf(w): each letter is
+inserted into each canonical monomial of the part already straightened, by
+bubbling it past adjacent out-of-order letters with the commutation rules.
+Each side term strictly reduces the number of unbarred letters, so the
+rewriting terminates, and by Bergman's diamond lemma the result does not
+depend on the order of reductions.  Whole words and letter-times-monomial
+products share one cache; all structure constants are integers, so the
+cached coefficients are ints.
 
 The localized algebra adjoins a two-sided inverse of eb (letter ``ebinv``,
 printed ``eb^-1``).  It commutes with e, eb, fb, hb and satisfies
@@ -24,13 +29,15 @@ printed ``eb^-1``).  It commutes with e, eb, fb, hb and satisfies
     h * ebinv = ebinv * (h - 2)
     f * ebinv = ebinv * f + ebinv^2 * hb
 
-(both forced by [h,eb] = 2eb and [eb,f] = hb).
+(both forced by [h,eb] = 2eb and [eb,f] = hb).  Its twisting automorphism
+Theta_z (``theta``) is applied in closed form on each canonical monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .poly import RationalLike, to_rational
@@ -44,12 +51,12 @@ _SLOT = {"eb": 0, "ebinv": 0, "fb": 1, "f": 2, "hb": 3, "h": 4, "e": 5}
 # [x, y] for the fifteen unordered generator pairs, as lists of
 # (coefficient, generator); pairs not listed here (and all barred pairs)
 # commute.  Stored with both orders for convenience.
-_BRACKET: Dict[Tuple[str, str], List[Tuple[Fraction, str]]] = {}
+_BRACKET: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
 
 
 def _set_bracket(x: str, y: str, terms: List[Tuple[int, str]]) -> None:
-    _BRACKET[(x, y)] = [(Fraction(c), g) for c, g in terms]
-    _BRACKET[(y, x)] = [(Fraction(-c), g) for c, g in terms]
+    _BRACKET[(x, y)] = list(terms)
+    _BRACKET[(y, x)] = [(-c, g) for c, g in terms]
 
 
 _set_bracket("e", "f", [(1, "h")])
@@ -66,13 +73,13 @@ for _x, _y in (("e", "eb"), ("f", "fb"), ("h", "hb"), ("eb", "fb"),
     _set_bracket(_x, _y, [])
 
 # rewriting side terms: for slot[x] > slot[y],  x*y = y*x + sum c * word
-_COMM: Dict[Tuple[str, str], List[Tuple[Fraction, Tuple[str, ...]]]] = {}
+_COMM: Dict[Tuple[str, str], List[Tuple[int, Tuple[str, ...]]]] = {}
 for (_x, _y), _terms in _BRACKET.items():
     if _SLOT[_x] > _SLOT[_y]:
         _COMM[(_x, _y)] = [(c, (g,)) for c, g in _terms]
 # localized rules, derived in the module docstring
-_COMM[("h", "ebinv")] = [(Fraction(-2), ("ebinv",))]
-_COMM[("f", "ebinv")] = [(Fraction(1), ("ebinv", "ebinv", "hb"))]
+_COMM[("h", "ebinv")] = [(-2, ("ebinv",))]
+_COMM[("f", "ebinv")] = [(1, ("ebinv", "ebinv", "hb"))]
 _COMM[("fb", "ebinv")] = []
 _COMM[("hb", "ebinv")] = []
 _COMM[("e", "ebinv")] = []
@@ -131,10 +138,30 @@ def _word_to_monomial(word: Tuple[str, ...]) -> Monomial:
 
 
 @lru_cache(maxsize=1 << 16)
-def _reduce_word(word: Tuple[str, ...]) -> Tuple[Tuple[Monomial, Fraction], ...]:
-    """Straighten a word into canonical monomials with coefficients."""
-    acc: Dict[Monomial, Fraction] = {}
-    stack: List[Tuple[Fraction, Tuple[str, ...]]] = [(Fraction(1), word)]
+def _reduce_word(word: Tuple[str, ...]) -> Tuple[Tuple[Monomial, int], ...]:
+    """Straighten a word into canonical monomials with integer coefficients.
+
+    A word whose tail ``word[1:]`` is canonical goes through the bubble
+    loop below, which inserts its first letter into the monomial.  Any
+    other word is folded from the right, nf(x*w) = x*nf(w) one letter at a
+    time, each term's product being a letter-times-monomial entry of this
+    same cache; so the recursion is two calls deep whatever the length.
+    Every structure constant is an integer, so coefficients stay ints.
+    """
+    start = len(word) - 1  # word[start:] is the longest canonical suffix
+    while start > 0 and _SLOT[word[start - 1]] <= _SLOT[word[start]]:
+        start -= 1
+    if start > 1:
+        acc: Dict[Monomial, int] = {_word_to_monomial(word[start:]): 1}
+        for x in reversed(word[:start]):
+            prod: Dict[Monomial, int] = {}
+            for m, v in acc.items():
+                for mono, w in _reduce_word((x,) + m.to_word()):
+                    prod[mono] = prod.get(mono, 0) + v * w
+            acc = {m: v for m, v in prod.items() if v}
+        return tuple(sorted(acc.items()))
+    acc = {}
+    stack: List[Tuple[int, Tuple[str, ...]]] = [(1, word)]
     while stack:
         coeff, w = stack.pop()
         # find the first adjacent out-of-order pair
@@ -145,7 +172,7 @@ def _reduce_word(word: Tuple[str, ...]) -> Tuple[Tuple[Monomial, Fraction], ...]
                 break
         if swap_at < 0:
             mono = _word_to_monomial(w)
-            total = acc.get(mono, Fraction(0)) + coeff
+            total = acc.get(mono, 0) + coeff
             if total:
                 acc[mono] = total
             else:
@@ -338,19 +365,15 @@ def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
         f  |->  f - z * eb^-1 * hb
         h  |->  h + 2z
 
-    Applied to an AlgebraElement it substitutes monomial-wise.
+    so on a canonical monomial it is the closed form
+
+        eb^n fb^a (f - z eb^-1 hb)^b hb^c * sum_j C(d, j) (2z)^(d-j) h^j * e^g.
+
+    The monomials of (f - z eb^-1 hb)^b are eb^-i fb^j f^k hb^l, so each
+    output monomial is read off from exponents; the powers of the f image
+    and of 2z are formed once per call.
     """
     z = to_rational(z)
-    images = {
-        "e": AlgebraElement.gen("e"),
-        "eb": AlgebraElement.gen("eb"),
-        "ebinv": AlgebraElement.gen("ebinv"),
-        "fb": AlgebraElement.gen("fb"),
-        "hb": AlgebraElement.gen("hb"),
-        "f": AlgebraElement.gen("f")
-        - AlgebraElement.from_word(("ebinv", "hb"), z),
-        "h": AlgebraElement.gen("h") + AlgebraElement.one().scale(2 * z),
-    }
     if isinstance(x, str):
         x = (x,)
     if isinstance(x, AlgebraElement):
@@ -359,12 +382,25 @@ def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
         word = tuple(x)
         _validate_letters(word, localized=True)
         elem = AlgebraElement.from_word(word)
-    out = AlgebraElement.zero()
-    for m, v in elem.terms():
-        piece = AlgebraElement.one().scale(v)
-        for letter in m.to_word():
-            piece = piece * images[letter]
-        out = out + piece
+    f_image = (AlgebraElement.gen("f")
+               - AlgebraElement.from_word(("ebinv", "hb"), z))
+    f_powers = [AlgebraElement.one()]
+    shift_powers = [Fraction(1)]
+    for m in elem._c:
+        while len(f_powers) <= m.b:
+            f_powers.append(f_image * f_powers[-1])
+        while len(shift_powers) <= m.d:
+            shift_powers.append(2 * z * shift_powers[-1])
+    acc: Dict[Monomial, Fraction] = {}
+    for m, v in elem._c.items():
+        h_terms = [(j, comb(m.d, j) * shift_powers[m.d - j])
+                   for j in range(m.d + 1)]
+        for p, u in f_powers[m.b]._c.items():
+            for j, w in h_terms:
+                key = Monomial(m.n + p.n, m.a + p.a, p.b, m.c + p.c, j, m.g)
+                acc[key] = acc.get(key, 0) + v * u * w
+    out = AlgebraElement.__new__(AlgebraElement)
+    out._c = {m: v for m, v in acc.items() if v}
     return out
 
 
@@ -376,13 +412,13 @@ def check_theta_automorphism(z: RationalLike) -> dict:
     (eb, ebinv) covers the localization relation eb * eb^-1 = 1.
     """
     z = to_rational(z)
+    images = {x: theta(z, x) for x in LOCALIZED_LETTERS}
     pairs = []
     ok_all = True
     for x in LOCALIZED_LETTERS:
         for y in LOCALIZED_LETTERS:
             lhs = theta(z, normal_form((x, y), localized=True))
-            rhs = theta(z, x) * theta(z, y)
-            ok = lhs == rhs
+            ok = lhs == images[x] * images[y]
             ok_all = ok_all and ok
             pairs.append({"x": x, "y": y, "ok": ok})
     return {"z": z, "pairs": pairs, "ok": ok_all}
@@ -408,7 +444,8 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
     if not text:
         raise ValueError("empty expression")
     out = AlgebraElement.zero()
-    # split into signed terms without breaking exponents like eb^-1
+    # split into signed terms without breaking exponents like eb^-1; in a
+    # run of signs such as "a + -2*b" the last one counts
     terms: List[Tuple[int, str]] = []
     sign, buf = 1, []
     i = 0
@@ -422,8 +459,9 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
         else:
             buf.append(ch)
         i += 1
-    if "".join(buf).strip():
-        terms.append((sign, "".join(buf).strip()))
+    if not "".join(buf).strip():
+        raise ValueError(f"sign with no term after it in {text!r}")
+    terms.append((sign, "".join(buf).strip()))
     for sign, term in terms:
         coeff = Fraction(sign)
         word: List[str] = []
@@ -431,7 +469,9 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"empty factor in {term!r}")
-            name, _, exp = factor.partition("^")
+            name, caret, exp = factor.partition("^")
+            if caret and not exp:
+                raise ValueError(f"exponent missing in {factor!r}")
             if name in _LETTER_ALIASES:
                 letter = _LETTER_ALIASES[name]
                 k = int(exp) if exp else 1

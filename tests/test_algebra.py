@@ -2,18 +2,22 @@
 
 The bracket table and the closed-form straightening identities below were
 worked out by hand; the random loops check structural properties
-(idempotence, associativity, bracket compatibility) on top of them.
+(idempotence, associativity, bracket compatibility) on top of them.  Two
+test-only oracles check the fast paths: a whole-word bubble loop built from
+that table and the localized rules, for normal_form, and the letter-by-letter
+substitution, for theta.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from takiffrep.algebra import (GENERATORS, LOCALIZED_LETTERS, AlgebraElement,
-                               Monomial, bracket, check_theta_automorphism,
-                               commutator, normal_form, parse_word_expr,
-                               theta)
+                               Monomial, _reduce_word, bracket,
+                               check_theta_automorphism, commutator,
+                               normal_form, parse_word_expr, theta)
 
 F = Fraction
 
@@ -35,6 +39,44 @@ BRACKET_TABLE = {
     ("eb", "hb"): {},
     ("fb", "hb"): {},
 }
+
+
+# canonical letter order; eb and its inverse share the first place
+ORDER = {"eb": 0, "ebinv": 0, "fb": 1, "f": 2, "hb": 3, "h": 4, "e": 5}
+# x*y = y*x + sum c*word for ORDER[x] > ORDER[y]: the brackets above, and
+# the localized rules h*ebinv = ebinv*(h - 2), f*ebinv = ebinv*f + ebinv^2*hb;
+# ebinv commutes with e, fb and hb
+SWAP_RULES = {("h", "ebinv"): [(-2, ("ebinv",))],
+              ("f", "ebinv"): [(1, ("ebinv", "ebinv", "hb"))],
+              ("e", "ebinv"): [], ("fb", "ebinv"): [], ("hb", "ebinv"): []}
+for (_x, _y), _br in BRACKET_TABLE.items():
+    _sign = 1 if ORDER[_x] > ORDER[_y] else -1
+    _key = (_x, _y) if _sign == 1 else (_y, _x)
+    SWAP_RULES[_key] = [(_sign * c, (g,)) for g, c in _br.items()]
+
+
+def straighten_oracle(word):
+    """Bubble whole words into canonical order, with Fraction coefficients."""
+    acc = {}
+    stack = [(F(1), tuple(word))]
+    while stack:
+        coeff, w = stack.pop()
+        for i in range(len(w) - 1):
+            x, y = w[i], w[i + 1]
+            if {x, y} == {"eb", "ebinv"}:
+                stack.append((coeff, w[:i] + w[i + 2:]))
+                break
+            if ORDER[x] > ORDER[y]:
+                stack.append((coeff, w[:i] + (y, x) + w[i + 2:]))
+                for c, side in SWAP_RULES[(x, y)]:
+                    stack.append((coeff * c, w[:i] + side + w[i + 2:]))
+                break
+        else:
+            n = w.count("eb") - w.count("ebinv")
+            mono = Monomial(n, *(w.count(x)
+                                 for x in ("fb", "f", "hb", "h", "e")))
+            acc[mono] = acc.get(mono, 0) + coeff
+    return AlgebraElement(acc)
 
 
 def as_coeff_dict(elem):
@@ -108,6 +150,42 @@ def test_nf_e_past_hb():
         - AlgebraElement.gen("eb").scale(2)
     assert got == want
     assert normal_form(("hb", "e")) == AlgebraElement.from_word(("hb", "e"))
+
+
+def test_nf_agrees_with_bubble_oracle():
+    # words like the rewrite workload's: a few unbarred letters among barred
+    # ones and eb^-1
+    rng = random.Random(208)
+    barred = ("eb", "fb", "hb", "ebinv")
+    for _ in range(240):
+        length = rng.randint(0, 11)
+        unbarred = set(rng.sample(range(length),
+                                  min(length, rng.randint(0, 5))))
+        word = tuple(rng.choice(("f", "h", "e")) if i in unbarred
+                     else rng.choice(barred) for i in range(length))
+        got = normal_form(word, localized=True)
+        assert got == straighten_oracle(word), word
+
+
+def test_nf_long_eb_power_without_recursion():
+    # h eb^n = eb^n (h + 2n), from [h, eb] = 2 eb
+    n = 1500
+    got = normal_form(("h",) + ("eb",) * n, localized=True)
+    want = (AlgebraElement({Monomial(n, 0, 0, 0, 1, 0): 1})
+            + AlgebraElement({Monomial(n, 0, 0, 0, 0, 0): 2 * n}))
+    assert got == want
+
+
+def test_nf_many_unbarred_letters():
+    word = ("e",) * 3 + ("f",) * 3 + ("ebinv",) * 2
+    assert normal_form(word, localized=True) == straighten_oracle(word)
+    # bubbling this word whole takes minutes; the fold takes milliseconds
+    word = ("e",) * 6 + ("f",) * 6 + ("ebinv",) * 2
+    _reduce_word.cache_clear()
+    started = time.perf_counter()
+    got = normal_form(word, localized=True)
+    assert time.perf_counter() - started < 2.0
+    assert got * normal_form(("eb", "eb")) == normal_form(word[:12])
 
 
 def test_nf_output_is_slot_ordered():
@@ -211,6 +289,12 @@ def test_parse_word_expr():
         parse_word_expr("f^-1", localized=True)
     with pytest.raises(ValueError):
         parse_word_expr("")
+    # a run of signs takes its last sign, as to_text writes "a + -2*b"
+    assert parse_word_expr("e + -2*f") == normal_form("e") \
+        - normal_form("f").scale(2)
+    for text in ("e^", "e^ ", "e^*f", "-", "+", "e -", "e + -"):
+        with pytest.raises(ValueError):
+            parse_word_expr(text)
 
 
 def test_theta_images():
@@ -220,6 +304,37 @@ def test_theta_images():
         - AlgebraElement.from_word(("ebinv", "hb"), F(3))
     for x in ("e", "eb", "fb", "hb", "ebinv"):
         assert theta(z, x) == normal_form(x, localized=True), x
+
+
+def theta_oracle(z, elem):
+    """Theta_z by substituting each letter's image and multiplying out."""
+    images = {x: normal_form(x, localized=True) for x in LOCALIZED_LETTERS}
+    images["f"] = images["f"] - AlgebraElement.from_word(("ebinv", "hb"), z)
+    images["h"] = images["h"] + AlgebraElement.one().scale(2 * z)
+    out = AlgebraElement.zero()
+    for mono, c in elem.terms():
+        piece = AlgebraElement.one().scale(c)
+        for letter in mono.to_word():
+            piece = piece * images[letter]
+        out = out + piece
+    return out
+
+
+def test_theta_agrees_with_substitution_oracle():
+    rng = random.Random(209)
+    elems = []
+    for _ in range(6):
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = Monomial(rng.randint(-2, 2), rng.randint(0, 2),
+                            rng.randint(3, 4), rng.randint(0, 2),
+                            rng.randint(3, 4), rng.randint(0, 2))
+            coeffs[mono] = F(rng.randint(-9, 9), rng.randint(1, 5))
+        coeffs[Monomial(*(rng.randint(0, 2) for _ in range(6)))] = F(1)
+        elems.append(AlgebraElement(coeffs))
+    for z in (F(0), F(1), F(-3), F(2, 7)):
+        for elem in elems:
+            assert theta(z, elem) == theta_oracle(z, elem), (z, elem)
 
 
 def test_theta_zero_is_identity():

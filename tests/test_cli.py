@@ -250,6 +250,13 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
     for argv in (["nf", "1/0*e"], ["saturate", "1/0*h"]):
         assert main(argv) == 2, argv
         assert "zero denominator" in capsys.readouterr().err
+    # so are a dangling exponent and a sign with no term after it
+    for text, message in (("e^", "exponent missing"),
+                          ("e^ ", "exponent missing"),
+                          ("-", "no term"), ("+", "no term"),
+                          ("e -", "no term")):
+        assert main(["nf", text]) == 2, text
+        assert message in capsys.readouterr().err, text
 
 
 def test_unknown_suite_exits_2():
@@ -290,6 +297,8 @@ GOLDEN_CASES = [
     # saved while saturation still computed over Fractions
     ("saturate_omega_b0.json", "saturate",
      "family=omega\nb=0\nbeta1=1,1/2\nseed_poly=hb\n"),
+    # saved while every word was straightened by bubbling it whole
+    ("nf_long.json", "nf", "word=e^2*fb*f^3*hb*h^2*eb^-2*e*f\n"),
 ]
 
 
