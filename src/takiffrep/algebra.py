@@ -444,8 +444,8 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
     if not text:
         raise ValueError("empty expression")
     out = AlgebraElement.zero()
-    # split into signed terms without breaking exponents like eb^-1; in a
-    # run of signs such as "a + -2*b" the last one counts
+    # split into signed terms without breaking exponents like eb^-1; the
+    # signs of a run multiply, so "a + -2*b" and "a - +2*b" both subtract
     terms: List[Tuple[int, str]] = []
     sign, buf = 1, []
     i = 0
@@ -454,7 +454,9 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
         if ch in "+-" and (i == 0 or text[i - 1] != "^"):
             if "".join(buf).strip():
                 terms.append((sign, "".join(buf).strip()))
-            sign = 1 if ch == "+" else -1
+                sign = 1
+            if ch == "-":
+                sign = -sign
             buf = []
         else:
             buf.append(ch)

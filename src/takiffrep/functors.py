@@ -113,13 +113,16 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     every generator y and window index the twisted action is computed
     exactly and compared against the plain action on the target module;
     both sides are full vectors, so equality is equality in the module.
+    The six images Theta_z(y) are formed once per call.
     """
     z = to_rational(z)
     if spec.family != "M":
         raise ValueError("the twisting functor is implemented on the M family")
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
-    return _window_iso(window, partial(twisted_act, z, spec),
+    images = {x: theta(z, x) for x in GENERATORS}
+    return _window_iso(window,
+                       lambda x, v: apply_localized(spec, images[x], v),
                        partial(act_weight, target), lambda v: v,
                        details={"z": z})
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from math import comb, factorial
+from functools import cached_property, lru_cache
+from math import comb, factorial, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, bracket
@@ -145,15 +145,20 @@ def wv_text(v: WeightVec) -> str:
 
 def eval_functional(k: int, s: int, alpha: RationalLike, beta: RationalLike,
                     p: PolyHH) -> Fraction:
-    """Value of eta_{alpha_k, beta^s} on p, exactly."""
+    """Value of eta_{alpha_k, beta^s} on p, exactly.
+
+    That is (dbar^(s-1) p)(alpha_k, beta), read off the terms of p: a term
+    c h^i hbar^j with j >= s-1 contributes c alpha_k^i j!/(j-s+1)! beta^(j-s+1).
+    """
     if s < 1:
         raise ValueError("functional index s starts at 1")
-    alpha = to_rational(alpha)
+    alpha_k = to_rational(alpha) + 2 * k
     beta = to_rational(beta)
-    exp = shifted_expand(p, (alpha + 2 * k, beta))
-    total = exp.coeff(0, s - 1)
-    for t in range(1, s):
-        total *= t
+    total = Fraction(0)
+    for (i, j), c in p.terms():
+        if j >= s - 1:
+            total += (c * alpha_k ** i * beta ** (j - s + 1)
+                      * (factorial(j) // factorial(j - s + 1)))
     return total
 
 
@@ -280,34 +285,104 @@ def dual_consistency(spec: WeightModuleSpec, window: Window = DEFAULT_WINDOW,
             "failures": failures, "ok": not failures}
 
 
+# a polynomial in (k, s) as {(i, j): c}, meaning sum c * k^i * s^j
+KSPoly = Dict[Tuple[int, int], RationalLike]
+# an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
+# sum P(k, s) * eta_{k+dk, s+ds}
+KSTable = Dict[Tuple[int, int], KSPoly]
+
+
+@lru_cache(maxsize=None)
+def _binomial_in_s(r: int) -> Tuple[Fraction, ...]:
+    """The coefficients of C(s-1, r) = (s-1)...(s-r)/r! in s, lowest first."""
+    coeffs = [Fraction(1, factorial(r))]
+    for t in range(1, r + 1):
+        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+def _ks_table(spec: WeightModuleSpec, x: str) -> KSTable:
+    """The adjoint terms of x, grouped by (dk, m - r)."""
+    dk, terms = spec.adjoint[x]
+    table: KSTable = {}
+    for m, r, c0, c1 in terms:
+        p = table.setdefault((dk, m - r), {})
+        for j, b in enumerate(_binomial_in_s(r)):
+            for i, c in enumerate((c0, c1)):
+                if c:
+                    p[(i, j)] = p.get((i, j), 0) + c * b
+    return table
+
+
+def _ks_shift(p: KSPoly, dk: int, ds: int) -> KSPoly:
+    """p(k + dk, s + ds)."""
+    out: KSPoly = {}
+    for (i, j), c in p.items():
+        for a in range(i + 1):
+            for b in range(j + 1):
+                n = comb(i, a) * comb(j, b) * dk ** (i - a) * ds ** (j - b)
+                if n:
+                    out[(a, b)] = out.get((a, b), 0) + n * c
+    return out
+
+
+def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str, y: str,
+                     sign: int, shifted: Dict[tuple, KSPoly]) -> None:
+    """Add sign * (x o y) to ``out``.
+
+    y sends eta_{k,s} to P_y(k, s) eta_{k+dk, s+ds}, and x sends that on
+    with P_x(k + dk, s + ds).  ``shifted`` keeps each shifted P_x under
+    (x, its key, dk, ds), so it is shifted once however many pairs use it.
+    """
+    for (dk, ds), py in tables[y].items():
+        py = {key: sign * c for key, c in py.items()}
+        for (ek, es), px in tables[x].items():
+            key = (x, ek, es, dk, ds)
+            if key not in shifted:
+                shifted[key] = _ks_shift(px, dk, ds)
+            acc = out.setdefault((ek + dk, es + ds), {})
+            for (i, j), a in py.items():
+                for (u, v), b in shifted[key].items():
+                    acc[(i + u, j + v)] = acc.get((i + u, j + v), 0) + a * b
+
+
 def weight_bracket_report(spec: WeightModuleSpec,
                           window: Window = DEFAULT_WINDOW) -> dict:
-    """Check [x,y].v == x.(y.v) - y.(x.v) on every window basis functional.
+    """Prove or refute [x,y].v == x.(y.v) - y.(x.v) for every eta_{k,s}.
 
-    Actions are exact on the infinite basis, so this verifies the global
-    identity at each probed basis vector, not a truncation of it.
+    Each generator is read off ``spec.adjoint`` as a table (dk, ds) ->
+    P(k, s), P = sum (c0 + c1*k) C(s-1, r) over its terms with m - r = ds.
+    The binomial vanishes at s = 1..r, where ``act_weight`` skips the
+    term, so P(k, s) is the true coefficient at every k in Z and s >= 1,
+    and so is each coefficient of the composed table x o y - y o x - [x,y].
+    Z x Z_{>=1} is Zariski-dense, so a pair passes exactly when that
+    table is empty: proved for every (k, s); ``window`` is echoed only.
     """
+    tables = {x: _ks_table(spec, x) for x in GENERATORS}
+    # times a common denominator d every table is integral, and d^2 times
+    # the residual reads X o Y - Y o X - d [x,y] on the integer tables
+    d = lcm(*(c.denominator for t in tables.values() for p in t.values()
+              for c in p.values()))
+    tables = {x: {key: {e: int(c * d) for e, c in p.items()}
+                  for key, p in t.items()}
+              for x, t in tables.items()}
+    shifted: Dict[tuple, KSPoly] = {}
     pairs = []
-    ok_all = True
     for x, y in GENERATOR_PAIRS:
-        br = bracket(x, y)
-        ok = True
-        for (k, s) in window.indices():
-            v = wv_unit(k, s)
-            lhs = vec_axpy(act_weight(spec, x, act_weight(spec, y, v)),
-                           Fraction(-1),
-                           act_weight(spec, y, act_weight(spec, x, v)))
-            rhs: WeightVec = {}
-            for mono, coeff in br.terms():
-                word = mono.to_word()
-                rhs = vec_axpy(rhs, coeff, act_weight_word(spec, word, v))
-            if lhs != rhs:
-                ok = False
-                break
-        ok_all = ok_all and ok
+        residual: KSTable = {}
+        _ks_compose_into(residual, tables, x, y, 1, shifted)
+        _ks_compose_into(residual, tables, y, x, -1, shifted)
+        for mono, coeff in bracket(x, y).terms():
+            (z,) = mono.to_word()
+            for key, p in tables[z].items():
+                acc = residual.setdefault(key, {})
+                for e, c in p.items():
+                    acc[e] = acc.get(e, 0) - d * coeff * c
+        ok = not any(any(p.values()) for p in residual.values())
         pairs.append({"x": x, "y": y, "pass": ok})
     return {"family": spec.family, "params": spec.params(),
-            "window": window.as_text(), "pairs": pairs, "ok": ok_all}
+            "window": window.as_text(), "pairs": pairs,
+            "ok": all(p["pass"] for p in pairs)}
 
 
 # -- singular vectors and simplicity --------------------------------------------

@@ -138,8 +138,8 @@ def test_criterion_06_weight_brackets():
             assert len(rep["pairs"]) == 15
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"bracket suite took {elapsed:.1f}s"
-    print(f"criterion 6: PASS (30 specs, 15 pairs on every window basis "
-          f"vector, {elapsed:.1f}s)")
+    print(f"criterion 6: PASS (30 specs, 15 pairs proved for every "
+          f"(k, s), {elapsed:.1f}s)")
 
 
 def test_criterion_07_simplicity_scan():

@@ -289,9 +289,16 @@ def test_parse_word_expr():
         parse_word_expr("f^-1", localized=True)
     with pytest.raises(ValueError):
         parse_word_expr("")
-    # a run of signs takes its last sign, as to_text writes "a + -2*b"
+    # the signs of a run multiply; to_text writes "a + -2*b"
     assert parse_word_expr("e + -2*f") == normal_form("e") \
         - normal_form("f").scale(2)
+    assert parse_word_expr("e - -f") == normal_form("e") + normal_form("f")
+    assert parse_word_expr("e - +f") == normal_form("e") - normal_form("f")
+    assert parse_word_expr("- - e") == normal_form("e")
+    assert parse_word_expr("e - -f - h") == normal_form("e") \
+        + normal_form("f") - normal_form("h")
+    assert parse_word_expr("e - f + h") == normal_form("e") \
+        - normal_form("f") + normal_form("h")
     for text in ("e^", "e^ ", "e^*f", "-", "+", "e -", "e + -"):
         with pytest.raises(ValueError):
             parse_word_expr(text)

@@ -10,10 +10,13 @@ parents wholesale.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from takiffrep.poly import PolyHH, random_poly, random_rational
+from takiffrep.algebra import bracket
+from takiffrep.freemod import GENERATOR_PAIRS
+from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  act_weight_word, delta_action,
                                  dual_consistency, eval_functional,
@@ -203,6 +206,85 @@ def test_weight_brackets_all_families():
         rep = weight_bracket_report(spec, window=win)
         assert rep["ok"], rep
         assert len(rep["pairs"]) == 15
+
+
+# -- weight_bracket_report against an independent window oracle ----------------
+
+def bracket_window_oracle(spec, window):
+    """Per-pair verdicts of x.(y.v) - y.(x.v) == [x,y].v on every window
+    basis functional v.
+
+    Applies single generators to weight vectors and never composes
+    tables, so it is independent of how weight_bracket_report proves the
+    identities.
+    """
+    def holds(x, y, v):
+        lhs = wv_add(act_weight_word(spec, (x, y), v),
+                     wv_scale(-1, act_weight_word(spec, (y, x), v)))
+        rhs = {}
+        for mono, coeff in bracket(x, y).terms():
+            rhs = wv_add(rhs, wv_scale(coeff, act_weight_word(
+                spec, mono.to_word(), v)))
+        return lhs == rhs
+
+    return [all(holds(x, y, wv_unit(k, s)) for k, s in window.indices())
+            for x, y in GENERATOR_PAIRS]
+
+
+def _flags(spec):
+    return [p["pass"] for p in weight_bracket_report(spec)["pairs"]]
+
+
+def test_weight_brackets_agree_with_window_oracle():
+    rng = random.Random(405)
+    for family in ("M", "N", "V"):
+        for _ in range(3):
+            spec = random_weight_spec(rng, family, beta1_deg=3)
+            flags = _flags(spec)
+            assert all(flags), spec
+            assert flags == bracket_window_oracle(spec, Window(-2, 2, 3))
+
+
+def _perturb(spec, x, index, dc0=0, dc1=0):
+    """Change one adjoint term of x in the cached table only."""
+    dk, terms = spec.adjoint[x]
+    m, r, c0, c1 = terms[index]
+    terms = terms[:index] + ((m, r, c0 + dc0, c1 + dc1),) + terms[index + 1:]
+    spec.__dict__["adjoint"] = {**spec.adjoint, x: (dk, terms)}
+
+
+@pytest.mark.parametrize("family", ["M", "N", "V"])
+@pytest.mark.parametrize("x", ["e", "f", "eb", "fb"])
+@pytest.mark.parametrize("dc0, dc1", [(1, 0), (0, F(1, 3))])
+def test_weight_brackets_detect_planted_fault(family, x, dc0, dc1):
+    # the term of highest r; some other single-term changes, such as the
+    # constant term of f on M, only move the spec to another valid module
+    spec = random_weight_spec(random.Random(406), family)
+    _perturb(spec, x, len(spec.adjoint[x][1]) - 1, dc0=dc0, dc1=dc1)
+    assert not weight_bracket_report(spec)["ok"]
+    assert _flags(spec) == bracket_window_oracle(spec, Window(-2, 2, 4))
+
+
+@pytest.mark.parametrize("dc0, dc1", [(1, 0), (0, 1)])
+def test_weight_brackets_prove_beyond_the_window(dc0, dc1):
+    # f's (m = 0, r = 2) term only acts on eta_{k,s} with s >= 3, so a
+    # fault there is invisible to every window with s_max = 2
+    spec = make_weight_v(1, -1, 1, 1, (0, 1, 2))
+    terms = spec.adjoint["f"][1]
+    index = next(i for i, (m, r, _, _) in enumerate(terms) if (m, r) == (0, 2))
+    _perturb(spec, "f", index, dc0=dc0, dc1=dc1)
+    assert all(bracket_window_oracle(spec, Window(-1, 1, 2)))
+    flags = _flags(spec)
+    assert not all(flags)
+    assert flags == bracket_window_oracle(spec, Window(-2, 2, 4))
+
+
+def test_weight_bracket_report_echoes_window():
+    spec = make_weight_m(0, 1, 1, -1, -2)
+    rep = weight_bracket_report(spec, window=Window(-1, 1, 2))
+    assert rep["window"] == "-1:1:2"
+    assert {k: v for k, v in rep.items() if k != "window"} == {
+        k: v for k, v in weight_bracket_report(spec).items() if k != "window"}
 
 
 def test_parent_spec_families():
@@ -404,6 +486,18 @@ def test_delta_variants_satisfy_sl2():
             eh = delta_action(variant, lam, a, "e",
                               delta_action(variant, lam, a, "h", g))
             assert he - eh == delta_action(variant, lam, a, "e", g).scale(2)
+
+
+def test_eval_functional_matches_shifted_expansion():
+    # oracle: (s-1)! times the (0, s-1) coefficient of p about (alpha_k, beta)
+    rng = random.Random(407)
+    for _ in range(40):
+        p = random_poly(rng, max_deg_h=3, max_deg_hbar=4)
+        k, s = rng.randint(-3, 3), rng.randint(1, 6)
+        alpha, beta = random_rational(rng), random_rational(rng)
+        exp = shifted_expand(p, (alpha + 2 * k, beta))
+        assert eval_functional(k, s, alpha, beta, p) == \
+            exp.coeff(0, s - 1) * factorial(s - 1)
 
 
 def test_eval_weightvec_matches_functional_sum():
