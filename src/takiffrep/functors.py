@@ -12,9 +12,11 @@ commuting with the action.  Columns are matched by exact h-eigenvalue
 (eta-columns k and k + (alpha_A - alpha_B)/2 pair up; a non-integral
 offset forces the zero space), probes are restricted to domain-interior
 basis vectors, and equation components outside the codomain window are
-relaxed.  Its ``verified`` flag does not reuse those equations: every
-basis map is checked on the interior probes against the full, unrelaxed
-codomain action, the same map check the explicit isomorphisms go through.
+relaxed.  Each side's generator images are read once off its adjoint
+table, as integer vectors, so the equations are integer rows.  Its
+``verified`` flag does not reuse those equations: every basis map is
+checked on the interior probes against the full, unrelaxed codomain
+images, through the same map check the explicit isomorphisms go through.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
+from .linalg import RowBasis, nullspace, vec_axpy, vec_clean, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
-                        act_weight, make_weight_m, wv_scale, wv_unit)
+                        act_weight, apply_adjoint, make_weight_m, wv_scale,
+                        wv_unit)
 
 
 def ebinv_act(spec: WeightModuleSpec, v: WeightVec) -> WeightVec:
@@ -82,7 +86,7 @@ def _first_failure(probes, act_a, act_b, phi) -> Optional[dict]:
     commutes at every probe.
     """
     for k, s, x in probes:
-        v = wv_unit(k, s)
+        v = {(k, s): 1}
         if act_b(x, phi(v)) != phi(act_a(x, v)):
             return {"k": k, "s": s, "x": x}
     return None
@@ -252,14 +256,33 @@ class LinearWindowMap:
         return _rank(self.columns.values())
 
 
-def _interior_probes(spec_a: WeightModuleSpec, window: Window):
-    """Probes (y, k, s, image) whose domain action stays inside the window."""
-    for k in range(window.k_min, window.k_max + 1):
-        for s in range(1, window.s_max + 1):
-            for y in GENERATORS:
-                img = act_weight(spec_a, y, wv_unit(k, s))
-                if all(window.contains(key) for key in img):
-                    yield y, k, s, img
+def _unit_images(spec: WeightModuleSpec, window: Window):
+    """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
+    every generator x and window index, as an integer vector.
+
+    The images are read off ``spec.adjoint``, scaled to integers by d, the
+    least common denominator of its coefficients.
+    """
+    d = lcm(*(c.denominator for _, terms in spec.adjoint.values()
+              for term in terms for c in term[2:]))
+    images = {}
+    for x in GENERATORS:
+        dk, terms = spec.adjoint[x]
+        terms = tuple((m, r, int(d * c0), int(d * c1))
+                      for m, r, c0, c1 in terms)
+        images[x] = {key: apply_adjoint(dk, terms, {key: 1})
+                     for key in window.indices()}
+    return d, images
+
+
+def _integer_action(images, scale: int):
+    """The action (x, v) -> scale * sum_key v[key] * images[x][key]."""
+    def act(x: str, v: WeightVec) -> WeightVec:
+        out: WeightVec = {}
+        for key, c in v.items():
+            out = vec_axpy(out, scale * c, images[x][key])
+        return out
+    return act
 
 
 def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
@@ -272,6 +295,14 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     domain-interior probes, codomain images taken in full, unrelaxed.
     An empty space is returned outright when no codomain column matches
     the domain h-eigenvalues.
+
+    Every generator's image of every domain-window and codomain-window
+    basis functional is computed once, as an integer vector scaled by a
+    common denominator d_A or d_B per spec.  An equation then reads
+    d_A (codomain side) - d_B (domain side), an integer row with the same
+    kernel.  ``verified`` goes through ``_first_failure`` with both actions
+    scaled to d_A d_B times the true one and an integer multiple of each
+    basis map.
     """
     offset2 = spec_a.alpha - spec_b.alpha
     empty = {"maps": [], "dimension": 0, "codomain_window": None,
@@ -280,55 +311,46 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         return empty
     delta = int(offset2) // 2
     cod = Window(window.k_min + delta, window.k_max + delta, window.s_max)
+    d_a, images_a = _unit_images(spec_a, window)
+    d_b, images_b = _unit_images(spec_b, cod)
+    outputs = range(1, window.s_max + 1)
 
     unknowns: List[Tuple[int, int, int]] = [
-        (k, s_in, s_out)
-        for k in range(window.k_min, window.k_max + 1)
-        for s_in in range(1, window.s_max + 1)
-        for s_out in range(1, window.s_max + 1)
-    ]
-    probes = list(_interior_probes(spec_a, window))
+        (k, s_in, s_out) for (k, s_in) in window.indices() for s_out in outputs]
+    # probes (k, s, y) whose domain image stays inside the window
+    probes = [(k, s, y) for (k, s) in window.indices() for y in GENERATORS
+              if all(window.contains(key) for key in images_a[y][(k, s)])]
 
-    # cache of act_B on codomain basis functionals
-    act_b_cache: Dict[Tuple[str, int, int], WeightVec] = {}
-
-    def act_b(y: str, k: int, s: int) -> WeightVec:
-        got = act_b_cache.get((y, k, s))
-        if got is None:
-            got = act_weight(spec_b, y, wv_unit(k, s))
-            act_b_cache[(y, k, s)] = got
-        return got
-
-    equations: Dict[Tuple, Dict[Tuple[int, int, int], Fraction]] = {}
-    for idx, (y, k, s_in, img) in enumerate(probes):
-        # LHS: act_B(y, T eta_{k,s_in}) = sum_out T[k,s_in,out] * act_B(y, eta_{k+delta,out})
-        for s_out in range(1, window.s_max + 1):
-            for key, c in act_b(y, k + delta, s_out).items():
+    equations: Dict[Tuple, Dict[Tuple[int, int, int], int]] = {}
+    for idx, (k, s_in, y) in enumerate(probes):
+        # y.T(eta_{k,s_in}) = sum_out T[k,s_in,out] * y.eta_{k+delta,out},
+        # relaxed to the components inside the codomain window
+        for s_out in outputs:
+            for key, c in images_b[y][(k + delta, s_out)].items():
                 if not cod.contains(key):
                     continue
                 row = equations.setdefault((idx,) + key, {})
-                row[(k, s_in, s_out)] = row.get((k, s_in, s_out), Fraction(0)) + c
-        # RHS: T(act_A(y, eta_{k,s_in}))
-        for (k2, s2), c in img.items():
-            for s_out in range(1, window.s_max + 1):
-                key = (k2 + delta, s_out)
-                row = equations.setdefault((idx,) + key, {})
-                row[(k2, s2, s_out)] = row.get((k2, s2, s_out), Fraction(0)) - c
+                row[(k, s_in, s_out)] = row.get((k, s_in, s_out), 0) + d_a * c
+        # T(y.eta_{k,s_in})
+        for (k2, s2), c in images_a[y][(k, s_in)].items():
+            for s_out in outputs:
+                row = equations.setdefault((idx, k2 + delta, s_out), {})
+                row[(k2, s2, s_out)] = row.get((k2, s2, s_out), 0) - d_b * c
     kernel = nullspace(list(equations.values()), unknowns)
 
-    maps = []
-    for sol in kernel:
+    def window_map(sol) -> LinearWindowMap:
         columns: Dict[Tuple[int, int], WeightVec] = {
-            (k, s_in): {} for k in range(window.k_min, window.k_max + 1)
-            for s_in in range(1, window.s_max + 1)}
+            key: {} for key in window.indices()}
         for (k, s_in, s_out), c in sol.items():
             columns[(k, s_in)][(k + delta, s_out)] = c
-        maps.append(LinearWindowMap(window, cod, columns))
+        return LinearWindowMap(window, cod, columns)
 
-    interior = [(k, s, y) for (y, k, s, _) in probes]
+    maps = [window_map(sol) for sol in kernel]
+    act_a = _integer_action(images_a, d_b)
+    act_b = _integer_action(images_b, d_a)
     verified = all(
-        _first_failure(interior, partial(act_weight, spec_a),
-                       partial(act_weight, spec_b), m.apply) is None
-        for m in maps)
+        _first_failure(probes, act_a, act_b,
+                       window_map(vec_primitive(sol)).apply) is None
+        for sol in kernel)
     return {"maps": maps, "dimension": len(maps), "codomain_window": cod,
             "verified": verified, "window": window.as_text()}

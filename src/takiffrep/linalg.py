@@ -27,7 +27,7 @@ def vec_axpy(v: Vec, c: Fraction, w: Vec) -> Vec:
     """v + c*w, cleaned."""
     out = dict(v)
     for k, x in w.items():
-        y = out.get(k, Fraction(0)) + c * x
+        y = out.get(k, 0) + c * x
         if y:
             out[k] = y
         else:

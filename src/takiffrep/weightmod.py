@@ -38,8 +38,7 @@ from .freemod import (CHEVALLEY, SHIFT, FreeModuleSpec, GENERATOR_PAIRS,
                       alpha_from_beta, make_gamma, make_omega, make_theta_mod)
 from .freemod import act as act_free
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
-from .poly import (PolyHH, RationalLike, poly1_eval, random_poly,
-                   shifted_expand, to_rational)
+from .poly import PolyHH, RationalLike, poly1_eval, random_poly, to_rational
 
 WeightVec = Dict[Tuple[int, int], Fraction]
 
@@ -180,32 +179,47 @@ def _adjoint_table(spec: WeightModuleSpec) -> AdjointTable:
         x.eta_{k,s} = -sum_r C(s-1, r) (dbar^r c)(alpha_k, beta)
                                           eta_{k+d/2, s-r+m}.
 
-    Expanding c = sum e_ij (h - alpha)^i (hbar - beta)^j gives
-    (dbar^r c)(alpha + 2k, beta) = r! sum_i e_ir (2k)^i, stored with the
-    sign as c0 + c1*k and summed over the terms that share (m, r); c1 is
-    the int 0 when the term is constant in k, which keeps the table small.
+    Every coefficient is linear in h, c = sum_j (u_j + v_j h) hbar^j, so
+    (dbar^r c)(alpha + 2k, beta) is read off its terms, as in
+    ``eval_functional``: sum_{j>=r} j!/(j-r)! beta^(j-r) (u_j + v_j alpha_k).
+    It is stored with the sign as c0 + c1*k and summed over the terms that
+    share (m, r); c1 is the int 0 when the term is constant in k, which
+    keeps the table small.  A coefficient of higher degree in h raises
+    ValueError.
     """
+    alpha, beta = spec.alpha, spec.beta
     table = {}
     for x, terms in parent_spec(spec).ops.items():
         coeffs: Dict[Tuple[int, int], List[Fraction]] = {}
         for c, m in terms:
-            exp = shifted_expand(c if isinstance(c, PolyHH) else PolyHH.const(c),
-                                 (spec.alpha, spec.beta))
-            for (i, r), e in exp.coeffs.items():
-                pair = coeffs.setdefault((m, r), [Fraction(0), Fraction(0)])
-                pair[i] -= factorial(r) * 2 ** i * e
+            for (i, j), e in (c.terms() if isinstance(c, PolyHH)
+                              else [((0, 0), c)]):
+                if i > 1:
+                    raise ValueError(f"operator coefficient of {x} has degree "
+                                     f"{i} in h; the adjoint table reads "
+                                     "coefficients linear in h")
+                for r in range(j + 1):
+                    t = e * (factorial(j) // factorial(j - r)) * beta ** (j - r)
+                    pair = coeffs.setdefault((m, r), [Fraction(0), Fraction(0)])
+                    if i:
+                        pair[0] -= t * alpha
+                        pair[1] -= 2 * t
+                    else:
+                        pair[0] -= t
         table[x] = (SHIFT[x] // 2, tuple((m, r, c0, c1 or 0)
                                          for (m, r), (c0, c1) in coeffs.items()
                                          if c0 or c1))
     return table
 
 
-def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
-    """Apply a generator to a weight vector (exact, untruncated)."""
-    try:
-        dk, terms = spec.adjoint[x]
-    except KeyError:
-        raise ValueError(f"unknown generator {x!r}") from None
+def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
+                                                RationalLike]],
+                  v: WeightVec) -> WeightVec:
+    """Apply one generator's adjoint-table entry (dk, terms) to v.
+
+    The result is exact for any coefficient type: Fractions for
+    ``spec.adjoint``, ints for an integer multiple of it.
+    """
     out: WeightVec = {}
     for (k, s), a in v.items():
         for m, r, c0, c1 in terms:
@@ -217,6 +231,15 @@ def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
             key = (k + dk, s - r + m)
             out[key] = out.get(key, 0) + a * c
     return vec_clean(out)
+
+
+def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
+    """Apply a generator to a weight vector (exact, untruncated)."""
+    try:
+        dk, terms = spec.adjoint[x]
+    except KeyError:
+        raise ValueError(f"unknown generator {x!r}") from None
+    return apply_adjoint(dk, terms, v)
 
 
 def act_weight_word(spec: WeightModuleSpec, word: Sequence[str],

@@ -299,7 +299,15 @@ GOLDEN_CASES = [
      "family=omega\nb=0\nbeta1=1,1/2\nseed_poly=hb\n"),
     # saved while every word was straightened by bubbling it whole
     ("nf_long.json", "nf", "word=e^2*fb*f^3*hb*h^2*eb^-2*e*f\n"),
+    # saved while the intertwiner search still computed over Fractions; the
+    # one map it finds fails a relaxed component, so the verdict is fail
+    ("intertwine_unverified.json", "intertwine",
+     "a_family=V\na_alpha=2\na_beta=1\na_lambda=2\na_a=1\na_beta1=1/2\n"
+     "b_family=V\nb_alpha=4\nb_beta=1\nb_lambda=-1\nb_a=-1\nb_beta1=-3/2\n"
+     "window=-1:1:1\n"),
 ]
+# the exit status of each golden run: 0 unless listed here
+GOLDEN_EXIT = {"intertwine_unverified.json": 1}
 
 
 @pytest.mark.parametrize("name, suite, config", GOLDEN_CASES,
@@ -311,5 +319,5 @@ def test_golden_report_bytes(capsys, tmp_path, name, suite, config):
         cfg.write_text(config)
         argv += ["--config", str(cfg)]
     code, out = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == GOLDEN_EXIT.get(name, 0)
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from takiffrep.algebra import parse_word_expr
-from takiffrep.functors import (check_twist_iso, ebinv_act,
+from takiffrep.algebra import GENERATORS, parse_word_expr
+from takiffrep.functors import (LinearWindowMap, check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
+from takiffrep.linalg import nullspace
+from takiffrep.poly import random_rational
 from takiffrep.weightmod import (Window, act_weight, make_weight_m,
-                                 make_weight_n, make_weight_v, wv_text,
-                                 wv_unit)
+                                 make_weight_n, make_weight_v,
+                                 random_weight_spec, wv_text, wv_unit)
 
 F = Fraction
 
@@ -224,3 +226,123 @@ def test_linear_window_map_domain_guard():
     tmap = res["maps"][0]
     with pytest.raises(ValueError):
         tmap.apply(wv_unit(5, 1))
+
+
+def intertwiner_oracle(spec_a, spec_b, window):
+    """The search over Fractions: equations from ``act_weight``, and
+    ``verified`` by ``act_weight`` on both specs on every interior probe."""
+    offset2 = spec_a.alpha - spec_b.alpha
+    if offset2.denominator != 1 or int(offset2) % 2 != 0:
+        return {"maps": [], "dimension": 0, "codomain_window": None,
+                "verified": True}
+    delta = int(offset2) // 2
+    cod = Window(window.k_min + delta, window.k_max + delta, window.s_max)
+    outputs = range(1, window.s_max + 1)
+    unknowns = [(k, s_in, s_out) for (k, s_in) in window.indices()
+                for s_out in outputs]
+    probes = []
+    for (k, s) in window.indices():
+        for y in GENERATORS:
+            img = act_weight(spec_a, y, wv_unit(k, s))
+            if all(window.contains(key) for key in img):
+                probes.append((y, k, s, img))
+    equations = {}
+    for idx, (y, k, s_in, img) in enumerate(probes):
+        for s_out in outputs:
+            image = act_weight(spec_b, y, wv_unit(k + delta, s_out))
+            for key, c in image.items():
+                if cod.contains(key):
+                    row = equations.setdefault((idx,) + key, {})
+                    unknown = (k, s_in, s_out)
+                    row[unknown] = row.get(unknown, F(0)) + c
+        for (k2, s2), c in img.items():
+            for s_out in outputs:
+                row = equations.setdefault((idx, k2 + delta, s_out), {})
+                row[(k2, s2, s_out)] = row.get((k2, s2, s_out), F(0)) - c
+    maps = []
+    for sol in nullspace(list(equations.values()), unknowns):
+        columns = {key: {} for key in window.indices()}
+        for (k, s_in, s_out), c in sol.items():
+            columns[(k, s_in)][(k + delta, s_out)] = c
+        maps.append(LinearWindowMap(window, cod, columns))
+    verified = all(
+        act_weight(spec_b, y, m.apply(wv_unit(k, s)))
+        == m.apply(act_weight(spec_a, y, wv_unit(k, s)))
+        for m in maps for (y, k, s, _) in probes)
+    return {"maps": maps, "dimension": len(maps), "codomain_window": cod,
+            "verified": verified}
+
+
+def _partner(rng, spec_a, family_b, delta):
+    """A spec of family_b with alpha_B = alpha_A - 2 delta and the other
+    parameters of spec_a (of its matched M module for V -> M), with ``a``
+    perturbed three times in ten."""
+    alpha = spec_a.alpha - 2 * delta
+    if family_b == "M" and spec_a.family == "V":
+        m = vm_matching_m_spec(spec_a)
+        params = (m.beta, m.lam, m.a, m.b)
+    elif family_b == "M":
+        params = (spec_a.beta, spec_a.lam, spec_a.a, spec_a.b)
+    else:
+        params = (spec_a.beta, spec_a.lam, spec_a.a, spec_a.beta1)
+    if rng.random() < 0.3:
+        params = (params[0], params[1], params[2] + random_rational(rng),
+                  params[3])
+    make = make_weight_m if family_b == "M" else make_weight_v
+    return make(alpha, *params)
+
+
+@pytest.mark.parametrize("window", [Window(-1, 1, 1), Window(-2, 2, 3),
+                                    Window(-4, 4, 4)],
+                         ids=lambda w: w.as_text())
+def test_intertwiner_search_matches_oracle(window):
+    rng = random.Random(601 + window.s_max)
+    pairs = []
+    for family_a, family_b in (("M", "M"), ("N", "M"), ("V", "V"),
+                               ("V", "M")):
+        for delta in (-1, 0, 1):
+            spec_a = random_weight_spec(rng, family_a)
+            pairs.append((spec_a, _partner(rng, spec_a, family_b, delta)))
+    # an odd alpha gap, and the pair whose map fails a relaxed component
+    pairs.append((make_weight_m(0, 1, 1, 3, F(1, 2)),
+                  make_weight_m(1, 1, 1, 3, F(1, 2))))
+    pairs.append((make_weight_v(2, 1, 2, 1, (F(1, 2),)),
+                  make_weight_v(4, 1, -1, -1, (F(-3, 2),))))
+    dimensions = set()
+    for spec_a, spec_b in pairs:
+        got = intertwiner_search(spec_a, spec_b, window)
+        want = intertwiner_oracle(spec_a, spec_b, window)
+        for key in ("dimension", "codomain_window", "verified"):
+            assert got[key] == want[key], (key, spec_a, spec_b)
+        assert [m.columns for m in got["maps"]] == \
+            [m.columns for m in want["maps"]], (spec_a, spec_b)
+        dimensions.add((got["dimension"], got["verified"]))
+    # the pairs reach nonzero spaces and empty ones; on the smallest window
+    # one verification fails
+    assert {d for d, _ in dimensions} >= {0, 1}, dimensions
+    assert any(not ok for _, ok in dimensions) == (window.s_max == 1)
+
+
+def test_intertwiner_search_reports_a_relaxed_failure():
+    # the equations only see components inside the codomain window, and
+    # the one map they admit fails at a component outside it
+    win = Window(-1, 1, 1)
+    a = make_weight_v(2, 1, 2, 1, (F(1, 2),))
+    b = make_weight_v(4, 1, -1, -1, (F(-3, 2),))
+    res = intertwiner_search(a, b, win)
+    assert res["dimension"] == 1
+    assert not res["verified"]
+    (tmap,) = res["maps"]
+    cod = res["codomain_window"]
+    relaxed = set()
+    for (k, s) in win.indices():
+        for y in GENERATORS:
+            img = act_weight(a, y, wv_unit(k, s))
+            if not all(win.contains(key) for key in img):
+                continue
+            lhs = act_weight(b, y, tmap.apply(wv_unit(k, s)))
+            diff = {key: c for key, c in lhs.items()
+                    if c != tmap.apply(img).get(key, 0)}
+            assert all(not cod.contains(key) for key in diff)
+            relaxed |= set(diff)
+    assert relaxed

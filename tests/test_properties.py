@@ -1,10 +1,17 @@
-"""Property tests of the text round trips, driven by Hypothesis.
+"""Property tests of the text round trips and the CLI exit-status
+contract, driven by Hypothesis.
 
 Each parser must read back exactly what the matching ``to_text`` prints,
 for every polynomial and every algebra element, not only for the
-hand-picked examples in test_poly and test_algebra.  Runs are derandomized
-so that the suite gives the same verdict every time.
+hand-picked examples in test_poly and test_algebra.  The CLI must answer
+every config with exit status 0, 1 or 2 and never with a traceback.  Runs
+are derandomized so that the suite gives the same verdict every time.
 """
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from takiffrep.algebra import AlgebraElement, Monomial, parse_word_expr
+from takiffrep.cli import main
 from takiffrep.poly import PolyHH, parse_poly
 
 derandomized = settings(deadline=None, derandomize=True, database=None)
@@ -53,3 +61,50 @@ def test_to_text_of_a_parsed_expression_reads_back(text):
     x = parse_word_expr(text, localized=True)
     assert parse_word_expr(x.to_text(), localized=True) == x
 
+
+# -- the CLI exit-status contract under arbitrary intertwine configs ---------
+
+_rational_texts = st.fractions(min_value=-9, max_value=9,
+                               max_denominator=9).map(str)
+_windows = st.builds(lambda k, width, s: f"{k}:{k + width}:{s}",
+                     st.integers(-3, 1), st.integers(0, 3), st.integers(1, 3))
+_junk = st.one_of(
+    _rational_texts, _windows,
+    st.sampled_from(("", "x", "M", "W", "m", "1/0", "1//2", "--3", "3/-2",
+                     " 7 ", "1.5", "nan", "1,,2", ",", "-:0:1", "0:0",
+                     "1:0:1", "0:0:0")))
+
+
+def _mostly(value):
+    """value three times in four, junk otherwise."""
+    return st.tuples(st.integers(0, 3), value, _junk).map(
+        lambda t: t[1] if t[0] else t[2])
+
+
+_valid = {"family": st.sampled_from(("M", "N", "V")),
+          "alpha": _rational_texts, "beta": _rational_texts,
+          "lambda": _rational_texts, "a": _rational_texts,
+          "b": _rational_texts,
+          "beta1": st.lists(_rational_texts, max_size=4).map(",".join)}
+_intertwine_configs = st.fixed_dictionaries(
+    # the window is always given, small or malformed, so that no example
+    # runs the search on the default window
+    {"window": _mostly(_windows)},
+    optional={**{side + name: _mostly(value)
+                 for side in ("a_", "b_") for name, value in _valid.items()},
+              "expect_dimension": _mostly(st.integers(0, 2).map(str))})
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_intertwine_configs)
+def test_intertwine_config_never_leaks_a_traceback(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["intertwine", "--config", str(path)])
+    assert code in (0, 1, 2), (config, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error" in err.getvalue()

@@ -11,11 +11,13 @@ parents wholesale.
 import random
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
+from takiffrep import weightmod
 from takiffrep.algebra import bracket
-from takiffrep.freemod import GENERATOR_PAIRS
+from takiffrep.freemod import GENERATOR_PAIRS, SHIFT
 from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  act_weight_word, delta_action,
@@ -509,3 +511,61 @@ def test_eval_weightvec_matches_functional_sum():
         want = eval_functional(0, 1, spec.alpha, spec.beta, p) \
             + 3 * eval_functional(1, 2, spec.alpha, spec.beta, p)
         assert eval_weightvec(spec, v, p) == want
+
+
+def adjoint_table_oracle(spec, ops):
+    """The adjoint table by Leibniz through ``shifted_expand``: expanding an
+    operator coefficient c = sum e_ir (h - alpha)^i (hbar - beta)^r gives
+    (dbar^r c)(alpha + 2k, beta) = r! sum_i e_ir (2k)^i.  As
+    {x: (dk, {(m, r): (c0, c1)})}, zero entries dropped."""
+    table = {}
+    for x, terms in ops.items():
+        coeffs = {}
+        for c, m in terms:
+            c = c if isinstance(c, PolyHH) else PolyHH.const(c)
+            for (i, r), e in shifted_expand(c, (spec.alpha, spec.beta)).coeffs.items():
+                pair = coeffs.setdefault((m, r), [F(0), F(0)])
+                pair[i] -= factorial(r) * 2 ** i * e
+        table[x] = (SHIFT[x] // 2, {key: (c0, c1) for key, (c0, c1)
+                                    in coeffs.items() if c0 or c1})
+    return table
+
+
+def _as_oracle_table(table):
+    return {x: (dk, {(m, r): (c0, c1) for m, r, c0, c1 in terms})
+            for x, (dk, terms) in table.items()}
+
+
+def test_adjoint_table_matches_leibniz_oracle():
+    rng = random.Random(409)
+
+    def fractional():
+        return F(rng.randint(-20, 20), 7) + F(1, 2)
+
+    specs = []
+    for _ in range(4):
+        lam = random_rational(rng, nonzero=True)
+        a, b = random_rational(rng), random_rational(rng)
+        beta1 = [random_rational(rng) for _ in range(3)]
+        beta1.append(random_rational(rng, nonzero=True))
+        specs += [make_weight_m(fractional(), fractional(), lam, a, b),
+                  make_weight_n(fractional(), fractional(), lam, a, b),
+                  make_weight_v(fractional(), fractional(), lam, a, beta1)]
+    for spec in specs:
+        want = adjoint_table_oracle(spec, parent_spec(spec).ops)
+        assert _as_oracle_table(spec.adjoint) == want, spec.params()
+
+
+def test_adjoint_table_reads_planted_operator_terms(monkeypatch):
+    h, hbar = PolyHH.h(), PolyHH.hbar()
+    ops = {"e": ((h * hbar * hbar + PolyHH.const(3), 1),
+                 (F(-2, 3), 0), (h.scale(F(1, 2)) - hbar, 0)),
+           "hb": ((hbar * hbar * hbar, 2),)}
+    monkeypatch.setattr(weightmod, "parent_spec",
+                        lambda spec: SimpleNamespace(ops=ops))
+    spec = make_weight_m(F(1, 3), F(-5, 2), 1, 0, 0)
+    assert _as_oracle_table(spec.adjoint) == adjoint_table_oracle(spec, ops)
+    # the reading needs every coefficient linear in h
+    ops["f"] = ((h * h, 0),)
+    with pytest.raises(ValueError, match="degree 2 in h"):
+        make_weight_m(F(1, 3), F(-5, 2), 1, 0, 0).adjoint
