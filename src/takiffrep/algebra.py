@@ -108,9 +108,6 @@ class Monomial(NamedTuple):
         return (f"eb^{self.n}*fb^{self.a}*f^{self.b}"
                 f"*hb^{self.c}*h^{self.d}*e^{self.g}")
 
-    def is_localized(self) -> bool:
-        return self.n < 0
-
 
 ONE_MONO = Monomial(0, 0, 0, 0, 0, 0)
 

@@ -207,8 +207,8 @@ def _suite_verify_weight(cfg, args, rng, window):
     families = [f.strip() for f in cfg.get("families", "M,N,V").split(",")]
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "3", int)
-    # trials is echoed only (verify_axioms samples nothing); it is
-    # validated for compatibility, so trials < 1 still exits 2
+    # trials is the sample count of dual_consistency: below 1 it would
+    # check nothing
     if trials < 1:
         raise ValueError("config key 'trials': must be at least 1")
     if n_specs < 1:

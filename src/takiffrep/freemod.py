@@ -33,6 +33,19 @@ link the compatibility residual (``e34_residual``) vanishes identically and
              - (1/lambda) (hbar - b) dbar(g(h+2, hbar))
     eb . g =  (lambda/2) (hbar + b) g(h-2, hbar)
     fb . g = -(1/(2 lambda)) (hbar - b) g(h+2, hbar)
+
+The 15 bracket axioms are proved on the dual side.  ``adjoint_table``
+dualizes an operator table onto the functionals
+
+    eta_{k,s}(q) = dbar^(s-1) q at (alpha + 2k, beta),   k in Z, s >= 1,
+
+and ``prove_brackets`` composes the dual tables with k and s kept
+symbolic.  An identity holds for the operators exactly when it holds on
+every eta_{k,s}, because these functionals separate C[h, hbar]: at
+alpha = beta = 0, if dbar^j q(h, 0) is zero at every even integer h it is
+the zero polynomial, for every j, hence q = 0.  ``verify_axioms`` proves
+the free families this way, and the dual weight families of ``weightmod``
+use the same two functions at their own (alpha, beta).
 """
 
 from __future__ import annotations
@@ -40,8 +53,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -268,71 +281,166 @@ def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:
     return q
 
 
-# one operator as its coefficient table: (d, m) -> c, meaning c * T^d dbar^m
-# with T^d g(h, hbar) = g(h + d, hbar); absent keys have coefficient zero
-Operator = Dict[Tuple[int, int], PolyHH]
+# -- the bracket axioms, proved on the dual basis -------------------------------
+
+# one generator's action on eta_{k,s}: (dk, terms), each term (m, r, c0, c1)
+# meaning (c0 + c1*k) * C(s-1, r) * eta_{k+dk, s-r+m}, present when r < s;
+# degree 1 in k suffices, every operator-table coefficient being linear in h
+AdjointTable = Dict[str, Tuple[int, Tuple[Tuple[int, int, Fraction, RationalLike], ...]]]
 
 
-def _add_term(op: Operator, key: Tuple[int, int], c: PolyHH) -> None:
-    total = op[key] + c if key in op else c
-    if total.is_zero():
-        op.pop(key, None)
-    else:
-        op[key] = total
+def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable:
+    """Dualize an operator table onto the functionals eta_{k,s} by Leibniz.
 
+    eta_{k,s}(p) is dbar^(s-1) p at (alpha_k, beta), alpha_k = alpha + 2k,
+    and x.eta = -eta o x, so a term c * dbar^m g(h + d, hbar) gives
 
-def _operator(spec: FreeModuleSpec, x: str) -> Operator:
-    op: Operator = {}
-    for c, m in spec.ops[x]:
-        _add_term(op, (SHIFT[x], m),
-                  c if isinstance(c, PolyHH) else PolyHH.const(c))
-    return op
+        x.eta_{k,s} = -sum_r C(s-1, r) (dbar^r c)(alpha_k, beta)
+                                          eta_{k+d/2, s-r+m}.
 
-
-def _compose(ops: Dict[str, Operator], x: str, y: str,
-             shifted: Dict[tuple, PolyHH]) -> Operator:
-    """The table of x o y, term by term.
-
-    T^d1 dbar^m1 (c T^d2 dbar^m2 g) = c(h+d1) T^(d1+d2) dbar^(m1+m2) g,
-    plus the Leibniz term (dbar c)(h+d1) T^(d1+d2) dbar^m2 g when m1 = 1.
-    ``shifted`` keeps each (dbar^n c)(h+d1) under (y, key, d1, n), so a
-    coefficient is shifted once however many pairs use it.
+    Every coefficient is linear in h, c = sum_j (u_j + v_j h) hbar^j, so
+    (dbar^r c)(alpha + 2k, beta) is read off its terms:
+    sum_{j>=r} j!/(j-r)! beta^(j-r) (u_j + v_j alpha_k).  It is stored with
+    the sign as c0 + c1*k and summed over the terms that share (m, r); c1
+    is the int 0 when the term is constant in k, which keeps the table
+    small.  A coefficient of higher degree in h raises ValueError.
     """
-    out: Operator = {}
-    for (d1, m1), c1 in ops[x].items():
-        for key, c2 in ops[y].items():
-            d2, m2 = key
-            for n in range(m1 + 1):
-                k = (y, key, d1, n)
-                if k not in shifted:
-                    shifted[k] = (c2.dbar() if n else c2).shift_h(d1)
-                _add_term(out, (d1 + d2, m1 - n + m2), c1 * shifted[k])
+    table = {}
+    for x, terms in ops.items():
+        coeffs: Dict[Tuple[int, int], List[Fraction]] = {}
+        for c, m in terms:
+            for (i, j), e in (c.terms() if isinstance(c, PolyHH)
+                              else [((0, 0), c)]):
+                if i > 1:
+                    raise ValueError(f"operator coefficient of {x} has degree "
+                                     f"{i} in h; the adjoint table reads "
+                                     "coefficients linear in h")
+                for r in range(j + 1):
+                    t = e * (factorial(j) // factorial(j - r)) * beta ** (j - r)
+                    pair = coeffs.setdefault((m, r), [Fraction(0), Fraction(0)])
+                    if i:
+                        pair[0] -= t * alpha
+                        pair[1] -= 2 * t
+                    else:
+                        pair[0] -= t
+        table[x] = (SHIFT[x] // 2, tuple((m, r, c0, c1 or 0)
+                                         for (m, r), (c0, c1) in coeffs.items()
+                                         if c0 or c1))
+    return table
+
+
+# a polynomial in (k, s) as {(i, j): c}, meaning sum c * k^i * s^j
+KSPoly = Dict[Tuple[int, int], RationalLike]
+# an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
+# sum P(k, s) * eta_{k+dk, s+ds}
+KSTable = Dict[Tuple[int, int], KSPoly]
+
+
+@lru_cache(maxsize=None)
+def _binomial_in_s(r: int) -> Tuple[Fraction, ...]:
+    """The coefficients of C(s-1, r) = (s-1)...(s-r)/r! in s, lowest first."""
+    coeffs = [Fraction(1, factorial(r))]
+    for t in range(1, r + 1):
+        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+def _ks_table(dk: int, terms) -> KSTable:
+    """One generator's adjoint terms, grouped by (dk, m - r)."""
+    table: KSTable = {}
+    for m, r, c0, c1 in terms:
+        p = table.setdefault((dk, m - r), {})
+        for j, b in enumerate(_binomial_in_s(r)):
+            for i, c in enumerate((c0, c1)):
+                if c:
+                    p[(i, j)] = p.get((i, j), 0) + c * b
+    return table
+
+
+def _ks_shift(p: KSPoly, dk: int, ds: int) -> KSPoly:
+    """p(k + dk, s + ds)."""
+    out: KSPoly = {}
+    for (i, j), c in p.items():
+        for a in range(i + 1):
+            for b in range(j + 1):
+                n = comb(i, a) * comb(j, b) * dk ** (i - a) * ds ** (j - b)
+                if n:
+                    out[(a, b)] = out.get((a, b), 0) + n * c
     return out
+
+
+def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str, y: str,
+                     sign: int, shifted: Dict[tuple, KSPoly]) -> None:
+    """Add sign * (x o y) to ``out``.
+
+    y sends eta_{k,s} to P_y(k, s) eta_{k+dk, s+ds}, and x sends that on
+    with P_x(k + dk, s + ds).  ``shifted`` keeps each shifted P_x under
+    (x, its key, dk, ds), so it is shifted once however many pairs use it.
+    """
+    for (dk, ds), py in tables[y].items():
+        py = {key: sign * c for key, c in py.items()}
+        for (ek, es), px in tables[x].items():
+            key = (x, ek, es, dk, ds)
+            if key not in shifted:
+                shifted[key] = _ks_shift(px, dk, ds)
+            acc = out.setdefault((ek + dk, es + ds), {})
+            for (i, j), a in py.items():
+                for (u, v), b in shifted[key].items():
+                    acc[(i + u, j + v)] = acc.get((i + u, j + v), 0) + a * b
+
+
+def prove_brackets(adjoint: AdjointTable) -> List[dict]:
+    """Prove or refute [x,y].v == x.(y.v) - y.(x.v) for every eta_{k,s}.
+
+    Each generator is read off ``adjoint`` as a table (dk, ds) -> P(k, s),
+    P = sum (c0 + c1*k) C(s-1, r) over its terms with m - r = ds.  The
+    binomial vanishes at s = 1..r, where the term is absent, so P(k, s) is
+    the true coefficient at every k in Z and s >= 1, and so is each
+    coefficient of the composed table x o y - y o x - [x,y].  Z x Z_{>=1}
+    is Zariski-dense, so a pair passes exactly when that table is empty.
+    Returns one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``.
+    """
+    tables = {x: _ks_table(*adjoint[x]) for x in GENERATORS}
+    # times a common denominator d every table is integral, and d^2 times
+    # the residual reads X o Y - Y o X - d [x,y] on the integer tables
+    d = lcm(*(c.denominator for t in tables.values() for p in t.values()
+              for c in p.values()))
+    tables = {x: {key: {e: int(c * d) for e, c in p.items()}
+                  for key, p in t.items()}
+              for x, t in tables.items()}
+    shifted: Dict[tuple, KSPoly] = {}
+    pairs = []
+    for x, y in GENERATOR_PAIRS:
+        residual: KSTable = {}
+        _ks_compose_into(residual, tables, x, y, 1, shifted)
+        _ks_compose_into(residual, tables, y, x, -1, shifted)
+        for mono, coeff in bracket(x, y).terms():
+            (z,) = mono.to_word()
+            for key, p in tables[z].items():
+                acc = residual.setdefault(key, {})
+                for e, c in p.items():
+                    acc[e] = acc.get(e, 0) - d * coeff * c
+        ok = not any(any(p.values()) for p in residual.values())
+        pairs.append({"x": x, "y": y, "pass": ok})
+    return pairs
 
 
 def verify_axioms(spec: FreeModuleSpec, trials: int = 20, seed: int = 0) -> dict:
     """Prove or refute [x,y].g == x.(y.g) - y.(x.g) for all polynomials g.
 
-    For each of the 15 generator pairs the coefficient table of the
-    operator x o y - y o x - [x,y] is computed exactly from the operator
-    tables; the pair passes when the table is empty.  This is a proof for
-    every polynomial at once: the operators T^d dbar^m with distinct
-    (d, m) are linearly independent over C[h, hbar], so an operator is
-    zero exactly when all its coefficients are.  ``trials`` and ``seed``
-    are echoed in the report only; nothing is sampled.
+    The pairs are proved on the dual side: ``spec.ops`` is dualized onto
+    the functionals eta_{k,s}(q) = dbar^(s-1) q at (2k, 0) and
+    ``prove_brackets`` decides each pair for every (k, s) at once.  That
+    is a proof for every polynomial: x.(y.eta) = eta o (y o x), so the
+    dual identity says eta(R g) = 0 for R = x o y - y o x - [x,y], every
+    g and every eta.  These functionals separate C[h, hbar]: if
+    dbar^j q(h, 0) vanishes at every even integer h it is zero, for every
+    j, so q = 0.  Hence R g = 0.  At beta = 0 only the r = j term of each
+    coefficient survives, so these adjoint tables are the smallest.
+    ``trials`` and ``seed`` are echoed in the report only; nothing is
+    sampled.
     """
-    ops = {x: _operator(spec, x) for x in GENERATORS}
-    shifted: Dict[tuple, PolyHH] = {}
-    pairs = []
-    for x, y in GENERATOR_PAIRS:
-        residual = _compose(ops, x, y, shifted)
-        for key, c in _compose(ops, y, x, shifted).items():
-            _add_term(residual, key, -c)
-        for mono, coeff in bracket(x, y).terms():
-            (z,) = mono.to_word()
-            for key, c in ops[z].items():
-                _add_term(residual, key, c.scale(-coeff))
-        pairs.append({"x": x, "y": y, "pass": not residual})
+    pairs = prove_brackets(adjoint_table(spec.ops, Fraction(0), Fraction(0)))
     return {"family": spec.family, "params": spec.params(), "pairs": pairs,
             "seed": seed, "trials": trials,
             "ok": all(p["pass"] for p in pairs)}

@@ -138,9 +138,6 @@ class PolyHH:
             return NEG_INF
         return max(j for (_, j) in self._c)
 
-    def bidegree(self):
-        return (self.deg_h(), self.deg_hbar())
-
     def within_bidegree(self, cap_h: int, cap_hbar: int) -> bool:
         """True when every stored exponent pair fits under (cap_h, cap_hbar)."""
         return all(i <= cap_h and j <= cap_hbar for (i, j) in self._c)

@@ -15,13 +15,15 @@ V(alpha, beta, lam, a, beta1) with Omega(lam, b := a, beta1) -- the scalar
 called `a` on the V side occupies the parent Omega's `b` slot, and alpha1
 is derived from beta1 by the same triangular linkage.
 
-No family has action formulas of its own: each is the adjoint of its
-parent's operator table (``FreeModuleSpec.ops``), dualized term by term
-into ``WeightModuleSpec.adjoint``.  So N, whose parent Theta is Gamma
-transported by the Chevalley involution, is M transported the same way.
-Each image is a finite vector computed exactly on the infinite basis (no
-truncation), so bracket identities hold on the nose and windows only
-scope searches and reports.
+No family has action formulas of its own: ``WeightModuleSpec.adjoint``
+is ``freemod.adjoint_table`` applied to the parent's operator table
+(``FreeModuleSpec.ops``) at the spec's (alpha, beta).  So N, whose parent
+Theta is Gamma transported by the Chevalley involution, is M transported
+the same way.  Each image is a finite vector computed exactly on the
+infinite basis (no truncation).  The bracket identities are proved by
+``freemod.prove_brackets``, the prover of the free axioms, on the same
+tables, so they hold for every eta_{k,s}; windows only scope searches and
+reports.
 """
 
 from __future__ import annotations
@@ -29,23 +31,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from functools import cached_property
+from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import GENERATORS, bracket
-from .freemod import (CHEVALLEY, SHIFT, FreeModuleSpec, GENERATOR_PAIRS,
-                      alpha_from_beta, make_gamma, make_omega, make_theta_mod)
+from .algebra import GENERATORS
+from .freemod import (CHEVALLEY, AdjointTable, FreeModuleSpec,
+                      adjoint_table, alpha_from_beta, make_gamma, make_omega,
+                      make_theta_mod, prove_brackets)
 from .freemod import act as act_free
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
 from .poly import PolyHH, RationalLike, poly1_eval, random_poly, to_rational
 
 WeightVec = Dict[Tuple[int, int], Fraction]
-
-# one generator's action on eta_{k,s}: (dk, terms), each term (m, r, c0, c1)
-# meaning (c0 + c1*k) * C(s-1, r) * eta_{k+dk, s-r+m}, present when r < s;
-# degree 1 in k suffices, every operator-table coefficient being linear in h
-AdjointTable = Dict[str, Tuple[int, Tuple[Tuple[int, int, Fraction, RationalLike], ...]]]
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class WeightModuleSpec:
     @cached_property
     def adjoint(self) -> AdjointTable:
         """The action of every generator on eta_{k,s}, built once per spec."""
-        return _adjoint_table(self)
+        return adjoint_table(parent_spec(self).ops, self.alpha, self.beta)
 
     @property
     def mirror(self) -> "WeightModuleSpec":
@@ -169,48 +167,6 @@ def eval_weightvec(spec: WeightModuleSpec, v: WeightVec, p: PolyHH) -> Fraction:
 
 
 # -- generator actions ---------------------------------------------------------
-
-def _adjoint_table(spec: WeightModuleSpec) -> AdjointTable:
-    """Dualize the parent's operator table by Leibniz.
-
-    eta_{k,s}(p) is dbar^(s-1) p at (alpha_k, beta), so a parent term
-    c * dbar^m g(h + d, hbar) gives
-
-        x.eta_{k,s} = -sum_r C(s-1, r) (dbar^r c)(alpha_k, beta)
-                                          eta_{k+d/2, s-r+m}.
-
-    Every coefficient is linear in h, c = sum_j (u_j + v_j h) hbar^j, so
-    (dbar^r c)(alpha + 2k, beta) is read off its terms, as in
-    ``eval_functional``: sum_{j>=r} j!/(j-r)! beta^(j-r) (u_j + v_j alpha_k).
-    It is stored with the sign as c0 + c1*k and summed over the terms that
-    share (m, r); c1 is the int 0 when the term is constant in k, which
-    keeps the table small.  A coefficient of higher degree in h raises
-    ValueError.
-    """
-    alpha, beta = spec.alpha, spec.beta
-    table = {}
-    for x, terms in parent_spec(spec).ops.items():
-        coeffs: Dict[Tuple[int, int], List[Fraction]] = {}
-        for c, m in terms:
-            for (i, j), e in (c.terms() if isinstance(c, PolyHH)
-                              else [((0, 0), c)]):
-                if i > 1:
-                    raise ValueError(f"operator coefficient of {x} has degree "
-                                     f"{i} in h; the adjoint table reads "
-                                     "coefficients linear in h")
-                for r in range(j + 1):
-                    t = e * (factorial(j) // factorial(j - r)) * beta ** (j - r)
-                    pair = coeffs.setdefault((m, r), [Fraction(0), Fraction(0)])
-                    if i:
-                        pair[0] -= t * alpha
-                        pair[1] -= 2 * t
-                    else:
-                        pair[0] -= t
-        table[x] = (SHIFT[x] // 2, tuple((m, r, c0, c1 or 0)
-                                         for (m, r), (c0, c1) in coeffs.items()
-                                         if c0 or c1))
-    return table
-
 
 def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
                                                 RationalLike]],
@@ -308,101 +264,14 @@ def dual_consistency(spec: WeightModuleSpec, window: Window = DEFAULT_WINDOW,
             "failures": failures, "ok": not failures}
 
 
-# a polynomial in (k, s) as {(i, j): c}, meaning sum c * k^i * s^j
-KSPoly = Dict[Tuple[int, int], RationalLike]
-# an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
-# sum P(k, s) * eta_{k+dk, s+ds}
-KSTable = Dict[Tuple[int, int], KSPoly]
-
-
-@lru_cache(maxsize=None)
-def _binomial_in_s(r: int) -> Tuple[Fraction, ...]:
-    """The coefficients of C(s-1, r) = (s-1)...(s-r)/r! in s, lowest first."""
-    coeffs = [Fraction(1, factorial(r))]
-    for t in range(1, r + 1):
-        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return tuple(coeffs)
-
-
-def _ks_table(spec: WeightModuleSpec, x: str) -> KSTable:
-    """The adjoint terms of x, grouped by (dk, m - r)."""
-    dk, terms = spec.adjoint[x]
-    table: KSTable = {}
-    for m, r, c0, c1 in terms:
-        p = table.setdefault((dk, m - r), {})
-        for j, b in enumerate(_binomial_in_s(r)):
-            for i, c in enumerate((c0, c1)):
-                if c:
-                    p[(i, j)] = p.get((i, j), 0) + c * b
-    return table
-
-
-def _ks_shift(p: KSPoly, dk: int, ds: int) -> KSPoly:
-    """p(k + dk, s + ds)."""
-    out: KSPoly = {}
-    for (i, j), c in p.items():
-        for a in range(i + 1):
-            for b in range(j + 1):
-                n = comb(i, a) * comb(j, b) * dk ** (i - a) * ds ** (j - b)
-                if n:
-                    out[(a, b)] = out.get((a, b), 0) + n * c
-    return out
-
-
-def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str, y: str,
-                     sign: int, shifted: Dict[tuple, KSPoly]) -> None:
-    """Add sign * (x o y) to ``out``.
-
-    y sends eta_{k,s} to P_y(k, s) eta_{k+dk, s+ds}, and x sends that on
-    with P_x(k + dk, s + ds).  ``shifted`` keeps each shifted P_x under
-    (x, its key, dk, ds), so it is shifted once however many pairs use it.
-    """
-    for (dk, ds), py in tables[y].items():
-        py = {key: sign * c for key, c in py.items()}
-        for (ek, es), px in tables[x].items():
-            key = (x, ek, es, dk, ds)
-            if key not in shifted:
-                shifted[key] = _ks_shift(px, dk, ds)
-            acc = out.setdefault((ek + dk, es + ds), {})
-            for (i, j), a in py.items():
-                for (u, v), b in shifted[key].items():
-                    acc[(i + u, j + v)] = acc.get((i + u, j + v), 0) + a * b
-
-
 def weight_bracket_report(spec: WeightModuleSpec,
                           window: Window = DEFAULT_WINDOW) -> dict:
     """Prove or refute [x,y].v == x.(y.v) - y.(x.v) for every eta_{k,s}.
 
-    Each generator is read off ``spec.adjoint`` as a table (dk, ds) ->
-    P(k, s), P = sum (c0 + c1*k) C(s-1, r) over its terms with m - r = ds.
-    The binomial vanishes at s = 1..r, where ``act_weight`` skips the
-    term, so P(k, s) is the true coefficient at every k in Z and s >= 1,
-    and so is each coefficient of the composed table x o y - y o x - [x,y].
-    Z x Z_{>=1} is Zariski-dense, so a pair passes exactly when that
-    table is empty: proved for every (k, s); ``window`` is echoed only.
+    ``freemod.prove_brackets`` composes the tables of ``spec.adjoint`` and
+    decides each pair for every (k, s) at once; ``window`` is echoed only.
     """
-    tables = {x: _ks_table(spec, x) for x in GENERATORS}
-    # times a common denominator d every table is integral, and d^2 times
-    # the residual reads X o Y - Y o X - d [x,y] on the integer tables
-    d = lcm(*(c.denominator for t in tables.values() for p in t.values()
-              for c in p.values()))
-    tables = {x: {key: {e: int(c * d) for e, c in p.items()}
-                  for key, p in t.items()}
-              for x, t in tables.items()}
-    shifted: Dict[tuple, KSPoly] = {}
-    pairs = []
-    for x, y in GENERATOR_PAIRS:
-        residual: KSTable = {}
-        _ks_compose_into(residual, tables, x, y, 1, shifted)
-        _ks_compose_into(residual, tables, y, x, -1, shifted)
-        for mono, coeff in bracket(x, y).terms():
-            (z,) = mono.to_word()
-            for key, p in tables[z].items():
-                acc = residual.setdefault(key, {})
-                for e, c in p.items():
-                    acc[e] = acc.get(e, 0) - d * coeff * c
-        ok = not any(any(p.values()) for p in residual.values())
-        pairs.append({"x": x, "y": y, "pass": ok})
+    pairs = prove_brackets(spec.adjoint)
     return {"family": spec.family, "params": spec.params(),
             "window": window.as_text(), "pairs": pairs,
             "ok": all(p["pass"] for p in pairs)}

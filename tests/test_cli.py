@@ -283,6 +283,9 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = [
     ("verify_free_theta.json", "verify-free",
      "families=theta\ntrials=5\nspecs=4\n"),
+    # saved while verify_axioms still composed (d, m) -> PolyHH tables
+    ("verify_free_gamma_omega.json", "verify-free",
+     "families=gamma,omega\nspecs=3\ntrials=5\n"),
     ("saturate_theta.json", "saturate", "family=theta\ncap=5,5\n"),
     ("singular_n.json", "singular", "family=N\n"),
     ("intertwine_default.json", "intertwine", None),

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from takiffrep.algebra import GENERATORS, bracket
-from takiffrep.freemod import (GENERATOR_PAIRS, _int_ops, _int_products,
-                               act, act_word,
+from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _int_ops,
+                               _int_products, act, act_word,
                                alpha_from_beta, e34_residual,
                                iso_invariants_free, make_gamma, make_omega,
                                make_theta_mod, omega_layer_action,
@@ -180,7 +180,9 @@ def probe_flags(spec, trials=4, seed=0):
             for x, y in GENERATOR_PAIRS]
 
 
-def test_verify_axioms_agrees_with_probe_oracle():
+def probe_cases():
+    """Seeded specs of every family, and omegas whose alpha1 is perturbed
+    off the linkage, so that some pairs fail."""
     rng = random.Random(309)
     specs = [random_free_spec(rng, family)
              for family in ("gamma", "theta", "omega") for _ in range(2)]
@@ -190,14 +192,76 @@ def test_verify_axioms_agrees_with_probe_oracle():
         alpha1 = ((spec.alpha1[0] + random_rational(rng, nonzero=True),)
                   + spec.alpha1[1:])
         perturbed.append(make_omega(spec.lam, spec.b, spec.beta1, alpha1))
+    return specs, perturbed
+
+
+def test_verify_axioms_agrees_with_probe_oracle():
+    specs, perturbed = probe_cases()
     for spec in specs + perturbed:
         flags = [p["pass"] for p in verify_axioms(spec)["pairs"]]
         assert flags == probe_flags(spec), spec
         assert all(flags) == (spec in specs), spec
 
 
+def operator_table_oracle(spec):
+    """Per-pair verdicts of x o y - y o x == [x,y] as operators on C[h, hbar].
+
+    Each generator becomes a table (d, m) -> c, meaning c * T^d dbar^m with
+    T^d g(h, hbar) = g(h + d, hbar), and tables are composed term by term:
+
+        T^d1 dbar^m1 (c T^d2 dbar^m2 g) = c(h+d1) T^(d1+d2) dbar^(m1+m2) g
+                                   + (dbar c)(h+d1) T^(d1+d2) dbar^m2 g
+
+    with the second term only when m1 = 1.  The operators T^d dbar^m are
+    linearly independent over C[h, hbar], so a pair holds exactly when its
+    residual table is empty.  This composes polynomial coefficients and
+    never dualizes, so it is independent of how verify_axioms reaches its
+    verdict.
+    """
+    def add(op, key, c):
+        total = op[key] + c if key in op else c
+        if total.is_zero():
+            op.pop(key, None)
+        else:
+            op[key] = total
+
+    ops = {x: {} for x in GENERATORS}
+    for x in GENERATORS:
+        for c, m in spec.ops[x]:
+            add(ops[x], (SHIFT[x], m),
+                c if isinstance(c, PolyHH) else PolyHH.const(c))
+
+    def compose(x, y):
+        out = {}
+        for (d1, m1), c1 in ops[x].items():
+            for (d2, m2), c2 in ops[y].items():
+                for n in range(m1 + 1):
+                    c = (c2.dbar() if n else c2).shift_h(d1)
+                    add(out, (d1 + d2, m1 - n + m2), c1 * c)
+        return out
+
+    flags = []
+    for x, y in GENERATOR_PAIRS:
+        residual = compose(x, y)
+        for key, c in compose(y, x).items():
+            add(residual, key, -c)
+        for mono, coeff in bracket(x, y).terms():
+            (z,) = mono.to_word()
+            for key, c in ops[z].items():
+                add(residual, key, c.scale(-coeff))
+        flags.append(not residual)
+    return flags
+
+
+def test_verify_axioms_agrees_with_operator_table_oracle():
+    specs, perturbed = probe_cases()
+    for spec in specs + perturbed:
+        flags = [p["pass"] for p in verify_axioms(spec)["pairs"]]
+        assert flags == operator_table_oracle(spec), spec
+
+
 @pytest.mark.parametrize("family", ["gamma", "theta", "omega"])
-@pytest.mark.parametrize("x", ["e", "f", "fb"])
+@pytest.mark.parametrize("x", list(GENERATORS))
 def test_verify_axioms_detects_planted_fault(family, x):
     spec = random_free_spec(random.Random(310), family)
     (c, m), *rest = spec.ops[x]
@@ -205,7 +269,15 @@ def test_verify_axioms_detects_planted_fault(family, x):
     spec.__dict__["ops"] = {**spec.ops, x: ((c * 2, m), *rest)}
     report = verify_axioms(spec)
     assert not report["ok"]
-    assert [p["pass"] for p in report["pairs"]] == probe_flags(spec)
+    flags = [p["pass"] for p in report["pairs"]]
+    assert flags == probe_flags(spec) == operator_table_oracle(spec)
+
+
+def test_verify_axioms_rejects_coefficients_quadratic_in_h():
+    spec = make_gamma(1, 0, 0)
+    spec.__dict__["ops"] = {**spec.ops, "f": ((H * H, 0),)}
+    with pytest.raises(ValueError, match="degree 2 in h"):
+        verify_axioms(spec)
 
 
 def test_act_word_matches_composition():

@@ -3,8 +3,10 @@ contract, driven by Hypothesis.
 
 Each parser must read back exactly what the matching ``to_text`` prints,
 for every polynomial and every algebra element, not only for the
-hand-picked examples in test_poly and test_algebra.  The CLI must answer
-every config with exit status 0, 1 or 2 and never with a traceback.  Runs
+hand-picked examples in test_poly and test_algebra.  A config file must
+read as KEY=VALUE pairs or be refused with ValueError, and the CLI must
+answer every config with exit status 0, 1 or 2 and never with a
+traceback.  Runs
 are derandomized so that the suite gives the same verdict every time.
 """
 
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from takiffrep.algebra import AlgebraElement, Monomial, parse_word_expr
 from takiffrep.cli import main
 from takiffrep.poly import PolyHH, parse_poly
+from takiffrep.report import load_config
 
 derandomized = settings(deadline=None, derandomize=True, database=None)
 
@@ -62,7 +65,41 @@ def test_to_text_of_a_parsed_expression_reads_back(text):
     assert parse_word_expr(x.to_text(), localized=True) == x
 
 
-# -- the CLI exit-status contract under arbitrary intertwine configs ---------
+# -- config files ------------------------------------------------------------
+
+def _load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "text.cfg"
+        path.write_text(text, encoding="utf-8")
+        return load_config(str(path))
+
+
+@derandomized
+@given(st.text())
+def test_load_config_reads_any_text_or_refuses_it(text):
+    try:
+        cfg = _load_text(text)
+    except ValueError:
+        return
+    assert isinstance(cfg, dict)
+    assert all(isinstance(k, str) and isinstance(v, str)
+               for k, v in cfg.items())
+
+
+# keys and values without '#', '=' or line breaks, and without the
+# surrounding blanks that load_config strips
+_plain = st.text(st.characters(exclude_characters="#=\n\r",
+                               exclude_categories=("Cs",))).map(str.strip)
+
+
+@derandomized
+@given(st.dictionaries(_plain, _plain, max_size=6))
+def test_load_config_round_trips_key_value_lines(cfg):
+    text = "".join(f"{k}={v}\n" for k, v in cfg.items())
+    assert _load_text(text) == cfg
+
+
+# -- the CLI exit-status contract under arbitrary configs ---------------------
 
 _rational_texts = st.fractions(min_value=-9, max_value=9,
                                max_denominator=9).map(str)
@@ -104,6 +141,36 @@ def test_intertwine_config_never_leaks_a_traceback(config):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["intertwine", "--config", str(path)])
+    assert code in (0, 1, 2), (config, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error" in err.getvalue()
+
+
+_free_families = st.lists(st.sampled_from(("gamma", "theta", "omega", "M",
+                                           "")), min_size=1, max_size=3)
+_short_lists = st.lists(_rational_texts, max_size=2).map(",".join)
+_verify_free_configs = st.fixed_dictionaries(
+    {}, optional={"families": _mostly(_free_families.map(",".join)),
+                  "trials": _mostly(st.integers(-1, 3).map(str)),
+                  # specs stays small so that no example checks many specs
+                  "specs": _mostly(st.integers(-1, 3).map(str)),
+                  "lambda": _mostly(_short_lists),
+                  "a": _mostly(_short_lists),
+                  "b": _mostly(_short_lists),
+                  "beta1": _mostly(st.lists(_rational_texts,
+                                            max_size=3).map(",".join))})
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_verify_free_configs)
+def test_verify_free_config_never_leaks_a_traceback(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify-free", "--config", str(path)])
     assert code in (0, 1, 2), (config, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
