@@ -32,7 +32,8 @@ from . import freemod, functors, weightmod
 from .algebra import normal_form, check_theta_automorphism, parse_word_expr, theta
 from .poly import PolyHH, parse_poly
 from .report import (config_value, emit, load_config, make_report,
-                     parse_int_pair, parse_rational_list, parse_window)
+                     parse_bool, parse_int_pair, parse_rational_list,
+                     parse_window)
 from .scan import (SCAN_CSV_COLUMNS, builtin_scan_grid, criterion_agrees,
                    run_scan)
 from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
@@ -161,6 +162,8 @@ def _suite_saturate(cfg, args, rng, window):
     seed_text = args.words[0] if args.words else cfg.get("seed_poly", "h")
     seed_poly = parse_poly(seed_text)
     cap = config_value(cfg, "cap", "8,8", parse_int_pair)
+    expected = (config_value(cfg, "expect_one", None, parse_bool)
+                if "expect_one" in cfg else None)
     result = freemod.submodule_saturate(spec, seed_poly, cap=cap)
     case = {"family": spec.family, "params": spec.params(),
             "seed_poly": seed_poly.to_text(), "cap": list(cap),
@@ -168,11 +171,10 @@ def _suite_saturate(cfg, args, rng, window):
             "contains_one": result.contains_one,
             "saturated": result.saturated,
             "basis": [p.to_text() for p in result.basis]}
-    expected = cfg.get("expect_one")
     ok = True
     if expected is not None:
-        ok = result.contains_one == (expected.lower() == "true")
-        case["expected_contains_one"] = expected.lower() == "true"
+        ok = result.contains_one == expected
+        case["expected_contains_one"] = expected
     return [case], ok, None
 
 

@@ -8,7 +8,10 @@ stored once, as a table of terms (c, m) with c a polynomial:
     x . g = sum over (c, m) of  c * dbar^m (g(h + SHIFT[x], hbar)),  m <= 1
 
 with SHIFT = -2 for e and eb, +2 for f and fb, 0 for h and hbar (gamma
-denotes the module element, a polynomial; substitutions are exact).
+denotes the module element, a polynomial; substitutions are exact).  There
+is one polynomial type, ``PolyHH``, and one action kernel, the sum above:
+``act`` runs it on the rational table, and ``submodule_saturate`` on the
+table's integer multiple, where every coefficient stays an exact int.
 
 Gamma(lambda, a, b), lambda != 0:
 
@@ -55,7 +58,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
 from .linalg import RowBasis, vec_primitive
@@ -77,10 +80,9 @@ CHEVALLEY: Dict[str, Tuple[str, int]] = {
     "e": ("f", 1), "f": ("e", 1), "eb": ("fb", 1), "fb": ("eb", 1),
     "h": ("h", -1), "hb": ("hb", -1)}
 
-# one generator's operator: terms (c, m) meaning c * dbar^m; m is 0 or 1,
-# every action being first order in dbar; c is a PolyHH, or a Fraction
-# when constant (multiplied by scaling)
-OpTable = Dict[str, Tuple[Tuple[Union[PolyHH, Fraction], int], ...]]
+# one generator's operator: terms (c, m) meaning c * dbar^m, c a PolyHH;
+# m is 0 or 1, every action being first order in dbar
+OpTable = Dict[str, Tuple[Tuple[PolyHH, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -189,10 +191,8 @@ def make_omega(lam: RationalLike, b: RationalLike,
 
 # -- actions -------------------------------------------------------------------
 
-def _reflect(c):
-    """sigma(c)(h, hbar) = c(-h, -hbar); constants are fixed."""
-    if not isinstance(c, PolyHH):
-        return c
+def _reflect(c: PolyHH) -> PolyHH:
+    """sigma(c)(h, hbar) = c(-h, -hbar)."""
     return PolyHH({(i, j): v if (i + j) % 2 == 0 else -v
                    for (i, j), v in c.terms()})
 
@@ -206,8 +206,8 @@ def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
     quad = PolyHH({(0, 2): 1, (0, 0): a})  # hbar^2 + a
     lead = PolyHH({(1, 1): 1, (0, 1): 2, (0, 0): b})  # (h + 2) hbar + b
     return {**_cartan_ops(),
-            "e": ((-2 * lam, 1),),
-            "eb": ((lam, 0),),
+            "e": ((PolyHH.const(-2 * lam), 1),),
+            "eb": ((PolyHH.const(lam), 0),),
             "fb": ((quad.scale(Fraction(-1, 4) / lam), 0),),
             "f": ((lead.scale(Fraction(-1, 2) / lam), 0),
                   (quad.scale(Fraction(-1, 2) / lam), 1))}
@@ -242,6 +242,15 @@ def _omega_ops(spec: FreeModuleSpec) -> OpTable:
 _OP_TABLES = {"gamma": _gamma_ops, "theta": _theta_ops, "omega": _omega_ops}
 
 
+def _apply_terms(terms, q: PolyHH) -> PolyHH:
+    """sum of c * dbar^m q over one generator's terms (c, m), where q is
+    already g(h + SHIFT[x], hbar); the one kernel of every action."""
+    c: Dict[Tuple[int, int], RationalLike] = {}
+    for coeff, m in terms:
+        coeff._mul_into(q.dbar() if m else q, c)
+    return PolyHH._adopt(c)
+
+
 def act(spec: FreeModuleSpec, x: str, p: PolyHH) -> PolyHH:
     """Apply a generator to a polynomial in the given free module."""
     try:
@@ -249,9 +258,7 @@ def act(spec: FreeModuleSpec, x: str, p: PolyHH) -> PolyHH:
     except KeyError:
         raise ValueError(f"unknown generator {x!r} for family "
                          f"{spec.family!r}") from None
-    q = p.shift_h(SHIFT[x])
-    out = [c * (q.dbar() if m else q) for c, m in terms]
-    return sum(out[1:], out[0])
+    return _apply_terms(terms, p.shift_h(SHIFT[x]))
 
 
 def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:
@@ -309,8 +316,7 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     for x, terms in ops.items():
         coeffs: Dict[Tuple[int, int], List[Fraction]] = {}
         for c, m in terms:
-            for (i, j), e in (c.terms() if isinstance(c, PolyHH)
-                              else [((0, 0), c)]):
+            for (i, j), e in c.terms():
                 if i > 1:
                     raise ValueError(f"operator coefficient of {x} has degree "
                                      f"{i} in h; the adjoint table reads "
@@ -464,56 +470,15 @@ class SaturationResult:
     saturated: bool
 
 
-# the saturation works on primitive integer polynomials, (i, j) -> int:
-# it only needs spans, so each product x . p may be any nonzero multiple
-IntPoly = Dict[Tuple[int, int], int]
-# each generator's operator table as terms (m, c), c an IntPoly
-IntOps = Dict[str, Tuple[Tuple[int, IntPoly], ...]]
-
-
-def _int_ops(spec: FreeModuleSpec) -> IntOps:
-    """Each generator's table from ``spec.ops``, scaled by one nonzero
-    rational to primitive integer coefficients."""
+def _int_ops(spec: FreeModuleSpec) -> OpTable:
+    """``spec.ops`` with each generator's table multiplied by the lcm of
+    its denominators, so every coefficient is an int."""
     out = {}
     for x, terms in spec.ops.items():
-        flat: Dict[Tuple[int, Tuple[int, int]], Fraction] = {}
-        for c, m in terms:
-            for e, v in (c.terms() if isinstance(c, PolyHH) else [((0, 0), c)]):
-                flat[(m, e)] = flat.get((m, e), 0) + v
-        table: Dict[int, IntPoly] = {}
-        for (m, e), v in vec_primitive(flat).items():
-            table.setdefault(m, {})[e] = v
-        out[x] = tuple(table.items())
+        d = lcm(*(v.denominator for c, _ in terms for _, v in c.terms()))
+        out[x] = tuple((PolyHH._adopt({e: int(v * d) for e, v in c.terms()}), m)
+                       for c, m in terms)
     return out
-
-
-def _int_shift(p: IntPoly, d: int) -> IntPoly:
-    """p(h + d, hbar)."""
-    out: IntPoly = {}
-    for (i, j), v in p.items():
-        for k in range(i + 1):
-            out[(k, j)] = out.get((k, j), 0) + v * comb(i, k) * d ** (i - k)
-    return {e: v for e, v in out.items() if v}
-
-
-def _int_products(ops: IntOps, p: IntPoly) -> Dict[str, IntPoly]:
-    """x -> a nonzero multiple of x . p (or {}), in ``GENERATORS`` order;
-    p(h + d, hbar) and its dbar are formed once per shift d."""
-    shifted = {}
-    for d in set(SHIFT.values()):
-        q = _int_shift(p, d) if d else p
-        shifted[d] = (q, {(i, j - 1): v * j for (i, j), v in q.items() if j})
-    products = {}
-    for x in GENERATORS:
-        out: IntPoly = {}
-        for m, c in ops[x]:
-            q = shifted[SHIFT[x]][m]
-            for (i1, j1), v1 in c.items():
-                for (i2, j2), v2 in q.items():
-                    e = (i1 + i2, j1 + j2)
-                    out[e] = out.get(e, 0) + v1 * v2
-        products[x] = {e: v for e, v in out.items() if v}
-    return products
 
 
 def submodule_saturate(spec: FreeModuleSpec, seed_poly: PolyHH,
@@ -525,10 +490,11 @@ def submodule_saturate(spec: FreeModuleSpec, seed_poly: PolyHH,
     for each generator x; a product inside the cap that is independent of
     the span so far joins the basis and the frontier.  The closure stops
     at a fixed point or as soon as 1 lies in the span.  Products are taken
-    up to nonzero scalars, as primitive integer polynomials from the
-    integer multiple of each operator table, and the span lives in a
-    fraction-free ``RowBasis``; the returned basis is its reduced
-    row-echelon form over Q.
+    up to nonzero scalars: the action kernel of ``act`` runs on the integer
+    multiple of each operator table and on primitive integer polynomials,
+    with p(h + d, hbar) formed once per shift d, so every coefficient stays
+    an exact int.  The span lives in a fraction-free ``RowBasis``; the
+    returned basis is its reduced row-echelon form over Q.
     """
     if seed_poly.is_zero():
         return SaturationResult([], False, True)
@@ -537,21 +503,23 @@ def submodule_saturate(spec: FreeModuleSpec, seed_poly: PolyHH,
         raise ValueError("seed polynomial exceeds the bidegree cap")
     ops = _int_ops(spec)
     basis = RowBasis()
-    seed = vec_primitive(dict(seed_poly.terms()))
-    basis.add(seed)
-    frontier: List[IntPoly] = [seed]
+    seed = PolyHH._adopt(vec_primitive(seed_poly._c))
+    basis.add(seed._c)
+    frontier: List[PolyHH] = [seed]
     discarded = False
     one = {(0, 0): 1}
     while frontier and not basis.contains(one):
         p = frontier.pop()
-        for q in _int_products(ops, p).values():
-            if not q:
+        shifted = {d: p.shift_h(d) for d in set(SHIFT.values())}
+        for x in GENERATORS:
+            q = _apply_terms(ops[x], shifted[SHIFT[x]])
+            if q.is_zero():
                 continue
-            if any(i > cap_h or j > cap_hb for i, j in q):
+            if not q.within_bidegree(cap_h, cap_hb):
                 discarded = True
                 continue
-            q = vec_primitive(q)
-            if basis.add(q):
+            q = PolyHH._adopt(vec_primitive(q._c))
+            if basis.add(q._c):
                 frontier.append(q)
     contains_one = basis.contains(one)
     completed = not frontier

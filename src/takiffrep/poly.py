@@ -2,9 +2,12 @@
 
 Everything downstream (module actions, saturation, weight functionals) is
 built on C[h, hbar] with exact rational coefficients.  A polynomial is a
-sparse map from exponent pairs (i, j) -- meaning h^i * hbar^j -- to
-``fractions.Fraction``.  Zero coefficients are never stored, so equality of
-the underlying dicts is equality of polynomials.
+sparse map from exponent pairs (i, j) -- meaning h^i * hbar^j -- to exact
+coefficients: the public constructor stores ``fractions.Fraction``, and
+sums, products, int shifts and dbar of int coefficients stay ints, so one
+type serves both the rational actions and the integer saturation.  Zero
+coefficients are never stored, and an int equals and hashes like the equal
+Fraction, so equality of the underlying dicts is equality of polynomials.
 
 The degree of the zero polynomial is the dedicated marker ``NEG_INF`` which
 compares strictly below every integer; it is never the integer -1.
@@ -90,6 +93,14 @@ class PolyHH:
                     c[(int(i), int(j))] = v
         self._c = c
 
+    @staticmethod
+    def _adopt(c: Dict[Exponent, Rational]) -> "PolyHH":
+        """Wrap an already cleaned dict as-is: no copy, no coercion, so int
+        coefficients stay ints."""
+        out = PolyHH.__new__(PolyHH)
+        out._c = c
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -147,47 +158,44 @@ class PolyHH:
     def __add__(self, other: "PolyHH") -> "PolyHH":
         c = dict(self._c)
         for e, v in other._c.items():
-            w = c.get(e, Fraction(0)) + v
+            w = c.get(e, 0) + v
             if w:
                 c[e] = w
             else:
                 c.pop(e, None)
-        out = PolyHH.__new__(PolyHH)
-        out._c = c
-        return out
+        return PolyHH._adopt(c)
 
     def __sub__(self, other: "PolyHH") -> "PolyHH":
         return self + (-other)
 
     def __neg__(self) -> "PolyHH":
-        out = PolyHH.__new__(PolyHH)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return PolyHH._adopt({e: -v for e, v in self._c.items()})
 
     def __mul__(self, other) -> "PolyHH":
         if isinstance(other, PolyHH):
-            c: Dict[Exponent, Fraction] = {}
-            for (i1, j1), v1 in self._c.items():
-                for (i2, j2), v2 in other._c.items():
-                    e = (i1 + i2, j1 + j2)
-                    w = c.get(e, Fraction(0)) + v1 * v2
-                    if w:
-                        c[e] = w
-                    else:
-                        c.pop(e, None)
-            out = PolyHH.__new__(PolyHH)
-            out._c = c
-            return out
+            c: Dict[Exponent, Rational] = {}
+            self._mul_into(other, c)
+            return PolyHH._adopt(c)
         return self.scale(other)
+
+    def _mul_into(self, other: "PolyHH", c: Dict[Exponent, Rational]) -> None:
+        """Add self * other into the cleaned dict c, keeping it cleaned."""
+        for (i1, j1), v1 in self._c.items():
+            for (i2, j2), v2 in other._c.items():
+                e = (i1 + i2, j1 + j2)
+                w = c.get(e, 0) + v1 * v2
+                if w:
+                    c[e] = w
+                else:
+                    c.pop(e, None)
 
     def __rmul__(self, other) -> "PolyHH":
         return self.scale(other)
 
     def scale(self, v: RationalLike) -> "PolyHH":
         v = to_rational(v)
-        out = PolyHH.__new__(PolyHH)
-        out._c = {} if not v else {e: v * w for e, w in self._c.items()}
-        return out
+        return PolyHH._adopt({e: v * w for e, w in self._c.items()} if v
+                             else {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyHH) and self._c == other._c
@@ -198,22 +206,24 @@ class PolyHH:
     # -- substitutions and calculus ----------------------------------------
 
     def shift_h(self, d: RationalLike) -> "PolyHH":
-        """Return p(h + d, hbar), expanded exactly by the binomial theorem."""
-        d = to_rational(d)
+        """Return p(h + d, hbar), expanded exactly by the binomial theorem.
+
+        An int shift of a polynomial with int coefficients stays integral.
+        """
+        if not isinstance(d, int):
+            d = to_rational(d)
         if not d:
             return self
-        c: Dict[Exponent, Fraction] = {}
+        c: Dict[Exponent, Rational] = {}
         for (i, j), v in self._c.items():
             for k in range(i + 1):
                 e = (k, j)
-                w = c.get(e, Fraction(0)) + v * comb(i, k) * d ** (i - k)
+                w = c.get(e, 0) + v * comb(i, k) * d ** (i - k)
                 if w:
                     c[e] = w
                 else:
                     c.pop(e, None)
-        out = PolyHH.__new__(PolyHH)
-        out._c = c
-        return out
+        return PolyHH._adopt(c)
 
     def shift_hbar(self, d: RationalLike) -> "PolyHH":
         """Return p(h, hbar + d)."""
@@ -229,19 +239,12 @@ class PolyHH:
                     c[e] = w
                 else:
                     c.pop(e, None)
-        out = PolyHH.__new__(PolyHH)
-        out._c = c
-        return out
+        return PolyHH._adopt(c)
 
     def dbar(self) -> "PolyHH":
         """Formal partial derivative with respect to hbar."""
-        c: Dict[Exponent, Fraction] = {}
-        for (i, j), v in self._c.items():
-            if j > 0:
-                c[(i, j - 1)] = v * j
-        out = PolyHH.__new__(PolyHH)
-        out._c = c
-        return out
+        return PolyHH._adopt({(i, j - 1): v * j
+                              for (i, j), v in self._c.items() if j})
 
     def eval_at(self, h_val: RationalLike, hb_val: RationalLike) -> Fraction:
         h_val = to_rational(h_val)

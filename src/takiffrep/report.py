@@ -119,6 +119,13 @@ def parse_int_pair(text: str) -> Tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def parse_bool(text: str) -> bool:
+    """'true' or 'false', in any case."""
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
 def config_value(cfg: Dict[str, str], key: str, default: Optional[str],
                  parse: Callable[[str], Any]) -> Any:
     """Parse ``cfg[key]`` (or ``default`` when absent) with ``parse``.

@@ -222,6 +222,7 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
                           ("saturate", "cap=8\n"),
                           ("verma-check", "hit=1\n"),
                           ("saturate", "lambda=1/0\n"),
+                          ("saturate", "expect_one=maybe\n"),
                           # verify-free's trials is echoed only; it is
                           # validated for compatibility
                           ("verify-free", "families=gamma\ntrials=0\nspecs=1\n"),
@@ -246,6 +247,14 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
     cfg.write_text("kinds=lambda-rescale\nlambda2=1/0\n")
     assert main(["iso-check", "--config", str(cfg)]) == 2
     assert "config key 'lambda2'" in capsys.readouterr().err
+    # expect_one reads true or false in any case, and nothing else
+    cfg.write_text("expect_one=maybe\n")
+    assert main(["saturate", "--config", str(cfg)]) == 2
+    assert "config key 'expect_one'" in capsys.readouterr().err
+    for value, code in (("TRUE", 0), ("False", 1)):
+        cfg.write_text(f"expect_one={value}\n")
+        assert main(["saturate", "--config", str(cfg)]) == code, value
+        capsys.readouterr()
     # a zero denominator in inline input is a usage error too
     for argv in (["nf", "1/0*e"], ["saturate", "1/0*h"]):
         assert main(argv) == 2, argv

@@ -20,6 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from takiffrep.algebra import AlgebraElement, Monomial, parse_word_expr
 from takiffrep.cli import main
 from takiffrep.poly import PolyHH, parse_poly
@@ -50,6 +52,31 @@ expressions = st.lists(terms, min_size=1, max_size=4).map(
 @given(polys)
 def test_parse_poly_reads_back_to_text(p):
     assert parse_poly(p.to_text()) == p
+
+
+# integer coefficients, adopted as-is by the private constructor the way
+# the saturation builds them
+int_polys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                            st.integers(-20, 20).filter(bool),
+                            max_size=6).map(PolyHH._adopt)
+
+
+def _types(*polys):
+    return {type(v) for p in polys for _, v in p.terms()}
+
+
+@derandomized
+@given(int_polys, int_polys, st.integers(-3, 3),
+       st.fractions(max_denominator=9))
+def test_polyhh_arithmetic_on_ints_is_exact(p, q, d, r):
+    # the same operations on Fraction copies are the reference
+    pf, qf = PolyHH(dict(p.terms())), PolyHH(dict(q.terms()))
+    assert _types(pf, qf) <= {Fraction}
+    ints = (p + q, p * q, p.shift_h(d), p.dbar())
+    assert ints == (pf + qf, pf * qf, pf.shift_h(Fraction(d)), pf.dbar())
+    assert _types(*ints) <= {int}
+    assert p.shift_h(r) == pf.shift_h(r)
+    assert _types(p.shift_h(r), p + qf, p * qf) <= {int, Fraction}
 
 
 @derandomized
@@ -112,9 +139,9 @@ _junk = st.one_of(
                      "1:0:1", "0:0:0")))
 
 
-def _mostly(value):
+def _mostly(value, junk=_junk):
     """value three times in four, junk otherwise."""
-    return st.tuples(st.integers(0, 3), value, _junk).map(
+    return st.tuples(st.integers(0, 3), value, junk).map(
         lambda t: t[1] if t[0] else t[2])
 
 
@@ -132,19 +159,24 @@ _intertwine_configs = st.fixed_dictionaries(
               "expect_dimension": _mostly(st.integers(0, 2).map(str))})
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_intertwine_configs)
-def test_intertwine_config_never_leaks_a_traceback(config):
+def _assert_exit_contract(suite, config):
+    """Run ``suite`` on ``config``: exit 0, 1 or 2, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"
         path.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["intertwine", "--config", str(path)])
+            code = main([suite, "--config", str(path)])
     assert code in (0, 1, 2), (config, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error" in err.getvalue()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_intertwine_configs)
+def test_intertwine_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("intertwine", config)
 
 
 _free_families = st.lists(st.sampled_from(("gamma", "theta", "omega", "M",
@@ -165,13 +197,50 @@ _verify_free_configs = st.fixed_dictionaries(
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
 @given(_verify_free_configs)
 def test_verify_free_config_never_leaks_a_traceback(config):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.cfg"
-        path.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["verify-free", "--config", str(path)])
-    assert code in (0, 1, 2), (config, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert "error" in err.getvalue()
+    _assert_exit_contract("verify-free", config)
+
+
+# seeds of bidegree at most (2, 2), as the CLI prints them
+_seed_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.fractions(min_value=-9, max_value=9,
+                                           max_denominator=9),
+                              max_size=4).map(lambda c: PolyHH(c).to_text())
+_saturate_configs = st.fixed_dictionaries(
+    # the cap is always given, at most (4, 4) or malformed, so that no
+    # example saturates under the default (8, 8) cap
+    {"cap": _mostly(st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda c: f"{c[0]},{c[1]}"))},
+    optional={"family": _mostly(st.sampled_from(("gamma", "theta", "omega",
+                                                 "M", ""))),
+              "lambda": _mostly(_rational_texts),
+              "a": _mostly(_rational_texts),
+              "b": _mostly(_rational_texts),
+              "beta1": _mostly(st.lists(_rational_texts,
+                                        max_size=3).map(",".join)),
+              "seed_poly": _mostly(_seed_polys),
+              "expect_one": _mostly(st.sampled_from(("true", "false",
+                                                     "TRUE", "False")))})
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_saturate_configs)
+def test_saturate_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("saturate", config)
+
+
+_omega_quotient_configs = st.fixed_dictionaries(
+    # n_max is always given, at most 4 or malformed (never the default 8)
+    {"n_max": _mostly(st.integers(-1, 4).map(str),
+                      st.sampled_from(("", "x", "1/2", "1.5", "--3")))},
+    optional={"lambda": _mostly(_rational_texts),
+              "beta1": _mostly(st.lists(_rational_texts,
+                                        max_size=3).map(",".join)),
+              "i": _mostly(st.lists(st.integers(-1, 4), min_size=1,
+                                    max_size=3).map(
+                  lambda layers: ",".join(map(str, layers))))})
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_omega_quotient_configs)
+def test_omega_quotient_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("omega-quotient", config)

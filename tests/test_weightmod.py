@@ -522,7 +522,6 @@ def adjoint_table_oracle(spec, ops):
     for x, terms in ops.items():
         coeffs = {}
         for c, m in terms:
-            c = c if isinstance(c, PolyHH) else PolyHH.const(c)
             for (i, r), e in shifted_expand(c, (spec.alpha, spec.beta)).coeffs.items():
                 pair = coeffs.setdefault((m, r), [F(0), F(0)])
                 pair[i] -= factorial(r) * 2 ** i * e
@@ -559,7 +558,7 @@ def test_adjoint_table_matches_leibniz_oracle():
 def test_adjoint_table_reads_planted_operator_terms(monkeypatch):
     h, hbar = PolyHH.h(), PolyHH.hbar()
     ops = {"e": ((h * hbar * hbar + PolyHH.const(3), 1),
-                 (F(-2, 3), 0), (h.scale(F(1, 2)) - hbar, 0)),
+                 (PolyHH.const(F(-2, 3)), 0), (h.scale(F(1, 2)) - hbar, 0)),
            "hb": ((hbar * hbar * hbar, 2),)}
     monkeypatch.setattr(weightmod, "parent_spec",
                         lambda spec: SimpleNamespace(ops=ops))
