@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from .poly import RationalLike, to_rational
+from .poly import RationalLike, parse_terms, to_rational
 
 GENERATORS = ("eb", "fb", "f", "hb", "h", "e")
 LOCALIZED_LETTERS = GENERATORS + ("ebinv",)
@@ -433,58 +433,25 @@ _LETTER_ALIASES = {
 def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
     """Parse expressions like 'e*f - f*e' or '2*eb^-1*hb + h^2'.
 
-    Terms are separated by + or -; factors by '*'; a factor is a rational
-    number or a letter with an optional integer exponent (negative
-    exponents only for eb, and only in localized mode).
+    The grammar is that of ``poly.parse_terms``; the names are the six
+    letters and their aliases ebar, fbar, hbar, and a negative exponent is
+    allowed only on eb, where eb^-k is ebinv^k (localized mode only).
     """
-    text = text.strip()
-    if not text:
+    terms = parse_terms(text)
+    if not terms:
         raise ValueError("empty expression")
     out = AlgebraElement.zero()
-    # split into signed terms without breaking exponents like eb^-1; the
-    # signs of a run multiply, so "a + -2*b" and "a - +2*b" both subtract
-    terms: List[Tuple[int, str]] = []
-    sign, buf = 1, []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and (i == 0 or text[i - 1] != "^"):
-            if "".join(buf).strip():
-                terms.append((sign, "".join(buf).strip()))
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    if not "".join(buf).strip():
-        raise ValueError(f"sign with no term after it in {text!r}")
-    terms.append((sign, "".join(buf).strip()))
-    for sign, term in terms:
-        coeff = Fraction(sign)
+    for coeff, factors in terms:
         word: List[str] = []
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {term!r}")
-            name, caret, exp = factor.partition("^")
-            if caret and not exp:
-                raise ValueError(f"exponent missing in {factor!r}")
-            if name in _LETTER_ALIASES:
-                letter = _LETTER_ALIASES[name]
-                k = int(exp) if exp else 1
-                if k < 0:
-                    if letter != "eb":
-                        raise ValueError(f"negative power of {letter!r}")
-                    letter = "ebinv"
-                    k = -k
-                word.extend([letter] * k)
-            else:
-                try:
-                    coeff *= Fraction(factor)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r}") from None
+        for name, k in factors:
+            if name not in _LETTER_ALIASES:
+                raise ValueError(f"unknown letter {name!r}")
+            letter = _LETTER_ALIASES[name]
+            if k < 0:
+                if letter != "eb":
+                    raise ValueError(f"negative power of {letter!r}")
+                letter, k = "ebinv", -k
+            word.extend([letter] * k)
         _validate_letters(word, localized)
         out = out + AlgebraElement.from_word(tuple(word), coeff)
     return out

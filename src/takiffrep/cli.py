@@ -423,22 +423,23 @@ def main(argv=None) -> int:
         out_path = args.out or cfg.get("out")
         rng = random.Random(seed)
         cases, ok, csv_columns = _HANDLERS[args.suite](cfg, args, rng, window)
+        config_echo = dict(sorted(cfg.items()))
+        config_echo["seed"] = seed
+        config_echo["window"] = window.as_text()
+        if args.words:
+            config_echo["args"] = list(args.words)
+        # an unknown format or an unwritable out path is a usage error too
+        text = emit(make_report(args.suite, config_echo, cases, ok), fmt,
+                    csv_columns)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"takiff-rep: error: {exc}", file=sys.stderr)
         return 2
 
-    config_echo = dict(sorted(cfg.items()))
-    config_echo["seed"] = seed
-    config_echo["window"] = window.as_text()
-    if args.words:
-        config_echo["args"] = list(args.words)
-    report = make_report(args.suite, config_echo, cases, ok)
-    text = emit(report, fmt, csv_columns)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     elapsed = time.monotonic() - started
     print(f"takiff-rep: suite={args.suite} aggregate="
           f"{'pass' if ok else 'fail'} elapsed={elapsed:.2f}s",

@@ -15,10 +15,9 @@ compares strictly below every integer; it is never the integer -1.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -343,60 +342,75 @@ def poly1_to_polyhh(coeffs: Iterable[RationalLike]) -> PolyHH:
 
 # -- parsing ------------------------------------------------------------------
 
-def parse_poly(text: str) -> PolyHH:
-    """Parse the canonical text form (and mild variants) back to a PolyHH.
+def parse_terms(text: str) -> List[Tuple[Fraction, List[Tuple[str, int]]]]:
+    """Split text into terms [(coeff, [(name, exponent), ...])].
 
-    Accepts terms joined by '+' or '-' (a leading '-' inside a term negates
-    it), factors joined by '*', each factor a rational, 'h', 'hb', 'h^i' or
-    'hb^j'.  '0' parses to the zero polynomial.
+    The one grammar of polynomial and word inputs: a sum of terms, each a
+    '*'-product of factors, each factor a rational or a name (a token that
+    starts with a letter) with an optional integer exponent '^k'.  A run of
+    signs multiplies; one before a term signs it, one right after '*' or '^'
+    belongs to that factor, so "2*-h" is one term and "eb^-1" one factor.
+    Blanks between tokens are ignored, and blank text has no terms.
     """
-    text = text.strip()
-    if not text or text == "0":
-        return PolyHH.zero()
-    # normalize "a - b" and "a-b" to "a + -b": a '-' right after a term ends
-    # it, any other '-' is a sign (exponents of h/hb are never negative)
-    chunks = re.sub(r"(?<=[0-9hb])\s*-", "+-",
-                    text.replace("- ", "+ -")).split("+")
-    total = PolyHH.zero()
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coeff = Fraction(1)
-        i = j = 0
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in term {chunk!r}")
-            if factor == "-":
-                coeff = -coeff
-            elif factor.startswith(("h^", "hb^")) or factor in ("h", "hb"):
-                name, _, exp = factor.partition("^")
-                e = int(exp) if exp else 1
-                if e < 0:
-                    raise ValueError(f"negative exponent in {factor!r}")
-                if name == "h":
-                    i += e
-                elif name == "hb":
-                    j += e
-                else:
-                    raise ValueError(f"unknown variable {name!r}")
-            elif factor.startswith("-h"):
-                coeff = -coeff
-                name, _, exp = factor[1:].partition("^")
-                e = int(exp) if exp else 1
-                if name == "h":
-                    i += e
-                elif name == "hb":
-                    j += e
-                else:
-                    raise ValueError(f"unknown variable {name!r}")
+    spaced = text
+    for op in "+-*^":
+        spaced = spaced.replace(op, f" {op} ")
+    tokens = spaced.split() + [""]  # "" marks the end
+    terms = []
+    pos = 0
+    while tokens[pos]:
+        coeff, factors, star = Fraction(1), [], False
+        while True:
+            sign, pos = _signs(tokens, pos)
+            coeff *= sign
+            tok = tokens[pos]
+            if tok in ("", "*", "^"):
+                raise ValueError(f"empty factor in {text!r}" if tok or star
+                                 else f"sign with no term after it in {text!r}")
+            pos += 1
+            if tok[0].isalpha():
+                k = 1
+                if tokens[pos] == "^":
+                    k, pos = _signs(tokens, pos + 1)
+                    if tokens[pos] in ("", "*", "^"):
+                        raise ValueError(f"exponent missing in {text!r}")
+                    k, pos = k * int(tokens[pos]), pos + 1
+                factors.append((tok, k))
             else:
                 try:
-                    coeff *= Fraction(factor)
+                    coeff *= Fraction(tok)
                 except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r}") from None
-        total = total + PolyHH.term(i, j, coeff)
+                    raise ValueError(f"zero denominator in {tok!r}") from None
+            if tokens[pos] != "*":
+                break
+            pos, star = pos + 1, True
+        if tokens[pos] not in ("", "+", "-"):
+            raise ValueError(f"unexpected {tokens[pos]!r} in {text!r}")
+        terms.append((coeff, factors))
+    return terms
+
+
+def _signs(tokens: List[str], pos: int) -> Tuple[int, int]:
+    """The product of the run of signs at tokens[pos], and the end of the run."""
+    end = pos
+    while tokens[end] in ("+", "-"):
+        end += 1
+    return (-1) ** tokens[pos:end].count("-"), end
+
+
+def parse_poly(text: str) -> PolyHH:
+    """Read a polynomial in h and hb, written in the grammar of parse_terms,
+    with exponents >= 0; '0' and blank text are zero."""
+    total = PolyHH.zero()
+    for coeff, factors in parse_terms(text):
+        e = {"h": 0, "hb": 0}
+        for name, k in factors:
+            if name not in e:
+                raise ValueError(f"unknown variable {name!r}")
+            if k < 0:
+                raise ValueError(f"negative exponent in {name}^{k}")
+            e[name] += k
+        total = total + PolyHH.term(e["h"], e["hb"], coeff)
     return total
 
 

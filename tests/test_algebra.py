@@ -302,6 +302,8 @@ def test_parse_word_expr():
     for text in ("e^", "e^ ", "e^*f", "-", "+", "e -", "e + -"):
         with pytest.raises(ValueError):
             parse_word_expr(text)
+    # a sign after '*' belongs to that factor
+    assert parse_word_expr("2*-e") == normal_form("e").scale(-2)
 
 
 def test_theta_images():

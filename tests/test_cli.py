@@ -234,10 +234,17 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
                           ("iso-check", "kinds=vm,nothing\n"),
                           ("scan", "families=X\n"),
                           ("twist-check", "z=\n"),
-                          ("omega-quotient", "n_max=-1\n")):
+                          ("omega-quotient", "n_max=-1\n"),
+                          # a report that cannot be rendered or written
+                          ("nf", "format=xml\n"),
+                          ("nf", f"out={tmp_path / 'missing' / 'r.json'}\n"),
+                          ("nf", f"out={tmp_path}\n")):
         cfg.write_text(config)
         assert main([suite, "--config", str(cfg)]) == 2, config
         assert "error:" in capsys.readouterr().err
+    assert main(["nf", "h", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "takiff-rep: error:" in err and "Traceback" not in err
     # an explicit but empty grid would check nothing; it is blamed on its key
     for key in ("lambda", "a", "b"):
         cfg.write_text(f"families=gamma\n{key}=\n")

@@ -166,6 +166,21 @@ def test_parse_poly_tolerant_inputs():
     assert parse_poly("2*-h") == PolyHH.term(1, 0, -2)
 
 
+def test_parse_poly_signs_and_exponents():
+    # a dangling sign or exponent is refused, never read as -1 or h^1
+    for text in ("h^", "-", "h - ", "+", "2*-", "h^*hb", "2*-*h"):
+        with pytest.raises(ValueError):
+            parse_poly(text)
+    # the signs of a run multiply, and a sign after '^' is the exponent's
+    assert parse_poly("- - h") == PolyHH.h()
+    assert parse_poly("h - + 2") == PolyHH.h() - PolyHH.const(2)
+    assert parse_poly("h - -2") == PolyHH.h() + PolyHH.const(2)
+    assert parse_poly("h^+2") == PolyHH.term(2, 0)
+    assert parse_poly("") == PolyHH.zero()
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_poly("hb^-1")
+
+
 def test_from_hbar_coeffs_and_poly1():
     coeffs = (Fraction(1), Fraction(0), Fraction(2))  # 1 + 2 hb^2
     p = PolyHH.from_hbar_coeffs(coeffs)

@@ -3,11 +3,12 @@ contract, driven by Hypothesis.
 
 Each parser must read back exactly what the matching ``to_text`` prints,
 for every polynomial and every algebra element, not only for the
-hand-picked examples in test_poly and test_algebra.  A config file must
-read as KEY=VALUE pairs or be refused with ValueError, and the CLI must
-answer every config with exit status 0, 1 or 2 and never with a
-traceback.  Runs
-are derandomized so that the suite gives the same verdict every time.
+hand-picked examples in test_poly and test_algebra, and the two parsers
+must read a sum over h and hb alike, since they share one grammar.  A
+config file must read as KEY=VALUE pairs or be refused with ValueError, and
+the CLI must answer every config, nf word and saturate seed with exit
+status 0, 1 or 2 and never with a traceback.  Runs are derandomized so that
+the suite gives the same verdict every time.
 """
 
 import io
@@ -90,6 +91,39 @@ def test_parse_word_expr_reads_back_to_text(x):
 def test_to_text_of_a_parsed_expression_reads_back(text):
     x = parse_word_expr(text, localized=True)
     assert parse_word_expr(x.to_text(), localized=True) == x
+
+
+_sign_runs = st.text(alphabet="+-", max_size=2)
+
+
+def _sums(names):
+    """Sums of '*'-products of small rationals and powers of ``names``, with
+    sign runs before terms, after '*' and after '^', and exponents -3..3."""
+    factors = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+        st.sampled_from(names),
+        st.builds("{}^{}{}".format, st.sampled_from(names), _sign_runs,
+                  st.integers(0, 3)))
+    terms = st.lists(st.tuples(_sign_runs, factors).map("".join),
+                     min_size=1, max_size=3).map("*".join)
+    return st.tuples(terms, st.lists(
+        st.tuples(_sign_runs.filter(bool), terms).map(" ".join),
+        max_size=3)).map(lambda t: " ".join((t[0], *t[1])))
+
+
+@derandomized
+@given(_sums(("h", "hb")))
+def test_parse_word_expr_agrees_with_parse_poly(text):
+    # a negative exponent, refused by both parsers, is the only refusal
+    try:
+        p = parse_poly(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_word_expr(text)
+        return
+    # h and hb commute, and a normal form puts hb^j before h^i
+    assert parse_word_expr(text) == AlgebraElement(
+        {Monomial(0, 0, 0, j, i, 0): v for (i, j), v in p.terms()})
 
 
 # -- config files ------------------------------------------------------------
@@ -244,3 +278,32 @@ _omega_quotient_configs = st.fixed_dictionaries(
 @given(_omega_quotient_configs)
 def test_omega_quotient_config_never_leaks_a_traceback(config):
     _assert_exit_contract("omega-quotient", config)
+
+
+# inline text for nf words and saturate seeds: well-formed sums, and
+# sequences of the tokens of the expression grammar, malformed ones
+# included; every number token ends in a blank, so no two digits meet and
+# every exponent stays within -3..3
+_letters = ("e", "f", "h", "eb", "fb", "hb", "ebar", "fbar", "hbar")
+_numbers = st.one_of(
+    st.sampled_from(("0", "1/0")),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(str),
+    st.integers(-2, 3).map("^{}".format))
+_token_texts = st.lists(
+    st.one_of(st.sampled_from(_letters + ("+", "-", "*", "^", " ")),
+              _numbers.map("{} ".format)),
+    max_size=10).map("".join)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(st.one_of(_token_texts, _sums(_letters)))
+def test_nf_word_never_leaks_a_traceback(text):
+    _assert_exit_contract("nf", {"word": text})
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(st.one_of(_token_texts, _sums(("h", "hb"))),
+       st.tuples(st.integers(1, 4), st.integers(1, 4)))
+def test_saturate_seed_never_leaks_a_traceback(text, cap):
+    _assert_exit_contract("saturate", {"cap": f"{cap[0]},{cap[1]}",
+                                       "seed_poly": text})
