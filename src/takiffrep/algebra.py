@@ -113,25 +113,15 @@ ONE_MONO = Monomial(0, 0, 0, 0, 0, 0)
 
 
 def _word_to_monomial(word: Tuple[str, ...]) -> Monomial:
-    n = a = b = c = d = g = 0
+    """The exponents of a canonical word, each letter counted in its slot
+    (eb^-1 counting -1 in the slot of eb)."""
+    exps = [0] * 6
     for w in word:
-        if w == "eb":
-            n += 1
-        elif w == "ebinv":
-            n -= 1
-        elif w == "fb":
-            a += 1
-        elif w == "f":
-            b += 1
-        elif w == "hb":
-            c += 1
-        elif w == "h":
-            d += 1
-        elif w == "e":
-            g += 1
-        else:
-            raise ValueError(f"unknown letter {w!r}")
-    return Monomial(n, a, b, c, d, g)
+        try:
+            exps[_SLOT[w]] += -1 if w == "ebinv" else 1
+        except KeyError:
+            raise ValueError(f"unknown letter {w!r}") from None
+    return Monomial(*exps)
 
 
 @lru_cache(maxsize=1 << 16)

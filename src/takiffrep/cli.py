@@ -26,6 +26,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import freemod, functors, weightmod
@@ -45,50 +46,64 @@ SUITES = ("nf", "verify-free", "saturate", "omega-quotient", "verify-weight",
           "intertwine")
 
 
+def _one_of(*names):
+    """A parser of one family name out of ``names``."""
+    def parse(text):
+        name = text.strip()
+        if name not in names:
+            raise ValueError(f"unknown family {name!r}, expected one of "
+                             f"{', '.join(names)}")
+        return name
+    return parse
+
+
+def _list_of(parse):
+    """A parser of comma-separated items, each read by ``parse``."""
+    return lambda text: [parse(item) for item in text.split(",")]
+
+
+_FREE = _one_of("gamma", "theta", "omega")
+_WEIGHT = _one_of("M", "N", "V")
+
+
 def _free_spec_from_cfg(cfg: dict) -> freemod.FreeModuleSpec:
-    family = cfg.get("family", "gamma")
+    family = config_value(cfg, "family", "gamma", _FREE)
     lam = config_value(cfg, "lambda", "1", Fraction)
     b = config_value(cfg, "b", "0", Fraction)
-    if family == "gamma":
-        return freemod.make_gamma(lam, config_value(cfg, "a", "0", Fraction), b)
-    if family == "theta":
-        return freemod.make_theta_mod(lam, config_value(cfg, "a", "0", Fraction), b)
     if family == "omega":
         return freemod.make_omega(
             lam, b, config_value(cfg, "beta1", "0", parse_rational_list))
-    raise ValueError(f"unknown free family {family!r}")
+    mk = freemod.make_gamma if family == "gamma" else freemod.make_theta_mod
+    return mk(lam, config_value(cfg, "a", "0", Fraction), b)
 
 
 def _weight_spec_from_cfg(cfg: dict, prefix: str = "") -> weightmod.WeightModuleSpec:
     get = lambda key, default, parse=Fraction: config_value(
         cfg, prefix + key, default, parse)
-    family = cfg.get(prefix + "family", "M")
+    family = get("family", "M", _WEIGHT)
     alpha = get("alpha", "0")
     beta = get("beta", "1")
     lam = get("lambda", "1")
     a = get("a", "-1")
-    if family == "M":
-        return weightmod.make_weight_m(alpha, beta, lam, a, get("b", "-2"))
-    if family == "N":
-        return weightmod.make_weight_n(alpha, beta, lam, a, get("b", "-2"))
     if family == "V":
         return weightmod.make_weight_v(alpha, beta, lam, a,
                                        get("beta1", "1,1", parse_rational_list))
-    raise ValueError(f"unknown weight family {family!r}")
+    mk = weightmod.make_weight_m if family == "M" else weightmod.make_weight_n
+    return mk(alpha, beta, lam, a, get("b", "-2"))
 
 
 # -- suite handlers: each returns (cases, aggregate_pass, csv_columns) ----------
 
 def _suite_nf(cfg, args, rng, window):
-    words = list(args.words)
-    if not words and cfg.get("word"):
-        words = [cfg["word"]]
-    if not words:
-        words = ["e*f - f*e", "f*e*h", "eb^-1*eb", "h*eb^-1"]
+    read = lambda text: parse_word_expr(text, localized=True)
+    if args.words or not cfg.get("word"):
+        words = args.words or ["e*f - f*e", "f*e*h", "eb^-1*eb", "h*eb^-1"]
+        inputs = [(text, read(text)) for text in words]
+    else:
+        inputs = [(cfg["word"], config_value(cfg, "word", None, read))]
     cases = []
     ok = True
-    for text in words:
-        elem = parse_word_expr(text, localized=True)
+    for text, elem in inputs:
         nf = normal_form(elem, localized=True)
         again = normal_form(nf, localized=True)
         idem = again == nf
@@ -130,7 +145,8 @@ def _free_grid_specs(cfg, family):
 
 
 def _suite_verify_free(cfg, args, rng, window):
-    families = [f.strip() for f in cfg.get("families", "gamma,theta,omega").split(",")]
+    families = config_value(cfg, "families", "gamma,theta,omega",
+                            _list_of(_FREE))
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "5", int)
     explicit = any(key in cfg for key in ("lambda", "a", "b", "beta1"))
@@ -159,8 +175,8 @@ def _suite_verify_free(cfg, args, rng, window):
 
 def _suite_saturate(cfg, args, rng, window):
     spec = _free_spec_from_cfg(cfg)
-    seed_text = args.words[0] if args.words else cfg.get("seed_poly", "h")
-    seed_poly = parse_poly(seed_text)
+    seed_poly = (parse_poly(args.words[0]) if args.words
+                 else config_value(cfg, "seed_poly", "h", parse_poly))
     cap = config_value(cfg, "cap", "8,8", parse_int_pair)
     expected = (config_value(cfg, "expect_one", None, parse_bool)
                 if "expect_one" in cfg else None)
@@ -206,7 +222,7 @@ def _suite_omega_quotient(cfg, args, rng, window):
 
 
 def _suite_verify_weight(cfg, args, rng, window):
-    families = [f.strip() for f in cfg.get("families", "M,N,V").split(",")]
+    families = config_value(cfg, "families", "M,N,V", _list_of(_WEIGHT))
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "3", int)
     # trials is the sample count of dual_consistency: below 1 it would
@@ -276,14 +292,10 @@ def _suite_verma_check(cfg, args, rng, window):
 
 
 def _suite_scan(cfg, args, rng, window):
-    families = cfg.get("families")
     specs = builtin_scan_grid()
-    if families:
-        keep = {f.strip() for f in families.split(",")}
+    if cfg.get("families"):
+        keep = config_value(cfg, "families", None, _list_of(_WEIGHT))
         specs = [s for s in specs if s.family in keep]
-        if not specs:
-            raise ValueError("config key 'families': names no scan family "
-                             "(M, N or V)")
     rows = run_scan(specs)
     ok = all(r["agrees"] for r in rows)
     return rows, ok, SCAN_CSV_COLUMNS
@@ -336,12 +348,10 @@ def _suite_iso_check(cfg, args, rng, window):
                                         "beta": cfg.get("beta", "3"),
                                         "a": cfg.get("a", "1"),
                                         "beta1": cfg.get("beta1", "1,1")})
+        spec_m = functors.vm_matching_m_spec(spec_v)
         if "b_m" in cfg:
-            b_m = config_value(cfg, "b_m", None, Fraction)
-        else:
-            b_m = functors.vm_matching_b(spec_v)
-        spec_m = weightmod.make_weight_m(spec_v.alpha, spec_v.beta, spec_v.lam,
-                                         -spec_v.a * spec_v.a, b_m)
+            spec_m = replace(spec_m,
+                             b=config_value(cfg, "b_m", None, Fraction))
         res = functors.vm_iso_check(spec_v, spec_m, window)
         ok = ok and res.intertwines
         cases.append({"kind": "vm",

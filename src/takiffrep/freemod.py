@@ -10,8 +10,9 @@ stored once, as a table of terms (c, m) with c a polynomial:
 with SHIFT = -2 for e and eb, +2 for f and fb, 0 for h and hbar (gamma
 denotes the module element, a polynomial; substitutions are exact).  There
 is one polynomial type, ``PolyHH``, and one action kernel, the sum above:
-``act`` runs it on the rational table, and ``submodule_saturate`` on the
-table's integer multiple, where every coefficient stays an exact int.
+``act`` runs it on the rational table, ``submodule_saturate`` on the
+table's integer multiple, where every coefficient stays an exact int, and
+``weightmod.delta_action`` on the sl2 layer modules Delta of ``delta_ops``.
 
 Gamma(lambda, a, b), lambda != 0:
 
@@ -24,7 +25,7 @@ Gamma(lambda, a, b), lambda != 0:
 Theta(lambda, a, b) is Gamma(lambda, a, b) transported by the Chevalley
 involution omega (e <-> f, eb <-> fb, h -> -h, hbar -> -hbar) and the
 reflection sigma(g)(h, hbar) = g(-h, -hbar):
-x . g = sigma(omega(x) . sigma(g)) computed in Gamma.
+x . g = sigma(omega(x) . sigma(g)) computed in Gamma (``chevalley``).
 
 Omega(lambda, b, beta1) carries two polynomial parameters alpha1, beta1 in
 hbar linked by an upper-triangular system (``alpha_from_beta``); with that
@@ -83,6 +84,8 @@ CHEVALLEY: Dict[str, Tuple[str, int]] = {
 # one generator's operator: terms (c, m) meaning c * dbar^m, c a PolyHH;
 # m is 0 or 1, every action being first order in dbar
 OpTable = Dict[str, Tuple[Tuple[PolyHH, int], ...]]
+# h and hbar act by multiplication in every family
+_CARTAN: OpTable = {"h": ((PolyHH.h(), 0),), "hb": ((PolyHH.hbar(), 0),)}
 
 
 @dataclass(frozen=True)
@@ -197,15 +200,11 @@ def _reflect(c: PolyHH) -> PolyHH:
                    for (i, j), v in c.terms()})
 
 
-def _cartan_ops() -> OpTable:
-    return {"h": ((PolyHH.h(), 0),), "hb": ((PolyHH.hbar(), 0),)}
-
-
 def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
     lam, a, b = spec.lam, spec.a, spec.b
     quad = PolyHH({(0, 2): 1, (0, 0): a})  # hbar^2 + a
     lead = PolyHH({(1, 1): 1, (0, 1): 2, (0, 0): b})  # (h + 2) hbar + b
-    return {**_cartan_ops(),
+    return {**_CARTAN,
             "e": ((PolyHH.const(-2 * lam), 1),),
             "eb": ((PolyHH.const(lam), 0),),
             "fb": ((quad.scale(Fraction(-1, 4) / lam), 0),),
@@ -213,14 +212,15 @@ def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
                   (quad.scale(Fraction(-1, 2) / lam), 1))}
 
 
-def _theta_ops(spec: FreeModuleSpec) -> OpTable:
-    """Gamma's table transported by the Chevalley involution and sigma.
+def chevalley(ops: OpTable) -> OpTable:
+    """``ops`` transported by the Chevalley involution omega and sigma:
+    x . g = sigma(omega(x) . sigma(g)) computed with ``ops``.
 
-    sigma conjugates c to sigma(c) and dbar to -dbar, hence (-1)^m.
+    sigma conjugates c to sigma(c) and dbar to -dbar, hence (-1)^m.  A
+    generator whose image ``ops`` lacks is left out.
     """
-    gamma = _gamma_ops(spec)
-    return {x: tuple((sign * (-1) ** m * _reflect(c), m) for c, m in gamma[y])
-            for x, (y, sign) in CHEVALLEY.items()}
+    return {x: tuple((sign * (-1) ** m * _reflect(c), m) for c, m in ops[y])
+            for x, (y, sign) in CHEVALLEY.items() if y in ops}
 
 
 def _omega_ops(spec: FreeModuleSpec) -> OpTable:
@@ -230,7 +230,7 @@ def _omega_ops(spec: FreeModuleSpec) -> OpTable:
     b1 = poly1_to_polyhh(spec.beta1)
     plus_b = hbar + PolyHH.const(b)
     minus_b = hbar - PolyHH.const(b)
-    return {**_cartan_ops(),
+    return {**_CARTAN,
             "e": ((PolyHH.h().scale(lam / 2) + a1, 0),
                   (plus_b.scale(-lam), 1)),
             "f": ((b1 - PolyHH.h().scale(Fraction(1, 2) / lam), 0),
@@ -239,7 +239,8 @@ def _omega_ops(spec: FreeModuleSpec) -> OpTable:
             "fb": ((minus_b.scale(Fraction(-1, 2) / lam), 0),)}
 
 
-_OP_TABLES = {"gamma": _gamma_ops, "theta": _theta_ops, "omega": _omega_ops}
+_OP_TABLES = {"gamma": _gamma_ops, "omega": _omega_ops,
+              "theta": lambda spec: chevalley(_gamma_ops(spec))}
 
 
 def _apply_terms(terms, q: PolyHH) -> PolyHH:
@@ -563,7 +564,7 @@ def omega_layer_action(spec: FreeModuleSpec, i: int, x: str, g: PolyHH) -> PolyH
         raise ValueError("layers are an omega construction")
     if spec.b:
         raise ValueError("hbar-adic layers require b = 0")
-    if isinstance(g.deg_hbar(), int) and g.deg_hbar() > 0:
+    if g.deg_hbar() > 0:
         raise ValueError("layer representatives are polynomials in h alone")
     if i < 0:
         raise ValueError("layer index must be nonnegative")
@@ -594,6 +595,26 @@ def omega_quotient_delta_params(spec: FreeModuleSpec, i: int) -> Tuple[Fraction,
         raise ValueError("layer index must be nonnegative")
     q0 = spec.beta1[0] if spec.beta1 else Fraction(0)
     return (Fraction(-1) / spec.lam, -spec.lam * q0 + i)
+
+
+def delta_ops(variant: int, lam: Fraction, a: Fraction) -> OpTable:
+    """The table of the sl2 layer module Delta_variant(lam, a) on C[h]: h
+    acts by multiplication, and e and f on g(h + SHIFT[x]) by
+
+        variant 1:  e by -(1/lam)(h/2 - a),  f by lam (h/2 + a)
+        variant 2:  e by lam,                f by -(1/lam)(h/2 - a)(h/2 + a + 1)
+
+    Variant 3 is variant 2 transported by ``chevalley``.
+    """
+    minus_a = PolyHH({(1, 0): Fraction(1, 2), (0, 0): -a})  # h/2 - a
+    plus_a = PolyHH({(1, 0): Fraction(1, 2), (0, 0): a})  # h/2 + a
+    if variant == 1:
+        e, f = minus_a.scale(Fraction(-1) / lam), plus_a.scale(lam)
+    else:
+        e = PolyHH.const(lam)
+        f = (minus_a * (plus_a + PolyHH.const(1))).scale(Fraction(-1) / lam)
+    ops: OpTable = {"h": _CARTAN["h"], "e": ((e, 0),), "f": ((f, 0),)}
+    return chevalley(ops) if variant == 3 else ops
 
 
 def iso_invariants_free(spec: FreeModuleSpec) -> tuple:

@@ -24,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
-                        act_weight, apply_adjoint, make_weight_m, wv_scale,
+                        act_weight, make_weight_m, unit_images, wv_scale,
                         wv_unit)
 
 
@@ -256,25 +255,6 @@ class LinearWindowMap:
         return _rank(self.columns.values())
 
 
-def _unit_images(spec: WeightModuleSpec, window: Window):
-    """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
-    every generator x and window index, as an integer vector.
-
-    The images are read off ``spec.adjoint``, scaled to integers by d, the
-    least common denominator of its coefficients.
-    """
-    d = lcm(*(c.denominator for _, terms in spec.adjoint.values()
-              for term in terms for c in term[2:]))
-    images = {}
-    for x in GENERATORS:
-        dk, terms = spec.adjoint[x]
-        terms = tuple((m, r, int(d * c0), int(d * c1))
-                      for m, r, c0, c1 in terms)
-        images[x] = {key: apply_adjoint(dk, terms, {key: 1})
-                     for key in window.indices()}
-    return d, images
-
-
 def _integer_action(images, scale: int):
     """The action (x, v) -> scale * sum_key v[key] * images[x][key]."""
     def act(x: str, v: WeightVec) -> WeightVec:
@@ -311,8 +291,8 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         return empty
     delta = int(offset2) // 2
     cod = Window(window.k_min + delta, window.k_max + delta, window.s_max)
-    d_a, images_a = _unit_images(spec_a, window)
-    d_b, images_b = _unit_images(spec_b, cod)
+    d_a, images_a = unit_images(spec_a, window)
+    d_b, images_b = unit_images(spec_b, cod)
     outputs = range(1, window.s_max + 1)
 
     unknowns: List[Tuple[int, int, int]] = [

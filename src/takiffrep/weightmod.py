@@ -23,7 +23,8 @@ the same way.  Each image is a finite vector computed exactly on the
 infinite basis (no truncation).  The bracket identities are proved by
 ``freemod.prove_brackets``, the prover of the free axioms, on the same
 tables, so they hold for every eta_{k,s}; windows only scope searches and
-reports.
+reports.  Nor has Delta: ``delta_action`` runs the action kernel of the
+free families on the tables of ``freemod.delta_ops``.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS
-from .freemod import (CHEVALLEY, AdjointTable, FreeModuleSpec,
-                      adjoint_table, alpha_from_beta, make_gamma, make_omega,
-                      make_theta_mod, prove_brackets)
+from .freemod import (CHEVALLEY, SHIFT, AdjointTable, FreeModuleSpec,
+                      _apply_terms, adjoint_table, alpha_from_beta,
+                      delta_ops, make_gamma, make_omega, make_theta_mod,
+                      prove_brackets)
 from .freemod import act as act_free
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
 from .poly import PolyHH, RationalLike, poly1_eval, random_poly, to_rational
@@ -189,6 +191,23 @@ def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
     return vec_clean(out)
 
 
+def unit_images(spec: WeightModuleSpec, window: Window):
+    """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
+    every generator x and window index, as an integer vector read off
+    ``spec.adjoint``; d is the least common denominator of its coefficients.
+    """
+    d = lcm(*(c.denominator for _, terms in spec.adjoint.values()
+              for term in terms for c in term[2:]))
+    images = {}
+    for x in GENERATORS:
+        dk, terms = spec.adjoint[x]
+        terms = tuple((m, r, int(d * c0), int(d * c1))
+                      for m, r, c0, c1 in terms)
+        images[x] = {key: apply_adjoint(dk, terms, {key: 1})
+                     for key in window.indices()}
+    return d, images
+
+
 def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
     """Apply a generator to a weight vector (exact, untruncated)."""
     try:
@@ -315,19 +334,20 @@ def singular_vectors(spec: WeightModuleSpec,
     Works one h-eigenspace (fixed k) at a time: the kernel of the stacked
     pair action on span{eta_{k,s} : s <= s_max} is computed exactly (the
     images are finite vectors, no truncation is involved), so every
-    reported hit is a genuine singular vector of the full module.
+    reported hit is a genuine singular vector of the full module.  The
+    images are the integer ones of ``unit_images``; scaling every equation
+    by d leaves the kernel, and so its canonical basis, unchanged.
     """
     report = SingularReport(spec.family, window)
+    _, images = unit_images(spec, window)
+    cols = list(range(1, window.s_max + 1))
     for pair in _KILL_PAIRS[spec.family]:
         for k in range(window.k_min, window.k_max + 1):
-            cols = list(range(1, window.s_max + 1))
-            equations: Dict[Tuple[str, int, int], Dict[int, Fraction]] = {}
+            equations: Dict[Tuple[str, int, int], Dict[int, int]] = {}
             for s in cols:
                 for x in pair:
-                    img = act_weight(spec, x, wv_unit(k, s))
-                    for key, c in img.items():
-                        row = equations.setdefault((x,) + key, {})
-                        row[s] = c
+                    for key, c in images[x][(k, s)].items():
+                        equations.setdefault((x,) + key, {})[s] = c
             kernel = nullspace(list(equations.values()), cols)
             for basis_vec in kernel:
                 vec = {(k, s): c for s, c in basis_vec.items()}
@@ -513,41 +533,18 @@ def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
 
 def delta_action(variant: int, lam: RationalLike, a: RationalLike,
                  x: str, g: PolyHH) -> PolyHH:
-    """Action of sl2 on C[h] in the three classical one-parameter shapes.
-
-    variant 1:  e.g = -(1/lam)(h/2 - a) g(h-2)    f.g = lam (h/2 + a) g(h+2)
-    variant 2:  e.g = lam g(h-2)                  f.g = -(1/lam)(h/2 - a)(h/2 + a + 1) g(h+2)
-    variant 3:  e.g = -(1/lam)(h/2 + a)(h/2 - a - 1) g(h-2)    f.g = lam g(h+2)
-
-    h always acts by multiplication; the coefficient polynomials are not
-    shifted along with g.
-    """
+    """Action of sl2 on C[h] in the three classical one-parameter shapes,
+    the tables of ``freemod.delta_ops``, through the free action kernel."""
     lam = to_rational(lam)
     if not lam:
         raise ValueError("lambda must be nonzero")
     a = to_rational(a)
-    if isinstance(g.deg_hbar(), int) and g.deg_hbar() > 0:
+    if g.deg_hbar() > 0:
         raise ValueError("Delta modules live on polynomials in h alone")
-    half_h = PolyHH.h().scale(Fraction(1, 2))
-    if x == "h":
-        return PolyHH.h() * g
-    if x == "e":
-        if variant == 1:
-            return (half_h - PolyHH.const(a)) * g.shift_h(-2) * PolyHH.const(Fraction(-1) / lam)
-        if variant == 2:
-            return g.shift_h(-2).scale(lam)
-        if variant == 3:
-            coeff = (half_h + PolyHH.const(a)) * (half_h - PolyHH.const(a + 1))
-            return coeff * g.shift_h(-2) * PolyHH.const(Fraction(-1) / lam)
-    if x == "f":
-        if variant == 1:
-            return (half_h + PolyHH.const(a)) * g.shift_h(2) * PolyHH.const(lam)
-        if variant == 2:
-            coeff = (half_h - PolyHH.const(a)) * (half_h + PolyHH.const(a + 1))
-            return coeff * g.shift_h(2) * PolyHH.const(Fraction(-1) / lam)
-        if variant == 3:
-            return g.shift_h(2).scale(lam)
-    raise ValueError(f"unknown Delta variant {variant!r} or generator {x!r}")
+    ops = delta_ops(variant, lam, a) if variant in (1, 2, 3) else {}
+    if x not in ops:
+        raise ValueError(f"unknown Delta variant {variant!r} or generator {x!r}")
+    return _apply_terms(ops[x], g.shift_h(SHIFT[x]))
 
 
 def random_weight_spec(rng: random.Random, family: str,

@@ -5,7 +5,8 @@ worked out by hand; the random loops check structural properties
 (idempotence, associativity, bracket compatibility) on top of them.  Two
 test-only oracles check the fast paths: a whole-word bubble loop built from
 that table and the localized rules, for normal_form, and the letter-by-letter
-substitution, for theta.
+substitution, for theta.  A letter count checks how canonical words are read
+into exponents.
 """
 
 import random
@@ -15,8 +16,8 @@ from fractions import Fraction
 import pytest
 
 from takiffrep.algebra import (GENERATORS, LOCALIZED_LETTERS, AlgebraElement,
-                               Monomial, _reduce_word, bracket,
-                               check_theta_automorphism, commutator,
+                               Monomial, _reduce_word, _word_to_monomial,
+                               bracket, check_theta_automorphism, commutator,
                                normal_form, parse_word_expr, theta)
 
 F = Fraction
@@ -165,6 +166,20 @@ def test_nf_agrees_with_bubble_oracle():
                      else rng.choice(barred) for i in range(length))
         got = normal_form(word, localized=True)
         assert got == straighten_oracle(word), word
+
+
+def test_word_to_monomial_counts_letters():
+    rng = random.Random(209)
+    for _ in range(300):
+        word = tuple(rng.choice(LOCALIZED_LETTERS)
+                     for _ in range(rng.randint(0, 12)))
+        assert _word_to_monomial(word) == Monomial(
+            word.count("eb") - word.count("ebinv"), word.count("fb"),
+            word.count("f"), word.count("hb"), word.count("h"),
+            word.count("e")), word
+    for word in (("x",), ("e", "ebar"), ("h", "eb^-1")):
+        with pytest.raises(ValueError, match="unknown letter"):
+            _word_to_monomial(word)
 
 
 def test_nf_long_eb_power_without_recursion():

@@ -262,10 +262,25 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
         cfg.write_text(f"expect_one={value}\n")
         assert main(["saturate", "--config", str(cfg)]) == code, value
         capsys.readouterr()
-    # a zero denominator in inline input is a usage error too
+    # a bad expression or family name in the config is blamed on its key
+    for suite, key, value in (("saturate", "seed_poly", "h^"),
+                              ("nf", "word", "e^"),
+                              ("saturate", "family", "X"),
+                              ("singular", "family", "M,N"),
+                              ("verify-free", "families", "gamma,X"),
+                              ("verify-weight", "families", "M,X"),
+                              ("scan", "families", "M,X"),
+                              ("intertwine", "a_family", "X"),
+                              ("intertwine", "b_family", "X")):
+        cfg.write_text(f"{key}={value}\n")
+        assert main([suite, "--config", str(cfg)]) == 2, (suite, key)
+        assert f"config key {key!r}" in capsys.readouterr().err, (suite, key)
+    # a zero denominator in inline input is a usage error too; inline
+    # input has no key to name
     for argv in (["nf", "1/0*e"], ["saturate", "1/0*h"]):
         assert main(argv) == 2, argv
-        assert "zero denominator" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zero denominator" in err and "config key" not in err
     # so are a dangling exponent and a sign with no term after it
     for text, message in (("e^", "exponent missing"),
                           ("e^ ", "exponent missing"),

@@ -307,3 +307,72 @@ def test_nf_word_never_leaks_a_traceback(text):
 def test_saturate_seed_never_leaks_a_traceback(text, cap):
     _assert_exit_contract("saturate", {"cap": f"{cap[0]},{cap[1]}",
                                        "seed_poly": text})
+
+
+# -- the weight-module suites ---------------------------------------------------
+
+# the keys of one weight spec, M, N or V, each mostly well formed
+_weight_keys = {name: _mostly(value) for name, value in _valid.items()}
+_small_ints = st.integers(-2, 3).map(str)
+_weight_families = st.lists(st.sampled_from(("M", "N", "V")), min_size=1,
+                            max_size=3).map(",".join)
+
+
+def _configs(required, **optional):
+    """Configs with the ``required`` keys and any of the weight keys and
+    of ``optional``."""
+    return st.fixed_dictionaries(required,
+                                 optional={**_weight_keys, **optional})
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+# trials and specs are always given, at most 3 and 2, and the window is
+# small or malformed, so that no example checks many specs
+@given(_configs({"window": _mostly(_windows),
+                 "trials": st.integers(0, 3).map(str),
+                 "specs": st.integers(0, 2).map(str)},
+                families=_mostly(_weight_families)))
+def test_verify_weight_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("verify-weight", config)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_configs({"window": _mostly(_windows)}))
+def test_singular_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("singular", config)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_configs({"depth": _mostly(st.integers(-1, 3).map(str))},
+                window=_mostly(_windows),
+                hit=_mostly(st.tuples(_small_ints, _small_ints).map(",".join))))
+def test_verma_check_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("verma-check", config)
+
+
+# a scan that runs walks up to 521 grid points, so most examples name an
+# unknown family and are refused before the scan
+@settings(deadline=None, derandomize=True, database=None, max_examples=12)
+@given(st.fixed_dictionaries(
+    {"families": st.one_of(_junk, _weight_families)},
+    optional={"format": st.sampled_from(("json", "csv", "xml"))}))
+def test_scan_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("scan", config)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_configs({"window": _mostly(_windows)},
+                z=_mostly(st.lists(_rational_texts, max_size=2).map(",".join))))
+def test_twist_check_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("twist-check", config)
+
+
+_kinds = st.lists(st.sampled_from(("lambda-rescale", "vm", "x", "")),
+                  min_size=1, max_size=2).map(",".join)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(_configs({"window": _mostly(_windows)}, kinds=_mostly(_kinds),
+                lambda2=_mostly(_rational_texts), b_m=_mostly(_rational_texts)))
+def test_iso_check_config_never_leaks_a_traceback(config):
+    _assert_exit_contract("iso-check", config)

@@ -5,7 +5,9 @@ module's operator table.  The single-action expected values below do not
 come from that code: they were derived by hand by dualizing the parent
 actions at sample points, or frozen from the earlier hand-written action
 formulas.  dual_consistency then re-checks the actions against the
-parents wholesale.
+parents wholesale.  Two replaced implementations stay as oracles: the
+hand-written Delta formulas, and the Fraction unit loop of the singular
+search.
 """
 
 import random
@@ -18,7 +20,9 @@ import pytest
 from takiffrep import weightmod
 from takiffrep.algebra import bracket
 from takiffrep.freemod import GENERATOR_PAIRS, SHIFT
+from takiffrep.linalg import nullspace
 from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
+from takiffrep.scan import builtin_scan_grid
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  act_weight_word, delta_action,
                                  dual_consistency, eval_functional,
@@ -384,6 +388,54 @@ def test_singular_vectors_empty_for_simple_specs():
         assert not rep.found, [(h.k, h.s) for h in rep.hits]
 
 
+def singular_oracle(spec, window):
+    """The Fraction unit loop that ``singular_vectors`` ran before it read
+    its images off ``unit_images``: each column's system built from
+    ``act_weight`` on every eta_{k,s}."""
+    hits = []
+    for pair in weightmod._KILL_PAIRS[spec.family]:
+        for k in range(window.k_min, window.k_max + 1):
+            cols = list(range(1, window.s_max + 1))
+            equations = {}
+            for s in cols:
+                for x in pair:
+                    for key, c in act_weight(spec, x, wv_unit(k, s)).items():
+                        equations.setdefault((x,) + key, {})[s] = c
+            for basis_vec in nullspace(list(equations.values()), cols):
+                vec = {(k, s): c for s, c in basis_vec.items()}
+                hits.append((k, max(s for (_, s) in vec), vec, pair,
+                             -spec.alpha_k(k)))
+    return hits
+
+
+def _hits(report):
+    return [(h.k, h.s, h.vector, h.killed_by, h.h_eigenvalue)
+            for h in report.hits]
+
+
+def test_singular_vectors_agree_with_unit_loop_on_scan_grid():
+    # every point of the built-in grid, at the window its scan row uses
+    for spec in builtin_scan_grid():
+        crit = simplicity_criterion_weight(spec)
+        if crit.simple:
+            window = Window(-3, 3, 4)
+        else:
+            k, s = crit.witness
+            window = Window(k - 2, k + 2, max(4, s + 1))
+        assert _hits(singular_vectors(spec, window)) == \
+            singular_oracle(spec, window), spec.params()
+
+
+def test_singular_vectors_agree_with_unit_loop_on_random_specs():
+    rng = random.Random(413)
+    for family in ("M", "N", "V"):
+        for _ in range(6):
+            spec = random_weight_spec(rng, family)
+            for window in (Window(-2, 2, 3), Window(-3, 3, 4)):
+                assert _hits(singular_vectors(spec, window)) == \
+                    singular_oracle(spec, window), spec.params()
+
+
 def test_singular_vector_is_actually_killed():
     spec = make_weight_m(0, 1, 1, -1, -2)
     rep = singular_vectors(spec, Window(-2, 2, 3))
@@ -468,6 +520,54 @@ def test_delta_action_examples():
         delta_action(4, 1, 0, "e", one)
     with pytest.raises(ValueError):
         delta_action(1, 1, 0, "e", PolyHH.hbar())
+
+
+def delta_oracle(variant, lam, a, x, g):
+    """The hand-written Delta formulas that the operator tables replaced:
+
+    variant 1:  e.g = -(1/lam)(h/2 - a) g(h-2)    f.g = lam (h/2 + a) g(h+2)
+    variant 2:  e.g = lam g(h-2)                  f.g = -(1/lam)(h/2 - a)(h/2 + a + 1) g(h+2)
+    variant 3:  e.g = -(1/lam)(h/2 + a)(h/2 - a - 1) g(h-2)    f.g = lam g(h+2)
+    """
+    half_h = PolyHH.h().scale(F(1, 2))
+    if x == "h":
+        return PolyHH.h() * g
+    if x == "e":
+        if variant == 1:
+            return (half_h - PolyHH.const(a)) * g.shift_h(-2) * PolyHH.const(-1 / lam)
+        if variant == 2:
+            return g.shift_h(-2).scale(lam)
+        coeff = (half_h + PolyHH.const(a)) * (half_h - PolyHH.const(a + 1))
+        return coeff * g.shift_h(-2) * PolyHH.const(-1 / lam)
+    if variant == 1:
+        return (half_h + PolyHH.const(a)) * g.shift_h(2) * PolyHH.const(lam)
+    if variant == 2:
+        coeff = (half_h - PolyHH.const(a)) * (half_h + PolyHH.const(a + 1))
+        return coeff * g.shift_h(2) * PolyHH.const(-1 / lam)
+    return g.shift_h(2).scale(lam)
+
+
+def test_delta_action_agrees_with_hand_formulas():
+    rng = random.Random(412)
+    for _ in range(40):
+        lam = random_rational(rng, nonzero=True)
+        a = random_rational(rng)
+        g = PolyHH({(i, 0): random_rational(rng)
+                    for i in range(rng.randint(0, 4))})
+        for variant in (1, 2, 3):
+            for x in ("e", "f", "h"):
+                assert delta_action(variant, lam, a, x, g) == \
+                    delta_oracle(variant, lam, a, x, g), (variant, lam, a, x)
+    # the refusals keep their wording; an unknown variant is refused for
+    # every generator, h included
+    one = PolyHH.const(1)
+    for args, message in (((1, 0, 0, "e", one), "lambda must be nonzero"),
+                          ((1, 1, 0, "e", PolyHH.hbar()), "h alone"),
+                          ((4, 1, 0, "h", one), "unknown Delta variant 4"),
+                          ((1, 1, 0, "eb", one), "generator 'eb'"),
+                          ((3, 1, 0, "hb", one), "generator 'hb'")):
+        with pytest.raises(ValueError, match=message):
+            delta_action(*args)
 
 
 def test_delta_variants_satisfy_sl2():
