@@ -21,7 +21,9 @@ Each side term strictly reduces the number of unbarred letters, so the
 rewriting terminates, and by Bergman's diamond lemma the result does not
 depend on the order of reductions.  Whole words and letter-times-monomial
 products share one cache; all structure constants are integers, so the
-cached coefficients are ints.
+cached coefficients are ints, and elements keep them as ints: an
+``AlgebraElement`` follows ``PolyHH``'s rule, Fractions from its public
+constructor and exact ints kept by every other constructor and operation.
 
 The localized algebra adjoins a two-sided inverse of eb (letter ``ebinv``,
 printed ``eb^-1``).  It commutes with e, eb, fb, hb and satisfies
@@ -174,7 +176,11 @@ def _reduce_word(word: Tuple[str, ...]) -> Tuple[Tuple[Monomial, int], ...]:
 
 
 class AlgebraElement:
-    """A finite rational combination of canonical monomials."""
+    """A finite rational combination of canonical monomials.
+
+    ``PolyHH``'s coefficient rule: the public constructor stores Fractions,
+    and everything built through ``_adopt`` keeps exact ints as ints.
+    """
 
     __slots__ = ("_c",)
 
@@ -188,24 +194,33 @@ class AlgebraElement:
         self._c = c
 
     @staticmethod
+    def _adopt(c: Dict[Monomial, Fraction]) -> "AlgebraElement":
+        """Wrap an already cleaned dict as-is: no copy, no coercion."""
+        out = AlgebraElement.__new__(AlgebraElement)
+        out._c = c
+        return out
+
+    @staticmethod
     def zero() -> "AlgebraElement":
-        return AlgebraElement()
+        return AlgebraElement._adopt({})
 
     @staticmethod
     def one() -> "AlgebraElement":
-        return AlgebraElement({ONE_MONO: 1})
+        return AlgebraElement._adopt({ONE_MONO: 1})
 
     @staticmethod
     def gen(name: str) -> "AlgebraElement":
         if name not in LOCALIZED_LETTERS:
             raise ValueError(f"unknown generator {name!r}")
-        return AlgebraElement({_word_to_monomial((name,)): 1})
+        return AlgebraElement._adopt({_word_to_monomial((name,)): 1})
 
     @staticmethod
     def from_word(word: Sequence[str], coeff: RationalLike = 1) -> "AlgebraElement":
         terms = _reduce_word(tuple(word))
-        coeff = to_rational(coeff)
-        return AlgebraElement({m: coeff * v for m, v in terms})
+        if not isinstance(coeff, int):
+            coeff = to_rational(coeff)
+        return AlgebraElement._adopt({m: coeff * v for m, v in terms}
+                                     if coeff else {})
 
     def is_zero(self) -> bool:
         return not self._c
@@ -222,28 +237,23 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         c = dict(self._c)
         for m, v in other._c.items():
-            w = c.get(m, Fraction(0)) + v
+            w = c.get(m, 0) + v
             if w:
                 c[m] = w
             else:
                 c.pop(m, None)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._c = c
-        return out
+        return AlgebraElement._adopt(c)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._c = {m: -v for m, v in self._c.items()}
-        return out
+        return AlgebraElement._adopt({m: -v for m, v in self._c.items()})
 
     def scale(self, v: RationalLike) -> "AlgebraElement":
         v = to_rational(v)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._c = {} if not v else {m: v * w for m, w in self._c.items()}
-        return out
+        return AlgebraElement._adopt({m: v * w for m, w in self._c.items()}
+                                     if v else {})
 
     def __rmul__(self, other) -> "AlgebraElement":
         return self.scale(other)
@@ -257,14 +267,12 @@ class AlgebraElement:
             for m2, v2 in other._c.items():
                 v = v1 * v2
                 for m, w in _reduce_word(w1 + m2.to_word()):
-                    total = acc.get(m, Fraction(0)) + v * w
+                    total = acc.get(m, 0) + v * w
                     if total:
                         acc[m] = total
                     else:
                         acc.pop(m, None)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._c = acc
-        return out
+        return AlgebraElement._adopt(acc)
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -332,10 +340,8 @@ def bracket(x: str, y: str) -> AlgebraElement:
     """The Lie bracket [x, y] of two generators, as an algebra element."""
     if x not in GENERATORS or y not in GENERATORS:
         raise ValueError(f"bracket is defined on the six generators, got {x!r}, {y!r}")
-    out = AlgebraElement.zero()
-    for c, g in _BRACKET.get((x, y), ()):
-        out = out + AlgebraElement.gen(g).scale(c)
-    return out
+    return AlgebraElement._adopt({_word_to_monomial((g,)): c
+                                  for c, g in _BRACKET.get((x, y), ())})
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -360,7 +366,8 @@ def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
     output monomial is read off from exponents; the powers of the f image
     and of 2z are formed once per call.
     """
-    z = to_rational(z)
+    if not isinstance(z, int):
+        z = to_rational(z)
     if isinstance(x, str):
         x = (x,)
     if isinstance(x, AlgebraElement):
@@ -372,7 +379,7 @@ def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
     f_image = (AlgebraElement.gen("f")
                - AlgebraElement.from_word(("ebinv", "hb"), z))
     f_powers = [AlgebraElement.one()]
-    shift_powers = [Fraction(1)]
+    shift_powers = [1]
     for m in elem._c:
         while len(f_powers) <= m.b:
             f_powers.append(f_image * f_powers[-1])
@@ -386,9 +393,7 @@ def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
             for j, w in h_terms:
                 key = Monomial(m.n + p.n, m.a + p.a, p.b, m.c + p.c, j, m.g)
                 acc[key] = acc.get(key, 0) + v * u * w
-    out = AlgebraElement.__new__(AlgebraElement)
-    out._c = {m: v for m, v in acc.items() if v}
-    return out
+    return AlgebraElement._adopt({m: v for m, v in acc.items() if v})
 
 
 def check_theta_automorphism(z: RationalLike) -> dict:

@@ -231,10 +231,12 @@ def _suite_verify_weight(cfg, args, rng, window):
         raise ValueError("config key 'trials': must be at least 1")
     if n_specs < 1:
         raise ValueError("config key 'specs': must be at least 1")
+    explicit = any(key in cfg for key in ("alpha", "beta", "lambda", "a",
+                                          "b", "beta1"))
     cases = []
     ok = True
     for family in families:
-        if "alpha" in cfg:
+        if explicit:
             specs = [_weight_spec_from_cfg({**cfg, "family": family})]
         else:
             specs = [weightmod.random_weight_spec(rng, family)

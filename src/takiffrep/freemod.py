@@ -269,24 +269,17 @@ def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:
     so ``act_word(spec, "e*f - f*e", p)`` works.
     """
     if isinstance(elem, str):
-        if elem in GENERATORS:
-            elem = (elem,)
-        else:
-            elem = parse_word_expr(elem)
+        elem = (elem,) if elem in GENERATORS else parse_word_expr(elem)
     if isinstance(elem, AlgebraElement):
         total = PolyHH.zero()
         for mono, coeff in elem.terms():
             if mono.n < 0:
                 raise ValueError("free modules do not carry the eb-localization")
-            q = p
-            for letter in reversed(mono.to_word()):
-                q = act(spec, letter, q)
-            total = total + q.scale(coeff)
+            total = total + act_word(spec, mono.to_word(), p).scale(coeff)
         return total
-    q = p
     for letter in reversed(tuple(elem)):
-        q = act(spec, letter, q)
-    return q
+        p = act(spec, letter, p)
+    return p
 
 
 # -- the bracket axioms, proved on the dual basis -------------------------------

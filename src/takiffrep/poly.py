@@ -8,6 +8,8 @@ sums, products, int shifts and dbar of int coefficients stay ints, so one
 type serves both the rational actions and the integer saturation.  Zero
 coefficients are never stored, and an int equals and hashes like the equal
 Fraction, so equality of the underlying dicts is equality of polynomials.
+An expansion about a point is the recentred polynomial (``shifted_expand``),
+so there is one polynomial form.
 
 The degree of the zero polynomial is the dedicated marker ``NEG_INF`` which
 compares strictly below every integer; it is never the integer -1.
@@ -121,11 +123,6 @@ class PolyHH:
     @staticmethod
     def term(i: int, j: int, v: RationalLike = 1) -> "PolyHH":
         return PolyHH({(i, j): to_rational(v)})
-
-    @staticmethod
-    def from_hbar_coeffs(coeffs: Iterable[RationalLike]) -> "PolyHH":
-        """Univariate polynomial in hbar from its coefficient list (q_0, q_1, ...)."""
-        return PolyHH({(0, j): to_rational(v) for j, v in enumerate(coeffs)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -281,48 +278,14 @@ class PolyHH:
         return f"PolyHH({self.to_text()})"
 
 
-class ShiftedExpansion:
-    """Coefficients of p in the shifted basis (h - h0)^i (hbar - hb0)^j.
-
-    ``coeffs[(i, j)]`` is the coefficient of (h - h0)^i (hbar - hb0)^j; the
-    expansion is exact and ``to_poly`` reconstructs p on the nose.
-    """
-
-    __slots__ = ("center", "coeffs")
-
-    def __init__(self, center: Tuple[Fraction, Fraction], coeffs: Dict[Exponent, Fraction]):
-        self.center = (to_rational(center[0]), to_rational(center[1]))
-        self.coeffs = {e: to_rational(v) for e, v in coeffs.items() if v}
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
-
-    def to_poly(self) -> PolyHH:
-        h0, hb0 = self.center
-        p = PolyHH(dict(self.coeffs))
-        return p.shift_h(-h0).shift_hbar(-hb0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftedExpansion)
-            and self.center == other.center
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"ShiftedExpansion(center={self.center}, coeffs={self.coeffs})"
-
-
-def shifted_expand(p: PolyHH, center: Tuple[RationalLike, RationalLike]) -> ShiftedExpansion:
+def shifted_expand(p: PolyHH, center: Tuple[RationalLike, RationalLike]) -> PolyHH:
     """Expand p about (h0, hb0): p = sum c_ij (h - h0)^i (hbar - hb0)^j.
 
-    Writing u = h - h0, v = hbar - hb0, the coefficients c_ij are the plain
-    coefficients of p(u + h0, v + hb0), i.e. of the shifted polynomial.
+    Writing u = h - h0, v = hbar - hb0, the c_ij are the plain coefficients
+    of p(u + h0, v + hb0), so the recentred polynomial is returned, and
+    shifting it by (-h0, -hb0) gives p back.
     """
-    h0 = to_rational(center[0])
-    hb0 = to_rational(center[1])
-    q = p.shift_h(h0).shift_hbar(hb0)
-    return ShiftedExpansion((h0, hb0), dict(q._c))
+    return p.shift_h(center[0]).shift_hbar(center[1])
 
 
 # -- univariate helpers (coefficient tuples in hbar) -------------------------
@@ -337,7 +300,8 @@ def poly1_eval(coeffs: Tuple[Fraction, ...], x: RationalLike) -> Fraction:
 
 
 def poly1_to_polyhh(coeffs: Iterable[RationalLike]) -> PolyHH:
-    return PolyHH.from_hbar_coeffs(coeffs)
+    """Univariate polynomial in hbar from its coefficient list (q_0, q_1, ...)."""
+    return PolyHH({(0, j): v for j, v in enumerate(coeffs)})
 
 
 # -- parsing ------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The bracket table and the closed-form straightening identities below were
 worked out by hand; the random loops check structural properties
-(idempotence, associativity, bracket compatibility) on top of them.  Two
-test-only oracles check the fast paths: a whole-word bubble loop built from
-that table and the localized rules, for normal_form, and the letter-by-letter
-substitution, for theta.  A letter count checks how canonical words are read
-into exponents.
+(idempotence, associativity, bracket compatibility) on top of them.
+Test-only oracles check the fast paths: a whole-word bubble loop built from
+that table and the localized rules, for normal_form, the letter-by-letter
+substitution, for theta, a sum of scaled generators, for bracket, and the
+Fraction-coercing public constructor, for from_word.  A letter count checks
+how canonical words are read into exponents.
 """
 
 import random
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from takiffrep.algebra import (GENERATORS, LOCALIZED_LETTERS, AlgebraElement,
-                               Monomial, _reduce_word, _word_to_monomial,
+from takiffrep.algebra import (_BRACKET, GENERATORS, LOCALIZED_LETTERS,
+                               AlgebraElement, Monomial, _reduce_word,
+                               _word_to_monomial,
                                bracket, check_theta_automorphism, commutator,
                                normal_form, parse_word_expr, theta)
 
@@ -99,6 +101,40 @@ def test_bracket_table():
         assert got_rev == {k: -F(v) for k, v in want.items()}, (y, x)
         seen.add(frozenset((x, y)))
     assert len(seen) == 15
+
+
+def _coeff_types(*elems):
+    return {type(v) for x in elems for _, v in x.terms()}
+
+
+def test_bracket_agrees_with_summed_generators():
+    # the summed form of bracket, one scaled generator per _BRACKET term
+    for x in GENERATORS:
+        for y in GENERATORS:
+            want = AlgebraElement.zero()
+            for c, g in _BRACKET.get((x, y), ()):
+                want = want + AlgebraElement.gen(g).scale(c)
+            got = bracket(x, y)
+            assert got == want and hash(got) == hash(want), (x, y)
+            assert _coeff_types(got) <= {int}, (x, y)
+
+
+def test_from_word_agrees_with_the_public_constructor():
+    # the public constructor coerces every coefficient to a Fraction;
+    # from_word must give the same element, and keep ints for an int coeff
+    rng = random.Random(211)
+    for _ in range(200):
+        word = tuple(rng.choice(LOCALIZED_LETTERS)
+                     for _ in range(rng.randint(0, 7)))
+        c = (rng.randint(-3, 3) if rng.random() < 0.5
+             else F(rng.randint(-9, 9), rng.randint(1, 9)))
+        got = AlgebraElement.from_word(word, c)
+        want = AlgebraElement({m: F(c) * v for m, v in _reduce_word(word)})
+        assert got == want and hash(got) == hash(want), (word, c)
+        assert got.to_text() == want.to_text()
+        if type(c) is int:
+            assert _coeff_types(got, normal_form(word, localized=True),
+                                theta(c, word)) <= {int}, (word, c)
 
 
 def test_bracket_rejects_nongenerators():

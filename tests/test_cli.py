@@ -95,6 +95,25 @@ def test_verify_weight(capsys, tmp_path):
     assert case["dual_ok"] and case["bracket_ok"]
 
 
+@pytest.mark.parametrize("key", ["alpha", "beta", "lambda", "a", "b",
+                                 "beta1"])
+def test_verify_weight_any_parameter_is_explicit(capsys, tmp_path, key):
+    # one spec per family from the config, the other keys at their
+    # defaults, instead of `specs` random specs
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"families=M,V\n{key}=3\ntrials=2\n")
+    code, doc = run_json(capsys, "verify-weight", "--config", str(cfg),
+                         "--window=-1:1:2")
+    assert code == 0
+    defaults = {"alpha": "0/1", "beta": "1/1", "lambda": "1/1", "a": "-1/1"}
+    want = {"M": {**defaults, "b": "-2/1", "family": "M"},
+            "V": {**defaults, "beta1": ["1/1", "1/1"], "family": "V"}}
+    for params in want.values():
+        if key in params:
+            params[key] = ["3/1"] if key == "beta1" else "3/1"
+    assert [c["params"] for c in doc["cases"]] == [want["M"], want["V"]]
+
+
 def test_singular_default_and_window_flag(capsys):
     code, doc = run_json(capsys, "singular", "--window", "-2:2:3")
     assert code == 0

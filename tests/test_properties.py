@@ -162,35 +162,48 @@ def test_load_config_round_trips_key_value_lines(cfg):
 
 # -- the CLI exit-status contract under arbitrary configs ---------------------
 
-_rational_texts = st.fractions(min_value=-9, max_value=9,
-                               max_denominator=9).map(str)
-_windows = st.builds(lambda k, width, s: f"{k}:{k + width}:{s}",
-                     st.integers(-3, 1), st.integers(0, 3), st.integers(1, 3))
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_rational_texts = _fractions.map(str)
+_nonzero_texts = _fractions.filter(bool).map(str)
+# small windows around k = 0, where the default modules have their witness
+_windows = st.builds(lambda lo, hi, s: f"{-lo}:{hi}:{s}",
+                     st.integers(0, 2), st.integers(0, 1), st.integers(1, 3))
 _junk = st.one_of(
     _rational_texts, _windows,
     st.sampled_from(("", "x", "M", "W", "m", "1/0", "1//2", "--3", "3/-2",
                      " 7 ", "1.5", "nan", "1,,2", ",", "-:0:1", "0:0",
                      "1:0:1", "0:0:0")))
+# counts that a suite refuses: malformed, or below its minimum
+_count_junk = st.sampled_from(("", "x", "1/2", "1.5", "--3", "-1"))
 
 
-def _mostly(value, junk=_junk):
-    """value three times in four, junk otherwise."""
-    return st.tuples(st.integers(0, 3), value, junk).map(
-        lambda t: t[1] if t[0] else t[2])
+def _one_junk(configs, junk=None):
+    """The well-formed ``configs``, one time in three with one value replaced
+    by junk, ``junk[key]`` if given, else ``_junk``.  No junk is the
+    simplest draw, the one Hypothesis tries most, so most examples reach a
+    suite's work, and a refused config is refused for one key."""
+    @st.composite
+    def with_junk(draw):
+        config = draw(configs)
+        if config and draw(st.integers(0, 2)) == 2:
+            key = draw(st.sampled_from(sorted(config)))
+            config[key] = draw((junk or {}).get(key, _junk))
+        return config
+    return with_junk()
 
 
 _valid = {"family": st.sampled_from(("M", "N", "V")),
           "alpha": _rational_texts, "beta": _rational_texts,
-          "lambda": _rational_texts, "a": _rational_texts,
+          "lambda": _nonzero_texts, "a": _rational_texts,
           "b": _rational_texts,
           "beta1": st.lists(_rational_texts, max_size=4).map(",".join)}
-_intertwine_configs = st.fixed_dictionaries(
+_intertwine_configs = _one_junk(st.fixed_dictionaries(
     # the window is always given, small or malformed, so that no example
     # runs the search on the default window
-    {"window": _mostly(_windows)},
-    optional={**{side + name: _mostly(value)
+    {"window": _windows},
+    optional={**{side + name: value
                  for side in ("a_", "b_") for name, value in _valid.items()},
-              "expect_dimension": _mostly(st.integers(0, 2).map(str))})
+              "expect_dimension": st.integers(0, 2).map(str)}))
 
 
 def _assert_exit_contract(suite, config):
@@ -213,19 +226,20 @@ def test_intertwine_config_never_leaks_a_traceback(config):
     _assert_exit_contract("intertwine", config)
 
 
-_free_families = st.lists(st.sampled_from(("gamma", "theta", "omega", "M",
-                                           "")), min_size=1, max_size=3)
-_short_lists = st.lists(_rational_texts, max_size=2).map(",".join)
-_verify_free_configs = st.fixed_dictionaries(
-    {}, optional={"families": _mostly(_free_families.map(",".join)),
-                  "trials": _mostly(st.integers(-1, 3).map(str)),
+_free_families = st.lists(st.sampled_from(("gamma", "theta", "omega")),
+                          min_size=1, max_size=3).map(",".join)
+_short_lists = st.lists(_rational_texts, min_size=1, max_size=2).map(",".join)
+_verify_free_configs = _one_junk(st.fixed_dictionaries(
+    {}, optional={"families": _free_families,
+                  "trials": st.integers(1, 3).map(str),
                   # specs stays small so that no example checks many specs
-                  "specs": _mostly(st.integers(-1, 3).map(str)),
-                  "lambda": _mostly(_short_lists),
-                  "a": _mostly(_short_lists),
-                  "b": _mostly(_short_lists),
-                  "beta1": _mostly(st.lists(_rational_texts,
-                                            max_size=3).map(",".join))})
+                  "specs": st.integers(1, 3).map(str),
+                  "lambda": st.lists(_nonzero_texts, min_size=1,
+                                     max_size=2).map(",".join),
+                  "a": _short_lists, "b": _short_lists,
+                  "beta1": st.lists(_rational_texts,
+                                    max_size=3).map(",".join)}),
+    {"trials": _count_junk, "specs": _count_junk})
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -239,21 +253,18 @@ _seed_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                               st.fractions(min_value=-9, max_value=9,
                                            max_denominator=9),
                               max_size=4).map(lambda c: PolyHH(c).to_text())
-_saturate_configs = st.fixed_dictionaries(
-    # the cap is always given, at most (4, 4) or malformed, so that no
-    # example saturates under the default (8, 8) cap
-    {"cap": _mostly(st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
-        lambda c: f"{c[0]},{c[1]}"))},
-    optional={"family": _mostly(st.sampled_from(("gamma", "theta", "omega",
-                                                 "M", ""))),
-              "lambda": _mostly(_rational_texts),
-              "a": _mostly(_rational_texts),
-              "b": _mostly(_rational_texts),
-              "beta1": _mostly(st.lists(_rational_texts,
-                                        max_size=3).map(",".join)),
-              "seed_poly": _mostly(_seed_polys),
-              "expect_one": _mostly(st.sampled_from(("true", "false",
-                                                     "TRUE", "False")))})
+_saturate_configs = _one_junk(st.fixed_dictionaries(
+    # the cap is always given, from (2, 2) to (4, 4) or malformed, so that
+    # every seed fits and no example saturates under the default (8, 8) cap
+    {"cap": st.tuples(st.integers(2, 4), st.integers(2, 4)).map(
+        lambda c: f"{c[0]},{c[1]}")},
+    optional={"family": st.sampled_from(("gamma", "theta", "omega")),
+              "lambda": _nonzero_texts, "a": _rational_texts,
+              "b": _rational_texts,
+              "beta1": st.lists(_rational_texts, max_size=3).map(",".join),
+              "seed_poly": _seed_polys,
+              "expect_one": st.sampled_from(("true", "false", "TRUE",
+                                             "False"))}))
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -262,16 +273,14 @@ def test_saturate_config_never_leaks_a_traceback(config):
     _assert_exit_contract("saturate", config)
 
 
-_omega_quotient_configs = st.fixed_dictionaries(
+_omega_quotient_configs = _one_junk(st.fixed_dictionaries(
     # n_max is always given, at most 4 or malformed (never the default 8)
-    {"n_max": _mostly(st.integers(-1, 4).map(str),
-                      st.sampled_from(("", "x", "1/2", "1.5", "--3")))},
-    optional={"lambda": _mostly(_rational_texts),
-              "beta1": _mostly(st.lists(_rational_texts,
-                                        max_size=3).map(",".join)),
-              "i": _mostly(st.lists(st.integers(-1, 4), min_size=1,
-                                    max_size=3).map(
-                  lambda layers: ",".join(map(str, layers))))})
+    {"n_max": st.integers(0, 4).map(str)},
+    optional={"lambda": _nonzero_texts,
+              "beta1": st.lists(_rational_texts, max_size=3).map(",".join),
+              "i": st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+                  lambda layers: ",".join(map(str, layers)))}),
+    {"n_max": _count_junk})
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -311,41 +320,57 @@ def test_saturate_seed_never_leaks_a_traceback(text, cap):
 
 # -- the weight-module suites ---------------------------------------------------
 
-# the keys of one weight spec, M, N or V, each mostly well formed
-_weight_keys = {name: _mostly(value) for name, value in _valid.items()}
-_small_ints = st.integers(-2, 3).map(str)
 _weight_families = st.lists(st.sampled_from(("M", "N", "V")), min_size=1,
                             max_size=3).map(",".join)
 
 
 def _configs(required, **optional):
-    """Configs with the ``required`` keys and any of the weight keys and
-    of ``optional``."""
-    return st.fixed_dictionaries(required,
-                                 optional={**_weight_keys, **optional})
+    """Configs with the ``required`` keys and any of the keys of one weight
+    spec and of ``optional``, at most one of them junk."""
+    return _one_junk(st.fixed_dictionaries(
+        required, optional={**_valid, **optional}),
+        {"trials": _count_junk, "specs": _count_junk})
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
 # trials and specs are always given, at most 3 and 2, and the window is
 # small or malformed, so that no example checks many specs
-@given(_configs({"window": _mostly(_windows),
-                 "trials": st.integers(0, 3).map(str),
-                 "specs": st.integers(0, 2).map(str)},
-                families=_mostly(_weight_families)))
+@given(_configs({"window": _windows,
+                 "trials": st.integers(1, 3).map(str),
+                 "specs": st.integers(1, 2).map(str)},
+                families=_weight_families))
 def test_verify_weight_config_never_leaks_a_traceback(config):
     _assert_exit_contract("verify-weight", config)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"window": _mostly(_windows)}))
+@given(_configs({"window": _windows}))
 def test_singular_config_never_leaks_a_traceback(config):
     _assert_exit_contract("singular", config)
 
 
+@st.composite
+def _reducible_specs(draw):
+    """All keys of an M or N spec on the reducible stratum of
+    ``simplicity_criterion_weight``, and maybe its witness as ``hit``: for M,
+    beta^2 + a = 0 and (alpha + 2j) beta + b = 0 at an integer j, with
+    witness eta[j-1, 1]; N is M(-alpha, -beta) mirrored, k -> -k."""
+    family = draw(st.sampled_from(("M", "N")))
+    sign = 1 if family == "M" else -1
+    alpha, beta = draw(_fractions), draw(_fractions.filter(bool))
+    j = draw(st.integers(-2, 2))
+    spec = {"family": family, "alpha": alpha, "beta": beta,
+            "lambda": draw(_nonzero_texts), "a": -beta * beta,
+            "b": -(sign * alpha + 2 * j) * sign * beta}
+    if draw(st.booleans()):
+        spec["hit"] = f"{sign * (j - 1)},1"
+    return {key: str(value) for key, value in spec.items()}
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"depth": _mostly(st.integers(-1, 3).map(str))},
-                window=_mostly(_windows),
-                hit=_mostly(st.tuples(_small_ints, _small_ints).map(",".join))))
+@given(_one_junk(st.tuples(_reducible_specs(), st.fixed_dictionaries(
+    {"depth": st.integers(0, 3).map(str)},
+    optional={"window": _windows})).map(lambda t: {**t[0], **t[1]})))
 def test_verma_check_config_never_leaks_a_traceback(config):
     _assert_exit_contract("verma-check", config)
 
@@ -361,18 +386,19 @@ def test_scan_config_never_leaks_a_traceback(config):
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"window": _mostly(_windows)},
-                z=_mostly(st.lists(_rational_texts, max_size=2).map(",".join))))
+@given(_configs({"window": _windows}, family=st.just("M"),
+                z=st.lists(_rational_texts, min_size=1,
+                           max_size=2).map(",".join)))
 def test_twist_check_config_never_leaks_a_traceback(config):
     _assert_exit_contract("twist-check", config)
 
 
-_kinds = st.lists(st.sampled_from(("lambda-rescale", "vm", "x", "")),
+_kinds = st.lists(st.sampled_from(("lambda-rescale", "vm")),
                   min_size=1, max_size=2).map(",".join)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"window": _mostly(_windows)}, kinds=_mostly(_kinds),
-                lambda2=_mostly(_rational_texts), b_m=_mostly(_rational_texts)))
+@given(_configs({"window": _windows}, kinds=_kinds, lambda2=_nonzero_texts,
+                b_m=_rational_texts))
 def test_iso_check_config_never_leaks_a_traceback(config):
     _assert_exit_contract("iso-check", config)

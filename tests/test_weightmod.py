@@ -622,7 +622,7 @@ def adjoint_table_oracle(spec, ops):
     for x, terms in ops.items():
         coeffs = {}
         for c, m in terms:
-            for (i, r), e in shifted_expand(c, (spec.alpha, spec.beta)).coeffs.items():
+            for (i, r), e in shifted_expand(c, (spec.alpha, spec.beta)).terms():
                 pair = coeffs.setdefault((m, r), [F(0), F(0)])
                 pair[i] -= factorial(r) * 2 ** i * e
         table[x] = (SHIFT[x] // 2, {key: (c0, c1) for key, (c0, c1)
