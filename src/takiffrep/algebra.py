@@ -448,5 +448,7 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
                 letter, k = "ebinv", -k
             word.extend([letter] * k)
         _validate_letters(word, localized)
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         out = out + AlgebraElement.from_word(tuple(word), coeff)
     return out

@@ -12,11 +12,16 @@ commuting with the action.  Columns are matched by exact h-eigenvalue
 (eta-columns k and k + (alpha_A - alpha_B)/2 pair up; a non-integral
 offset forces the zero space), probes are restricted to domain-interior
 basis vectors, and equation components outside the codomain window are
-relaxed.  Each side's generator images are read once off its adjoint
+relaxed.  The maps are solved on the hbar-commutant: hbar acts on each
+column as -beta - N with N nilpotent, so the space is zero unless the
+betas agree, and otherwise each column's map is a polynomial in N, S
+unknowns per column for s_max = S; only the e, f, eb and fb probes give
+equations.  Each side's generator images are read once off its adjoint
 table, as integer vectors, so the equations are integer rows.  Its
 ``verified`` flag does not reuse those equations: every basis map is
-checked on the interior probes against the full, unrelaxed codomain
-images, through the same map check the explicit isomorphisms go through.
+checked on the interior probes, h and hbar included, against the full,
+unrelaxed codomain images, through the same map check the explicit
+isomorphisms go through.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from math import perm
+from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean, vec_primitive
@@ -274,15 +280,37 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     ``verified`` flag: every basis map commutes with the generators on the
     domain-interior probes, codomain images taken in full, unrelaxed.
     An empty space is returned outright when no codomain column matches
-    the domain h-eigenvalues.
+    the domain h-eigenvalues, or when beta_A != beta_B.
+
+    A map T sends column k of the window to column k + delta, delta =
+    (alpha_A - alpha_B)/2, and is solved on the hbar-commutant.  In every
+    family hbar acts on a column as -beta - N, N.eta_{k,s} = (s-1)
+    eta_{k,s-1}: one nilpotent Jordan block per column.  Three facts make
+    the solve exact:
+
+    * every hbar probe is interior and no component of an hbar image
+      leaves the codomain window, so the hbar equations are never
+      relaxed: they read (beta_A - beta_B) T = N T - T N on each column;
+    * ad N is nilpotent, so the space is {0} unless beta_A = beta_B;
+    * with beta_A = beta_B, T commutes with the single Jordan block N, so
+      it is a polynomial in N: T(eta_{k,s}) = sum_j t_{k,j} (s-1)!/(s-1-j)!
+      eta_{k+delta,s-j}, j < S = window.s_max.
+
+    So the unknowns are the S numbers t_{k,j} per column, and only the e,
+    f, eb and fb probes give equations: the h equations cancel under the
+    column matching, and the hbar equations hold identically.  Each
+    kernel vector is expanded to the entries T[k, s_in, s_out] and the
+    kernel is put in reduced echelon form with each pivot at its largest
+    entry, in free-entry order, the basis ``nullspace`` gives for the
+    entries themselves.
 
     Every generator's image of every domain-window and codomain-window
     basis functional is computed once, as an integer vector scaled by a
     common denominator d_A or d_B per spec.  An equation then reads
     d_A (codomain side) - d_B (domain side), an integer row with the same
-    kernel.  ``verified`` goes through ``_first_failure`` with both actions
-    scaled to d_A d_B times the true one and an integer multiple of each
-    basis map.
+    kernel.  ``verified`` goes through ``_first_failure`` on every
+    interior probe, h and hbar included, with both actions scaled to
+    d_A d_B times the true one and an integer multiple of each basis map.
     """
     offset2 = spec_a.alpha - spec_b.alpha
     empty = {"maps": [], "dimension": 0, "codomain_window": None,
@@ -291,32 +319,43 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         return empty
     delta = int(offset2) // 2
     cod = Window(window.k_min + delta, window.k_max + delta, window.s_max)
+    if spec_a.beta != spec_b.beta:
+        return {**empty, "codomain_window": cod}
     d_a, images_a = unit_images(spec_a, window)
     d_b, images_b = unit_images(spec_b, cod)
-    outputs = range(1, window.s_max + 1)
 
-    unknowns: List[Tuple[int, int, int]] = [
-        (k, s_in, s_out) for (k, s_in) in window.indices() for s_out in outputs]
     # probes (k, s, y) whose domain image stays inside the window
     probes = [(k, s, y) for (k, s) in window.indices() for y in GENERATORS
               if all(window.contains(key) for key in images_a[y][(k, s)])]
 
-    equations: Dict[Tuple, Dict[Tuple[int, int, int], int]] = {}
+    equations: Dict[Tuple, Dict[Tuple[int, int], int]] = {}
     for idx, (k, s_in, y) in enumerate(probes):
-        # y.T(eta_{k,s_in}) = sum_out T[k,s_in,out] * y.eta_{k+delta,out},
-        # relaxed to the components inside the codomain window
-        for s_out in outputs:
-            for key, c in images_b[y][(k + delta, s_out)].items():
-                if not cod.contains(key):
-                    continue
-                row = equations.setdefault((idx,) + key, {})
-                row[(k, s_in, s_out)] = row.get((k, s_in, s_out), 0) + d_a * c
+        if y in ("h", "hb"):
+            continue
+        # y.T(eta_{k,s_in}) = sum_j t[k,j] perm(s_in - 1, j) *
+        # y.eta_{k+delta,s_in-j}, relaxed to the components inside the
+        # codomain window
+        for j in range(s_in):
+            c_j = d_a * perm(s_in - 1, j)
+            for key, c in images_b[y][(k + delta, s_in - j)].items():
+                if cod.contains(key):
+                    row = equations.setdefault((idx,) + key, {})
+                    row[(k, j)] = row.get((k, j), 0) + c_j * c
         # T(y.eta_{k,s_in})
         for (k2, s2), c in images_a[y][(k, s_in)].items():
-            for s_out in outputs:
-                row = equations.setdefault((idx, k2 + delta, s_out), {})
-                row[(k2, s2, s_out)] = row.get((k2, s2, s_out), 0) - d_b * c
-    kernel = nullspace(list(equations.values()), unknowns)
+            for j in range(s2):
+                row = equations.setdefault((idx, k2 + delta, s2 - j), {})
+                row[(k2, j)] = row.get((k2, j), 0) - d_b * perm(s2 - 1, j) * c
+    kernel = nullspace(list(equations.values()),
+                       [(k, j) for k in range(window.k_min, window.k_max + 1)
+                        for j in range(window.s_max)])
+
+    echelon = RowBasis(key=lambda entry: (-entry[0], -entry[1], -entry[2]))
+    for sol in kernel:
+        echelon.add({(k, s_in, s_in - j): c * perm(s_in - 1, j)
+                     for (k, j), c in sol.items()
+                     for s_in in range(j + 1, window.s_max + 1)})
+    kernel = echelon.rows()[::-1]
 
     def window_map(sol) -> LinearWindowMap:
         columns: Dict[Tuple[int, int], WeightVec] = {

@@ -357,6 +357,14 @@ def test_parse_word_expr():
     assert parse_word_expr("2*-e") == normal_form("e").scale(-2)
 
 
+def test_parse_word_expr_keeps_integral_coefficients_int():
+    assert _coeff_types(parse_word_expr("hb^2 + 4*eb*fb"),
+                        normal_form("e*f - f*e")) == {int}
+    got = parse_word_expr("1/2*e + f")
+    assert got == normal_form("e").scale(F(1, 2)) + normal_form("f")
+    assert _coeff_types(got) == {F, int}
+
+
 def test_theta_images():
     z = F(3)
     assert theta(z, "h") == normal_form("h") + AlgebraElement.one().scale(6)

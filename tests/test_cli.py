@@ -358,6 +358,15 @@ GOLDEN_CASES = [
      "a_family=V\na_alpha=2\na_beta=1\na_lambda=2\na_a=1\na_beta1=1/2\n"
      "b_family=V\nb_alpha=4\nb_beta=1\nb_lambda=-1\nb_a=-1\nb_beta1=-3/2\n"
      "window=-1:1:1\n"),
+    # saved while the intertwiner search still solved for every entry
+    # (k, s_in, s_out): a space of dimension 3 on one column, and the empty
+    # space of a beta mismatch with its codomain window
+    ("intertwine_commutant.json", "intertwine",
+     "a_family=M\na_alpha=0\na_beta=0\na_lambda=1\na_a=0\na_b=0\n"
+     "b_family=M\nb_alpha=0\nb_beta=0\nb_lambda=1\nb_a=0\nb_b=0\n"
+     "window=0:0:3\n"),
+    ("intertwine_beta_mismatch.json", "intertwine",
+     "a_family=M\na_beta=1\nb_family=M\nb_beta=2\nexpect_dimension=0\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1}

@@ -1,6 +1,7 @@
 """Tests for the twisting substitution on modules and the explicit isos."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -308,19 +309,57 @@ def test_intertwiner_search_matches_oracle(window):
                   make_weight_m(1, 1, 1, 3, F(1, 2))))
     pairs.append((make_weight_v(2, 1, 2, 1, (F(1, 2),)),
                   make_weight_v(4, 1, -1, -1, (F(-3, 2),))))
+    pairs = [(spec_a, spec_b, window) for spec_a, spec_b in pairs]
+    # spaces of dimension 3 and 2: on 0:0:3 only the h and hbar probes have
+    # nonzero images, so the space is the commutant of the column's Jordan
+    # block; on 0:1:2 both maps fail an eb probe outside the codomain window
+    m0, n0 = make_weight_m(0, 0, 1, 0, 0), make_weight_n(0, 0, 1, 0, 0)
+    degenerate = [(m0, m0, Window(0, 0, 3)), (n0, m0, Window(0, 1, 2))]
+    # beta_B = beta_A + 1 partners: the space is zero, on a codomain window,
+    # also where only the hbar probes tell the maps apart
+    spec_a, spec_b, _ = pairs[0]
+    mismatches = [(spec_a, replace(spec_b, beta=spec_a.beta + 1), window),
+                  (m0, replace(m0, beta=1), Window(0, 0, 3))]
     dimensions = set()
-    for spec_a, spec_b in pairs:
-        got = intertwiner_search(spec_a, spec_b, window)
-        want = intertwiner_oracle(spec_a, spec_b, window)
+    for spec_a, spec_b, win in pairs + mismatches + degenerate:
+        got = intertwiner_search(spec_a, spec_b, win)
+        want = intertwiner_oracle(spec_a, spec_b, win)
         for key in ("dimension", "codomain_window", "verified"):
             assert got[key] == want[key], (key, spec_a, spec_b)
         assert [m.columns for m in got["maps"]] == \
             [m.columns for m in want["maps"]], (spec_a, spec_b)
-        dimensions.add((got["dimension"], got["verified"]))
+        dimensions.add((got["dimension"], got["verified"], win == window))
+    for pair in mismatches:
+        got = intertwiner_search(*pair)
+        assert got["dimension"] == 0 and got["codomain_window"] is not None
+    assert [intertwiner_search(*pair)["dimension"] for pair in degenerate] \
+        == [3, 2]
     # the pairs reach nonzero spaces and empty ones; on the smallest window
     # one verification fails
-    assert {d for d, _ in dimensions} >= {0, 1}, dimensions
-    assert any(not ok for _, ok in dimensions) == (window.s_max == 1)
+    assert {d for d, _, _ in dimensions} >= {0, 1, 2, 3}, dimensions
+    assert any(not ok for _, ok, own in dimensions if own) == \
+        (window.s_max == 1)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("coeff", [F(-2), F(-1, 2)], ids=str)
+def test_intertwiner_search_catches_a_planted_hbar_fault(side, coeff):
+    # hbar's table is -beta - N on every column; scaling N on one side
+    # leaves a table that is no module, where the commutant solve and the
+    # full search part ways: the maps the solve finds must fail
+    # verification, and the full search finds none
+    specs = {"a": make_weight_n(1, F(1, 2), 2, 3, F(1, 3)),
+             "b": make_weight_m(1, F(1, 2), 2, 3, F(1, 3))}
+    spec = specs[side]
+    dk, terms = spec.adjoint["hb"]
+    assert {r: c0 for _, r, c0, _ in terms}[1] == -1
+    spec.__dict__["adjoint"] = {**spec.adjoint, "hb": (dk, tuple(
+        (m, r, coeff if r == 1 else c0, c1) for m, r, c0, c1 in terms))}
+    win = Window(-2, 2, 3)
+    got = intertwiner_search(specs["a"], specs["b"], win)
+    assert not (got["verified"] and any(not m.is_zero() for m in got["maps"]))
+    assert got["dimension"] == 1
+    assert intertwiner_oracle(specs["a"], specs["b"], win)["dimension"] == 0
 
 
 def test_intertwiner_search_reports_a_relaxed_failure():
