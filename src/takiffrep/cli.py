@@ -62,13 +62,21 @@ def _list_of(parse):
     return lambda text: [parse(item) for item in text.split(",")]
 
 
+def _nonzero(text: str) -> Fraction:
+    """A lambda: a rational that must be nonzero."""
+    value = Fraction(text)
+    if not value:
+        raise ValueError("lambda must be nonzero")
+    return value
+
+
 _FREE = _one_of("gamma", "theta", "omega")
 _WEIGHT = _one_of("M", "N", "V")
 
 
 def _free_spec_from_cfg(cfg: dict) -> freemod.FreeModuleSpec:
     family = config_value(cfg, "family", "gamma", _FREE)
-    lam = config_value(cfg, "lambda", "1", Fraction)
+    lam = config_value(cfg, "lambda", "1", _nonzero)
     b = config_value(cfg, "b", "0", Fraction)
     if family == "omega":
         return freemod.make_omega(
@@ -83,7 +91,7 @@ def _weight_spec_from_cfg(cfg: dict, prefix: str = "") -> weightmod.WeightModule
     family = get("family", "M", _WEIGHT)
     alpha = get("alpha", "0")
     beta = get("beta", "1")
-    lam = get("lambda", "1")
+    lam = get("lambda", "1", _nonzero)
     a = get("a", "-1")
     if family == "V":
         return weightmod.make_weight_v(alpha, beta, lam, a,
@@ -128,6 +136,8 @@ def _free_grid_specs(cfg, family):
     coefficient list) and grids over lambda and b only.
     """
     lams = _nonempty_list(cfg, "lambda", "1")
+    if not all(lams):
+        raise ValueError("config key 'lambda': lambda must be nonzero")
     bs = _nonempty_list(cfg, "b", "0")
     specs = []
     if family == "omega":
@@ -195,7 +205,7 @@ def _suite_saturate(cfg, args, rng, window):
 
 
 def _suite_omega_quotient(cfg, args, rng, window):
-    lam = config_value(cfg, "lambda", "1", Fraction)
+    lam = config_value(cfg, "lambda", "1", _nonzero)
     beta1 = config_value(cfg, "beta1", "0", parse_rational_list)
     spec = freemod.make_omega(lam, 0, beta1)
     layers = config_value(cfg, "i", "0,1,2,3",
@@ -335,7 +345,7 @@ def _suite_iso_check(cfg, args, rng, window):
         raise ValueError(f"config key 'kinds': unknown kind {unknown[0]!r}")
     if "lambda-rescale" in kinds:
         spec_a = _weight_spec_from_cfg(cfg)
-        lam2 = config_value(cfg, "lambda2", "3", Fraction)
+        lam2 = config_value(cfg, "lambda2", "3", _nonzero)
         spec_b = _weight_spec_from_cfg({**cfg, "lambda": str(lam2)})
         res = functors.lambda_rescale_iso(spec_a, spec_b, window)
         ok = ok and res.intertwines

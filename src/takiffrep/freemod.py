@@ -49,7 +49,11 @@ every eta_{k,s}, because these functionals separate C[h, hbar]: at
 alpha = beta = 0, if dbar^j q(h, 0) is zero at every even integer h it is
 the zero polynomial, for every j, hence q = 0.  ``verify_axioms`` proves
 the free families this way, and the dual weight families of ``weightmod``
-use the same two functions at their own (alpha, beta).
+use the same two functions at their own (alpha, beta).  The table
+calculus itself is three functions: a generator's table (``_ks_table``),
+composition (``_ks_compose_into``) and addition of a multiple
+(``_ks_add_into``); ``functors`` proves its twist and rescaling maps
+with them.
 """
 
 from __future__ import annotations
@@ -369,15 +373,17 @@ def _ks_shift(p: KSPoly, dk: int, ds: int) -> KSPoly:
     return out
 
 
-def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str, y: str,
-                     sign: int, shifted: Dict[tuple, KSPoly]) -> None:
-    """Add sign * (x o y) to ``out``.
+def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str,
+                     right: KSTable, sign: int,
+                     shifted: Dict[tuple, KSPoly]) -> None:
+    """Add sign * (x o right) to ``out``.
 
-    y sends eta_{k,s} to P_y(k, s) eta_{k+dk, s+ds}, and x sends that on
-    with P_x(k + dk, s + ds).  ``shifted`` keeps each shifted P_x under
-    (x, its key, dk, ds), so it is shifted once however many pairs use it.
+    ``right`` sends eta_{k,s} to P(k, s) eta_{k+dk, s+ds}, and x, named in
+    ``tables``, sends that on with P_x(k + dk, s + ds).  ``shifted`` keeps
+    each shifted P_x under (x, its key, dk, ds), so it is shifted once
+    however many compositions use it.
     """
-    for (dk, ds), py in tables[y].items():
+    for (dk, ds), py in right.items():
         py = {key: sign * c for key, c in py.items()}
         for (ek, es), px in tables[x].items():
             key = (x, ek, es, dk, ds)
@@ -387,6 +393,14 @@ def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str, y: str,
             for (i, j), a in py.items():
                 for (u, v), b in shifted[key].items():
                     acc[(i + u, j + v)] = acc.get((i + u, j + v), 0) + a * b
+
+
+def _ks_add_into(out: KSTable, table: KSTable, c: RationalLike) -> None:
+    """Add c * table to ``out``."""
+    for key, p in table.items():
+        acc = out.setdefault(key, {})
+        for e, v in p.items():
+            acc[e] = acc.get(e, 0) + c * v
 
 
 def prove_brackets(adjoint: AdjointTable) -> List[dict]:
@@ -412,14 +426,11 @@ def prove_brackets(adjoint: AdjointTable) -> List[dict]:
     pairs = []
     for x, y in GENERATOR_PAIRS:
         residual: KSTable = {}
-        _ks_compose_into(residual, tables, x, y, 1, shifted)
-        _ks_compose_into(residual, tables, y, x, -1, shifted)
+        _ks_compose_into(residual, tables, x, tables[y], 1, shifted)
+        _ks_compose_into(residual, tables, y, tables[x], -1, shifted)
         for mono, coeff in bracket(x, y).terms():
             (z,) = mono.to_word()
-            for key, p in tables[z].items():
-                acc = residual.setdefault(key, {})
-                for e, c in p.items():
-                    acc[e] = acc.get(e, 0) - d * coeff * c
+            _ks_add_into(residual, tables[z], -d * coeff)
         ok = not any(any(p.values()) for p in residual.values())
         pairs.append({"x": x, "y": y, "pass": ok})
     return pairs

@@ -4,8 +4,12 @@ The eb-localization acts on the M family: eb sends eta_{k,s} to
 -lam * eta_{k-1,s}, so its inverse is eta_{k,s} |-> -(1/lam) eta_{k+1,s}.
 Pulling the module back along the substitution Theta_z (see
 ``takiffrep.algebra.theta``) shifts alpha by -2z; ``check_twist_iso``
-verifies the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
-an isomorphism of actions, exactly, on a window of basis functionals.
+proves the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
+an isomorphism of actions, and ``lambda_rescale_iso`` proves the lambda
+rescaling, both for every (k, s) at once in the (k, s) table calculus of
+``freemod.prove_brackets``; the window scopes only the reported rank and
+failing probe.  ``vm_iso_check``, whose map holds e-powers, is checked on
+the window.
 
 ``intertwiner_search`` solves for all window-supported linear maps
 commuting with the action.  Columns are matched by exact h-eigenvalue
@@ -26,6 +30,7 @@ isomorphisms go through.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -33,6 +38,8 @@ from math import perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
+from .freemod import (KSPoly, KSTable, _ks_add_into, _ks_compose_into,
+                      _ks_table)
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -114,49 +121,110 @@ def _window_iso(window: Window, act_a, act_b, phi,
                           failing_probe=failing, details=details)
 
 
+def _ks_value(p: KSPoly, k: int, s: int) -> Fraction:
+    return sum(c * k**i * s**j for (i, j), c in p.items())
+
+
+def _table_iso(residuals: Dict[str, KSTable], window: Window,
+               details: dict | None = None) -> IsoCheckResult:
+    """The verdict on a diagonal map phi(eta_{k,s}) = c_k eta_{k,s}, every
+    c_k nonzero, from its residual tables.
+
+    ``residuals[x]`` is (x o phi - phi o x) / c_k as a (k, s) table, so phi
+    intertwines for every (k, s) exactly when every residual is empty (the
+    Zariski-density argument of ``freemod.prove_brackets``), and the probe
+    (k, s, x) fails exactly when an entry of ``residuals[x]`` is nonzero at
+    (k, s).  ``failing_probe`` is the first failing window probe in the
+    order of ``_window_iso``; failing that, the first failing (k, s, x) on
+    the grid k_min <= k <= k_min + d_k, 1 <= s <= d_s + 1, with d_k and d_s
+    the largest degrees in k and s of any residual entry.  A nonzero entry
+    is nonzero somewhere on that grid, so the scan finds a probe whenever
+    phi fails.  ``rank`` is the number of window indices, phi being
+    diagonal with nonzero entries.
+    """
+    polys = {x: [p for p in table.values() if any(p.values())]
+             for x, table in residuals.items()}
+    failing = None
+    if any(polys.values()):
+        exps = [e for ps in polys.values() for p in ps
+                for e, c in p.items() if c]
+        d_k = max(i for i, _ in exps)
+        d_s = max(j for _, j in exps)
+        grid = ((k, s) for k in range(window.k_min, window.k_min + d_k + 1)
+                for s in range(1, d_s + 2))
+        failing = next(
+            ({"k": k, "s": s, "x": x}
+             for k, s in itertools.chain(window.indices(), grid)
+             for x in GENERATORS
+             if any(_ks_value(p, k, s) for p in polys[x])), None)
+    rank = (window.k_max - window.k_min + 1) * window.s_max
+    return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
+                          failing_probe=failing, details=details)
+
+
 def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
                     window: Window = DEFAULT_WINDOW) -> IsoCheckResult:
-    """Certify the twist of M(alpha, ...) is M(alpha - 2z, ...) on a window.
+    """Prove the twist of M(alpha, ...) is M(alpha - 2z, ...), for every
+    (k, s).
 
-    The comparison map keeps indices: 1 (x) eta_{k,s} |-> eta'_{k,s}.  For
-    every generator y and window index the twisted action is computed
-    exactly and compared against the plain action on the target module;
-    both sides are full vectors, so equality is equality in the module.
-    The six images Theta_z(y) are formed once per call.
+    The comparison map keeps indices: 1 (x) eta_{k,s} |-> eta'_{k,s}.  On
+    the twist, y acts as Theta_z(y) through the localization.  Each letter
+    acts on eta_{k,s} as a (k, s) table of ``spec.adjoint``, eb^-1 as
+    (1, 0) -> -1/lam, so Theta_z(y) acts as the sum of the tables composed
+    along its monomials.  The map intertwines exactly when, for every
+    generator y, that table equals the table of y on the target module;
+    the residuals go to ``_table_iso``, and ``window`` scopes only the
+    reported rank and failing probe.
     """
     z = to_rational(z)
     if spec.family != "M":
         raise ValueError("the twisting functor is implemented on the M family")
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
-    images = {x: theta(z, x) for x in GENERATORS}
-    return _window_iso(window,
-                       lambda x, v: apply_localized(spec, images[x], v),
-                       partial(act_weight, target), lambda v: v,
-                       details={"z": z})
+    tables = {x: _ks_table(*spec.adjoint[x]) for x in GENERATORS}
+    tables["ebinv"] = {(1, 0): {(0, 0): -1 / spec.lam}}
+    shifted: Dict[tuple, KSPoly] = {}
+    residuals = {}
+    for y in GENERATORS:
+        residual: KSTable = {}
+        for mono, coeff in theta(z, y).terms():
+            word = mono.to_word()
+            table = tables[word[-1]] if word else {(0, 0): {(0, 0): 1}}
+            for letter in reversed(word[:-1]):
+                composed: KSTable = {}
+                _ks_compose_into(composed, tables, letter, table, 1, shifted)
+                table = composed
+            _ks_add_into(residual, table, coeff)
+        _ks_add_into(residual, _ks_table(*target.adjoint[y]), -1)
+        residuals[y] = residual
+    return _table_iso(residuals, window, details={"z": z})
 
 
 def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
                        window: Window = DEFAULT_WINDOW) -> IsoCheckResult:
-    """Check the rescaling map eta_{k,s} |-> (lam_a/lam_b)^(+-k) eta_{k,s}
-    intertwines spec_a with spec_b (families M or N).
+    """Prove the rescaling map eta_{k,s} |-> (lam_a/lam_b)^(+-k) eta_{k,s}
+    intertwines spec_a with spec_b (families M or N), for every (k, s).
 
     The map is the canonical isomorphism when the specs differ only in
     lambda; any other difference shows up as a failed probe.  The exponent
     sign follows where the lambda factors live: on the k-1 translations
-    for M, on the k+1 translations for N.
+    for M, on the k+1 translations for N.  Conjugating x by the map
+    multiplies the (dk, ds) entry of its table on spec_a by the constant
+    r^(+-dk), r = lam_a/lam_b; the residuals against the tables on spec_b
+    go to ``_table_iso``.
     """
     if spec_a.family not in ("M", "N") or spec_a.family != spec_b.family:
         raise ValueError("lambda rescaling is the M/N-family isomorphism")
     ratio = spec_a.lam / spec_b.lam
     sign = 1 if spec_a.family == "M" else -1
-
-    def phi(v: WeightVec) -> WeightVec:
-        return vec_clean({(k, s): c * ratio**(sign * k)
-                          for (k, s), c in v.items()})
-
-    return _window_iso(window, partial(act_weight, spec_a),
-                       partial(act_weight, spec_b), phi)
+    residuals = {}
+    for x in GENERATORS:
+        dk, terms = spec_a.adjoint[x]
+        residual: KSTable = {}
+        _ks_add_into(residual, _ks_table(dk, terms), ratio ** (sign * dk))
+        _ks_add_into(residual, _ks_table(*spec_b.adjoint[x]), -1)
+        residuals[x] = residual
+    return _table_iso(residuals, window)
 
 
 def vm_matching_b(spec_v: WeightModuleSpec) -> Fraction:

@@ -147,7 +147,9 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
     ``equations`` are linear forms in the unknowns named by ``columns``;
     the returned vectors assign a Fraction to every column in their
     support.  One basis vector per free column, in column order, with that
-    column set to 1.
+    column set to 1.  Once the rank reaches the number of columns the
+    kernel is zero, so the remaining equations are only checked for
+    unknown columns, not reduced.
     """
     col_index = {c: i for i, c in enumerate(columns)}
     basis = RowBasis(key=col_index.__getitem__)
@@ -155,7 +157,8 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
         for c, x in eq.items():
             if x and c not in col_index:
                 raise ValueError(f"equation touches unknown column {c!r}")
-        basis.add(eq)
+        if basis.rank < len(col_index):
+            basis.add(eq)
     # the stored rows are multiples of the reduced row-echelon form, keyed
     # by pivot
     pivot_rows = basis._rows

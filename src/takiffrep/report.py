@@ -106,8 +106,16 @@ def parse_window(text: str) -> Window:
 
 
 def parse_rational_list(text: str) -> tuple:
-    """Comma-separated rationals: '0,1,-3/2' -> (0, 1, -3/2)."""
-    items = [t.strip() for t in text.split(",") if t.strip()]
+    """Comma-separated rationals: '0,1,-3/2' -> (0, 1, -3/2).
+
+    A blank text is the empty list; an empty entry in any other list is
+    refused, so '1,,2' never reads as (1, 2).
+    """
+    if not text.strip():
+        return ()
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):
+        raise ValueError("empty entry in a comma-separated list")
     return tuple(Fraction(t) for t in items)
 
 

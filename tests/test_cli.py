@@ -294,6 +294,18 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
         cfg.write_text(f"{key}={value}\n")
         assert main([suite, "--config", str(cfg)]) == 2, (suite, key)
         assert f"config key {key!r}" in capsys.readouterr().err, (suite, key)
+    # a zero lambda is blamed on its key too
+    for suite, config, key in (
+            ("saturate", "lambda=0\n", "lambda"),
+            ("omega-quotient", "lambda=0\n", "lambda"),
+            ("twist-check", "lambda=0\n", "lambda"),
+            ("verify-free", "families=gamma\nlambda=1,0\n", "lambda"),
+            ("iso-check", "kinds=lambda-rescale\nlambda2=0\n", "lambda2"),
+            ("intertwine", "a_family=M\na_lambda=0\n", "a_lambda")):
+        cfg.write_text(config)
+        assert main([suite, "--config", str(cfg)]) == 2, config
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "must be nonzero" in err, err
     # a zero denominator in inline input is a usage error too; inline
     # input has no key to name
     for argv in (["nf", "1/0*e"], ["saturate", "1/0*h"]):
@@ -307,6 +319,28 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
                           ("e -", "no term")):
         assert main(["nf", text]) == 2, text
         assert message in capsys.readouterr().err, text
+
+
+def test_empty_list_entry_is_usage_error(capsys, tmp_path):
+    # '1,,2' would otherwise read as (1, 2): beta1 = 1 + 2 hbar, and two
+    # twists where three were written
+    cfg = tmp_path / "list.cfg"
+    for suite, config, key in (
+            ("saturate", "family=omega\nbeta1=1,,2\n", "beta1"),
+            ("verify-weight", "families=V\nbeta1=1,,2\n", "beta1"),
+            ("twist-check", "z=1,,2\n", "z"),
+            ("twist-check", "z=1,2,\n", "z"),
+            ("verify-free", "families=gamma\nlambda=1,,2\n", "lambda"),
+            ("verify-free", "families=gamma\nlambda=,1\n", "lambda")):
+        cfg.write_text(config)
+        assert main([suite, "--config", str(cfg)]) == 2, config
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "empty entry" in err, err
+    # a blank list is still the empty list
+    cfg.write_text("family=omega\nbeta1=\n")
+    assert main(["saturate", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"][0]["params"][
+        "beta1"] == []
 
 
 def test_unknown_suite_exits_2():

@@ -3,11 +3,14 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from takiffrep.algebra import GENERATORS, parse_word_expr
-from takiffrep.functors import (LinearWindowMap, check_twist_iso, ebinv_act,
+from takiffrep import functors
+from takiffrep.algebra import GENERATORS, parse_word_expr, theta
+from takiffrep.functors import (LinearWindowMap, _window_iso, apply_localized,
+                                check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
@@ -112,6 +115,128 @@ def test_lambda_rescale_iso_detects_parameter_mismatch():
         res = lambda_rescale_iso(a, bad, win)
         assert not res.intertwines
         assert res.failing_probe == {"k": -3, "s": 1, "x": x}
+
+
+# The window loop is the oracle of the table proofs: it applies every
+# generator to every window functional, Theta_z(y) through apply_localized.
+
+def _twist_oracle(z, spec, target, window):
+    images = {x: theta(z, x) for x in GENERATORS}
+    return _window_iso(window,
+                       lambda x, v: apply_localized(spec, images[x], v),
+                       partial(act_weight, target), lambda v: v)
+
+
+def _rescale_oracle(spec_a, spec_b, window):
+    ratio = spec_a.lam / spec_b.lam
+    sign = 1 if spec_a.family == "M" else -1
+    return _window_iso(window, partial(act_weight, spec_a),
+                       partial(act_weight, spec_b),
+                       lambda v: {(k, s): c * ratio ** (sign * k)
+                                  for (k, s), c in v.items()})
+
+
+def _verdict(res):
+    return res.intertwines, res.rank, res.failing_probe
+
+
+def _twist_onto(monkeypatch, target, z, spec, window):
+    """check_twist_iso with ``target`` in place of M(alpha - 2z, ...)."""
+    monkeypatch.setattr(functors, "make_weight_m", lambda *args: target)
+    try:
+        return check_twist_iso(z, spec, window)
+    finally:
+        monkeypatch.undo()
+
+
+def _planted(spec, x, term):
+    """``spec`` with one more term (m, r, c0, c1) in the adjoint entry of x."""
+    dk, terms = spec.adjoint[x]
+    spec.__dict__["adjoint"] = {**spec.adjoint, x: (dk, terms + (term,))}
+    return spec
+
+
+def test_twist_proof_agrees_with_window_oracle(monkeypatch):
+    rng = random.Random(503)
+    windows = (Window(-2, 2, 3), Window(-3, 3, 4), Window(0, 0, 1),
+               Window(-1, 1, 2))
+    failed = 0
+    for i in range(60):
+        spec = random_weight_spec(rng, "M")
+        z = random_rational(rng)
+        window = windows[i % len(windows)]
+        right = spec.alpha - 2 * z
+        targets = (make_weight_m(right, spec.beta, spec.lam, spec.a, spec.b),
+                   make_weight_m(spec.alpha - z, spec.beta, spec.lam,
+                                 spec.a, spec.b),
+                   make_weight_m(right, spec.beta, spec.lam, spec.a,
+                                 spec.b + 1),
+                   make_weight_m(right, spec.beta, spec.lam, spec.a + 1,
+                                 spec.b))
+        for target in targets:
+            want = _twist_oracle(z, spec, target, window)
+            got = _twist_onto(monkeypatch, target, z, spec, window)
+            assert _verdict(got) == _verdict(want), (spec, z, target)
+            failed += not want.intertwines
+        assert check_twist_iso(z, spec, window).intertwines
+    assert failed >= 100
+
+
+def test_twist_proof_catches_a_planted_term_no_window_sees(monkeypatch):
+    # C(s-1, 2) vanishes at s <= 2, so no window with s_max = 2 sees an
+    # r = 2 term; the proof names the first failing (k, s) of its scan
+    spec = make_weight_m(F(1, 2), 1, 1, 2, F(1, 3))
+    z = F(3, 2)
+    window = Window(-2, 2, 2)
+    for x in ("hb", "e"):
+        def target():
+            return _planted(make_weight_m(spec.alpha - 2 * z, spec.beta,
+                                          spec.lam, spec.a, spec.b),
+                            x, (0, 2, F(1), 0))
+        assert _twist_oracle(z, spec, target(), window).intertwines
+        res = _twist_onto(monkeypatch, target(), z, spec, window)
+        assert not res.intertwines
+        assert res.failing_probe == {"k": -2, "s": 3, "x": x}
+        assert res.rank == 10
+        # a window with s_max = 3 sees the same first probe
+        wide = Window(-2, 2, 3)
+        assert _verdict(_twist_onto(monkeypatch, target(), z, spec, wide)) \
+            == _verdict(_twist_oracle(z, spec, target(), wide))
+
+
+def test_lambda_rescale_proof_agrees_with_window_oracle():
+    rng = random.Random(504)
+    failed = 0
+    for i in range(60):
+        family = "MN"[i % 2]
+        spec_a = random_weight_spec(rng, family)
+        spec_b = replace(spec_a, lam=random_rational(rng, nonzero=True))
+        if i % 3:
+            key = rng.choice(("alpha", "beta", "a", "b"))
+            spec_b = replace(spec_b, **{key: random_rational(rng)})
+        window = Window(*rng.choice(((-2, 2, 3), (-3, 3, 4), (0, 1, 2))))
+        want = _rescale_oracle(spec_a, spec_b, window)
+        got = lambda_rescale_iso(spec_a, spec_b, window)
+        assert _verdict(got) == _verdict(want), (spec_a, spec_b, window)
+        failed += not want.intertwines
+    assert failed >= 30
+
+
+def test_lambda_rescale_proof_catches_faults_outside_the_window():
+    spec_a = make_weight_m(0, 1, 2, 2, F(1, 3))
+    # a term linear in k vanishes on the column k = 0
+    window = Window(0, 0, 3)
+    spec_b = _planted(make_weight_m(0, 1, 3, 2, F(1, 3)), "h", (0, 0, 0, 1))
+    assert _rescale_oracle(spec_a, spec_b, window).intertwines
+    res = lambda_rescale_iso(spec_a, spec_b, window)
+    assert _verdict(res) == (False, 3, {"k": 1, "s": 1, "x": "h"})
+    # an r = 2 term vanishes at s <= 2
+    window = Window(-3, 3, 2)
+    spec_b = _planted(make_weight_m(0, 1, 3, 2, F(1, 3)), "fb",
+                      (0, 2, F(-1), 0))
+    assert _rescale_oracle(spec_a, spec_b, window).intertwines
+    res = lambda_rescale_iso(spec_a, spec_b, window)
+    assert _verdict(res) == (False, 14, {"k": -3, "s": 3, "x": "fb"})
 
 
 def test_lambda_rescale_iso_rejects_v_family():

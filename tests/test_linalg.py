@@ -184,3 +184,17 @@ def test_rowbasis_add_reports_independence():
 def test_nullspace_rejects_unknown_column():
     with pytest.raises(ValueError):
         nullspace([{"x": F(1), "z": F(2)}], ["x", "y"])
+
+
+def test_nullspace_stops_reducing_at_full_rank(monkeypatch):
+    added = []
+    add = RowBasis.add
+    monkeypatch.setattr(RowBasis, "add",
+                        lambda self, v: added.append(v) or add(self, v))
+    rows = [{"x": F(1), "y": F(1)}, {"x": F(1), "y": F(-1)},
+            {"x": F(2), "y": F(3)}, {"x": F(1, 2)}, {"y": F(7)}]
+    assert nullspace(rows, ["x", "y"]) == []
+    assert len(added) == 2
+    # an unknown column after full rank is still refused
+    with pytest.raises(ValueError, match="unknown column 'z'"):
+        nullspace(rows + [{"z": F(1)}], ["x", "y"])
