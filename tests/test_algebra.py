@@ -5,9 +5,10 @@ worked out by hand; the random loops check structural properties
 (idempotence, associativity, bracket compatibility) on top of them.
 Test-only oracles check the fast paths: a whole-word bubble loop built from
 that table and the localized rules, for normal_form, the letter-by-letter
-substitution, for theta, a sum of scaled generators, for bracket, and the
-Fraction-coercing public constructor, for from_word.  A letter count checks
-how canonical words are read into exponents.
+substitution, for theta, the per-z comparison of letter pairs in Fraction
+arithmetic, for check_theta_automorphism, a sum of scaled generators, for
+bracket, and the Fraction-coercing public constructor, for from_word.  A
+letter count checks how canonical words are read into exponents.
 """
 
 import random
@@ -16,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
+from takiffrep import algebra
 from takiffrep.algebra import (_BRACKET, GENERATORS, LOCALIZED_LETTERS,
-                               AlgebraElement, Monomial, _reduce_word,
-                               _word_to_monomial,
+                               AlgebraElement, Monomial, _f_image_powers,
+                               _reduce_word, _theta_zz, _word_to_monomial,
                                bracket, check_theta_automorphism, commutator,
                                normal_form, parse_word_expr, theta)
 
@@ -388,10 +390,9 @@ def theta_oracle(z, elem):
     return out
 
 
-def test_theta_agrees_with_substitution_oracle():
-    rng = random.Random(209)
+def _random_elements(rng, count):
     elems = []
-    for _ in range(6):
+    for _ in range(count):
         coeffs = {}
         for _ in range(rng.randint(1, 3)):
             mono = Monomial(rng.randint(-2, 2), rng.randint(0, 2),
@@ -400,9 +401,50 @@ def test_theta_agrees_with_substitution_oracle():
             coeffs[mono] = F(rng.randint(-9, 9), rng.randint(1, 5))
         coeffs[Monomial(*(rng.randint(0, 2) for _ in range(6)))] = F(1)
         elems.append(AlgebraElement(coeffs))
+    return elems
+
+
+def test_theta_agrees_with_substitution_oracle():
+    elems = _random_elements(random.Random(209), 6)
     for z in (F(0), F(1), F(-3), F(2, 7)):
         for elem in elems:
             assert theta(z, elem) == theta_oracle(z, elem), (z, elem)
+
+
+def test_theta_table_evaluated_at_z_agrees_with_oracle():
+    # the Z[z] closed form, evaluated at z by hand, at int and Fraction z
+    rng = random.Random(212)
+    elems = _random_elements(rng, 4)
+    elems += [normal_form(tuple(rng.choice(LOCALIZED_LETTERS)
+                                for _ in range(rng.randint(1, 6))), True)
+              for _ in range(4)]
+    for elem in elems:
+        rows = _f_image_powers(max(m.b for m, _ in elem.terms()))
+        table = _theta_zz(dict(elem.terms()), rows)
+        for z in (0, 1, -3, 5, F(2, 7), F(-5, 3)):
+            got = AlgebraElement({m: sum(c * F(z) ** j for j, c in enumerate(p))
+                                  for m, p in table.items()})
+            assert got == theta_oracle(F(z), elem), (z, elem)
+
+
+def test_theta_table_drops_coefficients_that_cancel():
+    # Theta(2 f h + eb^-1 hb h^2), worked by hand: the z^2 eb^-1 hb terms
+    # of 2 (f - z X)(h + 2z) and X (h + 2z)^2 cancel, X = eb^-1 hb
+    fh, xh, xhh = Monomial(0, 0, 1, 0, 1, 0), Monomial(-1, 0, 0, 1, 1, 0), \
+        Monomial(-1, 0, 0, 1, 2, 0)
+    table = _theta_zz({fh: 2, xhh: 1}, _f_image_powers(1))
+    assert table == {fh: [2], Monomial(0, 0, 1, 0, 0, 0): [0, 4],
+                     xh: [0, 2], xhh: [1]}
+
+
+def test_theta_accepts_textual_expressions():
+    z = F(2, 3)
+    assert theta(z, "e*f - f*e") == normal_form("h") + AlgebraElement.one().scale(2 * z)
+    for text in ("2*eb^-1*hb + h^2", "f^2*e - 1/2*fb", "hb^2 + 4*eb*fb"):
+        assert theta(z, text) == theta(z, parse_word_expr(text, True)), text
+    assert _coeff_types(theta(3, "e*f - f*e")) == {int}
+    with pytest.raises(ValueError, match="unknown letter"):
+        theta(z, "e*q")
 
 
 def test_theta_zero_is_identity():
@@ -414,11 +456,44 @@ def test_theta_zero_is_identity():
         assert theta(0, elem) == elem
 
 
+def theta_check_oracle(z):
+    """The per-z check: each letter pair compared in Fraction arithmetic."""
+    z = F(z)
+    images = {x: theta(z, x) for x in LOCALIZED_LETTERS}
+    pairs = []
+    for x in LOCALIZED_LETTERS:
+        for y in LOCALIZED_LETTERS:
+            lhs = theta(z, normal_form((x, y), localized=True))
+            pairs.append({"x": x, "y": y, "ok": lhs == images[x] * images[y]})
+    return {"z": z, "pairs": pairs, "ok": all(p["ok"] for p in pairs)}
+
+
+CHECK_ZS = (0, 1, -3, F(2, 7), 5)
+
+
 def test_theta_is_automorphism():
-    for z in (F(0), F(1), F(-3), F(2, 7)):
+    for z in CHECK_ZS:
         report = check_theta_automorphism(z)
         assert report["ok"], z
         assert len(report["pairs"]) == len(LOCALIZED_LETTERS) ** 2
+        assert report == theta_check_oracle(z), z
+        assert type(report["z"]) is F
+
+
+@pytest.mark.parametrize("f_shift, h_shift", [(-1, 1), (-2, 2), (-2, 1)])
+def test_theta_check_fails_planted_faults_at_every_z(monkeypatch, f_shift,
+                                                     h_shift):
+    # Theta(h) = h + z and/or Theta(f) = f - 2z eb^-1 hb: both are the
+    # identity at z = 0, where the per-z check cannot see them
+    monkeypatch.setattr(algebra, "_F_SHIFT", f_shift)
+    monkeypatch.setattr(algebra, "_H_SHIFT", h_shift)
+    assert theta_check_oracle(0)["ok"]
+    for z in CHECK_ZS:
+        report = check_theta_automorphism(z)
+        assert not report["ok"], z
+        assert not next(p["ok"] for p in report["pairs"]
+                        if (p["x"], p["y"]) == ("e", "f")), z
+    assert not theta_check_oracle(1)["ok"]
 
 
 def test_theta_composition_and_inverse():
