@@ -53,7 +53,12 @@ use the same two functions at their own (alpha, beta).  The table
 calculus itself is three functions: a generator's table (``_ks_table``),
 composition (``_ks_compose_into``) and addition of a multiple
 (``_ks_add_into``); ``functors`` proves its twist and rescaling maps
-with them.
+with them.  Both provers stay on ints from the operator table to the
+verdict: ``adjoint_table`` sums each generator's contributions as
+integers over one denominator and forms one Fraction per stored
+coefficient, and ``prove_brackets`` scales the adjoint terms to integers
+before it builds its tables, whose s-polynomials are integer falling
+factorials.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -309,27 +314,44 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     the sign as c0 + c1*k and summed over the terms that share (m, r); c1
     is the int 0 when the term is constant in k, which keeps the table
     small.  A coefficient of higher degree in h raises ValueError.
+
+    The sums run on ints, one generator at a time: its coefficients are
+    put over one denominator E, and beta = p/q is cleared by q^J, J the
+    largest hbar-degree, so each monomial n hbar^j (times h^i) adds the
+    integer n j!/(j-r)! p^(j-r) q^(J-j+r) to U (i = 0) or V (i = 1) at
+    (m, r).  Then c0 = -(U + alpha V) / (E q^J) and c1 = -2V / (E q^J) are
+    the only Fractions formed.
     """
+    p, q = beta.numerator, beta.denominator
+    alpha_num, alpha_den = alpha.numerator, alpha.denominator
     table = {}
     for x, terms in ops.items():
-        coeffs: Dict[Tuple[int, int], List[Fraction]] = {}
-        for c, m in terms:
-            for (i, j), e in c.terms():
-                if i > 1:
-                    raise ValueError(f"operator coefficient of {x} has degree "
-                                     f"{i} in h; the adjoint table reads "
-                                     "coefficients linear in h")
-                for r in range(j + 1):
-                    t = e * (factorial(j) // factorial(j - r)) * beta ** (j - r)
-                    pair = coeffs.setdefault((m, r), [Fraction(0), Fraction(0)])
-                    if i:
-                        pair[0] -= t * alpha
-                        pair[1] -= 2 * t
-                    else:
-                        pair[0] -= t
-        table[x] = (SHIFT[x] // 2, tuple((m, r, c0, c1 or 0)
-                                         for (m, r), (c0, c1) in coeffs.items()
-                                         if c0 or c1))
+        monomials = [(m, i, j, e) for c, m in terms for (i, j), e in c.terms()]
+        for _, i, _, _ in monomials:
+            if i > 1:
+                raise ValueError(f"operator coefficient of {x} has degree "
+                                 f"{i} in h; the adjoint table reads "
+                                 "coefficients linear in h")
+        denom = lcm(*(e.denominator for *_, e in monomials))
+        top = max((j for _, _, j, _ in monomials), default=0)
+        p_pow = [p ** t for t in range(top + 1)]
+        q_pow = [q ** t for t in range(top + 1)]
+        sums: Dict[Tuple[int, int], List[int]] = {}
+        for m, i, j, e in monomials:
+            # n j!/(j-r)!, built up one factor per r
+            w = e.numerator * (denom // e.denominator)
+            for r in range(j + 1):
+                sums.setdefault((m, r), [0, 0])[i] += \
+                    w * p_pow[j - r] * q_pow[top - j + r]
+                w *= j - r
+        denom *= q_pow[top]
+        out = []
+        for (m, r), (u, v) in sums.items():
+            num = u * alpha_den + alpha_num * v
+            if num or v:
+                out.append((m, r, Fraction(-num, denom * alpha_den),
+                            Fraction(-2 * v, denom) if v else 0))
+        table[x] = (SHIFT[x] // 2, tuple(out))
     return table
 
 
@@ -340,21 +362,21 @@ KSPoly = Dict[Tuple[int, int], RationalLike]
 KSTable = Dict[Tuple[int, int], KSPoly]
 
 
-@lru_cache(maxsize=None)
-def _binomial_in_s(r: int) -> Tuple[Fraction, ...]:
-    """The coefficients of C(s-1, r) = (s-1)...(s-r)/r! in s, lowest first."""
-    coeffs = [Fraction(1, factorial(r))]
-    for t in range(1, r + 1):
-        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return tuple(coeffs)
-
-
 def _ks_table(dk: int, terms) -> KSTable:
-    """One generator's adjoint terms, grouped by (dk, m - r)."""
+    """One generator's table from terms (m, r, c0, c1), grouped by
+    (dk, m - r): each term adds (c0 + c1*k) (s-1)(s-2)...(s-r).
+
+    The terms' coefficients already carry the 1/r! of C(s-1, r), so the
+    s-polynomial is the integer falling factorial and int terms give an
+    int table.
+    """
     table: KSTable = {}
     for m, r, c0, c1 in terms:
+        falling = [1]  # coefficients of (s-1)...(s-r) in s, lowest first
+        for t in range(1, r + 1):
+            falling = [a - t * b for a, b in zip([0] + falling, falling + [0])]
         p = table.setdefault((dk, m - r), {})
-        for j, b in enumerate(_binomial_in_s(r)):
+        for j, b in enumerate(falling):
             for i, c in enumerate((c0, c1)):
                 if c:
                     p[(i, j)] = p.get((i, j), 0) + c * b
@@ -375,23 +397,24 @@ def _ks_shift(p: KSPoly, dk: int, ds: int) -> KSPoly:
 
 def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str,
                      right: KSTable, sign: int,
-                     shifted: Dict[tuple, KSPoly]) -> None:
+                     shifted: Dict[tuple, tuple]) -> None:
     """Add sign * (x o right) to ``out``.
 
     ``right`` sends eta_{k,s} to P(k, s) eta_{k+dk, s+ds}, and x, named in
     ``tables``, sends that on with P_x(k + dk, s + ds).  ``shifted`` keeps
-    each shifted P_x under (x, its key, dk, ds), so it is shifted once
-    however many compositions use it.
+    the items of each shifted P_x under (x, its key, dk, ds), so it is
+    shifted once however many compositions use it.
     """
     for (dk, ds), py in right.items():
-        py = {key: sign * c for key, c in py.items()}
         for (ek, es), px in tables[x].items():
             key = (x, ek, es, dk, ds)
-            if key not in shifted:
-                shifted[key] = _ks_shift(px, dk, ds)
+            shift = shifted.get(key)
+            if shift is None:
+                shift = shifted[key] = tuple(_ks_shift(px, dk, ds).items())
             acc = out.setdefault((ek + dk, es + ds), {})
             for (i, j), a in py.items():
-                for (u, v), b in shifted[key].items():
+                a *= sign
+                for (u, v), b in shift:
                     acc[(i + u, j + v)] = acc.get((i + u, j + v), 0) + a * b
 
 
@@ -412,17 +435,28 @@ def prove_brackets(adjoint: AdjointTable) -> List[dict]:
     the true coefficient at every k in Z and s >= 1, and so is each
     coefficient of the composed table x o y - y o x - [x,y].  Z x Z_{>=1}
     is Zariski-dense, so a pair passes exactly when that table is empty.
+
+    The tables are built on ints: with d the lcm of the adjoint
+    denominators and R the largest r, a term becomes
+    (m, r, c0 d R!/r!, c1 d R!/r!), whose ``_ks_table`` is D = d R! times
+    the true table.  So D^2 times the residual reads X o Y - Y o X - D [x,y]
+    on the integer tables, and no Fraction is formed.
     Returns one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``.
     """
-    tables = {x: _ks_table(*adjoint[x]) for x in GENERATORS}
-    # times a common denominator d every table is integral, and d^2 times
-    # the residual reads X o Y - Y o X - d [x,y] on the integer tables
-    d = lcm(*(c.denominator for t in tables.values() for p in t.values()
-              for c in p.values()))
-    tables = {x: {key: {e: int(c * d) for e, c in p.items()}
-                  for key, p in t.items()}
-              for x, t in tables.items()}
-    shifted: Dict[tuple, KSPoly] = {}
+    entries = [adjoint[x] for x in GENERATORS]
+    d = lcm(*(c.denominator for _, terms in entries
+              for _, _, c0, c1 in terms for c in (c0, c1)))
+    top = max((r for _, terms in entries for _, r, _, _ in terms), default=0)
+    scale = d * factorial(top)
+    tables = {}
+    for x, (dk, terms) in zip(GENERATORS, entries):
+        int_terms = []
+        for m, r, c0, c1 in terms:
+            f = scale // factorial(r)
+            int_terms.append((m, r, c0.numerator * (f // c0.denominator),
+                              c1.numerator * (f // c1.denominator)))
+        tables[x] = _ks_table(dk, int_terms)
+    shifted: Dict[tuple, tuple] = {}
     pairs = []
     for x, y in GENERATOR_PAIRS:
         residual: KSTable = {}
@@ -430,7 +464,7 @@ def prove_brackets(adjoint: AdjointTable) -> List[dict]:
         _ks_compose_into(residual, tables, y, tables[x], -1, shifted)
         for mono, coeff in bracket(x, y).terms():
             (z,) = mono.to_word()
-            _ks_add_into(residual, tables[z], -d * coeff)
+            _ks_add_into(residual, tables[z], -scale * coeff)
         ok = not any(any(p.values()) for p in residual.values())
         pairs.append({"x": x, "y": y, "pass": ok})
     return pairs

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import perm
+from math import factorial, perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
@@ -121,6 +121,15 @@ def _window_iso(window: Window, act_a, act_b, phi,
                           failing_probe=failing, details=details)
 
 
+def _binomial_entry(entry) -> tuple:
+    """An adjoint entry (dk, terms) with the 1/r! of C(s-1, r) folded into
+    each term's c0 and c1, the form ``_ks_table`` reads: the table it
+    builds holds the true coefficients."""
+    dk, terms = entry
+    return dk, tuple((m, r, Fraction(c0, factorial(r)),
+                      Fraction(c1, factorial(r))) for m, r, c0, c1 in terms)
+
+
 def _ks_value(p: KSPoly, k: int, s: int) -> Fraction:
     return sum(c * k**i * s**j for (i, j), c in p.items())
 
@@ -181,9 +190,10 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
         raise ValueError("the twisting functor is implemented on the M family")
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
-    tables = {x: _ks_table(*spec.adjoint[x]) for x in GENERATORS}
+    tables = {x: _ks_table(*_binomial_entry(spec.adjoint[x]))
+              for x in GENERATORS}
     tables["ebinv"] = {(1, 0): {(0, 0): -1 / spec.lam}}
-    shifted: Dict[tuple, KSPoly] = {}
+    shifted: Dict[tuple, tuple] = {}
     residuals = {}
     for y in GENERATORS:
         residual: KSTable = {}
@@ -195,7 +205,8 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
                 _ks_compose_into(composed, tables, letter, table, 1, shifted)
                 table = composed
             _ks_add_into(residual, table, coeff)
-        _ks_add_into(residual, _ks_table(*target.adjoint[y]), -1)
+        _ks_add_into(residual, _ks_table(*_binomial_entry(target.adjoint[y])),
+                     -1)
         residuals[y] = residual
     return _table_iso(residuals, window, details={"z": z})
 
@@ -219,10 +230,11 @@ def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     sign = 1 if spec_a.family == "M" else -1
     residuals = {}
     for x in GENERATORS:
-        dk, terms = spec_a.adjoint[x]
+        dk, terms = _binomial_entry(spec_a.adjoint[x])
         residual: KSTable = {}
         _ks_add_into(residual, _ks_table(dk, terms), ratio ** (sign * dk))
-        _ks_add_into(residual, _ks_table(*spec_b.adjoint[x]), -1)
+        _ks_add_into(residual, _ks_table(*_binomial_entry(spec_b.adjoint[x])),
+                     -1)
         residuals[x] = residual
     return _table_iso(residuals, window)
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from takiffrep import cli
+from takiffrep.algebra import check_theta_automorphism
 from takiffrep.cli import main
 from takiffrep.scan import SCAN_CSV_COLUMNS
 
@@ -172,6 +174,23 @@ def test_twist_check(capsys):
     for case in doc["cases"]:
         assert case["automorphism_ok"] and case["intertwines"]
         assert case["inverse_ok"]
+
+
+def test_twist_check_proves_the_automorphism_once(capsys, monkeypatch):
+    # the automorphism verdict holds for every z, so a report with three z
+    # values proves it once and still writes the golden bytes
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return check_theta_automorphism(z)
+
+    monkeypatch.setattr(cli, "check_theta_automorphism", counting)
+    code, out = run_cli(capsys, "twist-check")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (GOLDEN / "twist_check_default.json").read_text(
+        encoding="utf-8")
 
 
 def test_iso_check(capsys):

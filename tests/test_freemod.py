@@ -6,21 +6,24 @@ displayed action formulas before the implementation existed.
 
 import random
 from fractions import Fraction
+from math import comb, factorial, lcm
 
 import pytest
 
+from takiffrep import freemod
 from takiffrep.algebra import GENERATORS, bracket
 from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
-                               _int_ops, act, act_word,
+                               _int_ops, act, act_word, adjoint_table,
                                alpha_from_beta, e34_residual,
                                iso_invariants_free, make_gamma, make_omega,
                                make_theta_mod, omega_layer_action,
-                               omega_quotient_delta_params, random_free_spec,
-                               simplicity_criterion_free, submodule_saturate,
-                               verify_axioms)
+                               omega_quotient_delta_params, prove_brackets,
+                               random_free_spec, simplicity_criterion_free,
+                               submodule_saturate, verify_axioms)
 from takiffrep.linalg import vec_primitive
 from takiffrep.poly import PolyHH, parse_poly, random_poly, random_rational
-from takiffrep.weightmod import delta_action
+from takiffrep.weightmod import (delta_action, make_weight_m, make_weight_n,
+                                 make_weight_v, weight_bracket_report)
 
 F = Fraction
 ONE = PolyHH.const(1)
@@ -277,6 +280,183 @@ def test_verify_axioms_rejects_coefficients_quadratic_in_h():
     spec.__dict__["ops"] = {**spec.ops, "f": ((H * H, 0),)}
     with pytest.raises(ValueError, match="degree 2 in h"):
         verify_axioms(spec)
+
+
+# -- prove_brackets against the Fraction prover it replaced ---------------------
+
+def _binomial_in_s(r):
+    """The coefficients of C(s-1, r) = (s-1)...(s-r)/r! in s, lowest first."""
+    coeffs = [Fraction(1, factorial(r))]
+    for t in range(1, r + 1):
+        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def fraction_prover(adjoint):
+    """Per-pair verdicts of the (k, s) calculus built on Fraction tables.
+
+    Each term (m, r, c0, c1) adds (c0 + c1*k) C(s-1, r) at (dk, m - r),
+    with C(s-1, r) expanded in s over the rationals.  Only then are the
+    tables scaled to ints, by the lcm d of their denominators, so a pair
+    holds when X o Y - Y o X - d [x,y] is the empty table; compositions
+    shift by substitution.
+    """
+    tables = {}
+    for x in GENERATORS:
+        dk, terms = adjoint[x]
+        table = {}
+        for m, r, c0, c1 in terms:
+            p = table.setdefault((dk, m - r), {})
+            for j, b in enumerate(_binomial_in_s(r)):
+                for i, c in enumerate((c0, c1)):
+                    p[(i, j)] = p.get((i, j), 0) + c * b
+        tables[x] = table
+    d = lcm(*(F(c).denominator for t in tables.values() for p in t.values()
+              for c in p.values()))
+    for table in tables.values():
+        for p in table.values():
+            for e, c in p.items():
+                assert (c * d).denominator == 1
+                p[e] = int(c * d)
+
+    def shift(p, dk, ds):
+        out = {}
+        for (i, j), c in p.items():
+            for a in range(i + 1):
+                for b in range(j + 1):
+                    n = comb(i, a) * comb(j, b) * dk ** (i - a) * ds ** (j - b)
+                    out[(a, b)] = out.get((a, b), 0) + n * c
+        return out
+
+    def add(out, key, mono, c):
+        acc = out.setdefault(key, {})
+        acc[mono] = acc.get(mono, 0) + c
+
+    shifted = {}
+
+    def compose_into(out, x, y, sign):
+        for (dk, ds), py in tables[y].items():
+            for (ek, es), px in tables[x].items():
+                key = (x, ek, es, dk, ds)
+                if key not in shifted:
+                    shifted[key] = shift(px, dk, ds)
+                moved = shifted[key]
+                for (i, j), a in py.items():
+                    for (u, v), b in moved.items():
+                        add(out, (dk + ek, ds + es), (i + u, j + v), sign * a * b)
+
+    flags = []
+    for x, y in GENERATOR_PAIRS:
+        residual = {}
+        compose_into(residual, x, y, 1)
+        compose_into(residual, y, x, -1)
+        for mono, coeff in bracket(x, y).terms():
+            (z,) = mono.to_word()
+            for key, p in tables[z].items():
+                for e, c in p.items():
+                    add(residual, key, e, -d * coeff * c)
+        flags.append(not any(any(p.values()) for p in residual.values()))
+    return flags
+
+
+def _wide(rng, nonzero=False):
+    """A rational with a numerator and denominator of up to seven digits."""
+    while True:
+        v = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        if v or not nonzero:
+            return v
+
+
+def _prover_cases(rng, count):
+    """Adjoint tables of random specs: the free families at alpha = beta = 0,
+    as verify_axioms proves them, and weight families at their own point,
+    parameters drawn small or with wide denominators."""
+    cases = []
+    for n in range(count):
+        draw = (lambda nz=False: _wide(rng, nz)) if n % 2 else \
+            (lambda nz=False: random_rational(rng, nonzero=nz))
+        if n % 4 < 2:
+            spec = random_free_spec(rng, ("gamma", "theta", "omega")[n % 3],
+                                    beta1_deg=3)
+            if n % 8 == 1:
+                # off the linkage, so that some pairs fail
+                spec = make_omega(draw(True), draw(), (draw(), draw()),
+                                  alpha1=(draw(), draw()))
+            cases.append(adjoint_table(spec.ops, F(0), F(0)))
+        else:
+            make = (make_weight_m, make_weight_n)[n % 2]
+            spec = (make(draw(), draw(), draw(True), draw(), draw())
+                    if n % 3 else
+                    make_weight_v(draw(), draw(), draw(True), draw(),
+                                  [draw() for _ in range(rng.randint(1, 4))]))
+            cases.append(spec.adjoint)
+    return cases
+
+
+def _plant(adjoint, x, index, dc0, dc1=0):
+    """``adjoint`` with term ``index`` of generator x moved by (dc0, dc1)."""
+    dk, terms = adjoint[x]
+    m, r, c0, c1 = terms[index]
+    c1 = c1 + dc1
+    planted = (m, r, c0 + dc0, c1 if c1 else 0)
+    return {**adjoint, x: (dk, terms[:index] + (planted,) + terms[index + 1:])}
+
+
+def test_prove_brackets_agrees_with_fraction_prover():
+    rng = random.Random(420)
+    failing = 0
+    for adjoint in _prover_cases(rng, 200):
+        flags = [p["pass"] for p in prove_brackets(adjoint)]
+        assert flags == fraction_prover(adjoint)
+        failing += not all(flags)
+    # the off-linkage omegas give both verdicts some failing pairs to agree on
+    assert 0 < failing < 200
+
+
+def test_prove_brackets_agrees_with_fraction_prover_on_planted_faults():
+    rng = random.Random(421)
+    for adjoint in _prover_cases(rng, 40):
+        x = rng.choice(GENERATORS)
+        index = rng.randrange(len(adjoint[x][1]))
+        planted = _plant(adjoint, x, index, random_rational(rng),
+                         rng.choice((0, random_rational(rng))))
+        flags = [p["pass"] for p in prove_brackets(planted)]
+        assert flags == fraction_prover(planted), (x, index)
+
+
+def _smallest_fault(adjoint):
+    """The largest-r term of f moved by 1/(2 d R!), with d the lcm of the
+    adjoint denominators and R the largest r: below the resolution of
+    tables scaled by d R! and truncated to ints."""
+    entries = [adjoint[x] for x in GENERATORS]
+    d = lcm(*(c.denominator for _, terms in entries
+              for _, _, c0, c1 in terms for c in (c0, c1)))
+    top = max(r for _, terms in entries for _, r, _, _ in terms)
+    terms = adjoint["f"][1]
+    index = max(range(len(terms)), key=lambda i: terms[i][1])
+    return _plant(adjoint, "f", index, F(1, 2 * d * factorial(top)))
+
+
+def test_free_prover_fails_the_smallest_planted_fault(monkeypatch):
+    spec = make_gamma(F(3, 7), F(-5, 11), F(2, 13))
+    assert verify_axioms(spec)["ok"]
+    planted = _smallest_fault(adjoint_table(spec.ops, F(0), F(0)))
+    assert not fraction_prover(planted)[GENERATOR_PAIRS.index(("f", "hb"))]
+    monkeypatch.setattr(freemod, "adjoint_table", lambda ops, a, b: planted)
+    report = verify_axioms(spec)
+    flags = [p["pass"] for p in report["pairs"]]
+    assert flags == fraction_prover(planted)
+    assert not flags[GENERATOR_PAIRS.index(("f", "hb"))]
+
+
+def test_weight_bracket_report_fails_the_smallest_planted_fault():
+    spec = make_weight_m(F(1, 3), F(-2, 5), F(3, 7), F(-5, 11), F(2, 13))
+    assert weight_bracket_report(spec)["ok"]
+    planted = _smallest_fault(spec.adjoint)
+    spec.__dict__["adjoint"] = planted
+    flags = [p["pass"] for p in weight_bracket_report(spec)["pairs"]]
+    assert flags == fraction_prover(planted)
+    assert not flags[GENERATOR_PAIRS.index(("f", "hb"))]
 
 
 def test_act_word_matches_composition():

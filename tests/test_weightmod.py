@@ -19,7 +19,8 @@ import pytest
 
 from takiffrep import weightmod
 from takiffrep.algebra import bracket
-from takiffrep.freemod import GENERATOR_PAIRS, SHIFT
+from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, adjoint_table,
+                               make_gamma, make_omega, make_theta_mod)
 from takiffrep.linalg import nullspace
 from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
 from takiffrep.scan import builtin_scan_grid
@@ -653,6 +654,61 @@ def test_adjoint_table_matches_leibniz_oracle():
     for spec in specs:
         want = adjoint_table_oracle(spec, parent_spec(spec).ops)
         assert _as_oracle_table(spec.adjoint) == want, spec.params()
+
+
+def _wide(rng, nonzero=False):
+    """A rational with a numerator and denominator of up to seven digits."""
+    while True:
+        v = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        if v or not nonzero:
+            return v
+
+
+def _assert_matches_oracle_with_types(table, want):
+    assert _as_oracle_table(table) == want
+    for x, (_, terms) in table.items():
+        for m, r, c0, c1 in terms:
+            assert type(c0) is Fraction, (x, m, r)
+            if want[x][1][(m, r)][1]:
+                assert type(c1) is Fraction, (x, m, r)
+            else:
+                assert type(c1) is int and c1 == 0, (x, m, r)
+
+
+def test_adjoint_table_types_match_oracle_on_wide_rationals():
+    # c0 is always a Fraction, c1 the int 0 exactly when the entry is
+    # constant in k, at large-denominator parameters
+    rng = random.Random(418)
+    for n in range(60):
+        alpha, beta, lam, a = (_wide(rng), _wide(rng), _wide(rng, True),
+                               _wide(rng))
+        if n % 3 == 0:
+            spec = make_weight_m(alpha, beta, lam, a, _wide(rng))
+        elif n % 3 == 1:
+            spec = make_weight_n(alpha, beta, lam, a, _wide(rng))
+        else:
+            spec = make_weight_v(alpha, beta, lam, a,
+                                 [_wide(rng) for _ in range(rng.randint(1, 4))])
+        want = adjoint_table_oracle(spec, parent_spec(spec).ops)
+        _assert_matches_oracle_with_types(spec.adjoint, want)
+
+
+def test_adjoint_table_types_match_oracle_at_the_free_point():
+    # the alpha = beta = 0 table that verify_axioms proves the free families on
+    rng = random.Random(419)
+    origin = SimpleNamespace(alpha=F(0), beta=F(0))
+    for n in range(30):
+        lam, b = _wide(rng, True), _wide(rng)
+        if n % 3 == 0:
+            spec = make_gamma(lam, _wide(rng), b)
+        elif n % 3 == 1:
+            spec = make_theta_mod(lam, _wide(rng), b)
+        else:
+            spec = make_omega(lam, b,
+                              [_wide(rng) for _ in range(rng.randint(1, 4))])
+        _assert_matches_oracle_with_types(
+            adjoint_table(spec.ops, F(0), F(0)),
+            adjoint_table_oracle(origin, spec.ops))
 
 
 def test_adjoint_table_reads_planted_operator_terms(monkeypatch):
