@@ -286,12 +286,16 @@ def _suite_verma_check(cfg, args, rng, window):
     spec = _weight_spec_from_cfg(cfg)
     if "hit" in cfg:
         hit = config_value(cfg, "hit", None, parse_int_pair)
+        if hit[1] < 1:
+            raise ValueError("config key 'hit': s must be at least 1")
     else:
         crit = simplicity_criterion_weight(spec)
         if crit.simple:
             raise ValueError("module is simple; give hit=K,S explicitly")
         hit = crit.witness
     depth = config_value(cfg, "depth", "4", int)
+    if depth < 0:
+        raise ValueError("config key 'depth': must be at least 0")
     win = Window(hit[0] - depth, hit[0] + depth, max(window.s_max, hit[1] + 2))
     rep = verma_check(spec, hit, win)
     case = {"family": spec.family, "params": spec.params(),

@@ -49,16 +49,17 @@ every eta_{k,s}, because these functionals separate C[h, hbar]: at
 alpha = beta = 0, if dbar^j q(h, 0) is zero at every even integer h it is
 the zero polynomial, for every j, hence q = 0.  ``verify_axioms`` proves
 the free families this way, and the dual weight families of ``weightmod``
-use the same two functions at their own (alpha, beta).  The table
-calculus itself is three functions: a generator's table (``_ks_table``),
-composition (``_ks_compose_into``) and addition of a multiple
-(``_ks_add_into``); ``functors`` proves its twist and rescaling maps
+use the same two functions at their own (alpha, beta).  A table entry
+is a ``PolyHH`` with k in the h slot and s in the hbar slot, and the
+calculus is three functions: a generator's table (``_ks_table``),
+composition (``_ks_compose_into``, shifting by ``shifted_expand``) and
+addition of a multiple (``_ks_add_into``), both summing through
+``PolyHH._mul_into``; ``functors`` proves its twist and rescaling maps
 with them.  Both provers stay on ints from the operator table to the
 verdict: ``adjoint_table`` sums each generator's contributions as
 integers over one denominator and forms one Fraction per stored
-coefficient, and ``prove_brackets`` scales the adjoint terms to integers
-before it builds its tables, whose s-polynomials are integer falling
-factorials.
+coefficient, and ``prove_brackets`` reads its tables at a scale that
+clears every denominator.
 """
 
 from __future__ import annotations
@@ -67,13 +68,13 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
 from .linalg import RowBasis, vec_primitive
 from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_rational,
-                   to_rational)
+                   shifted_expand, to_rational)
 
 GENERATOR_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
     (GENERATORS[i], GENERATORS[j])
@@ -355,75 +356,66 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     return table
 
 
-# a polynomial in (k, s) as {(i, j): c}, meaning sum c * k^i * s^j
-KSPoly = Dict[Tuple[int, int], RationalLike]
 # an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
-# sum P(k, s) * eta_{k+dk, s+ds}
-KSTable = Dict[Tuple[int, int], KSPoly]
+# sum P(k, s) * eta_{k+dk, s+ds}, P a PolyHH with k in the h slot and s in
+# the hbar slot
+KSTable = Dict[Tuple[int, int], PolyHH]
+# a table being summed: (dk, ds) -> the cleaned coefficient dict of P
+KSSums = Dict[Tuple[int, int], Dict[Tuple[int, int], RationalLike]]
 
 
-def _ks_table(dk: int, terms) -> KSTable:
-    """One generator's table from terms (m, r, c0, c1), grouped by
-    (dk, m - r): each term adds (c0 + c1*k) (s-1)(s-2)...(s-r).
+def _ks_table(entry, scale: int = 1) -> KSTable:
+    """``scale`` times one generator's table, read off its adjoint entry
+    (dk, terms): each term (m, r, c0, c1) adds
+    (c0 + c1*k) C(s-1, r) = (c0 + c1*k) (s-1)(s-2)...(s-r) / r!
+    at (dk, m - r).
 
-    The terms' coefficients already carry the 1/r! of C(s-1, r), so the
-    s-polynomial is the integer falling factorial and int terms give an
-    int table.
+    c * scale / r! is formed on ints and is an int whenever it is whole,
+    so an integer ``scale`` that clears the denominators gives an int
+    table; otherwise it is the exact Fraction.
     """
-    table: KSTable = {}
+    dk, terms = entry
+    sums: KSSums = {}
     for m, r, c0, c1 in terms:
         falling = [1]  # coefficients of (s-1)...(s-r) in s, lowest first
         for t in range(1, r + 1):
             falling = [a - t * b for a, b in zip([0] + falling, falling + [0])]
-        p = table.setdefault((dk, m - r), {})
-        for j, b in enumerate(falling):
-            for i, c in enumerate((c0, c1)):
-                if c:
-                    p[(i, j)] = p.get((i, j), 0) + c * b
-    return table
+        linear = {}
+        for i, c in enumerate((c0, c1)):
+            if c:
+                num = c.numerator * scale
+                den = c.denominator * factorial(r)
+                linear[(i, 0)] = (num // den if num % den == 0
+                                  else Fraction(num, den))
+        PolyHH._adopt(linear)._mul_into(
+            PolyHH._adopt({(0, j): b for j, b in enumerate(falling)}),
+            sums.setdefault((dk, m - r), {}))
+    return {key: PolyHH._adopt(c) for key, c in sums.items() if c}
 
 
-def _ks_shift(p: KSPoly, dk: int, ds: int) -> KSPoly:
-    """p(k + dk, s + ds)."""
-    out: KSPoly = {}
-    for (i, j), c in p.items():
-        for a in range(i + 1):
-            for b in range(j + 1):
-                n = comb(i, a) * comb(j, b) * dk ** (i - a) * ds ** (j - b)
-                if n:
-                    out[(a, b)] = out.get((a, b), 0) + n * c
-    return out
-
-
-def _ks_compose_into(out: KSTable, tables: Dict[str, KSTable], x: str,
-                     right: KSTable, sign: int,
-                     shifted: Dict[tuple, tuple]) -> None:
-    """Add sign * (x o right) to ``out``.
+def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
+                     right: KSTable, shifted: Dict[tuple, PolyHH]) -> None:
+    """Add x o right to ``out``.
 
     ``right`` sends eta_{k,s} to P(k, s) eta_{k+dk, s+ds}, and x, named in
     ``tables``, sends that on with P_x(k + dk, s + ds).  ``shifted`` keeps
-    the items of each shifted P_x under (x, its key, dk, ds), so it is
-    shifted once however many compositions use it.
+    each shifted P_x under (x, its key, dk, ds), so it is shifted once
+    however many compositions use it.
     """
     for (dk, ds), py in right.items():
         for (ek, es), px in tables[x].items():
             key = (x, ek, es, dk, ds)
             shift = shifted.get(key)
             if shift is None:
-                shift = shifted[key] = tuple(_ks_shift(px, dk, ds).items())
-            acc = out.setdefault((ek + dk, es + ds), {})
-            for (i, j), a in py.items():
-                a *= sign
-                for (u, v), b in shift:
-                    acc[(i + u, j + v)] = acc.get((i + u, j + v), 0) + a * b
+                shift = shifted[key] = shifted_expand(px, (dk, ds))
+            shift._mul_into(py, out.setdefault((ek + dk, es + ds), {}))
 
 
-def _ks_add_into(out: KSTable, table: KSTable, c: RationalLike) -> None:
-    """Add c * table to ``out``."""
+def _ks_add_into(out: KSSums, table: KSTable, c: RationalLike) -> None:
+    """Add c * table to ``out``, c nonzero."""
+    const = PolyHH._adopt({(0, 0): c})
     for key, p in table.items():
-        acc = out.setdefault(key, {})
-        for e, v in p.items():
-            acc[e] = acc.get(e, 0) + c * v
+        const._mul_into(p, out.setdefault(key, {}))
 
 
 def prove_brackets(adjoint: AdjointTable) -> List[dict]:
@@ -433,14 +425,14 @@ def prove_brackets(adjoint: AdjointTable) -> List[dict]:
     P = sum (c0 + c1*k) C(s-1, r) over its terms with m - r = ds.  The
     binomial vanishes at s = 1..r, where the term is absent, so P(k, s) is
     the true coefficient at every k in Z and s >= 1, and so is each
-    coefficient of the composed table x o y - y o x - [x,y].  Z x Z_{>=1}
-    is Zariski-dense, so a pair passes exactly when that table is empty.
+    coefficient of the composed tables x o y and y o x + [x,y].  Z x Z_{>=1}
+    is Zariski-dense, so a pair passes exactly when those tables are equal.
 
     The tables are built on ints: with d the lcm of the adjoint
-    denominators and R the largest r, a term becomes
-    (m, r, c0 d R!/r!, c1 d R!/r!), whose ``_ks_table`` is D = d R! times
-    the true table.  So D^2 times the residual reads X o Y - Y o X - D [x,y]
-    on the integer tables, and no Fraction is formed.
+    denominators and R the largest r, ``_ks_table`` at scale D = d R! is D
+    times the true table and holds only ints.  So the pair is compared as
+    X o Y against Y o X + D [x,y] on the integer tables, D^2 times the
+    true identity, and no Fraction is formed.
     Returns one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``.
     """
     entries = [adjoint[x] for x in GENERATORS]
@@ -448,24 +440,20 @@ def prove_brackets(adjoint: AdjointTable) -> List[dict]:
               for _, _, c0, c1 in terms for c in (c0, c1)))
     top = max((r for _, terms in entries for _, r, _, _ in terms), default=0)
     scale = d * factorial(top)
-    tables = {}
-    for x, (dk, terms) in zip(GENERATORS, entries):
-        int_terms = []
-        for m, r, c0, c1 in terms:
-            f = scale // factorial(r)
-            int_terms.append((m, r, c0.numerator * (f // c0.denominator),
-                              c1.numerator * (f // c1.denominator)))
-        tables[x] = _ks_table(dk, int_terms)
-    shifted: Dict[tuple, tuple] = {}
+    tables = {x: _ks_table(entry, scale)
+              for x, entry in zip(GENERATORS, entries)}
+    shifted: Dict[tuple, PolyHH] = {}
     pairs = []
     for x, y in GENERATOR_PAIRS:
-        residual: KSTable = {}
-        _ks_compose_into(residual, tables, x, tables[y], 1, shifted)
-        _ks_compose_into(residual, tables, y, tables[x], -1, shifted)
+        lhs: KSSums = {}
+        rhs: KSSums = {}
+        _ks_compose_into(lhs, tables, x, tables[y], shifted)
+        _ks_compose_into(rhs, tables, y, tables[x], shifted)
         for mono, coeff in bracket(x, y).terms():
             (z,) = mono.to_word()
-            _ks_add_into(residual, tables[z], -scale * coeff)
-        ok = not any(any(p.values()) for p in residual.values())
+            _ks_add_into(rhs, tables[z], scale * coeff)
+        ok = ({key: c for key, c in lhs.items() if c}
+              == {key: c for key, c in rhs.items() if c})
         pairs.append({"x": x, "y": y, "pass": ok})
     return pairs
 

@@ -7,9 +7,9 @@ Pulling the module back along the substitution Theta_z (see
 proves the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
 an isomorphism of actions, and ``lambda_rescale_iso`` proves the lambda
 rescaling, both for every (k, s) at once in the (k, s) table calculus of
-``freemod.prove_brackets``; the window scopes only the reported rank and
-failing probe.  ``vm_iso_check``, whose map holds e-powers, is checked on
-the window.
+``freemod.prove_brackets``, whose entries are ``PolyHH`` in k and s; the
+window scopes only the reported rank and failing probe.  ``vm_iso_check``,
+whose map holds e-powers, is checked on the window.
 
 ``intertwiner_search`` solves for all window-supported linear maps
 commuting with the action.  Columns are matched by exact h-eigenvalue
@@ -34,12 +34,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial, perm
+from math import perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import (KSPoly, KSTable, _ks_add_into, _ks_compose_into,
-                      _ks_table)
+from .freemod import KSSums, _ks_add_into, _ks_compose_into, _ks_table
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -121,26 +120,13 @@ def _window_iso(window: Window, act_a, act_b, phi,
                           failing_probe=failing, details=details)
 
 
-def _binomial_entry(entry) -> tuple:
-    """An adjoint entry (dk, terms) with the 1/r! of C(s-1, r) folded into
-    each term's c0 and c1, the form ``_ks_table`` reads: the table it
-    builds holds the true coefficients."""
-    dk, terms = entry
-    return dk, tuple((m, r, Fraction(c0, factorial(r)),
-                      Fraction(c1, factorial(r))) for m, r, c0, c1 in terms)
-
-
-def _ks_value(p: KSPoly, k: int, s: int) -> Fraction:
-    return sum(c * k**i * s**j for (i, j), c in p.items())
-
-
-def _table_iso(residuals: Dict[str, KSTable], window: Window,
+def _table_iso(residuals: Dict[str, KSSums], window: Window,
                details: dict | None = None) -> IsoCheckResult:
     """The verdict on a diagonal map phi(eta_{k,s}) = c_k eta_{k,s}, every
     c_k nonzero, from its residual tables.
 
-    ``residuals[x]`` is (x o phi - phi o x) / c_k as a (k, s) table, so phi
-    intertwines for every (k, s) exactly when every residual is empty (the
+    ``residuals[x]`` sums (x o phi - phi o x) / c_k as a (k, s) table, so phi
+    intertwines for every (k, s) exactly when every residual is zero (the
     Zariski-density argument of ``freemod.prove_brackets``), and the probe
     (k, s, x) fails exactly when an entry of ``residuals[x]`` is nonzero at
     (k, s).  ``failing_probe`` is the first failing window probe in the
@@ -151,21 +137,20 @@ def _table_iso(residuals: Dict[str, KSTable], window: Window,
     phi fails.  ``rank`` is the number of window indices, phi being
     diagonal with nonzero entries.
     """
-    polys = {x: [p for p in table.values() if any(p.values())]
-             for x, table in residuals.items()}
+    polys = {x: [PolyHH._adopt(c) for c in sums.values() if c]
+             for x, sums in residuals.items()}
     failing = None
-    if any(polys.values()):
-        exps = [e for ps in polys.values() for p in ps
-                for e, c in p.items() if c]
-        d_k = max(i for i, _ in exps)
-        d_s = max(j for _, j in exps)
+    nonzero = [p for ps in polys.values() for p in ps]
+    if nonzero:
+        d_k = max(p.deg_h() for p in nonzero)
+        d_s = max(p.deg_hbar() for p in nonzero)
         grid = ((k, s) for k in range(window.k_min, window.k_min + d_k + 1)
                 for s in range(1, d_s + 2))
         failing = next(
             ({"k": k, "s": s, "x": x}
              for k, s in itertools.chain(window.indices(), grid)
              for x in GENERATORS
-             if any(_ks_value(p, k, s) for p in polys[x])), None)
+             if any(p.eval_at(k, s) for p in polys[x])), None)
     rank = (window.k_max - window.k_min + 1) * window.s_max
     return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
                           failing_probe=failing, details=details)
@@ -190,23 +175,22 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
         raise ValueError("the twisting functor is implemented on the M family")
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
-    tables = {x: _ks_table(*_binomial_entry(spec.adjoint[x]))
-              for x in GENERATORS}
-    tables["ebinv"] = {(1, 0): {(0, 0): -1 / spec.lam}}
-    shifted: Dict[tuple, tuple] = {}
+    tables = {x: _ks_table(spec.adjoint[x]) for x in GENERATORS}
+    tables["ebinv"] = {(1, 0): PolyHH.const(-1 / spec.lam)}
+    shifted: Dict[tuple, PolyHH] = {}
     residuals = {}
     for y in GENERATORS:
-        residual: KSTable = {}
+        residual: KSSums = {}
         for mono, coeff in theta(z, y).terms():
             word = mono.to_word()
-            table = tables[word[-1]] if word else {(0, 0): {(0, 0): 1}}
+            table = tables[word[-1]] if word else {(0, 0): PolyHH.const(1)}
             for letter in reversed(word[:-1]):
-                composed: KSTable = {}
-                _ks_compose_into(composed, tables, letter, table, 1, shifted)
-                table = composed
+                composed: KSSums = {}
+                _ks_compose_into(composed, tables, letter, table, shifted)
+                table = {key: PolyHH._adopt(c)
+                         for key, c in composed.items() if c}
             _ks_add_into(residual, table, coeff)
-        _ks_add_into(residual, _ks_table(*_binomial_entry(target.adjoint[y])),
-                     -1)
+        _ks_add_into(residual, _ks_table(target.adjoint[y]), -1)
         residuals[y] = residual
     return _table_iso(residuals, window, details={"z": z})
 
@@ -230,11 +214,10 @@ def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     sign = 1 if spec_a.family == "M" else -1
     residuals = {}
     for x in GENERATORS:
-        dk, terms = _binomial_entry(spec_a.adjoint[x])
-        residual: KSTable = {}
-        _ks_add_into(residual, _ks_table(dk, terms), ratio ** (sign * dk))
-        _ks_add_into(residual, _ks_table(*_binomial_entry(spec_b.adjoint[x])),
-                     -1)
+        entry = spec_a.adjoint[x]
+        residual: KSSums = {}
+        _ks_add_into(residual, _ks_table(entry), ratio ** (sign * entry[0]))
+        _ks_add_into(residual, _ks_table(spec_b.adjoint[x]), -1)
         residuals[x] = residual
     return _table_iso(residuals, window)
 

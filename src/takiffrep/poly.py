@@ -222,15 +222,17 @@ class PolyHH:
         return PolyHH._adopt(c)
 
     def shift_hbar(self, d: RationalLike) -> "PolyHH":
-        """Return p(h, hbar + d)."""
-        d = to_rational(d)
+        """Return p(h, hbar + d); like ``shift_h``, an int shift of a
+        polynomial with int coefficients stays integral."""
+        if not isinstance(d, int):
+            d = to_rational(d)
         if not d:
             return self
-        c: Dict[Exponent, Fraction] = {}
+        c: Dict[Exponent, Rational] = {}
         for (i, j), v in self._c.items():
             for k in range(j + 1):
                 e = (i, k)
-                w = c.get(e, Fraction(0)) + v * comb(j, k) * d ** (j - k)
+                w = c.get(e, 0) + v * comb(j, k) * d ** (j - k)
                 if w:
                     c[e] = w
                 else:

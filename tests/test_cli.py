@@ -149,6 +149,19 @@ def test_verma_check_suite(capsys):
     assert case["pass"] is True
 
 
+def test_verma_check_blames_depth_and_hit_on_their_keys(capsys, tmp_path):
+    cfg = tmp_path / "verma.cfg"
+    for config, key in (("depth=-1\n", "depth"), ("hit=0,0\n", "hit"),
+                        ("hit=6,-2\n", "hit")):
+        cfg.write_text(config)
+        assert main(["verma-check", "--config", str(cfg)]) == 2, config
+        assert f"config key {key!r}" in capsys.readouterr().err, config
+    # depth 0 is the window of the hit column alone, still a check
+    cfg.write_text("depth=0\n")
+    assert main(["verma-check", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"][0]["pass"] is True
+
+
 def test_scan_csv_columns_and_json_agreement(capsys):
     code, csv_text = run_cli(capsys, "scan", "--format", "csv")
     assert code == 0

@@ -424,6 +424,42 @@ def test_prove_brackets_agrees_with_fraction_prover_on_planted_faults():
         assert flags == fraction_prover(planted), (x, index)
 
 
+def test_prove_brackets_builds_int_tables(monkeypatch):
+    seen = []
+
+    def recorded(wrapped):
+        def run(*args):
+            out = wrapped(*args)
+            seen.append(out if out is not None else args[0])
+            return out
+        return run
+
+    for name in ("_ks_table", "_ks_compose_into", "_ks_add_into"):
+        monkeypatch.setattr(freemod, name, recorded(getattr(freemod, name)))
+    rng = random.Random(422)
+    for adjoint in _prover_cases(rng, 24):
+        prove_brackets(adjoint)
+    # the tables, and the sums they are composed and added into
+    values = [c for table in seen for p in table.values()
+              for c in (p.terms() if isinstance(p, PolyHH) else p.items())]
+    assert values and all(type(v) is int for _, v in values)
+
+
+def test_ks_table_never_yields_a_float():
+    rng = random.Random(423)
+    for adjoint in _prover_cases(rng, 40):
+        x = rng.choice(GENERATORS)
+        # a zero c0 beside a nonzero c1, and the int 0 as c1
+        planted = _plant(adjoint, x, 0, 0, F(1, 3))
+        planted = {**planted, x: (planted[x][0], planted[x][1]
+                                  + ((1, 3, F(0), F(5, 7)), (0, 2, F(2), 0)))}
+        for scale in (1, 3, 2 * 3 * 5 * 7):
+            for y in GENERATORS:
+                for p in freemod._ks_table(planted[y], scale).values():
+                    assert not p.is_zero()
+                    assert all(type(v) in (int, F) for _, v in p.terms())
+
+
 def _smallest_fault(adjoint):
     """The largest-r term of f moved by 1/(2 d R!), with d the lcm of the
     adjoint denominators and R the largest r: below the resolution of

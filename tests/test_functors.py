@@ -9,13 +9,14 @@ import pytest
 
 from takiffrep import functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
+from takiffrep.freemod import _ks_add_into, _ks_compose_into, _ks_table
 from takiffrep.functors import (LinearWindowMap, _window_iso, apply_localized,
                                 check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
 from takiffrep.linalg import nullspace
-from takiffrep.poly import random_rational
+from takiffrep.poly import PolyHH, random_rational
 from takiffrep.weightmod import (Window, act_weight, make_weight_m,
                                  make_weight_n, make_weight_v,
                                  random_weight_spec, wv_text, wv_unit)
@@ -237,6 +238,71 @@ def test_lambda_rescale_proof_catches_faults_outside_the_window():
     assert _rescale_oracle(spec_a, spec_b, window).intertwines
     res = lambda_rescale_iso(spec_a, spec_b, window)
     assert _verdict(res) == (False, 14, {"k": -3, "s": 3, "x": "fb"})
+
+
+# Pointwise: a (k, s) table, evaluated at (k, s), is the image of eta_{k,s}.
+
+GRID = [(k, s) for k in range(-2, 3) for s in range(1, 6)]
+
+
+def _table_image(table, k, s):
+    """The vector that a (k, s) table sends eta_{k,s} to; an entry whose
+    target index s + ds lies below 1 must vanish at (k, s)."""
+    out = {}
+    for (dk, ds), p in table.items():
+        c = p.eval_at(k, s)
+        if c:
+            assert s + ds >= 1, ((dk, ds), k, s)
+            out[(k + dk, s + ds)] = c
+    return out
+
+
+def test_composed_tables_match_act_weight_pointwise():
+    rng = random.Random(506)
+    for family in "MNVMNV":
+        spec = random_weight_spec(rng, family)
+        tables = {x: _ks_table(spec.adjoint[x]) for x in GENERATORS}
+        shifted = {}
+        for x in GENERATORS:
+            for y in GENERATORS:
+                sums = {}
+                _ks_compose_into(sums, tables, x, tables[y], shifted)
+                composed = {key: PolyHH._adopt(c)
+                            for key, c in sums.items() if c}
+                for k, s in GRID:
+                    v = act_weight(spec, y, wv_unit(k, s))
+                    assert _table_image(tables[y], k, s) == v, (spec, y, k, s)
+                    assert _table_image(composed, k, s) == \
+                        act_weight(spec, x, v), (spec, x, y, k, s)
+
+
+def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
+    # check_twist_iso hands _table_iso the residual Theta_z(y) - target(y);
+    # adding the target's table back gives the table of Theta_z(y)
+    rng = random.Random(507)
+    residuals = {}
+    monkeypatch.setattr(functors, "_table_iso",
+                        lambda sums, window, details=None:
+                        residuals.update(sums))
+    failing = 0
+    for i in range(6):
+        spec = random_weight_spec(rng, "M")
+        z = random_rational(rng)
+        # a wrong target half the time, so that the residuals are not empty
+        target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
+                               spec.a, spec.b + i % 2)
+        monkeypatch.setattr(functors, "make_weight_m", lambda *args: target)
+        residuals.clear()
+        check_twist_iso(z, spec)
+        failing += any(c for sums in residuals.values() for c in sums.values())
+        for y in GENERATORS:
+            sums = {key: dict(c) for key, c in residuals[y].items()}
+            _ks_add_into(sums, _ks_table(target.adjoint[y]), 1)
+            table = {key: PolyHH._adopt(c) for key, c in sums.items() if c}
+            for k, s in GRID:
+                assert _table_image(table, k, s) == \
+                    twisted_act(z, spec, y, wv_unit(k, s)), (spec, z, y, k, s)
+    assert failing == 3
 
 
 def test_lambda_rescale_iso_rejects_v_family():

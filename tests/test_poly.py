@@ -111,6 +111,18 @@ def test_shift_is_ring_homomorphism():
         assert (p + q).shift_hbar(-3) == p.shift_hbar(-3) + q.shift_hbar(-3)
 
 
+def test_int_shifts_of_int_polynomials_stay_ints():
+    p = PolyHH._adopt({(2, 3): 5, (1, 0): -2, (0, 2): 1})
+    for shifted in (p.shift_h(3), p.shift_hbar(-2), p.shift_hbar(1),
+                    shifted_expand(p, (-1, 4))):
+        assert all(type(v) is int for _, v in shifted.terms()), shifted
+    assert PolyHH._adopt({(0, 2): 1}).shift_hbar(1) == \
+        PolyHH({(0, 2): 1, (0, 1): 2, (0, 0): 1})
+    # a zero shift is the polynomial itself
+    assert p.shift_h(0) is p and p.shift_hbar(0) is p
+    assert shifted_expand(p, (0, 0)) is p
+
+
 def test_eval_at():
     p = PolyHH.term(2, 1, 3) + PolyHH.const(Fraction(1, 2))
     # 3 h^2 hb + 1/2 at h=2, hb=-1
