@@ -26,12 +26,12 @@ cached coefficients are ints, and elements keep them as ints: an
 constructor and exact ints kept by every other constructor and operation.
 
 The localized algebra adjoins a two-sided inverse of eb (letter ``ebinv``,
-printed ``eb^-1``).  It commutes with e, eb, fb, hb and satisfies
+printed ``eb^-1``).  Its rewriting rules are read off the bracket table by
 
-    h * ebinv = ebinv * (h - 2)
-    f * ebinv = ebinv * f + ebinv^2 * hb
+    x * ebinv = ebinv * x + ebinv * [eb, x] * ebinv,
 
-(both forced by [h,eb] = 2eb and [eb,f] = hb).  Its twisting automorphism
+so it commutes with e, eb, fb, hb and satisfies h * ebinv = ebinv * (h - 2)
+and f * ebinv = ebinv * f + ebinv^2 * hb.  Its twisting automorphism
 Theta_z (``theta``) is written once, over Z[z]: the powers of the image of
 f form a z-free table of integer coefficient lists, built from the
 ``_reduce_word`` cache on each call, and a closed form on each canonical
@@ -80,18 +80,6 @@ for _x, _y in (("e", "eb"), ("f", "fb"), ("h", "hb"), ("eb", "fb"),
                ("eb", "hb"), ("fb", "hb")):
     _set_bracket(_x, _y, [])
 
-# rewriting side terms: for slot[x] > slot[y],  x*y = y*x + sum c * word
-_COMM: Dict[Tuple[str, str], List[Tuple[int, Tuple[str, ...]]]] = {}
-for (_x, _y), _terms in _BRACKET.items():
-    if _SLOT[_x] > _SLOT[_y]:
-        _COMM[(_x, _y)] = [(c, (g,)) for c, g in _terms]
-# localized rules, derived in the module docstring
-_COMM[("h", "ebinv")] = [(-2, ("ebinv",))]
-_COMM[("f", "ebinv")] = [(1, ("ebinv", "ebinv", "hb"))]
-_COMM[("fb", "ebinv")] = []
-_COMM[("hb", "ebinv")] = []
-_COMM[("e", "ebinv")] = []
-
 
 class Monomial(NamedTuple):
     """Exponents of a canonical monomial eb^n fb^a f^b hb^c h^d e^g.
@@ -130,6 +118,20 @@ def _word_to_monomial(word: Tuple[str, ...]) -> Monomial:
         except KeyError:
             raise ValueError(f"unknown letter {w!r}") from None
     return Monomial(*exps)
+
+
+# rewriting side terms: for slot[x] > slot[y],  x*y = y*x + sum c * word
+_COMM: Dict[Tuple[str, str], List[Tuple[int, Tuple[str, ...]]]] = {}
+for (_x, _y), _terms in _BRACKET.items():
+    if _SLOT[_x] > _SLOT[_y]:
+        _COMM[(_x, _y)] = [(c, (g,)) for c, g in _terms]
+# localized rules, x*eb^-1 = eb^-1*x + eb^-1*[eb, x]*eb^-1, with each side
+# word canonical: [eb, x] is barred, and barred letters commute with eb^-1
+for _x in GENERATORS:
+    if _SLOT[_x] > _SLOT["ebinv"]:
+        _COMM[(_x, "ebinv")] = [
+            (c, _word_to_monomial(("ebinv", g, "ebinv")).to_word())
+            for c, g in _BRACKET[("eb", _x)]]
 
 
 @lru_cache(maxsize=1 << 16)

@@ -30,7 +30,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import freemod, functors, weightmod
-from .algebra import normal_form, check_theta_automorphism, parse_word_expr, theta
+from .algebra import (LOCALIZED_LETTERS, check_theta_automorphism,
+                      normal_form, parse_word_expr, theta)
 from .poly import PolyHH, parse_poly
 from .report import (config_value, emit, load_config, make_report,
                      parse_bool, parse_int_pair, parse_rational_list,
@@ -40,10 +41,6 @@ from .scan import (SCAN_CSV_COLUMNS, builtin_scan_grid, criterion_agrees,
 from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
                         singular_vectors, verma_check, weight_bracket_report,
                         wv_text)
-
-SUITES = ("nf", "verify-free", "saturate", "omega-quotient", "verify-weight",
-          "singular", "verma-check", "scan", "twist-check", "iso-check",
-          "intertwine")
 
 
 def _one_of(*names):
@@ -297,7 +294,12 @@ def _suite_verma_check(cfg, args, rng, window):
     if depth < 0:
         raise ValueError("config key 'depth': must be at least 0")
     win = Window(hit[0] - depth, hit[0] + depth, max(window.s_max, hit[1] + 2))
-    rep = verma_check(spec, hit, win)
+    try:
+        rep = verma_check(spec, hit, win)
+    except ValueError as exc:
+        if "hit" not in cfg:
+            raise
+        raise ValueError(f"config key 'hit': {exc}") from None
     case = {"family": spec.family, "params": spec.params(),
             "hit": list(hit), "direction": rep.direction,
             "depth_dims": rep.depth_dims, "expected_dims": rep.expected_dims,
@@ -330,7 +332,7 @@ def _suite_twist_check(cfg, args, rng, window):
         iso = functors.check_twist_iso(z, spec, window)
         inverse_ok = all(
             theta(-z, theta(z, x)) == normal_form(x, localized=True)
-            for x in ("e", "f", "h", "eb", "fb", "hb", "ebinv"))
+            for x in LOCALIZED_LETTERS)
         good = automorphism_ok and iso.intertwines and inverse_ok
         ok = ok and good
         cases.append({"z": z, "automorphism_ok": automorphism_ok,
@@ -414,6 +416,7 @@ _HANDLERS = {
     "iso-check": _suite_iso_check,
     "intertwine": _suite_intertwine,
 }
+SUITES = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:

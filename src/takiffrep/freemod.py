@@ -52,14 +52,14 @@ the free families this way, and the dual weight families of ``weightmod``
 use the same two functions at their own (alpha, beta).  A table entry
 is a ``PolyHH`` with k in the h slot and s in the hbar slot, and the
 calculus is three functions: a generator's table (``_ks_table``),
-composition (``_ks_compose_into``, shifting by ``shifted_expand``) and
-addition of a multiple (``_ks_add_into``), both summing through
-``PolyHH._mul_into``; ``functors`` proves its twist and rescaling maps
-with them.  Both provers stay on ints from the operator table to the
-verdict: ``adjoint_table`` sums each generator's contributions as
-integers over one denominator and forms one Fraction per stored
-coefficient, and ``prove_brackets`` reads its tables at a scale that
-clears every denominator.
+composition (``_ks_compose_into``, shifting by ``PolyHH.shift_h`` then
+``PolyHH.shift_hbar``) and addition of a multiple (``_ks_add_into``), both
+summing through ``PolyHH._mul_into``; ``functors`` proves its twist and
+rescaling maps with them.  Both provers stay on ints from the operator
+table to the verdict: ``adjoint_table`` sums each generator's
+contributions as integers over one denominator and forms one Fraction
+per stored coefficient, and ``prove_brackets`` reads its tables at a
+scale that clears every denominator.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
 from .linalg import RowBasis, vec_primitive
 from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_rational,
-                   shifted_expand, to_rational)
+                   to_rational)
 
 GENERATOR_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
     (GENERATORS[i], GENERATORS[j])
@@ -399,15 +399,19 @@ def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
 
     ``right`` sends eta_{k,s} to P(k, s) eta_{k+dk, s+ds}, and x, named in
     ``tables``, sends that on with P_x(k + dk, s + ds).  ``shifted`` keeps
-    each shifted P_x under (x, its key, dk, ds), so it is shifted once
-    however many compositions use it.
+    each P_x(k + dk, s) under (x, its key, dk) and each P_x(k + dk, s + ds)
+    under (x, its key, dk, ds), so each shift is made once however many
+    compositions use it.
     """
     for (dk, ds), py in right.items():
         for (ek, es), px in tables[x].items():
             key = (x, ek, es, dk, ds)
             shift = shifted.get(key)
             if shift is None:
-                shift = shifted[key] = shifted_expand(px, (dk, ds))
+                h_shift = shifted.get(key[:4])
+                if h_shift is None:
+                    h_shift = shifted[key[:4]] = px.shift_h(dk)
+                shift = shifted[key] = h_shift.shift_hbar(ds)
             shift._mul_into(py, out.setdefault((ek + dk, es + ds), {}))
 
 

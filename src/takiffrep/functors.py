@@ -1,7 +1,8 @@
 """Twisting functor on M, explicit isomorphisms, and intertwiner search.
 
-The eb-localization acts on the M family: eb sends eta_{k,s} to
--lam * eta_{k-1,s}, so its inverse is eta_{k,s} |-> -(1/lam) eta_{k+1,s}.
+The eb-localization acts on the M family, and eb^-1's adjoint entry is
+read off eb's: eb sends eta_{k,s} to -lam * eta_{k-1,s}, so its inverse
+sends it to -(1/lam) eta_{k+1,s}.
 Pulling the module back along the substitution Theta_z (see
 ``takiffrep.algebra.theta``) shifts alpha by -2z; ``check_twist_iso``
 proves the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
@@ -39,18 +40,25 @@ from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
 from .freemod import KSSums, _ks_add_into, _ks_compose_into, _ks_table
-from .linalg import RowBasis, nullspace, vec_axpy, vec_clean, vec_primitive
+from .linalg import RowBasis, nullspace, vec_axpy, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
-                        act_weight, make_weight_m, unit_images, wv_scale,
-                        wv_unit)
+                        act_weight, apply_adjoint, make_weight_m, unit_images,
+                        wv_scale, wv_unit)
+
+
+def _ebinv_entry(spec: WeightModuleSpec):
+    """eb^-1's adjoint entry, read off eb's: where eb sends eta_{k,s} to
+    c eta_{k+dk,s}, as only in M, eb^-1 sends it to (1/c) eta_{k-dk,s}."""
+    dk, terms = spec.adjoint["eb"]
+    if len(terms) != 1 or terms[0][:2] != (0, 0) or terms[0][3]:
+        raise ValueError("the eb-localization acts on the M family")
+    return -dk, ((0, 0, 1 / terms[0][2], 0),)
 
 
 def ebinv_act(spec: WeightModuleSpec, v: WeightVec) -> WeightVec:
     """Action of the inverse of eb on an M-family vector."""
-    if spec.family != "M":
-        raise ValueError("the eb-localization acts on the M family")
-    return vec_clean({(k + 1, s): -c / spec.lam for (k, s), c in v.items()})
+    return apply_adjoint(*_ebinv_entry(spec), v)
 
 
 def apply_localized(spec: WeightModuleSpec, elem: AlgebraElement,
@@ -108,6 +116,20 @@ def _rank(vectors) -> int:
     return sum(1 for v in vectors if basis.add(v))
 
 
+def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
+    """scale * sum v[key] * columns[key], columns[key] the image of eta_key."""
+    out: WeightVec = {}
+    for key, c in v.items():
+        c *= scale
+        for key2, x in columns[key].items():
+            y = out.get(key2, 0) + c * x
+            if y:
+                out[key2] = y
+            else:
+                out.pop(key2, None)
+    return out
+
+
 def _window_iso(window: Window, act_a, act_b, phi,
                 details: dict | None = None) -> IsoCheckResult:
     """Check phi against every generator on every window basis functional;
@@ -163,9 +185,9 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
 
     The comparison map keeps indices: 1 (x) eta_{k,s} |-> eta'_{k,s}.  On
     the twist, y acts as Theta_z(y) through the localization.  Each letter
-    acts on eta_{k,s} as a (k, s) table of ``spec.adjoint``, eb^-1 as
-    (1, 0) -> -1/lam, so Theta_z(y) acts as the sum of the tables composed
-    along its monomials.  The map intertwines exactly when, for every
+    acts on eta_{k,s} as a (k, s) table of ``spec.adjoint``, eb^-1 as that
+    of its entry read off eb's, so Theta_z(y) acts as the sum of the tables
+    composed along its monomials.  The map intertwines exactly when, for every
     generator y, that table equals the table of y on the target module;
     the residuals go to ``_table_iso``, and ``window`` scopes only the
     reported rank and failing probe.
@@ -176,7 +198,7 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
     tables = {x: _ks_table(spec.adjoint[x]) for x in GENERATORS}
-    tables["ebinv"] = {(1, 0): PolyHH.const(-1 / spec.lam)}
+    tables["ebinv"] = _ks_table(_ebinv_entry(spec))
     shifted: Dict[tuple, PolyHH] = {}
     residuals = {}
     for y in GENERATORS:
@@ -269,27 +291,20 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
         raise ValueError("the explicit map needs beta + a != 0")
     c = Fraction(2) / (beta + a)
 
-    phi_cache: Dict[Tuple[int, int], WeightVec] = {}
-
-    def phi_basis(k: int, s: int) -> WeightVec:
-        got = phi_cache.get((k, s))
-        if got is None:
+    class Columns(dict):  # phi(eta_{k,s}) under (k, s), built on first use
+        def __missing__(self, key):
+            k, s = key
             v = wv_unit(k + s - 1, 1)
             for _ in range(s - 1):
                 v = act_weight(spec_v, "e", v)
-            got = wv_scale(c ** (k + s - 1) / (2 * lam) ** (s - 1), v)
-            phi_cache[(k, s)] = got
-        return got
-
-    def phi(v: WeightVec) -> WeightVec:
-        out: WeightVec = {}
-        for (k, s), coeff in v.items():
-            out = vec_axpy(out, coeff, phi_basis(k, s))
-        return out
+            v = wv_scale(c ** (k + s - 1) / (2 * lam) ** (s - 1), v)
+            self[key] = v
+            return v
 
     p_identity_ok = _vm_p_identity_residual(spec_v, spec_m.b).is_zero()
     return _window_iso(window, partial(act_weight, spec_m),
-                       partial(act_weight, spec_v), phi,
+                       partial(act_weight, spec_v),
+                       partial(_apply_columns, Columns()),
                        details={"p_identity_ok": p_identity_ok,
                                 "matched_b": vm_matching_b(spec_v)})
 
@@ -309,29 +324,16 @@ class LinearWindowMap:
     columns: Dict[Tuple[int, int], WeightVec]
 
     def apply(self, v: WeightVec) -> WeightVec:
-        out: WeightVec = {}
-        for key, c in v.items():
-            col = self.columns.get(key)
-            if col is None:
+        for key in v:
+            if key not in self.columns:
                 raise ValueError(f"vector leaves the domain window at {key}")
-            out = vec_axpy(out, c, col)
-        return out
+        return _apply_columns(self.columns, v)
 
     def is_zero(self) -> bool:
         return all(not col for col in self.columns.values())
 
     def rank(self) -> int:
         return _rank(self.columns.values())
-
-
-def _integer_action(images, scale: int):
-    """The action (x, v) -> scale * sum_key v[key] * images[x][key]."""
-    def act(x: str, v: WeightVec) -> WeightVec:
-        out: WeightVec = {}
-        for key, c in v.items():
-            out = vec_axpy(out, scale * c, images[x][key])
-        return out
-    return act
 
 
 def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
@@ -428,8 +430,8 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         return LinearWindowMap(window, cod, columns)
 
     maps = [window_map(sol) for sol in kernel]
-    act_a = _integer_action(images_a, d_b)
-    act_b = _integer_action(images_b, d_a)
+    act_a = lambda x, v: _apply_columns(images_a[x], v, d_b)
+    act_b = lambda x, v: _apply_columns(images_b[x], v, d_a)
     verified = all(
         _first_failure(probes, act_a, act_b,
                        window_map(vec_primitive(sol)).apply) is None

@@ -38,9 +38,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS
 from .freemod import (CHEVALLEY, SHIFT, AdjointTable, FreeModuleSpec,
-                      _apply_terms, adjoint_table, alpha_from_beta,
-                      delta_ops, make_gamma, make_omega, make_theta_mod,
-                      prove_brackets)
+                      _apply_terms, adjoint_table, delta_ops, make_gamma,
+                      make_omega, make_theta_mod, prove_brackets)
 from .freemod import act as act_free
 from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
 from .poly import PolyHH, RationalLike, poly1_eval, random_poly, to_rational
@@ -95,14 +94,11 @@ def make_weight_n(alpha, beta, lam, a, b) -> WeightModuleSpec:
 
 
 def make_weight_v(alpha, beta, lam, a, beta1: Sequence[RationalLike]) -> WeightModuleSpec:
-    lam = to_rational(lam)
-    if not lam:
-        raise ValueError("lambda must be nonzero")
-    a = to_rational(a)
-    q = tuple(to_rational(x) for x in beta1)
-    p = alpha_from_beta(q, lam, a)
-    return WeightModuleSpec("V", to_rational(alpha), to_rational(beta), lam,
-                            a, beta1=q, alpha1=p)
+    """V with the lam, a, beta1 and linked alpha1 of Omega(lam, a, beta1)."""
+    parent = make_omega(lam, a, beta1)
+    return WeightModuleSpec("V", to_rational(alpha), to_rational(beta),
+                            parent.lam, parent.b, beta1=parent.beta1,
+                            alpha1=parent.alpha1)
 
 
 def parent_spec(spec: WeightModuleSpec) -> FreeModuleSpec:
@@ -298,12 +294,15 @@ def weight_bracket_report(spec: WeightModuleSpec,
 
 # -- singular vectors and simplicity --------------------------------------------
 
+# the sl2-type pairs: the lowering one and its Chevalley image
+_LOWERING = ("f", "fb")
+_RAISING = tuple(CHEVALLEY[x][0] for x in _LOWERING)
 _KILL_PAIRS = {
-    "M": (("f", "fb"),),
-    "N": (("e", "eb"),),
+    "M": (_LOWERING,),
+    "N": (_RAISING,),
     # for V the barred pair detects the beta = a = 0 stratum, where neither
     # sl2-type pair vanishes on the submodule span{eta_{k,1}}
-    "V": (("f", "fb"), ("e", "eb"), ("eb", "fb")),
+    "V": (_LOWERING, _RAISING, ("eb", "fb")),
 }
 
 
@@ -464,14 +463,9 @@ def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
     """
     k0, s0 = hit
     v0 = wv_unit(k0, s0)
-    killed_by_lowering = (not act_weight(spec, "f", v0)
-                          and not act_weight(spec, "fb", v0))
-    killed_by_raising = (not act_weight(spec, "e", v0)
-                         and not act_weight(spec, "eb", v0))
-    if killed_by_lowering:
-        direction = -1  # generated by e, eb
-    elif killed_by_raising:
-        direction = +1  # generated by f, fb
+    for direction, pair in ((-1, _LOWERING), (+1, _RAISING)):
+        if not any(act_weight(spec, x, v0) for x in pair):
+            break  # -1: generated by e, eb; +1: generated by f, fb
     else:
         raise ValueError(f"eta_{hit} is not singular for an sl2-type pair")
     if direction < 0:

@@ -305,6 +305,18 @@ def test_localization_relations():
     assert lhs == rhs
 
 
+def test_localized_rules_derived_from_brackets_match_hand_rules():
+    # the library derives its eb^-1 rules from x eb^-1 = eb^-1 x +
+    # eb^-1 [eb, x] eb^-1; the hand-written SWAP_RULES entries are the oracle
+    hand = {key: rules for key, rules in SWAP_RULES.items()
+            if key[1] == "ebinv"}
+    assert sorted(hand) == sorted((x, "ebinv") for x in
+                                  ("fb", "f", "hb", "h", "e"))
+    for key, rules in hand.items():
+        assert algebra._COMM[key] == rules, key
+    assert sorted(k for k in algebra._COMM if "ebinv" in k) == sorted(hand)
+
+
 def test_ebinv_commutes_with_e_eb_hb_fb():
     for x in ("e", "eb", "hb", "fb"):
         lhs = normal_form((x, "ebinv"), localized=True)

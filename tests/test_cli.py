@@ -162,6 +162,15 @@ def test_verma_check_blames_depth_and_hit_on_their_keys(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["cases"][0]["pass"] is True
 
 
+def test_verma_check_blames_a_non_singular_hit_on_its_key(capsys, tmp_path):
+    cfg = tmp_path / "verma.cfg"
+    cfg.write_text("hit=1,1\n")
+    assert main(["verma-check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("takiff-rep: error: config key 'hit': "), err
+    assert "not singular" in err
+
+
 def test_scan_csv_columns_and_json_agreement(capsys):
     code, csv_text = run_cli(capsys, "scan", "--format", "csv")
     assert code == 0

@@ -40,6 +40,32 @@ def test_ebinv_act_explicit():
     assert ebinv_act(spec, wv_unit(0, 2)) == {(1, 2): F(-1, 2)}
 
 
+def test_ebinv_act_matches_hand_formula_on_random_m_vectors():
+    # eb^-1 is read off eb's adjoint entry; the oracle is the hand formula
+    # eta_{k,s} |-> -(1/lam) eta_{k+1,s}
+    rng = random.Random(503)
+    for _ in range(40):
+        spec = random_weight_spec(rng, "M")
+        v = {(rng.randint(-4, 4), rng.randint(1, 5)): random_rational(rng)
+             for _ in range(rng.randint(0, 6))}
+        want = {(k + 1, s): -c / spec.lam for (k, s), c in v.items() if c}
+        assert ebinv_act(spec, v) == want
+
+
+def test_ebinv_act_rejects_n_and_v():
+    specs = [make_weight_n(1, 2, 3, -1, 1),
+             make_weight_v(0, 3, 1, 1, (F(0), F(1))),
+             # eb's entry is a single term here, but with r = 2 (N) or
+             # r = 1 (V), so it is still no invertible translation
+             make_weight_n(F(1, 2), 0, 2, 0, 1),
+             make_weight_v(1, 2, 3, -2, (F(1),))]
+    assert len(specs[2].adjoint["eb"][1]) == 1
+    assert len(specs[3].adjoint["eb"][1]) == 1
+    for spec in specs:
+        with pytest.raises(ValueError, match="eb-localization acts on the M"):
+            ebinv_act(spec, wv_unit(0, 1))
+
+
 def test_twisted_act_at_zero_is_plain_action():
     rng = random.Random(501)
     spec = make_weight_m(F(1, 3), -2, 1, 5, F(2, 7))

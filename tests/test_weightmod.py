@@ -437,6 +437,13 @@ def test_singular_vectors_agree_with_unit_loop_on_random_specs():
                     singular_oracle(spec, window), spec.params()
 
 
+def test_kill_pairs_are_the_lowering_pair_and_its_chevalley_image():
+    assert weightmod._KILL_PAIRS["M"] == (("f", "fb"),)
+    assert weightmod._KILL_PAIRS["N"] == (("e", "eb"),)
+    assert weightmod._KILL_PAIRS["V"] == (("f", "fb"), ("e", "eb"),
+                                          ("eb", "fb"))
+
+
 def test_singular_vector_is_actually_killed():
     spec = make_weight_m(0, 1, 1, -1, -2)
     rep = singular_vectors(spec, Window(-2, 2, 3))
