@@ -27,7 +27,7 @@ from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, Window, act_weight,
                         make_weight_n, make_weight_v, parent_spec,
                         random_weight_spec, simplicity_criterion_weight,
                         singular_vectors, verma_check, weight_bracket_report,
-                        wv_add, wv_scale, wv_text, wv_unit)
+                        wv_scale, wv_text, wv_unit)
 from .functors import (check_twist_iso, ebinv_act, intertwiner_search,
                        lambda_rescale_iso, twisted_act, vm_iso_check,
                        vm_matching_b, vm_matching_m_spec)
@@ -52,7 +52,7 @@ __all__ = [
     "act_weight_word", "delta_action", "dual_consistency", "eval_functional",
     "eval_weightvec", "make_weight_m", "make_weight_n", "make_weight_v",
     "parent_spec", "random_weight_spec", "simplicity_criterion_weight",
-    "singular_vectors", "verma_check", "weight_bracket_report", "wv_add",
+    "singular_vectors", "verma_check", "weight_bracket_report",
     "wv_scale", "wv_text", "wv_unit",
     "check_twist_iso", "ebinv_act", "intertwiner_search",
     "lambda_rescale_iso", "twisted_act", "vm_iso_check", "vm_matching_b",

@@ -49,17 +49,14 @@ every eta_{k,s}, because these functionals separate C[h, hbar]: at
 alpha = beta = 0, if dbar^j q(h, 0) is zero at every even integer h it is
 the zero polynomial, for every j, hence q = 0.  ``verify_axioms`` proves
 the free families this way, and the dual weight families of ``weightmod``
-use the same two functions at their own (alpha, beta).  A table entry
-is a ``PolyHH`` with k in the h slot and s in the hbar slot, and the
-calculus is three functions: a generator's table (``_ks_table``),
-composition (``_ks_compose_into``, shifting by ``PolyHH.shift_h`` then
-``PolyHH.shift_hbar``) and addition of a multiple (``_ks_add_into``), both
-summing through ``PolyHH._mul_into``; ``functors`` proves its twist and
-rescaling maps with them.  Both provers stay on ints from the operator
-table to the verdict: ``adjoint_table`` sums each generator's
-contributions as integers over one denominator and forms one Fraction
-per stored coefficient, and ``prove_brackets`` reads its tables at a
-scale that clears every denominator.
+use the same two functions at their own (alpha, beta).  A dual table is
+one integer table (d, entries) over one denominator d.  A (k, s) table
+entry is a ``PolyHH`` with k in the h slot and s in the hbar slot;
+``_ks_tables`` reads every generator at one integer scale,
+``_ks_compose_into`` composes (shifting by ``PolyHH.shift_h`` then
+``PolyHH.shift_hbar``) and ``_ks_add_into`` adds a multiple, both through
+``PolyHH._mul_into``; ``functors`` proves its twist and rescaling maps
+with them.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -295,9 +292,10 @@ def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:
 # -- the bracket axioms, proved on the dual basis -------------------------------
 
 # one generator's action on eta_{k,s}: (dk, terms), each term (m, r, c0, c1)
-# meaning (c0 + c1*k) * C(s-1, r) * eta_{k+dk, s-r+m}, present when r < s;
-# degree 1 in k suffices, every operator-table coefficient being linear in h
-AdjointTable = Dict[str, Tuple[int, Tuple[Tuple[int, int, Fraction, RationalLike], ...]]]
+# of ints meaning (c0 + c1*k)/d * C(s-1, r) * eta_{k+dk, s-r+m}, present
+# when r < s, d the denominator of the whole table (d, entries)
+AdjointEntry = Tuple[int, Tuple[Tuple[int, int, int, int], ...]]
+AdjointTable = Tuple[int, Dict[str, AdjointEntry]]
 
 
 def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable:
@@ -313,47 +311,55 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     (dbar^r c)(alpha + 2k, beta) is read off its terms:
     sum_{j>=r} j!/(j-r)! beta^(j-r) (u_j + v_j alpha_k).  It is stored with
     the sign as c0 + c1*k and summed over the terms that share (m, r); c1
-    is the int 0 when the term is constant in k, which keeps the table
-    small.  A coefficient of higher degree in h raises ValueError.
+    is 0 when the term is constant in k.  A coefficient of higher degree
+    in h raises ValueError.
 
-    The sums run on ints, one generator at a time: its coefficients are
-    put over one denominator E, and beta = p/q is cleared by q^J, J the
-    largest hbar-degree, so each monomial n hbar^j (times h^i) adds the
-    integer n j!/(j-r)! p^(j-r) q^(J-j+r) to U (i = 0) or V (i = 1) at
-    (m, r).  Then c0 = -(U + alpha V) / (E q^J) and c1 = -2V / (E q^J) are
-    the only Fractions formed.
+    The sums run on ints: every coefficient is put over one denominator
+    E, and beta = p/q is cleared by q^J, J the largest hbar-degree, so
+    each monomial n hbar^j (times h^i) adds the integer
+    n j!/(j-r)! p^(j-r) q^(J-j+r) to U (i = 0) or V (i = 1) at (m, r).
+    Then c0 = -(U alpha_den + alpha_num V) and c1 = -2V alpha_den are the
+    entries over D = E q^J alpha_den, and the table is returned over
+    d = D / g, each entry divided by g = gcd(D, every entry): d is the
+    least common denominator, and no Fraction is formed.
     """
     p, q = beta.numerator, beta.denominator
     alpha_num, alpha_den = alpha.numerator, alpha.denominator
-    table = {}
-    for x, terms in ops.items():
-        monomials = [(m, i, j, e) for c, m in terms for (i, j), e in c.terms()]
-        for _, i, _, _ in monomials:
+    monomials = {x: [(m, i, j, e) for c, m in terms for (i, j), e in c.terms()]
+                 for x, terms in ops.items()}
+    for x, terms in monomials.items():
+        for _, i, _, _ in terms:
             if i > 1:
                 raise ValueError(f"operator coefficient of {x} has degree "
                                  f"{i} in h; the adjoint table reads "
                                  "coefficients linear in h")
-        denom = lcm(*(e.denominator for *_, e in monomials))
-        top = max((j for _, _, j, _ in monomials), default=0)
-        p_pow = [p ** t for t in range(top + 1)]
-        q_pow = [q ** t for t in range(top + 1)]
+    every = [term for terms in monomials.values() for term in terms]
+    denom = lcm(*(e.denominator for *_, e in every))
+    top = max((j for _, _, j, _ in every), default=0)
+    p_pow = [p ** t for t in range(top + 1)]
+    q_pow = [q ** t for t in range(top + 1)]
+    table = {}
+    for x, terms in monomials.items():
         sums: Dict[Tuple[int, int], List[int]] = {}
-        for m, i, j, e in monomials:
+        for m, i, j, e in terms:
             # n j!/(j-r)!, built up one factor per r
             w = e.numerator * (denom // e.denominator)
             for r in range(j + 1):
                 sums.setdefault((m, r), [0, 0])[i] += \
                     w * p_pow[j - r] * q_pow[top - j + r]
                 w *= j - r
-        denom *= q_pow[top]
         out = []
         for (m, r), (u, v) in sums.items():
             num = u * alpha_den + alpha_num * v
             if num or v:
-                out.append((m, r, Fraction(-num, denom * alpha_den),
-                            Fraction(-2 * v, denom) if v else 0))
-        table[x] = (SHIFT[x] // 2, tuple(out))
-    return table
+                out.append((m, r, -num, -2 * v * alpha_den))
+        table[x] = (SHIFT[x] // 2, out)
+    denom *= q_pow[top] * alpha_den
+    g = gcd(denom, *(c for _, out in table.values() for term in out
+                     for c in term[2:]))
+    return denom // g, {x: (dk, tuple((m, r, c0 // g, c1 // g)
+                                      for m, r, c0, c1 in out))
+                        for x, (dk, out) in table.items()}
 
 
 # an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
@@ -364,33 +370,33 @@ KSTable = Dict[Tuple[int, int], PolyHH]
 KSSums = Dict[Tuple[int, int], Dict[Tuple[int, int], RationalLike]]
 
 
-def _ks_table(entry, scale: int = 1) -> KSTable:
-    """``scale`` times one generator's table, read off its adjoint entry
-    (dk, terms): each term (m, r, c0, c1) adds
-    (c0 + c1*k) C(s-1, r) = (c0 + c1*k) (s-1)(s-2)...(s-r) / r!
-    at (dk, m - r).
-
-    c * scale / r! is formed on ints and is an int whenever it is whole,
-    so an integer ``scale`` that clears the denominators gives an int
-    table; otherwise it is the exact Fraction.
-    """
+def _ks_table(entry: AdjointEntry, top: int) -> KSTable:
+    """top! times one generator's table, read off its adjoint entry
+    (dk, terms) whose every r is at most ``top``: each term (m, r, c0, c1)
+    adds (c0 + c1*k) top!/r! (s-1)(s-2)...(s-r) at (dk, m - r)."""
     dk, terms = entry
     sums: KSSums = {}
     for m, r, c0, c1 in terms:
         falling = [1]  # coefficients of (s-1)...(s-r) in s, lowest first
         for t in range(1, r + 1):
             falling = [a - t * b for a, b in zip([0] + falling, falling + [0])]
-        linear = {}
-        for i, c in enumerate((c0, c1)):
-            if c:
-                num = c.numerator * scale
-                den = c.denominator * factorial(r)
-                linear[(i, 0)] = (num // den if num % den == 0
-                                  else Fraction(num, den))
+        w = factorial(top) // factorial(r)
+        linear = {(i, 0): c * w for i, c in enumerate((c0, c1)) if c}
         PolyHH._adopt(linear)._mul_into(
             PolyHH._adopt({(0, j): b for j, b in enumerate(falling)}),
             sums.setdefault((dk, m - r), {}))
     return {key: PolyHH._adopt(c) for key, c in sums.items() if c}
+
+
+def _ks_tables(adjoint: AdjointTable) -> Tuple[int, Dict[str, KSTable]]:
+    """(S, tables): the table of every generator of ``adjoint`` = (d,
+    entries), each S = d R! times the true one, R the largest r; integer
+    entries give integer tables."""
+    d, entries = adjoint
+    top = max((r for _, terms in entries.values() for _, r, _, _ in terms),
+              default=0)
+    return d * factorial(top), {x: _ks_table(entry, top)
+                                for x, entry in entries.items()}
 
 
 def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
@@ -432,20 +438,13 @@ def prove_brackets(adjoint: AdjointTable) -> List[dict]:
     coefficient of the composed tables x o y and y o x + [x,y].  Z x Z_{>=1}
     is Zariski-dense, so a pair passes exactly when those tables are equal.
 
-    The tables are built on ints: with d the lcm of the adjoint
-    denominators and R the largest r, ``_ks_table`` at scale D = d R! is D
-    times the true table and holds only ints.  So the pair is compared as
-    X o Y against Y o X + D [x,y] on the integer tables, D^2 times the
-    true identity, and no Fraction is formed.
+    The tables are built on ints: ``_ks_tables`` reads every generator
+    at the scale D = d R! of the integer table, so the pair is compared
+    as X o Y against Y o X + D [x,y], D^2 times the true identity, and no
+    Fraction is formed.
     Returns one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``.
     """
-    entries = [adjoint[x] for x in GENERATORS]
-    d = lcm(*(c.denominator for _, terms in entries
-              for _, _, c0, c1 in terms for c in (c0, c1)))
-    top = max((r for _, terms in entries for _, r, _, _ in terms), default=0)
-    scale = d * factorial(top)
-    tables = {x: _ks_table(entry, scale)
-              for x, entry in zip(GENERATORS, entries)}
+    scale, tables = _ks_tables(adjoint)
     shifted: Dict[tuple, PolyHH] = {}
     pairs = []
     for x, y in GENERATOR_PAIRS:
@@ -648,14 +647,15 @@ def delta_ops(variant: int, lam: Fraction, a: Fraction) -> OpTable:
 
 
 def iso_invariants_free(spec: FreeModuleSpec) -> tuple:
-    """Complete isomorphism invariant of a free-family module.
+    """Isomorphism key of a free-family module: the family and the
+    canonical terms of ``spec.ops``.
 
-    Two modules within one family are isomorphic exactly when these
-    tuples agree (the families are mutually non-isomorphic as well).
+    Specs with equal keys define the same module, so Omega specs whose
+    beta1 differ only by trailing zeros share a key.
     """
-    if spec.family in ("gamma", "theta"):
-        return (spec.family, spec.lam, spec.a, spec.b)
-    return (spec.family, spec.lam, spec.b, spec.beta1)
+    return (spec.family,) + tuple(
+        (x, tuple((m, tuple(c.terms())) for c, m in spec.ops[x]))
+        for x in sorted(spec.ops))
 
 
 def random_free_spec(rng: random.Random, family: str,

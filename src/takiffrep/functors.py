@@ -39,7 +39,7 @@ from math import perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import KSSums, _ks_add_into, _ks_compose_into, _ks_table
+from .freemod import KSSums, _ks_add_into, _ks_compose_into, _ks_tables
 from .linalg import RowBasis, nullspace, vec_axpy, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -48,17 +48,21 @@ from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
 
 
 def _ebinv_entry(spec: WeightModuleSpec):
-    """eb^-1's adjoint entry, read off eb's: where eb sends eta_{k,s} to
-    c eta_{k+dk,s}, as only in M, eb^-1 sends it to (1/c) eta_{k-dk,s}."""
-    dk, terms = spec.adjoint["eb"]
+    """eb^-1's adjoint entry over the spec's denominator d, read off eb's:
+    where eb sends eta_{k,s} to (c/d) eta_{k+dk,s}, as only in M, eb^-1
+    sends it to (d/c) eta_{k-dk,s}, so its entry is d^2/c, an int when it
+    is whole."""
+    d, entries = spec.adjoint
+    dk, terms = entries["eb"]
     if len(terms) != 1 or terms[0][:2] != (0, 0) or terms[0][3]:
         raise ValueError("the eb-localization acts on the M family")
-    return -dk, ((0, 0, 1 / terms[0][2], 0),)
+    c = Fraction(d * d, terms[0][2])
+    return -dk, ((0, 0, c.numerator if c.denominator == 1 else c, 0),)
 
 
 def ebinv_act(spec: WeightModuleSpec, v: WeightVec) -> WeightVec:
     """Action of the inverse of eb on an M-family vector."""
-    return apply_adjoint(*_ebinv_entry(spec), v)
+    return apply_adjoint(*_ebinv_entry(spec), v, Fraction(1, spec.adjoint[0]))
 
 
 def apply_localized(spec: WeightModuleSpec, elem: AlgebraElement,
@@ -186,19 +190,21 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     The comparison map keeps indices: 1 (x) eta_{k,s} |-> eta'_{k,s}.  On
     the twist, y acts as Theta_z(y) through the localization.  Each letter
     acts on eta_{k,s} as a (k, s) table of ``spec.adjoint``, eb^-1 as that
-    of its entry read off eb's, so Theta_z(y) acts as the sum of the tables
-    composed along its monomials.  The map intertwines exactly when, for every
-    generator y, that table equals the table of y on the target module;
-    the residuals go to ``_table_iso``, and ``window`` scopes only the
-    reported rank and failing probe.
+    of its entry read off eb's, all at one scale S, so Theta_z(y) acts as
+    the sum of the tables composed along its monomials, each word w
+    weighted by its coefficient over S^len(w).  The map intertwines
+    exactly when, for every generator y, that table equals the table of y
+    on the target module; the residuals go to ``_table_iso``, and
+    ``window`` scopes only the reported rank and failing probe.
     """
     z = to_rational(z)
     if spec.family != "M":
         raise ValueError("the twisting functor is implemented on the M family")
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
-    tables = {x: _ks_table(spec.adjoint[x]) for x in GENERATORS}
-    tables["ebinv"] = _ks_table(_ebinv_entry(spec))
+    d, entries = spec.adjoint
+    scale, tables = _ks_tables((d, {**entries, "ebinv": _ebinv_entry(spec)}))
+    target_scale, target_tables = _ks_tables(target.adjoint)
     shifted: Dict[tuple, PolyHH] = {}
     residuals = {}
     for y in GENERATORS:
@@ -211,8 +217,8 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
                 _ks_compose_into(composed, tables, letter, table, shifted)
                 table = {key: PolyHH._adopt(c)
                          for key, c in composed.items() if c}
-            _ks_add_into(residual, table, coeff)
-        _ks_add_into(residual, _ks_table(target.adjoint[y]), -1)
+            _ks_add_into(residual, table, Fraction(coeff, scale ** len(word)))
+        _ks_add_into(residual, target_tables[y], Fraction(-1, target_scale))
         residuals[y] = residual
     return _table_iso(residuals, window, details={"z": z})
 
@@ -228,18 +234,20 @@ def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     for M, on the k+1 translations for N.  Conjugating x by the map
     multiplies the (dk, ds) entry of its table on spec_a by the constant
     r^(+-dk), r = lam_a/lam_b; the residuals against the tables on spec_b
-    go to ``_table_iso``.
+    go to ``_table_iso``, each table times the inverse of its scale.
     """
     if spec_a.family not in ("M", "N") or spec_a.family != spec_b.family:
         raise ValueError("lambda rescaling is the M/N-family isomorphism")
     ratio = spec_a.lam / spec_b.lam
     sign = 1 if spec_a.family == "M" else -1
+    scale_a, tables_a = _ks_tables(spec_a.adjoint)
+    scale_b, tables_b = _ks_tables(spec_b.adjoint)
     residuals = {}
-    for x in GENERATORS:
-        entry = spec_a.adjoint[x]
+    for x, (dk, _) in spec_a.adjoint[1].items():
         residual: KSSums = {}
-        _ks_add_into(residual, _ks_table(entry), ratio ** (sign * entry[0]))
-        _ks_add_into(residual, _ks_table(spec_b.adjoint[x]), -1)
+        _ks_add_into(residual, tables_a[x],
+                     Fraction(ratio ** (sign * dk), scale_a))
+        _ks_add_into(residual, tables_b[x], Fraction(-1, scale_b))
         residuals[x] = residual
     return _table_iso(residuals, window)
 

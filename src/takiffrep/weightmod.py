@@ -17,10 +17,11 @@ is derived from beta1 by the same triangular linkage.
 
 No family has action formulas of its own: ``WeightModuleSpec.adjoint``
 is ``freemod.adjoint_table`` applied to the parent's operator table
-(``FreeModuleSpec.ops``) at the spec's (alpha, beta).  So N, whose parent
-Theta is Gamma transported by the Chevalley involution, is M transported
-the same way.  Each image is a finite vector computed exactly on the
-infinite basis (no truncation).  The bracket identities are proved by
+(``FreeModuleSpec.ops``) at the spec's (alpha, beta), as ints over one
+denominator d.  So N, whose parent Theta is Gamma transported by the
+Chevalley involution, is M transported the same way.  Each image is a
+finite vector computed exactly on the infinite basis (no truncation) and
+divided by d once per entry.  The bracket identities are proved by
 ``freemod.prove_brackets``, the prover of the free axioms, on the same
 tables, so they hold for every eta_{k,s}; windows only scope searches and
 reports.  Nor has Delta: ``delta_action`` runs the action kernel of the
@@ -33,7 +34,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS
@@ -41,7 +42,7 @@ from .freemod import (CHEVALLEY, SHIFT, AdjointTable, FreeModuleSpec,
                       _apply_terms, adjoint_table, delta_ops, make_gamma,
                       make_omega, make_theta_mod, prove_brackets)
 from .freemod import act as act_free
-from .linalg import RowBasis, nullspace, vec_axpy, vec_clean
+from .linalg import RowBasis, nullspace, vec_axpy
 from .poly import PolyHH, RationalLike, poly1_eval, random_poly, to_rational
 
 WeightVec = Dict[Tuple[int, int], Fraction]
@@ -72,7 +73,8 @@ class WeightModuleSpec:
 
     @cached_property
     def adjoint(self) -> AdjointTable:
-        """The action of every generator on eta_{k,s}, built once per spec."""
+        """(d, entries): the action of every generator on eta_{k,s} as
+        integers over one denominator d, built once per spec."""
         return adjoint_table(parent_spec(self).ops, self.alpha, self.beta)
 
     @property
@@ -120,10 +122,6 @@ def wv_unit(k: int, s: int) -> WeightVec:
     return {(k, s): Fraction(1)}
 
 
-def wv_add(v: WeightVec, w: WeightVec) -> WeightVec:
-    return vec_axpy(v, Fraction(1), w)
-
-
 def wv_scale(c: RationalLike, v: WeightVec) -> WeightVec:
     c = to_rational(c)
     return {k: c * x for k, x in v.items()} if c else {}
@@ -168,12 +166,10 @@ def eval_weightvec(spec: WeightModuleSpec, v: WeightVec, p: PolyHH) -> Fraction:
 
 def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
                                                 RationalLike]],
-                  v: WeightVec) -> WeightVec:
-    """Apply one generator's adjoint-table entry (dk, terms) to v.
-
-    The result is exact for any coefficient type: Fractions for
-    ``spec.adjoint``, ints for an integer multiple of it.
-    """
+                  v: WeightVec, scale: RationalLike = 1) -> WeightVec:
+    """``scale`` times one generator's adjoint entry (dk, terms) applied to
+    v: the terms are summed in their own type, and each output entry is
+    multiplied by ``scale`` once."""
     out: WeightVec = {}
     for (k, s), a in v.items():
         for m, r, c0, c1 in terms:
@@ -184,33 +180,28 @@ def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
                 c *= comb(s - 1, r)
             key = (k + dk, s - r + m)
             out[key] = out.get(key, 0) + a * c
-    return vec_clean(out)
+    return {key: c * scale for key, c in out.items() if c}
 
 
 def unit_images(spec: WeightModuleSpec, window: Window):
     """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
-    every generator x and window index, as an integer vector read off
-    ``spec.adjoint``; d is the least common denominator of its coefficients.
+    every generator x and window index, the integer entries of
+    ``spec.adjoint`` applied as they are; d is its denominator.
     """
-    d = lcm(*(c.denominator for _, terms in spec.adjoint.values()
-              for term in terms for c in term[2:]))
-    images = {}
-    for x in GENERATORS:
-        dk, terms = spec.adjoint[x]
-        terms = tuple((m, r, int(d * c0), int(d * c1))
-                      for m, r, c0, c1 in terms)
-        images[x] = {key: apply_adjoint(dk, terms, {key: 1})
-                     for key in window.indices()}
-    return d, images
+    d, entries = spec.adjoint
+    return d, {x: {key: apply_adjoint(*entries[x], {key: 1})
+                   for key in window.indices()}
+               for x in GENERATORS}
 
 
 def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
     """Apply a generator to a weight vector (exact, untruncated)."""
+    d, entries = spec.adjoint
     try:
-        dk, terms = spec.adjoint[x]
+        dk, terms = entries[x]
     except KeyError:
         raise ValueError(f"unknown generator {x!r}") from None
-    return apply_adjoint(dk, terms, v)
+    return apply_adjoint(dk, terms, v, Fraction(1, d))
 
 
 def act_weight_word(spec: WeightModuleSpec, word: Sequence[str],
@@ -403,12 +394,12 @@ def simplicity_criterion_weight(spec: WeightModuleSpec) -> WeightSimplicityResul
                 return WeightSimplicityResult(
                     True, reason="alpha_j beta + b = 0 has no integer root")
         return WeightSimplicityResult(
-            False, witness=(j - 1, 1), pair=("f", "fb"),
+            False, witness=(j - 1, 1), pair=_LOWERING,
             reason="beta^2 + a = 0 and alpha_j beta + b = 0 at integer j")
     if spec.family == "V":
         if beta == a and beta == -a:  # beta = a = 0
             return WeightSimplicityResult(
-                False, witness=(0, 1), pair=("eb", "fb"),
+                False, witness=(0, 1), pair=_KILL_PAIRS["V"][-1],
                 reason="beta = a = 0: span{eta_{k,1}} is a proper submodule")
         if beta == a:
             j = _as_integer((2 * spec.lam * poly1_eval(spec.beta1, beta)
@@ -418,7 +409,7 @@ def simplicity_criterion_weight(spec: WeightModuleSpec) -> WeightSimplicityResul
                     True, reason="beta = a but alpha_j = 2 lam beta1(beta) "
                                  "has no integer root")
             return WeightSimplicityResult(
-                False, witness=(j, 1), pair=("f", "fb"),
+                False, witness=(j, 1), pair=_LOWERING,
                 reason="beta = a and alpha_j = 2 lam beta1(beta) at integer j")
         if beta == -a:
             j = _as_integer((-2 * poly1_eval(spec.alpha1, beta) / spec.lam
@@ -428,7 +419,7 @@ def simplicity_criterion_weight(spec: WeightModuleSpec) -> WeightSimplicityResul
                     True, reason="beta = -a but lam alpha_j = -2 alpha1(beta) "
                                  "has no integer root")
             return WeightSimplicityResult(
-                False, witness=(j, 1), pair=("e", "eb"),
+                False, witness=(j, 1), pair=_RAISING,
                 reason="beta = -a and lam alpha_j = -2 alpha1(beta) at integer j")
         return WeightSimplicityResult(True, reason="beta != a and beta != -a")
     raise ValueError(f"unknown weight family {spec.family!r}")

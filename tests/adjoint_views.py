@@ -1,0 +1,29 @@
+"""The Fraction view of an integer adjoint table, and its inverse.
+
+``adjoint_table`` returns (d, entries), each term (m, r, c0, c1) holding
+ints over the one denominator d.  Tests that read or plant coefficients
+work on the true values through ``fraction_view`` and hand a planted view
+back through ``integer_table``, so a planted fault is the same rational
+move whatever the denominator.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+
+def fraction_view(adjoint):
+    """{x: (dk, terms)} with the true coefficients: c0 a Fraction, c1 a
+    Fraction or the int 0 when the term is constant in k."""
+    d, entries = adjoint
+    return {x: (dk, tuple((m, r, Fraction(c0, d), Fraction(c1, d) if c1 else 0)
+                          for m, r, c0, c1 in terms))
+            for x, (dk, terms) in entries.items()}
+
+
+def integer_table(view):
+    """(d, entries) over the least common denominator d of ``view``."""
+    d = lcm(*(Fraction(c).denominator for _, terms in view.values()
+              for term in terms for c in term[2:]))
+    return d, {x: (dk, tuple((m, r, int(c0 * d), int(c1 * d))
+                             for m, r, c0, c1 in terms))
+               for x, (dk, terms) in view.items()}

@@ -6,10 +6,11 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from adjoint_views import fraction_view, integer_table
 
 from takiffrep import functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
-from takiffrep.freemod import _ks_add_into, _ks_compose_into, _ks_table
+from takiffrep.freemod import _ks_add_into, _ks_compose_into, _ks_tables
 from takiffrep.functors import (LinearWindowMap, _window_iso, apply_localized,
                                 check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
@@ -19,7 +20,8 @@ from takiffrep.linalg import nullspace
 from takiffrep.poly import PolyHH, random_rational
 from takiffrep.weightmod import (Window, act_weight, make_weight_m,
                                  make_weight_n, make_weight_v,
-                                 random_weight_spec, wv_text, wv_unit)
+                                 random_weight_spec, wv_scale, wv_text,
+                                 wv_unit)
 
 F = Fraction
 
@@ -59,11 +61,29 @@ def test_ebinv_act_rejects_n_and_v():
              # r = 1 (V), so it is still no invertible translation
              make_weight_n(F(1, 2), 0, 2, 0, 1),
              make_weight_v(1, 2, 3, -2, (F(1),))]
-    assert len(specs[2].adjoint["eb"][1]) == 1
-    assert len(specs[3].adjoint["eb"][1]) == 1
+    assert len(specs[2].adjoint[1]["eb"][1]) == 1
+    assert len(specs[3].adjoint[1]["eb"][1]) == 1
     for spec in specs:
         with pytest.raises(ValueError, match="eb-localization acts on the M"):
             ebinv_act(spec, wv_unit(0, 1))
+
+
+def test_ebinv_entry_is_whole_on_m_and_exact_when_planted():
+    # eb's entry over d is -lam d, and d holds lam's numerator, so eb^-1's
+    # entry d^2/c is an int on every M table
+    rng = random.Random(508)
+    for _ in range(100):
+        spec = random_weight_spec(rng, "M")
+        (_, _, c, _), = functors._ebinv_entry(spec)[1]
+        assert type(c) is int
+    # a planted eb whose inverse is no multiple of 1/d stays exact
+    spec = make_weight_m(0, 1, 2, 0, 0)
+    view = fraction_view(spec.adjoint)
+    view["eb"] = (view["eb"][0], ((0, 0, F(-7, 2), 0),))
+    spec.__dict__["adjoint"] = integer_table(view)
+    (_, _, c, _), = functors._ebinv_entry(spec)[1]
+    assert type(c) is F and c == F(-2, 7) * spec.adjoint[0]
+    assert ebinv_act(spec, wv_unit(0, 1)) == {(1, 1): F(-2, 7)}
 
 
 def test_twisted_act_at_zero_is_plain_action():
@@ -177,9 +197,11 @@ def _twist_onto(monkeypatch, target, z, spec, window):
 
 
 def _planted(spec, x, term):
-    """``spec`` with one more term (m, r, c0, c1) in the adjoint entry of x."""
-    dk, terms = spec.adjoint[x]
-    spec.__dict__["adjoint"] = {**spec.adjoint, x: (dk, terms + (term,))}
+    """``spec`` with one more term (m, r, c0, c1), in true values, in the
+    adjoint entry of x."""
+    view = fraction_view(spec.adjoint)
+    dk, terms = view[x]
+    spec.__dict__["adjoint"] = integer_table({**view, x: (dk, terms + (term,))})
     return spec
 
 
@@ -287,7 +309,8 @@ def test_composed_tables_match_act_weight_pointwise():
     rng = random.Random(506)
     for family in "MNVMNV":
         spec = random_weight_spec(rng, family)
-        tables = {x: _ks_table(spec.adjoint[x]) for x in GENERATORS}
+        # each table is S times the true one, each composition S^2 times
+        scale, tables = _ks_tables(spec.adjoint)
         shifted = {}
         for x in GENERATORS:
             for y in GENERATORS:
@@ -297,9 +320,11 @@ def test_composed_tables_match_act_weight_pointwise():
                             for key, c in sums.items() if c}
                 for k, s in GRID:
                     v = act_weight(spec, y, wv_unit(k, s))
-                    assert _table_image(tables[y], k, s) == v, (spec, y, k, s)
+                    assert _table_image(tables[y], k, s) == \
+                        wv_scale(scale, v), (spec, y, k, s)
                     assert _table_image(composed, k, s) == \
-                        act_weight(spec, x, v), (spec, x, y, k, s)
+                        wv_scale(scale ** 2, act_weight(spec, x, v)), \
+                        (spec, x, y, k, s)
 
 
 def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
@@ -321,14 +346,34 @@ def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
         residuals.clear()
         check_twist_iso(z, spec)
         failing += any(c for sums in residuals.values() for c in sums.values())
+        target_scale, target_tables = _ks_tables(target.adjoint)
         for y in GENERATORS:
             sums = {key: dict(c) for key, c in residuals[y].items()}
-            _ks_add_into(sums, _ks_table(target.adjoint[y]), 1)
+            _ks_add_into(sums, target_tables[y], F(1, target_scale))
             table = {key: PolyHH._adopt(c) for key, c in sums.items() if c}
             for k, s in GRID:
                 assert _table_image(table, k, s) == \
                     twisted_act(z, spec, y, wv_unit(k, s)), (spec, z, y, k, s)
     assert failing == 3
+
+
+def test_table_proofs_add_only_int_or_fraction_multiples(monkeypatch):
+    # each table enters a residual once, times an exact int or Fraction
+    seen = []
+
+    def recorded(out, table, c):
+        seen.append(type(c))
+        _ks_add_into(out, table, c)
+
+    monkeypatch.setattr(functors, "_ks_add_into", recorded)
+    spec = make_weight_m(F(1, 2), F(-3, 5), F(2, 3), F(-9, 25), F(-7, 4))
+    for z in (2, F(-3, 2)):
+        assert check_twist_iso(z, spec, Window(-2, 2, 3)).intertwines
+    for family in (make_weight_m, make_weight_n):
+        spec_a = family(F(1, 3), F(3, 5), F(2, 3), F(-9, 25), F(-7, 4))
+        spec_b = replace(spec_a, lam=F(-5, 7))
+        assert lambda_rescale_iso(spec_a, spec_b, Window(-2, 2, 3)).intertwines
+    assert seen and set(seen) <= {int, F}, set(seen)
 
 
 def test_lambda_rescale_iso_rejects_v_family():
@@ -568,10 +613,11 @@ def test_intertwiner_search_catches_a_planted_hbar_fault(side, coeff):
     specs = {"a": make_weight_n(1, F(1, 2), 2, 3, F(1, 3)),
              "b": make_weight_m(1, F(1, 2), 2, 3, F(1, 3))}
     spec = specs[side]
-    dk, terms = spec.adjoint["hb"]
+    view = fraction_view(spec.adjoint)
+    dk, terms = view["hb"]
     assert {r: c0 for _, r, c0, _ in terms}[1] == -1
-    spec.__dict__["adjoint"] = {**spec.adjoint, "hb": (dk, tuple(
-        (m, r, coeff if r == 1 else c0, c1) for m, r, c0, c1 in terms))}
+    spec.__dict__["adjoint"] = integer_table({**view, "hb": (dk, tuple(
+        (m, r, coeff if r == 1 else c0, c1) for m, r, c0, c1 in terms))})
     win = Window(-2, 2, 3)
     got = intertwiner_search(specs["a"], specs["b"], win)
     assert not (got["verified"] and any(not m.is_zero() for m in got["maps"]))

@@ -12,16 +12,17 @@ search.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from types import SimpleNamespace
 
 import pytest
+from adjoint_views import fraction_view, integer_table
 
 from takiffrep import weightmod
 from takiffrep.algebra import bracket
 from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, adjoint_table,
                                make_gamma, make_omega, make_theta_mod)
-from takiffrep.linalg import nullspace
+from takiffrep.linalg import nullspace, vec_axpy
 from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
 from takiffrep.scan import builtin_scan_grid
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
@@ -32,8 +33,8 @@ from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  random_weight_spec,
                                  simplicity_criterion_weight,
                                  singular_vectors, verma_check,
-                                 weight_bracket_report, wv_add, wv_scale,
-                                 wv_text, wv_unit)
+                                 weight_bracket_report, wv_scale, wv_text,
+                                 wv_unit)
 
 F = Fraction
 
@@ -53,7 +54,7 @@ def test_eval_functional_examples():
 
 
 def test_wv_helpers():
-    v = wv_add(wv_unit(0, 1), wv_scale(F(1, 2), wv_unit(1, 3)))
+    v = vec_axpy(wv_unit(0, 1), 1, wv_scale(F(1, 2), wv_unit(1, 3)))
     assert wv_text(v) == "1*eta[0,1] + 1/2*eta[1,3]"
     assert wv_text({}) == "0"
     with pytest.raises(ValueError):
@@ -169,8 +170,8 @@ def test_act_weight_is_linear():
              for _ in range(3)}
         w = {(rng.randint(-3, 3), rng.randint(1, 4)): F(rng.randint(-5, 5))
              for _ in range(3)}
-        lhs = act_weight(spec, x, wv_add(v, w))
-        rhs = wv_add(act_weight(spec, x, v), act_weight(spec, x, w))
+        lhs = act_weight(spec, x, vec_axpy(v, 1, w))
+        rhs = vec_axpy(act_weight(spec, x, v), 1, act_weight(spec, x, w))
         assert lhs == rhs
 
 
@@ -226,11 +227,11 @@ def bracket_window_oracle(spec, window):
     identities.
     """
     def holds(x, y, v):
-        lhs = wv_add(act_weight_word(spec, (x, y), v),
-                     wv_scale(-1, act_weight_word(spec, (y, x), v)))
+        lhs = vec_axpy(act_weight_word(spec, (x, y), v), 1,
+                       wv_scale(-1, act_weight_word(spec, (y, x), v)))
         rhs = {}
         for mono, coeff in bracket(x, y).terms():
-            rhs = wv_add(rhs, wv_scale(coeff, act_weight_word(
+            rhs = vec_axpy(rhs, 1, wv_scale(coeff, act_weight_word(
                 spec, mono.to_word(), v)))
         return lhs == rhs
 
@@ -253,11 +254,13 @@ def test_weight_brackets_agree_with_window_oracle():
 
 
 def _perturb(spec, x, index, dc0=0, dc1=0):
-    """Change one adjoint term of x in the cached table only."""
-    dk, terms = spec.adjoint[x]
+    """Move one adjoint term of x by (dc0, dc1) in true values, in the
+    cached table only."""
+    view = fraction_view(spec.adjoint)
+    dk, terms = view[x]
     m, r, c0, c1 = terms[index]
     terms = terms[:index] + ((m, r, c0 + dc0, c1 + dc1),) + terms[index + 1:]
-    spec.__dict__["adjoint"] = {**spec.adjoint, x: (dk, terms)}
+    spec.__dict__["adjoint"] = integer_table({**view, x: (dk, terms)})
 
 
 @pytest.mark.parametrize("family", ["M", "N", "V"])
@@ -267,7 +270,7 @@ def test_weight_brackets_detect_planted_fault(family, x, dc0, dc1):
     # the term of highest r; some other single-term changes, such as the
     # constant term of f on M, only move the spec to another valid module
     spec = random_weight_spec(random.Random(406), family)
-    _perturb(spec, x, len(spec.adjoint[x][1]) - 1, dc0=dc0, dc1=dc1)
+    _perturb(spec, x, len(spec.adjoint[1][x][1]) - 1, dc0=dc0, dc1=dc1)
     assert not weight_bracket_report(spec)["ok"]
     assert _flags(spec) == bracket_window_oracle(spec, Window(-2, 2, 4))
 
@@ -277,7 +280,7 @@ def test_weight_brackets_prove_beyond_the_window(dc0, dc1):
     # f's (m = 0, r = 2) term only acts on eta_{k,s} with s >= 3, so a
     # fault there is invisible to every window with s_max = 2
     spec = make_weight_v(1, -1, 1, 1, (0, 1, 2))
-    terms = spec.adjoint["f"][1]
+    terms = spec.adjoint[1]["f"][1]
     index = next(i for i, (m, r, _, _) in enumerate(terms) if (m, r) == (0, 2))
     _perturb(spec, "f", index, dc0=dc0, dc1=dc1)
     assert all(bracket_window_oracle(spec, Window(-1, 1, 2)))
@@ -442,6 +445,18 @@ def test_kill_pairs_are_the_lowering_pair_and_its_chevalley_image():
     assert weightmod._KILL_PAIRS["N"] == (("e", "eb"),)
     assert weightmod._KILL_PAIRS["V"] == (("f", "fb"), ("e", "eb"),
                                           ("eb", "fb"))
+    # the closed-form criterion names its pair among the searched ones, on
+    # every reducible branch
+    for spec, pair in ((make_weight_m(0, 0, 1, 0, 0), ("f", "fb")),
+                       (make_weight_m(0, 1, 1, -1, -2), ("f", "fb")),
+                       (make_weight_n(0, -1, 1, -1, -2), ("e", "eb")),
+                       (make_weight_v(0, 0, 1, 0, (1,)), ("eb", "fb")),
+                       (make_weight_v(0, 1, 1, 1, (1,)), ("f", "fb")),
+                       (make_weight_v(0, 1, 1, -1, (1,)), ("e", "eb"))):
+        result = simplicity_criterion_weight(spec)
+        assert not result.simple, spec.params()
+        assert result.pair == pair
+        assert result.pair in weightmod._KILL_PAIRS[spec.family]
 
 
 def test_singular_vector_is_actually_killed():
@@ -615,7 +630,7 @@ def test_eval_weightvec_matches_functional_sum():
     spec = make_weight_m(0, 1, 1, 2, 3)
     for _ in range(10):
         p = random_poly(rng, max_deg_h=3, max_deg_hbar=3)
-        v = wv_add(wv_unit(0, 1), wv_scale(F(3), wv_unit(1, 2)))
+        v = vec_axpy(wv_unit(0, 1), 1, wv_scale(F(3), wv_unit(1, 2)))
         want = eval_functional(0, 1, spec.alpha, spec.beta, p) \
             + 3 * eval_functional(1, 2, spec.alpha, spec.beta, p)
         assert eval_weightvec(spec, v, p) == want
@@ -640,7 +655,7 @@ def adjoint_table_oracle(spec, ops):
 
 def _as_oracle_table(table):
     return {x: (dk, {(m, r): (c0, c1) for m, r, c0, c1 in terms})
-            for x, (dk, terms) in table.items()}
+            for x, (dk, terms) in fraction_view(table).items()}
 
 
 def test_adjoint_table_matches_leibniz_oracle():
@@ -673,18 +688,18 @@ def _wide(rng, nonzero=False):
 
 def _assert_matches_oracle_with_types(table, want):
     assert _as_oracle_table(table) == want
-    for x, (_, terms) in table.items():
-        for m, r, c0, c1 in terms:
-            assert type(c0) is Fraction, (x, m, r)
-            if want[x][1][(m, r)][1]:
-                assert type(c1) is Fraction, (x, m, r)
-            else:
-                assert type(c1) is int and c1 == 0, (x, m, r)
+    # ints over the least denominator: d shares no factor with every entry
+    d, entries = table
+    values = [c for _, terms in entries.values() for term in terms
+              for c in term[2:]]
+    assert type(d) is int and d > 0
+    assert all(type(c) is int for c in values)
+    assert gcd(d, *values) == 1
 
 
 def test_adjoint_table_types_match_oracle_on_wide_rationals():
-    # c0 is always a Fraction, c1 the int 0 exactly when the entry is
-    # constant in k, at large-denominator parameters
+    # int entries over the least denominator, at large-denominator
+    # parameters
     rng = random.Random(418)
     for n in range(60):
         alpha, beta, lam, a = (_wide(rng), _wide(rng), _wide(rng, True),
