@@ -297,9 +297,12 @@ def _suite_verma_check(cfg, args, rng, window):
     try:
         rep = verma_check(spec, hit, win)
     except ValueError as exc:
-        if "hit" not in cfg:
-            raise
-        raise ValueError(f"config key 'hit': {exc}") from None
+        if "hit" in cfg:
+            raise ValueError(f"config key 'hit': {exc}") from None
+        # only V at beta = a = 0 gets here, its witness killed by (eb, fb)
+        raise ValueError(f"the criterion's witness eta_{hit} is killed only by "
+                         f"the barred pair ({', '.join(crit.pair)}); give "
+                         "hit=K,S explicitly") from None
     case = {"family": spec.family, "params": spec.params(),
             "hit": list(hit), "direction": rep.direction,
             "depth_dims": rep.depth_dims, "expected_dims": rep.expected_dims,

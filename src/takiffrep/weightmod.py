@@ -35,14 +35,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS
 from .freemod import (CHEVALLEY, SHIFT, AdjointTable, FreeModuleSpec,
                       _apply_terms, adjoint_table, delta_ops, make_gamma,
                       make_omega, make_theta_mod, prove_brackets)
 from .freemod import act as act_free
-from .linalg import RowBasis, nullspace, vec_axpy
+from .linalg import RowBasis, nullspace
 from .poly import PolyHH, RationalLike, poly1_eval, random_poly, to_rational
 
 WeightVec = Dict[Tuple[int, int], Fraction]
@@ -183,15 +183,16 @@ def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
     return {key: c * scale for key, c in out.items() if c}
 
 
-def unit_images(spec: WeightModuleSpec, window: Window):
+def unit_images(spec: WeightModuleSpec, window: Window,
+                generators: Iterable[str] = GENERATORS):
     """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
-    every generator x and window index, the integer entries of
+    each of ``generators`` and every window index, the integer entries of
     ``spec.adjoint`` applied as they are; d is its denominator.
     """
     d, entries = spec.adjoint
     return d, {x: {key: apply_adjoint(*entries[x], {key: 1})
                    for key in window.indices()}
-               for x in GENERATORS}
+               for x in generators}
 
 
 def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
@@ -329,9 +330,10 @@ def singular_vectors(spec: WeightModuleSpec,
     by d leaves the kernel, and so its canonical basis, unchanged.
     """
     report = SingularReport(spec.family, window)
-    _, images = unit_images(spec, window)
+    pairs = _KILL_PAIRS[spec.family]
+    _, images = unit_images(spec, window, {x for pair in pairs for x in pair})
     cols = list(range(1, window.s_max + 1))
-    for pair in _KILL_PAIRS[spec.family]:
+    for pair in pairs:
         for k in range(window.k_min, window.k_max + 1):
             equations: Dict[Tuple[str, int, int], Dict[int, int]] = {}
             for s in cols:
@@ -443,20 +445,26 @@ class VermaReport:
 
 def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
                 window: Window = DEFAULT_WINDOW) -> VermaReport:
-    """Saturate the submodule generated by a singular eta_{k,s} and
-    compare its weight-space dimensions with the opposite Verma character.
+    """Build the submodule generated by a singular eta_{k0,s0} from its PBW
+    span and compare its columns with the opposite Verma character.
 
-    The hit must actually be killed by the family's sl2-type pair ({f,fb}
-    for M-direction growth via e/eb, {e,eb} for the mirror); depth n then
-    contributes n+1 independent functionals.  Also certifies that hbar +
-    beta acts nilpotently but not by zero on the quotient column at the
-    hit, so the quotient is not a semisimple hbar-module.
+    The hit must be killed by an sl2-type pair, (f, fb) or (e, eb); the
+    other pair (x, xbar) grows the submodule, toward smaller k for (e, eb).
+    By PBW (Dixmier, Enveloping Algebras, 2.1), with h acting on the hit by
+    a scalar and hbar as -beta - N, N lowering s, the submodule is exactly
+    span{x^a xbar^b eta_{k0,t} : t <= s0}: column n is spanned by xbar
+    applied to column n - 1 and x to each x^(n-1) eta_{k0,t}, and it is
+    everything with s <= n + s0 when the leading coefficients of x and
+    xbar are nonzero.  The columns use the integer ``spec.adjoint``.  Also
+    certifies that hbar + beta is nilpotent but not zero on the quotient
+    column at the hit, so the quotient is not a semisimple hbar-module.
     """
     k0, s0 = hit
-    v0 = wv_unit(k0, s0)
-    for direction, pair in ((-1, _LOWERING), (+1, _RAISING)):
-        if not any(act_weight(spec, x, v0) for x in pair):
-            break  # -1: generated by e, eb; +1: generated by f, fb
+    d, entries = spec.adjoint
+    for direction, pair, growth in ((-1, _LOWERING, _RAISING),
+                                    (+1, _RAISING, _LOWERING)):
+        if not any(apply_adjoint(*entries[x], {hit: 1}) for x in pair):
+            break
     else:
         raise ValueError(f"eta_{hit} is not singular for an sl2-type pair")
     if direction < 0:
@@ -466,49 +474,38 @@ def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
     if depth_max < 0:
         raise ValueError("window does not contain the hit column")
 
-    columns: Dict[int, RowBasis] = {}
-    frontier: List[WeightVec] = [v0]
-    columns[k0] = RowBasis()
-    columns[k0].add(v0)
-    lo = min(k0, k0 + direction * depth_max)
-    hi = max(k0, k0 + direction * depth_max)
-    while frontier:
-        v = frontier.pop()
-        for x in GENERATORS:
-            w = act_weight(spec, x, v)
-            if not w:
-                continue
-            kw = next(iter(w))[0]
-            if kw < lo or kw > hi:
-                continue
-            col = columns.setdefault(kw, RowBasis())
-            if col.add(w):
-                frontier.append(w)
-
+    x, xbar = (entries[g] for g in growth)
+    # chains[t - 1][a] is x^a xbar^(n-a) eta_{k0,t}
+    chains = [[{(k0, t): 1}] for t in range(1, s0 + 1)]
     depth_dims = []
     for n in range(depth_max + 1):
-        col = columns.get(k0 + direction * n)
-        depth_dims.append(col.rank if col else 0)
+        if n:
+            chains = [[apply_adjoint(*xbar, v) for v in chain]
+                      + [apply_adjoint(*x, chain[-1])] for chain in chains]
+        basis = RowBasis()
+        for chain in chains:
+            for v in chain:
+                basis.add(v)
+        depth_dims.append(basis.rank)
     expected = [n + 1 for n in range(depth_max + 1)]
     character_ok = depth_dims == expected
 
-    # quotient certificate at the hit column: (hbar + beta) kills nothing
-    # semisimply -- it is nilpotent on the column yet nonzero mod the
-    # submodule rows sitting there.
+    # quotient certificate at the hit column, where the submodule is
+    # span{eta_{k0,t} : t <= s0}: hbar + beta is nilpotent on the column yet
+    # nonzero modulo the submodule.  It runs on the ints of D (hbar + beta),
+    # D = d times beta's denominator.
+    dk, terms = entries["hb"]
+    q = spec.beta.denominator
+    shifted = (dk, tuple((m, r, c0 * q, c1 * q) for m, r, c0, c1 in terms)
+               + ((0, 0, d * spec.beta.numerator, 0),))
     s_cap = max(window.s_max, s0 + 2)
-    col_basis = columns.get(k0, RowBasis())
-    nonzero_mod = False
-    nilpotent = True
+    nonzero_mod, nilpotent = False, True
     for s in range(1, s_cap + 1):
-        v = wv_unit(k0, s)
-        image = vec_axpy(act_weight(spec, "hb", v), spec.beta, v)
-        if col_basis.reduce(image):
-            nonzero_mod = True
-        w = dict(v)
-        for _ in range(s_cap):
-            w = vec_axpy(act_weight(spec, "hb", w), spec.beta, w)
-        if w:
-            nilpotent = False
+        w = apply_adjoint(*shifted, {(k0, s): 1})
+        nonzero_mod = nonzero_mod or any(t > s0 for _, t in w)
+        for _ in range(s_cap - 1):
+            w = apply_adjoint(*shifted, w)
+        nilpotent = nilpotent and not w
     return VermaReport(hit=hit, direction=direction, depth_dims=depth_dims,
                        expected_dims=expected, character_ok=character_ok,
                        quotient_nilpotent_ok=nonzero_mod and nilpotent)

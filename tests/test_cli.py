@@ -171,6 +171,22 @@ def test_verma_check_blames_a_non_singular_hit_on_its_key(capsys, tmp_path):
     assert "not singular" in err
 
 
+def test_verma_check_names_the_barred_witness_and_asks_for_a_hit(capsys,
+                                                                 tmp_path):
+    # V at beta = a = 0: the criterion's witness eta_{0,1} is killed only by
+    # (eb, fb), so the suite cannot grow a Verma submodule from it
+    cfg = tmp_path / "verma.cfg"
+    cfg.write_text("family=V\nbeta=0\na=0\n")
+    assert main(["verma-check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "killed only by the barred pair (eb, fb)" in err, err
+    assert "give hit=K,S explicitly" in err, err
+    # a hit that (f, fb) kills at the same point is checked, and reported
+    cfg.write_text("family=V\nbeta=0\na=0\nhit=1,1\n")
+    assert main(["verma-check", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().out)["cases"][0]["direction"] == -1
+
+
 def test_scan_csv_columns_and_json_agreement(capsys):
     code, csv_text = run_cli(capsys, "scan", "--format", "csv")
     assert code == 0

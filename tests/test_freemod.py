@@ -21,7 +21,7 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                omega_quotient_delta_params, prove_brackets,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
-from takiffrep.linalg import vec_primitive
+from takiffrep.linalg import nullspace, vec_primitive
 from takiffrep.poly import PolyHH, parse_poly, random_poly, random_rational
 from takiffrep.weightmod import (delta_action, make_weight_m, make_weight_n,
                                  make_weight_v, weight_bracket_report)
@@ -711,6 +711,120 @@ def test_iso_invariants_ignore_trailing_zeros_of_beta1():
         spec, twin = make_omega(1, b, short), make_omega(1, b, padded)
         assert spec.beta1 != twin.beta1 and spec.ops == twin.ops
         assert iso_invariants_free(spec) == iso_invariants_free(twin)
+
+
+def hom_space(spec_a, spec_b, top):
+    """Basis of the module maps A -> B that multiply by a q(h, hbar) of
+    bidegree at most (top, top), each as {(i, j): coefficient of
+    h^i hbar^j}.
+
+    h and hbar act by multiplication in every free family, so every map
+    between two of them is g -> q g with q its image of 1.  For a
+    generator x with terms (c0, 0), (c1, 1) and shift t, x_B(q g) =
+    q x_A(g) for every g reads as two identities, linear in q:
+
+        c1_B q(h + t) = q c1_A,
+        c0_B q(h + t) + c1_B dbar(q(h + t)) = q c0_A.
+
+    The h- and hbar-degree of q are bounded, so a large enough ``top``
+    gives all of Hom(A, B).  eb's coefficient p is free of h in every
+    family, so the top h-coefficient of p_B q(h - 2) = q p_A forces
+    p_A = p_B, and then q(h - 2) = q(h): q is free of h.  e's identities
+    then read c1_A = c1_B and c1 q' = (c0_A - c0_B) q, q' = dbar q; on
+    the top hbar-coefficient of q, of degree n:
+
+    * Gamma: c1 = -2 lam and c0 = 0, so q' = 0 and n = 0;
+    * Theta: c1 = (hbar^2 + a)/(2 lam) has degree 2 while c0_A - c0_B =
+      (b_B - b_A)/(2 lam) is constant, so n + 1 <= n unless q' = 0: n = 0;
+    * Omega: c1 = -lam (hbar + b) has degree 1 and leading coefficient
+      -lam, and c0_A - c0_B = alpha1_A - alpha1_B, so the difference must
+      be a constant and n = (alpha1_B - alpha1_A)/lam, a whole number.
+
+    ``_hbar_degree_bound`` is that n (0 when there is none).
+    """
+    cols = [(i, j) for i in range(top + 1) for j in range(top + 1)]
+    equations = {}
+    for x in ("e", "eb", "f", "fb"):
+        c_a, c_b = ([sum((c for c, m in spec.ops[x] if m == order),
+                         PolyHH.zero()) for order in (0, 1)]
+                    for spec in (spec_a, spec_b))
+        for i, j in cols:
+            q = PolyHH.term(i, j)
+            q_t = q.shift_h(SHIFT[x])
+            for order, residual in (
+                    (1, c_b[1] * q_t - q * c_a[1]),
+                    (0, c_b[0] * q_t + c_b[1] * q_t.dbar() - q * c_a[0])):
+                for mono, c in residual.terms():
+                    equations.setdefault((x, order, mono), {})[(i, j)] = c
+    return nullspace(list(equations.values()), cols)
+
+
+def _hbar_degree_bound(spec_a, spec_b):
+    """The hbar-degree of q that e's identity allows (see ``hom_space``)."""
+    if spec_a.family != "omega" or spec_b.family != "omega" or \
+            spec_a.lam != spec_b.lam:
+        return 0
+    width = max(len(spec_a.alpha1), len(spec_b.alpha1))
+    pad = lambda p: tuple(p) + (F(0),) * (width - len(p))
+    diff = [y - x for x, y in zip(pad(spec_a.alpha1), pad(spec_b.alpha1))]
+    n = diff[0] / spec_a.lam
+    if any(diff[1:]) or n.denominator != 1 or n < 0:
+        return 0
+    return int(n)
+
+
+def _hom_pairs():
+    rng = random.Random(20221114)
+    families = ("gamma", "theta", "omega")
+    pairs = []
+    for i in range(60):
+        spec = random_free_spec(rng, rng.choice(families))
+        if i % 3 == 0:
+            other = spec
+        elif i % 3 == 1:
+            other = random_free_spec(rng, spec.family)
+        else:
+            other = random_free_spec(rng, rng.choice(
+                [f for f in families if f != spec.family]))
+        pairs.append((spec, other))
+    for b, short, padded in ((2, (F(1),), (F(1), F(0))),
+                             (0, (F(1),), (F(1), F(0), F(0)))):
+        pairs.append((make_omega(1, b, short), make_omega(1, b, padded)))
+    return pairs
+
+
+def test_iso_invariants_agree_with_the_hom_solver():
+    # on these pairs, equal keys exactly when Hom(A, B) is one-dimensional,
+    # and then it is spanned by q = 1: the two specs define one module.
+    # Dimension 1 alone is not enough in general; see the next test.
+    pairs = _hom_pairs()
+    assert sum(a.family == b.family for a, b in pairs) >= 40
+    for spec, other in pairs:
+        top = _hbar_degree_bound(spec, other) + 2
+        space = hom_space(spec, other, top)
+        same = iso_invariants_free(spec) == iso_invariants_free(other)
+        assert same == (len(space) == 1), (spec, other, space)
+        if same:
+            assert space == [{(0, 0): 1}], (spec, space)
+
+
+def test_hom_solver_degree_bound_is_reached_and_enough():
+    # on Omega at b = 0, q = hbar^n maps Omega(lam, 0, beta1) into
+    # Omega(lam, 0, beta1 + n/lam): one-dimensional, yet no isomorphism,
+    # so the keys differ and nothing maps back
+    for lam, n in ((F(1), 1), (F(1), 2), (F(2), 1), (F(-1, 3), 3)):
+        spec = make_omega(lam, 0, (F(1), F(3)))
+        other = make_omega(lam, 0, (F(1) + n / lam, F(3)))
+        assert _hbar_degree_bound(spec, other) == n
+        assert hom_space(spec, other, n) == [{(0, n): 1}]
+        assert hom_space(spec, other, n + 2) == [{(0, n): 1}]
+        assert hom_space(other, spec, n + 2) == []
+        assert iso_invariants_free(spec) != iso_invariants_free(other)
+    # past the bound the space does not grow on the sampled pairs
+    for spec, other in _hom_pairs()[:30]:
+        top = _hbar_degree_bound(spec, other)
+        assert hom_space(spec, other, top) == \
+            hom_space(spec, other, top + 2), (spec, other)
 
 
 def test_generator_pairs_cover_all_fifteen():

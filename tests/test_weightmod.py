@@ -5,9 +5,9 @@ module's operator table.  The single-action expected values below do not
 come from that code: they were derived by hand by dualizing the parent
 actions at sample points, or frozen from the earlier hand-written action
 formulas.  dual_consistency then re-checks the actions against the
-parents wholesale.  Two replaced implementations stay as oracles: the
-hand-written Delta formulas, and the Fraction unit loop of the singular
-search.
+parents wholesale.  Three replaced implementations stay as oracles: the
+hand-written Delta formulas, the Fraction unit loop of the singular
+search, and the closure loop of the Verma check.
 """
 
 import random
@@ -19,10 +19,10 @@ import pytest
 from adjoint_views import fraction_view, integer_table
 
 from takiffrep import weightmod
-from takiffrep.algebra import bracket
+from takiffrep.algebra import GENERATORS, bracket
 from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, adjoint_table,
                                make_gamma, make_omega, make_theta_mod)
-from takiffrep.linalg import nullspace, vec_axpy
+from takiffrep.linalg import RowBasis, nullspace, vec_axpy
 from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
 from takiffrep.scan import builtin_scan_grid
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
@@ -508,6 +508,173 @@ def test_verma_check_rejects_unkilled_seed():
     spec = make_weight_m(0, 1, 1, 0, 0)  # simple
     with pytest.raises(ValueError):
         verma_check(spec, (0, 1), Window(-3, 3, 4))
+
+
+def verma_closure_oracle(spec, hit, window=DEFAULT_WINDOW):
+    """The closure loop that ``verma_check`` ran before it built the PBW
+    span: all six generators applied to every frontier vector on
+    ``act_weight``'s Fraction vectors, cut at the window's edge."""
+    k0, s0 = hit
+    v0 = wv_unit(k0, s0)
+    for direction, pair in ((-1, weightmod._LOWERING),
+                            (+1, weightmod._RAISING)):
+        if not any(act_weight(spec, x, v0) for x in pair):
+            break  # -1: generated by e, eb; +1: generated by f, fb
+    else:
+        raise ValueError(f"eta_{hit} is not singular for an sl2-type pair")
+    if direction < 0:
+        depth_max = k0 - window.k_min
+    else:
+        depth_max = window.k_max - k0
+    if depth_max < 0:
+        raise ValueError("window does not contain the hit column")
+
+    columns = {}
+    frontier = [v0]
+    columns[k0] = RowBasis()
+    columns[k0].add(v0)
+    lo = min(k0, k0 + direction * depth_max)
+    hi = max(k0, k0 + direction * depth_max)
+    while frontier:
+        v = frontier.pop()
+        for x in GENERATORS:
+            w = act_weight(spec, x, v)
+            if not w:
+                continue
+            kw = next(iter(w))[0]
+            if kw < lo or kw > hi:
+                continue
+            col = columns.setdefault(kw, RowBasis())
+            if col.add(w):
+                frontier.append(w)
+
+    depth_dims = []
+    for n in range(depth_max + 1):
+        col = columns.get(k0 + direction * n)
+        depth_dims.append(col.rank if col else 0)
+    expected = [n + 1 for n in range(depth_max + 1)]
+    character_ok = depth_dims == expected
+
+    # quotient certificate at the hit column: (hbar + beta) kills nothing
+    # semisimply -- it is nilpotent on the column yet nonzero mod the
+    # submodule rows sitting there.
+    s_cap = max(window.s_max, s0 + 2)
+    col_basis = columns.get(k0, RowBasis())
+    nonzero_mod = False
+    nilpotent = True
+    for s in range(1, s_cap + 1):
+        v = wv_unit(k0, s)
+        image = vec_axpy(act_weight(spec, "hb", v), spec.beta, v)
+        if col_basis.reduce(image):
+            nonzero_mod = True
+        w = dict(v)
+        for _ in range(s_cap):
+            w = vec_axpy(act_weight(spec, "hb", w), spec.beta, w)
+        if w:
+            nilpotent = False
+    return weightmod.VermaReport(
+        hit=hit, direction=direction, depth_dims=depth_dims,
+        expected_dims=expected, character_ok=character_ok,
+        quotient_nilpotent_ok=nonzero_mod and nilpotent)
+
+
+def _sl2_hits():
+    """(spec, hit) for every hit of an sl2-type pair that
+    ``singular_vectors`` finds near each reducible point of the scan grid,
+    on the window its scan row uses."""
+    sl2 = (weightmod._LOWERING, weightmod._RAISING)
+    out = []
+    for spec in builtin_scan_grid():
+        crit = simplicity_criterion_weight(spec)
+        if crit.simple:
+            continue
+        k, s = crit.witness
+        for hit in singular_vectors(spec, Window(k - 2, k + 2, max(4, s + 1))).hits:
+            if hit.killed_by in sl2:
+                out.append((spec, (hit.k, hit.s)))
+    return out
+
+
+def test_verma_check_agrees_with_closure_oracle_on_grid_hits():
+    hits = _sl2_hits()
+    assert len(hits) >= 140
+    dims = set()
+    for spec, (k, s) in hits:
+        for depth in (0, 2, 4):
+            window = Window(k - depth, k + depth, max(4, s + 2))
+            rep = verma_check(spec, (k, s), window)
+            assert rep == verma_closure_oracle(spec, (k, s), window), \
+                (spec.params(), (k, s), depth)
+            dims.add(tuple(rep.depth_dims))
+    # the hits reach the Verma, the over-full and the degenerate cases
+    assert {(1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (1, 0, 0), (1, 1, 1)} <= dims
+
+
+def test_verma_check_agrees_with_closure_oracle_at_depth_8():
+    # M and N, the over-full s = 2 hit, and both V walls
+    cases = ((make_weight_m(0, 1, 1, -1, -2), (0, 1)),
+             (make_weight_n(0, 1, 1, -1, 2), (0, 1)),
+             (make_weight_m(0, 0, 1, 0, 0), (-1, 2)),
+             (make_weight_v(0, 2, 1, 2, (F(1), F(1))), (3, 1)),
+             (make_weight_v(0, -1, 1, 1, (F(1),)), (-1, 1)))
+    for spec, hit in cases:
+        window = Window(hit[0] - 8, hit[0] + 8, 6)
+        rep = verma_check(spec, hit, window)
+        assert rep == verma_closure_oracle(spec, hit, window), spec.params()
+        assert rep.depth_dims[-1] == 9 + (hit[1] - 1), spec.params()
+
+
+def test_verma_check_reads_only_integer_entries_it_needs(monkeypatch):
+    # no Fraction action: the kill pair (f, fb), the growth pair (e, eb)
+    # and hb for the certificate are read off the integer table; h, which
+    # the closure loop also applied, is not needed
+    def forbidden(*args):
+        raise AssertionError("verma_check called act_weight")
+    monkeypatch.setattr(weightmod, "act_weight", forbidden)
+    spec = make_weight_m(0, 1, 1, -1, -2)
+    d, entries = spec.adjoint
+    rep = verma_check(spec, (0, 1), Window(-4, 4, 6))
+    spec.__dict__["adjoint"] = (d, {x: entries[x] for x in ("e", "eb", "f",
+                                                            "fb", "hb")})
+    assert verma_check(spec, (0, 1), Window(-4, 4, 6)) == rep
+
+
+def test_verma_check_fails_a_planted_eb_without_its_leading_term():
+    # eb's s-preserving term is its leading coefficient on the e-side
+    # growth; without it the PBW columns stop growing.  The closure oracle
+    # still reports [1, 2, 3, 4, 5] here: on a table that is no module it
+    # reaches the same columns through the other generators.
+    spec = make_weight_m(0, 1, 1, -1, -2)
+    view = fraction_view(spec.adjoint)
+    dk, terms = view["eb"]
+    view["eb"] = (dk, tuple((m, r, 0, 0) if m == r == 0 else (m, r, c0, c1)
+                            for m, r, c0, c1 in terms))
+    spec.__dict__["adjoint"] = integer_table(view)
+    rep = verma_check(spec, (0, 1), Window(-4, 4, 6))
+    assert rep.depth_dims == [1, 1, 1, 1, 1]
+    assert not rep.character_ok and not rep.passed
+    assert rep.quotient_nilpotent_ok
+
+
+def test_verma_check_fails_a_planted_hbar_shift():
+    # hb + 1 in place of hb: hbar + beta is no longer nilpotent on the column
+    spec = make_weight_m(0, 1, 1, -1, -2)
+    d, entries = spec.adjoint
+    dk, terms = entries["hb"]
+    spec.__dict__["adjoint"] = (d, {**entries,
+                                    "hb": (dk, terms + ((0, 0, d, 0),))})
+    rep = verma_check(spec, (0, 1), Window(-4, 4, 6))
+    assert rep.character_ok
+    assert not rep.quotient_nilpotent_ok and not rep.passed
+
+
+def test_unit_images_builds_only_the_named_generators():
+    spec = make_weight_v(0, 1, 1, 1, (F(1),))
+    window = Window(-2, 2, 3)
+    d, full = weightmod.unit_images(spec, window)
+    d_pair, pair = weightmod.unit_images(spec, window, ("f", "fb"))
+    assert d_pair == d and set(full) == set(GENERATORS)
+    assert pair == {x: full[x] for x in ("f", "fb")}
 
 
 # -- windows and the rank-1 sl2 comparison models -------------------------------
