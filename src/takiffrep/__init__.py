@@ -9,8 +9,7 @@ explicit isomorphisms linking all of the above.
 """
 
 from .poly import (NEG_INF, PolyHH, Rational, format_rational, parse_poly,
-                   poly1_eval, random_poly, random_rational, shifted_expand,
-                   to_rational)
+                   poly1_eval, random_rational, shifted_expand, to_rational)
 from .algebra import (GENERATORS, AlgebraElement, Monomial, bracket,
                       check_theta_automorphism, commutator, normal_form,
                       parse_word_expr, theta)
@@ -23,7 +22,7 @@ from .freemod import (FreeModuleSpec, GENERATOR_PAIRS, act, act_word,
                       submodule_saturate, verify_axioms)
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, Window, act_weight,
                         act_weight_word, delta_action, dual_consistency,
-                        eval_functional, eval_weightvec, make_weight_m,
+                        eval_functional, make_weight_m,
                         make_weight_n, make_weight_v, parent_spec,
                         random_weight_spec, simplicity_criterion_weight,
                         singular_vectors, verma_check, weight_bracket_report,
@@ -37,8 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NEG_INF", "PolyHH", "Rational", "format_rational", "parse_poly",
-    "poly1_eval", "random_poly", "random_rational", "shifted_expand",
-    "to_rational",
+    "poly1_eval", "random_rational", "shifted_expand", "to_rational",
     "GENERATORS", "AlgebraElement", "Monomial", "bracket",
     "check_theta_automorphism", "commutator", "normal_form",
     "parse_word_expr", "theta",
@@ -50,10 +48,9 @@ __all__ = [
     "simplicity_criterion_free", "submodule_saturate", "verify_axioms",
     "DEFAULT_WINDOW", "WeightModuleSpec", "Window", "act_weight",
     "act_weight_word", "delta_action", "dual_consistency", "eval_functional",
-    "eval_weightvec", "make_weight_m", "make_weight_n", "make_weight_v",
-    "parent_spec", "random_weight_spec", "simplicity_criterion_weight",
-    "singular_vectors", "verma_check", "weight_bracket_report",
-    "wv_scale", "wv_text", "wv_unit",
+    "make_weight_m", "make_weight_n", "make_weight_v", "parent_spec",
+    "random_weight_spec", "simplicity_criterion_weight", "singular_vectors",
+    "verma_check", "weight_bracket_report", "wv_scale", "wv_text", "wv_unit",
     "check_twist_iso", "ebinv_act", "intertwiner_search",
     "lambda_rescale_iso", "twisted_act", "vm_iso_check", "vm_matching_b",
     "vm_matching_m_spec",

@@ -185,6 +185,8 @@ def _suite_saturate(cfg, args, rng, window):
     seed_poly = (parse_poly(args.words[0]) if args.words
                  else config_value(cfg, "seed_poly", "h", parse_poly))
     cap = config_value(cfg, "cap", "8,8", parse_int_pair)
+    if min(cap) < 0:
+        raise ValueError("config key 'cap': must be at least 0")
     expected = (config_value(cfg, "expect_one", None, parse_bool)
                 if "expect_one" in cfg else None)
     result = freemod.submodule_saturate(spec, seed_poly, cap=cap)
@@ -207,6 +209,8 @@ def _suite_omega_quotient(cfg, args, rng, window):
     spec = freemod.make_omega(lam, 0, beta1)
     layers = config_value(cfg, "i", "0,1,2,3",
                           lambda text: [int(x) for x in text.split(",")])
+    if min(layers) < 0:
+        raise ValueError("config key 'i': must be at least 0")
     n_max = config_value(cfg, "n_max", "8", int)
     if n_max < 0:
         raise ValueError("config key 'n_max': must be at least 0")
@@ -232,8 +236,7 @@ def _suite_verify_weight(cfg, args, rng, window):
     families = config_value(cfg, "families", "M,N,V", _list_of(_WEIGHT))
     trials = config_value(cfg, "trials", "50", int)
     n_specs = config_value(cfg, "specs", "3", int)
-    # trials is the sample count of dual_consistency: below 1 it would
-    # check nothing
+    # trials is echoed only, as for verify-free; validated for compatibility
     if trials < 1:
         raise ValueError("config key 'trials': must be at least 1")
     if n_specs < 1:

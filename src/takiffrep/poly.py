@@ -380,17 +380,6 @@ def parse_poly(text: str) -> PolyHH:
     return total
 
 
-def random_poly(rng, max_deg_h: int = 5, max_deg_hbar: int = 5, max_terms: int = 6) -> PolyHH:
-    """Random sparse polynomial: coefficients num in -9..9, den in 1..9."""
-    n = rng.randint(1, max_terms)
-    coeffs: Dict[Exponent, Fraction] = {}
-    for _ in range(n):
-        e = (rng.randint(0, max_deg_h), rng.randint(0, max_deg_hbar))
-        v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        coeffs[e] = coeffs.get(e, Fraction(0)) + v
-    return PolyHH({e: v for e, v in coeffs.items() if v})
-
-
 def random_rational(rng, nonzero: bool = False) -> Fraction:
     """Random rational with num in -9..9, den in 1..9 (optionally nonzero)."""
     while True:

@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+from samplers import random_poly
+
 from takiffrep.algebra import (GENERATORS, LOCALIZED_LETTERS, bracket,
                                check_theta_automorphism, normal_form, theta)
 from takiffrep.freemod import (alpha_from_beta, e34_residual, make_omega,
@@ -18,7 +20,7 @@ from takiffrep.freemod import (alpha_from_beta, e34_residual, make_omega,
                                submodule_saturate, verify_axioms)
 from takiffrep.functors import (check_twist_iso, intertwiner_search,
                                 twisted_act, vm_iso_check, vm_matching_m_spec)
-from takiffrep.poly import PolyHH, random_poly
+from takiffrep.poly import PolyHH
 from takiffrep.scan import builtin_scan_grid, run_scan
 from takiffrep.weightmod import (Window, act_weight, delta_action,
                                  dual_consistency, make_weight_m,

@@ -86,6 +86,30 @@ def test_omega_quotient(capsys):
     assert all(c["pass"] for c in doc["cases"])
 
 
+def _below_zero_blamed_on(capsys, tmp_path, suite, config, key):
+    cfg = tmp_path / "blame.cfg"
+    cfg.write_text(config)
+    assert main([suite, "--config", str(cfg)]) == 2, config
+    err = capsys.readouterr().err
+    assert err.startswith(f"takiff-rep: error: config key {key!r}: "
+                          "must be at least 0"), err
+
+
+def test_omega_quotient_blames_a_negative_layer_on_i(capsys, tmp_path):
+    for config in ("i=-1\n", "i=0,2,-3\n"):
+        _below_zero_blamed_on(capsys, tmp_path, "omega-quotient", config, "i")
+
+
+def test_saturate_blames_a_negative_cap_on_cap(capsys, tmp_path):
+    for config in ("cap=8,-1\n", "cap=-1,8\n"):
+        _below_zero_blamed_on(capsys, tmp_path, "saturate", config, "cap")
+    # a zero cap is still a check: the constant seed fits it
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("cap=0,0\nexpect_one=true\n")
+    assert main(["saturate", "1", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"][0]["cap"] == [0, 0]
+
+
 def test_verify_weight(capsys, tmp_path):
     cfg = tmp_path / "w.cfg"
     cfg.write_text("families=M\nalpha=0\nbeta=1\nlambda=1\na=2\nb=1/3\n"

@@ -10,6 +10,7 @@ from math import comb, factorial, lcm
 
 import pytest
 from adjoint_views import fraction_view, integer_table
+from samplers import random_poly
 
 from takiffrep import freemod
 from takiffrep.algebra import GENERATORS, bracket
@@ -22,7 +23,7 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
 from takiffrep.linalg import nullspace, vec_primitive
-from takiffrep.poly import PolyHH, parse_poly, random_poly, random_rational
+from takiffrep.poly import PolyHH, parse_poly, random_rational
 from takiffrep.weightmod import (delta_action, make_weight_m, make_weight_n,
                                  make_weight_v, weight_bracket_report)
 

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from samplers import random_poly
+
 from takiffrep.poly import (NEG_INF, PolyHH, format_rational,
                             parse_poly, poly1_eval, poly1_to_polyhh,
-                            random_poly, random_rational, shifted_expand,
-                            to_rational)
+                            random_rational, shifted_expand, to_rational)
 
 H, HB = sympy.symbols("h hb")
 

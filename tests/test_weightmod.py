@@ -4,10 +4,11 @@ The library derives every M/N/V action as the adjoint of the parent free
 module's operator table.  The single-action expected values below do not
 come from that code: they were derived by hand by dualizing the parent
 actions at sample points, or frozen from the earlier hand-written action
-formulas.  dual_consistency then re-checks the actions against the
-parents wholesale.  Three replaced implementations stay as oracles: the
-hand-written Delta formulas, the Fraction unit loop of the singular
-search, and the closure loop of the Verma check.
+formulas.  dual_consistency then proves the actions against the
+parents for every (k, s).  Four replaced implementations stay as
+oracles: the hand-written Delta formulas, the Fraction unit loop of the
+singular search, the closure loop of the Verma check, and the sampled
+loop of the duality check.
 """
 
 import random
@@ -17,18 +18,20 @@ from types import SimpleNamespace
 
 import pytest
 from adjoint_views import fraction_view, integer_table
+from samplers import eval_weightvec, random_poly
 
 from takiffrep import weightmod
 from takiffrep.algebra import GENERATORS, bracket
 from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, adjoint_table,
                                make_gamma, make_omega, make_theta_mod)
+from takiffrep.freemod import act as act_free
 from takiffrep.linalg import RowBasis, nullspace, vec_axpy
-from takiffrep.poly import PolyHH, random_poly, random_rational, shifted_expand
+from takiffrep.poly import PolyHH, random_rational, shifted_expand
 from takiffrep.scan import builtin_scan_grid
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  act_weight_word, delta_action,
                                  dual_consistency, eval_functional,
-                                 eval_weightvec, make_weight_m, make_weight_n,
+                                 make_weight_m, make_weight_n,
                                  make_weight_v, parent_spec,
                                  random_weight_spec,
                                  simplicity_criterion_weight,
@@ -195,13 +198,17 @@ def test_dual_consistency_all_families():
             assert rep["ok"], (family, spec, rep["failures"])
 
 
+EXPLICIT_DUAL_SPECS = (
+    make_weight_m(0, 0, 1, 0, 0),
+    make_weight_m(F(1, 3), -2, F(5, 2), F(-4), F(2, 7)),
+    make_weight_n(1, 0, -1, F(1, 2), 0),
+    make_weight_v(0, 0, 1, 0, (F(1, 3),)),
+    make_weight_v(F(1, 2), -1, 2, 1, (F(0), F(2), F(1, 3))))
+
+
 def test_dual_consistency_explicit_specs():
     win = Window(-3, 3, 4)
-    for spec in (make_weight_m(0, 0, 1, 0, 0),
-                 make_weight_m(F(1, 3), -2, F(5, 2), F(-4), F(2, 7)),
-                 make_weight_n(1, 0, -1, F(1, 2), 0),
-                 make_weight_v(0, 0, 1, 0, (F(1, 3),)),
-                 make_weight_v(F(1, 2), -1, 2, 1, (F(0), F(2), F(1, 3)))):
+    for spec in EXPLICIT_DUAL_SPECS:
         rep = dual_consistency(spec, window=win, trials=25, seed=9)
         assert rep["ok"], (spec, rep["failures"])
 
@@ -253,14 +260,20 @@ def test_weight_brackets_agree_with_window_oracle():
             assert flags == bracket_window_oracle(spec, Window(-2, 2, 3))
 
 
+def _plant(spec, x, entry):
+    """Replace x's adjoint entry (dk, terms), in true values, in the
+    cached table only."""
+    view = fraction_view(spec.adjoint)
+    spec.__dict__["adjoint"] = integer_table({**view, x: entry})
+
+
 def _perturb(spec, x, index, dc0=0, dc1=0):
     """Move one adjoint term of x by (dc0, dc1) in true values, in the
     cached table only."""
-    view = fraction_view(spec.adjoint)
-    dk, terms = view[x]
+    dk, terms = fraction_view(spec.adjoint)[x]
     m, r, c0, c1 = terms[index]
-    terms = terms[:index] + ((m, r, c0 + dc0, c1 + dc1),) + terms[index + 1:]
-    spec.__dict__["adjoint"] = integer_table({**view, x: (dk, terms)})
+    _plant(spec, x, (dk, terms[:index] + ((m, r, c0 + dc0, c1 + dc1),)
+                     + terms[index + 1:]))
 
 
 @pytest.mark.parametrize("family", ["M", "N", "V"])
@@ -295,6 +308,88 @@ def test_weight_bracket_report_echoes_window():
     assert rep["window"] == "-1:1:2"
     assert {k: v for k, v in rep.items() if k != "window"} == {
         k: v for k, v in weight_bracket_report(spec).items() if k != "window"}
+
+
+# -- dual_consistency against the sampled loop it replaced -------------------
+
+def dual_sampling_oracle(spec, window=DEFAULT_WINDOW, trials=50, seed=0):
+    """The sampled duality check: (x.eta_{k,s})(p) from the adjoint table
+    against -eta_{k,s}(x.p) in the parent, on random probes (k, s, x, p)
+    drawn from the window."""
+    rng = random.Random(seed)
+    parent = parent_spec(spec)
+    failures = []
+    for _ in range(trials):
+        k = rng.randint(window.k_min, window.k_max)
+        s = rng.randint(1, window.s_max)
+        x = rng.choice(GENERATORS)
+        p = random_poly(rng)
+        lhs = eval_weightvec(spec, act_weight(spec, x, wv_unit(k, s)), p)
+        rhs = -eval_functional(k, s, spec.alpha, spec.beta, act_free(parent, x, p))
+        if lhs != rhs:
+            failures.append({"k": k, "s": s, "x": x, "p": p.to_text()})
+    return {"family": spec.family, "params": spec.params(),
+            "window": window.as_text(), "trials": trials, "seed": seed,
+            "failures": failures, "ok": not failures}
+
+
+def test_dual_consistency_agrees_with_sampling_oracle():
+    rng = random.Random(410)
+    specs = [random_weight_spec(rng, family, beta1_deg=3)
+             for family in ("M", "N", "V") for _ in range(4)]
+    for spec in specs + list(EXPLICIT_DUAL_SPECS):
+        seed = rng.randint(0, 999)
+        rep = dual_consistency(spec, seed=seed)
+        assert rep["ok"], (spec, rep["failures"])
+        oracle = dual_sampling_oracle(spec, seed=seed)
+        assert oracle["ok"], (spec, oracle["failures"])
+        assert rep == oracle
+
+
+@pytest.mark.parametrize("family", ["M", "N", "V"])
+@pytest.mark.parametrize("x", ["e", "f", "fb"])
+@pytest.mark.parametrize("dc0, dc1", [(1, 0), (0, 1)])
+def test_dual_consistency_fails_every_moved_coefficient(family, x, dc0, dc1):
+    def make():
+        return random_weight_spec(random.Random(411), family, beta1_deg=3)
+    for index in range(len(make().adjoint[1][x][1])):
+        spec = make()
+        _perturb(spec, x, index, dc0=dc0, dc1=dc1)
+        rep = dual_consistency(spec)
+        assert not rep["ok"], (family, x, index)
+        assert {f["x"] for f in rep["failures"]} == {x}
+        assert all(set(f) == {"k", "s", "x"} for f in rep["failures"])
+
+
+@pytest.mark.parametrize("family", ["M", "N", "V"])
+def test_dual_consistency_fails_a_wrong_dk_or_an_m2_term(family):
+    spec = random_weight_spec(random.Random(412), family)
+    dk, terms = fraction_view(spec.adjoint)["e"]
+    _plant(spec, "e", (dk + 1, terms))
+    assert not dual_consistency(spec)["ok"]
+    # m = 2 reaches eta_{k+dk, s+2}, outside every parent image
+    spec = random_weight_spec(random.Random(412), family)
+    dk, terms = fraction_view(spec.adjoint)["hb"]
+    _plant(spec, "hb", (dk, terms + ((2, 0, F(1), 0),)))
+    assert not dual_consistency(spec)["ok"]
+
+
+def test_dual_consistency_proves_beyond_the_window():
+    # an extra f term with r = 6 acts only on eta_{k,s} with s >= 7, which
+    # no probe of the default window -5:5:5 reaches
+    spec = make_weight_m(0, 1, 1, -1, -2)
+    dk, terms = fraction_view(spec.adjoint)["f"]
+    _plant(spec, "f", (dk, terms + ((0, 6, F(1), 0),)))
+    assert dual_sampling_oracle(spec)["ok"]
+    rep = dual_consistency(spec)
+    assert not rep["ok"]
+    assert rep["failures"] == [{"k": 0, "s": 7, "x": "f"},
+                               {"k": 1, "s": 7, "x": "f"}]
+    # window, trials and seed are echoed only
+    narrow = dual_consistency(spec, window=Window(0, 0, 1), trials=1, seed=5)
+    assert (narrow["window"], narrow["trials"], narrow["seed"]) == (
+        "0:0:1", 1, 5)
+    assert narrow["failures"] == rep["failures"]
 
 
 def test_parent_spec_families():
