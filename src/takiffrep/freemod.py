@@ -43,20 +43,13 @@ dualizes an operator table onto the functionals
 
     eta_{k,s}(q) = dbar^(s-1) q at (alpha + 2k, beta),   k in Z, s >= 1,
 
-and ``prove_brackets`` composes the dual tables with k and s kept
-symbolic.  An identity holds for the operators exactly when it holds on
-every eta_{k,s}, because these functionals separate C[h, hbar]: at
-alpha = beta = 0, if dbar^j q(h, 0) is zero at every even integer h it is
-the zero polynomial, for every j, hence q = 0.  ``verify_axioms`` proves
-the free families this way, and the dual weight families of ``weightmod``
-use the same two functions at their own (alpha, beta).  A dual table is
-one integer table (d, entries) over one denominator d.  A (k, s) table
-entry is a ``PolyHH`` with k in the h slot and s in the hbar slot;
-``_ks_tables`` reads every generator at one integer scale,
-``_ks_compose_into`` composes (shifting by ``PolyHH.shift_h`` then
-``PolyHH.shift_hbar``) and ``_ks_add_into`` adds a multiple, both through
-``PolyHH._mul_into``; ``functors`` proves its twist and rescaling maps
-with them.
+as one integer table (d, entries) over one denominator d.  These
+functionals separate C[h, hbar] (at alpha = beta = 0, if dbar^j q(h, 0)
+is zero at every even integer h for every j, then q = 0), so an identity
+holds for the operators exactly when it holds on every eta_{k,s}.
+``ks_residuals``, the one prover of such identities, proves for every
+(k, s) the brackets of ``verify_axioms`` and of the dual weight families
+of ``weightmod``, and the twist and rescaling maps of ``functors``.
 """
 
 from __future__ import annotations
@@ -64,8 +57,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, gcd, lcm
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -122,8 +115,9 @@ class FreeModuleSpec:
 
     @cached_property
     def ops(self) -> OpTable:
-        """The operator table of every generator, built once per spec."""
-        return _OP_TABLES[self.family](self)
+        """The operator table of every generator, shared by equal specs, so
+        never mutated in place."""
+        return _ops_of(self)
 
 
 def make_gamma(lam: RationalLike, a: RationalLike, b: RationalLike) -> FreeModuleSpec:
@@ -250,6 +244,11 @@ _OP_TABLES = {"gamma": _gamma_ops, "omega": _omega_ops,
               "theta": lambda spec: chevalley(_gamma_ops(spec))}
 
 
+@lru_cache(maxsize=32)
+def _ops_of(spec: FreeModuleSpec) -> OpTable:
+    return _OP_TABLES[spec.family](spec)
+
+
 def _apply_terms(terms, q: PolyHH) -> PolyHH:
     """sum of c * dbar^m q over one generator's terms (c, m), where q is
     already g(h + SHIFT[x], hbar); the one kernel of every action."""
@@ -370,6 +369,10 @@ KSTable = Dict[Tuple[int, int], PolyHH]
 KSSums = Dict[Tuple[int, int], Dict[Tuple[int, int], RationalLike]]
 
 
+def _adopt_table(sums: KSSums) -> KSTable:
+    return {key: PolyHH._adopt(c) for key, c in sums.items() if c}
+
+
 def _ks_table(entry: AdjointEntry, top: int) -> KSTable:
     """top! times one generator's table, read off its adjoint entry
     (dk, terms) whose every r is at most ``top``: each term (m, r, c0, c1)
@@ -385,7 +388,7 @@ def _ks_table(entry: AdjointEntry, top: int) -> KSTable:
         PolyHH._adopt(linear)._mul_into(
             PolyHH._adopt({(0, j): b for j, b in enumerate(falling)}),
             sums.setdefault((dk, m - r), {}))
-    return {key: PolyHH._adopt(c) for key, c in sums.items() if c}
+    return _adopt_table(sums)
 
 
 def _ks_tables(adjoint: AdjointTable) -> Tuple[int, Dict[str, KSTable]]:
@@ -401,14 +404,9 @@ def _ks_tables(adjoint: AdjointTable) -> Tuple[int, Dict[str, KSTable]]:
 
 def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
                      right: KSTable, shifted: Dict[tuple, PolyHH]) -> None:
-    """Add x o right to ``out``.
-
-    ``right`` sends eta_{k,s} to P(k, s) eta_{k+dk, s+ds}, and x, named in
-    ``tables``, sends that on with P_x(k + dk, s + ds).  ``shifted`` keeps
-    each P_x(k + dk, s) under (x, its key, dk) and each P_x(k + dk, s + ds)
-    under (x, its key, dk, ds), so each shift is made once however many
-    compositions use it.
-    """
+    """Add x o right to ``out``: ``right`` sends eta_{k,s} to P(k, s)
+    eta_{k+dk, s+ds}, and x sends that on with P_x(k + dk, s + ds).
+    ``shifted`` keeps each shift of each P_x, made once."""
     for (dk, ds), py in right.items():
         for (ek, es), px in tables[x].items():
             key = (x, ek, es, dk, ds)
@@ -422,59 +420,88 @@ def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
 
 
 def _ks_add_into(out: KSSums, table: KSTable, c: RationalLike) -> None:
-    """Add c * table to ``out``, c nonzero."""
-    const = PolyHH._adopt({(0, 0): c})
+    """Add c * table to ``out``."""
     for key, p in table.items():
-        const._mul_into(p, out.setdefault(key, {}))
+        acc = out.setdefault(key, {})
+        for e, v in p._c.items():
+            acc[e] = acc.get(e, 0) + c * v
+            if not acc[e]:
+                del acc[e]
+
+
+def ks_residuals(adjoints: Sequence[AdjointTable],
+                 identities: Sequence[Sequence[tuple]]) -> List[KSTable]:
+    """M times the (k, s) table of each identity, zero entries dropped.
+
+    A term (i, c, word) is c times ``word`` (rightmost letter first; the
+    empty word is the identity) on ``adjoints[i]``.  A generator's table
+    (dk, ds) -> P(k, s) sums (c0 + c1*k) C(s-1, r) over its terms with
+    m - r = ds; C(s-1, r) vanishes at s = 1..r, where the term is absent,
+    so every coefficient is true on the Zariski-dense Z x Z_{>=1}: a table
+    is empty exactly when its identity holds on every eta_{k,s}, and
+    nonzero at (k, s) exactly when it fails there.  Adjoint i is read at
+    its integer scale S_i, so a word of n letters is weighted by c M /
+    S_i^n, M the product of the S_i^(L_i), L_i the longest word on adjoint
+    i.  Each adjoint has its own shift cache, as they share letter names.
+    """
+    read = [_ks_tables(adjoint) for adjoint in adjoints]
+    longest = [max((len(word) for identity in identities
+                    for j, _, word in identity if j == i), default=0)
+               for i in range(len(adjoints))]
+    total = prod(scale ** n for (scale, _), n in zip(read, longest))
+    caches: List[Dict[tuple, PolyHH]] = [{} for _ in adjoints]
+    weighted: Dict[tuple, KSTable] = {}
+    out = []
+    for identity in identities:
+        sums: KSSums = {}
+        for i, c, word in identity:
+            scale, tables = read[i]
+            w = c * (total // scale ** len(word))
+            w = w.numerator if w.denominator == 1 else w
+            table = (tables[word[-1]] if word
+                     else {(0, 0): PolyHH._adopt({(0, 0): 1})})
+            if len(word) < 2:
+                _ks_add_into(sums, table, w)
+                continue
+            # weight the rightmost table; the leftmost letter adds to sums
+            if w != 1:
+                key = (i, word[-1], w)
+                if key not in weighted:
+                    part: KSSums = {}
+                    _ks_add_into(part, table, w)
+                    weighted[key] = _adopt_table(part)
+                table = weighted[key]
+            for letter in reversed(word[1:-1]):
+                part = {}
+                _ks_compose_into(part, tables, letter, table, caches[i])
+                table = _adopt_table(part)
+            _ks_compose_into(sums, tables, word[0], table, caches[i])
+        out.append(_adopt_table(sums))
+    return out
+
+
+# x o y - y o x - [x,y] for each pair of GENERATOR_PAIRS
+_BRACKET_IDENTITIES = tuple(
+    [(0, 1, (x, y)), (0, -1, (y, x))]
+    + [(0, -c, mono.to_word()) for mono, c in bracket(x, y).terms()]
+    for x, y in GENERATOR_PAIRS)
 
 
 def prove_brackets(adjoint: AdjointTable) -> List[dict]:
-    """Prove or refute [x,y].v == x.(y.v) - y.(x.v) for every eta_{k,s}.
-
-    Each generator is read off ``adjoint`` as a table (dk, ds) -> P(k, s),
-    P = sum (c0 + c1*k) C(s-1, r) over its terms with m - r = ds.  The
-    binomial vanishes at s = 1..r, where the term is absent, so P(k, s) is
-    the true coefficient at every k in Z and s >= 1, and so is each
-    coefficient of the composed tables x o y and y o x + [x,y].  Z x Z_{>=1}
-    is Zariski-dense, so a pair passes exactly when those tables are equal.
-
-    The tables are built on ints: ``_ks_tables`` reads every generator
-    at the scale D = d R! of the integer table, so the pair is compared
-    as X o Y against Y o X + D [x,y], D^2 times the true identity, and no
-    Fraction is formed.
-    Returns one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``.
-    """
-    scale, tables = _ks_tables(adjoint)
-    shifted: Dict[tuple, PolyHH] = {}
-    pairs = []
-    for x, y in GENERATOR_PAIRS:
-        lhs: KSSums = {}
-        rhs: KSSums = {}
-        _ks_compose_into(lhs, tables, x, tables[y], shifted)
-        _ks_compose_into(rhs, tables, y, tables[x], shifted)
-        for mono, coeff in bracket(x, y).terms():
-            (z,) = mono.to_word()
-            _ks_add_into(rhs, tables[z], scale * coeff)
-        ok = ({key: c for key, c in lhs.items() if c}
-              == {key: c for key, c in rhs.items() if c})
-        pairs.append({"x": x, "y": y, "pass": ok})
-    return pairs
+    """Prove or refute [x,y].v == x.(y.v) - y.(x.v) for every eta_{k,s}:
+    one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``."""
+    residuals = ks_residuals([adjoint], _BRACKET_IDENTITIES)
+    return [{"x": x, "y": y, "pass": not residual}
+            for (x, y), residual in zip(GENERATOR_PAIRS, residuals)]
 
 
 def verify_axioms(spec: FreeModuleSpec, trials: int = 20, seed: int = 0) -> dict:
     """Prove or refute [x,y].g == x.(y.g) - y.(x.g) for all polynomials g.
 
-    The pairs are proved on the dual side: ``spec.ops`` is dualized onto
-    the functionals eta_{k,s}(q) = dbar^(s-1) q at (2k, 0) and
-    ``prove_brackets`` decides each pair for every (k, s) at once.  That
-    is a proof for every polynomial: x.(y.eta) = eta o (y o x), so the
-    dual identity says eta(R g) = 0 for R = x o y - y o x - [x,y], every
-    g and every eta.  These functionals separate C[h, hbar]: if
-    dbar^j q(h, 0) vanishes at every even integer h it is zero, for every
-    j, so q = 0.  Hence R g = 0.  At beta = 0 only the r = j term of each
-    coefficient survives, so these adjoint tables are the smallest.
-    ``trials`` and ``seed`` are echoed in the report only; nothing is
-    sampled.
+    ``prove_brackets`` decides each pair on the functionals eta_{k,s} at
+    alpha = beta = 0, which separate C[h, hbar], as x.(y.eta) = eta o (y o
+    x); at beta = 0 these adjoint tables are the smallest.  ``trials`` and
+    ``seed`` are echoed in the report only; nothing is sampled.
     """
     pairs = prove_brackets(adjoint_table(spec.ops, Fraction(0), Fraction(0)))
     return {"family": spec.family, "params": spec.params(), "pairs": pairs,
@@ -526,6 +553,8 @@ def submodule_saturate(spec: FreeModuleSpec, seed_poly: PolyHH,
     an exact int.  The span lives in a fraction-free ``RowBasis``; the
     returned basis is its reduced row-echelon form over Q.
     """
+    if min(cap) < 0:
+        raise ValueError(f"bidegree cap {tuple(cap)} has a negative entry")
     if seed_poly.is_zero():
         return SaturationResult([], False, True)
     cap_h, cap_hb = cap

@@ -7,9 +7,9 @@ Pulling the module back along the substitution Theta_z (see
 ``takiffrep.algebra.theta``) shifts alpha by -2z; ``check_twist_iso``
 proves the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
 an isomorphism of actions, and ``lambda_rescale_iso`` proves the lambda
-rescaling, both for every (k, s) at once in the (k, s) table calculus of
-``freemod.prove_brackets``, whose entries are ``PolyHH`` in k and s; the
-window scopes only the reported rank and failing probe.  ``vm_iso_check``,
+rescaling, both for every (k, s) at once as identity lists for
+``freemod.ks_residuals``, the one (k, s) prover; the window scopes only
+the reported rank and failing probe.  ``vm_iso_check``,
 whose map holds e-powers, is checked on the window.
 
 ``intertwiner_search`` solves for all window-supported linear maps
@@ -39,7 +39,7 @@ from math import perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import KSSums, _ks_add_into, _ks_compose_into, _ks_tables
+from .freemod import KSTable, ks_residuals
 from .linalg import RowBasis, nullspace, vec_axpy, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -146,27 +146,19 @@ def _window_iso(window: Window, act_a, act_b, phi,
                           failing_probe=failing, details=details)
 
 
-def _table_iso(residuals: Dict[str, KSSums], window: Window,
+def _table_iso(residuals: Dict[str, KSTable], window: Window,
                details: dict | None = None) -> IsoCheckResult:
     """The verdict on a diagonal map phi(eta_{k,s}) = c_k eta_{k,s}, every
-    c_k nonzero, from its residual tables.
-
-    ``residuals[x]`` sums (x o phi - phi o x) / c_k as a (k, s) table, so phi
-    intertwines for every (k, s) exactly when every residual is zero (the
-    Zariski-density argument of ``freemod.prove_brackets``), and the probe
-    (k, s, x) fails exactly when an entry of ``residuals[x]`` is nonzero at
-    (k, s).  ``failing_probe`` is the first failing window probe in the
-    order of ``_window_iso``; failing that, the first failing (k, s, x) on
-    the grid k_min <= k <= k_min + d_k, 1 <= s <= d_s + 1, with d_k and d_s
-    the largest degrees in k and s of any residual entry.  A nonzero entry
-    is nonzero somewhere on that grid, so the scan finds a probe whenever
-    phi fails.  ``rank`` is the number of window indices, phi being
-    diagonal with nonzero entries.
+    c_k nonzero, from ``residuals[x]``, the ``freemod.ks_residuals`` table
+    of (x o phi - phi o x) / c_k: the probe (k, s, x) fails exactly when
+    one of its entries is nonzero at (k, s).  ``failing_probe`` is the
+    first failing window probe in the order of ``_window_iso``, else the
+    first on the grid k_min <= k <= k_min + d_k, 1 <= s <= d_s + 1, d_k
+    and d_s the largest degrees in k and s of any entry, where a nonzero
+    entry is nonzero somewhere.  ``rank`` is the number of window indices.
     """
-    polys = {x: [PolyHH._adopt(c) for c in sums.values() if c]
-             for x, sums in residuals.items()}
+    nonzero = [p for table in residuals.values() for p in table.values()]
     failing = None
-    nonzero = [p for ps in polys.values() for p in ps]
     if nonzero:
         d_k = max(p.deg_h() for p in nonzero)
         d_s = max(p.deg_hbar() for p in nonzero)
@@ -176,7 +168,7 @@ def _table_iso(residuals: Dict[str, KSSums], window: Window,
             ({"k": k, "s": s, "x": x}
              for k, s in itertools.chain(window.indices(), grid)
              for x in GENERATORS
-             if any(p.eval_at(k, s) for p in polys[x])), None)
+             if any(p.eval_at(k, s) for p in residuals[x].values())), None)
     rank = (window.k_max - window.k_min + 1) * window.s_max
     return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
                           failing_probe=failing, details=details)
@@ -188,14 +180,10 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     (k, s).
 
     The comparison map keeps indices: 1 (x) eta_{k,s} |-> eta'_{k,s}.  On
-    the twist, y acts as Theta_z(y) through the localization.  Each letter
-    acts on eta_{k,s} as a (k, s) table of ``spec.adjoint``, eb^-1 as that
-    of its entry read off eb's, all at one scale S, so Theta_z(y) acts as
-    the sum of the tables composed along its monomials, each word w
-    weighted by its coefficient over S^len(w).  The map intertwines
-    exactly when, for every generator y, that table equals the table of y
-    on the target module; the residuals go to ``_table_iso``, and
-    ``window`` scopes only the reported rank and failing probe.
+    the twist, y acts as Theta_z(y) through the localization, so the map
+    intertwines exactly when Theta_z(y), on ``spec.adjoint`` with eb^-1's
+    entry added, minus y on the target vanishes for every generator y:
+    identities for ``ks_residuals``, whose residuals go to ``_table_iso``.
     """
     z = to_rational(z)
     if spec.family != "M":
@@ -203,24 +191,12 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                            spec.a, spec.b)
     d, entries = spec.adjoint
-    scale, tables = _ks_tables((d, {**entries, "ebinv": _ebinv_entry(spec)}))
-    target_scale, target_tables = _ks_tables(target.adjoint)
-    shifted: Dict[tuple, PolyHH] = {}
-    residuals = {}
-    for y in GENERATORS:
-        residual: KSSums = {}
-        for mono, coeff in theta(z, y).terms():
-            word = mono.to_word()
-            table = tables[word[-1]] if word else {(0, 0): PolyHH.const(1)}
-            for letter in reversed(word[:-1]):
-                composed: KSSums = {}
-                _ks_compose_into(composed, tables, letter, table, shifted)
-                table = {key: PolyHH._adopt(c)
-                         for key, c in composed.items() if c}
-            _ks_add_into(residual, table, Fraction(coeff, scale ** len(word)))
-        _ks_add_into(residual, target_tables[y], Fraction(-1, target_scale))
-        residuals[y] = residual
-    return _table_iso(residuals, window, details={"z": z})
+    residuals = ks_residuals(
+        [(d, {**entries, "ebinv": _ebinv_entry(spec)}), target.adjoint],
+        [[(0, c, mono.to_word()) for mono, c in theta(z, y).terms()]
+         + [(1, -1, (y,))] for y in GENERATORS])
+    return _table_iso(dict(zip(GENERATORS, residuals)), window,
+                      details={"z": z})
 
 
 def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
@@ -231,25 +207,20 @@ def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     The map is the canonical isomorphism when the specs differ only in
     lambda; any other difference shows up as a failed probe.  The exponent
     sign follows where the lambda factors live: on the k-1 translations
-    for M, on the k+1 translations for N.  Conjugating x by the map
-    multiplies the (dk, ds) entry of its table on spec_a by the constant
-    r^(+-dk), r = lam_a/lam_b; the residuals against the tables on spec_b
-    go to ``_table_iso``, each table times the inverse of its scale.
+    for M, on the k+1 translations for N.  Conjugating x, which moves k by
+    dk, by the map multiplies it by r^(+-dk), r = lam_a/lam_b, so the
+    identities r^(+-dk) x on spec_a minus x on spec_b are proved.
     """
     if spec_a.family not in ("M", "N") or spec_a.family != spec_b.family:
         raise ValueError("lambda rescaling is the M/N-family isomorphism")
     ratio = spec_a.lam / spec_b.lam
     sign = 1 if spec_a.family == "M" else -1
-    scale_a, tables_a = _ks_tables(spec_a.adjoint)
-    scale_b, tables_b = _ks_tables(spec_b.adjoint)
-    residuals = {}
-    for x, (dk, _) in spec_a.adjoint[1].items():
-        residual: KSSums = {}
-        _ks_add_into(residual, tables_a[x],
-                     Fraction(ratio ** (sign * dk), scale_a))
-        _ks_add_into(residual, tables_b[x], Fraction(-1, scale_b))
-        residuals[x] = residual
-    return _table_iso(residuals, window)
+    entries = spec_a.adjoint[1]
+    residuals = ks_residuals(
+        [spec_a.adjoint, spec_b.adjoint],
+        [[(0, ratio ** (sign * dk), (x,)), (1, -1, (x,))]
+         for x, (dk, _) in entries.items()])
+    return _table_iso(dict(zip(entries, residuals)), window)
 
 
 def vm_matching_b(spec_v: WeightModuleSpec) -> Fraction:

@@ -656,6 +656,14 @@ def test_saturation_rejects_oversized_seed():
         submodule_saturate(make_gamma(1, 0, 0), PolyHH.term(9, 0), cap=(8, 8))
 
 
+@pytest.mark.parametrize("cap", [(8, -1), (-1, 8)])
+@pytest.mark.parametrize("seed", [ONE, PolyHH.zero()])
+def test_saturation_rejects_a_negative_cap_before_the_seed(cap, seed):
+    # the error names the cap, not the seed, which fits inside (8, 8)
+    with pytest.raises(ValueError, match=r"cap \(.*\) has a negative entry"):
+        submodule_saturate(make_gamma(1, 0, 0), seed, cap=cap)
+
+
 def test_simplicity_criterion_free():
     assert simplicity_criterion_free(make_gamma(1, 5, -3)).simple
     assert simplicity_criterion_free(make_theta_mod(2, 0, 0)).simple

@@ -8,17 +8,18 @@ from functools import partial
 import pytest
 from adjoint_views import fraction_view, integer_table
 
-from takiffrep import functors
+from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
-from takiffrep.freemod import _ks_add_into, _ks_compose_into, _ks_tables
+from takiffrep.freemod import _ks_compose_into, _ks_tables, ks_residuals
 from takiffrep.functors import (LinearWindowMap, _window_iso, apply_localized,
                                 check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
-from takiffrep.linalg import nullspace
+from takiffrep.linalg import nullspace, vec_axpy
 from takiffrep.poly import PolyHH, random_rational
-from takiffrep.weightmod import (Window, act_weight, make_weight_m,
+from takiffrep.weightmod import (Window, act_weight, act_weight_word,
+                                 dual_consistency, make_weight_m,
                                  make_weight_n, make_weight_v,
                                  random_weight_spec, wv_scale, wv_text,
                                  wv_unit)
@@ -327,14 +328,92 @@ def test_composed_tables_match_act_weight_pointwise():
                         (spec, x, y, k, s)
 
 
+def _residual_scale(adjoints, identities):
+    """M of ``freemod.ks_residuals``: the product of S_i^(L_i), S_i the
+    scale ``_ks_tables`` reads adjoint i at and L_i the longest word on
+    it."""
+    out = 1
+    for i, adjoint in enumerate(adjoints):
+        longest = max((len(word) for identity in identities
+                       for j, _, word in identity if j == i), default=0)
+        out *= _ks_tables(adjoint)[0] ** longest
+    return out
+
+
+def _identity_image(specs, identity, k, s):
+    """sum c * word.eta_{k,s} over the terms (i, c, word), each word
+    applied through ``act_weight`` on specs[i], rightmost letter first."""
+    out = {}
+    for i, c, word in identity:
+        out = vec_axpy(out, c, act_weight_word(specs[i], word, wv_unit(k, s)))
+    return out
+
+
+KS_GRID = [(k, s) for k in range(-2, 3) for s in range(1, 5)]
+
+
+def test_ks_residuals_match_act_weight_pointwise():
+    # the oracle applies every word letter by letter through act_weight;
+    # each identity holds 2-letter words on every adjoint, with the same
+    # letters, so that a shift cache shared by the adjoints shows
+    rng = random.Random(509)
+    nonzero = 0
+    for n in range(18):
+        specs = [random_weight_spec(rng, rng.choice("MNV"))
+                 for _ in range(1 + n % 2)]
+        pair = (rng.choice(GENERATORS), rng.choice(GENERATORS))
+        identities = []
+        for _ in range(3):
+            identity = [(i, random_rational(rng, nonzero=True), pair)
+                        for i in range(len(specs))]
+            for _ in range(rng.randint(0, 4)):
+                word = tuple(rng.choice(GENERATORS)
+                             for _ in range(rng.randint(0, 3)))
+                identity.append((rng.randrange(len(specs)),
+                                 random_rational(rng, nonzero=True), word))
+            identities.append(identity)
+        adjoints = [spec.adjoint for spec in specs]
+        scale = _residual_scale(adjoints, identities)
+        residuals = ks_residuals(adjoints, identities)
+        assert len(residuals) == len(identities)
+        for identity, table in zip(identities, residuals):
+            assert all(not p.is_zero() for p in table.values())
+            nonzero += bool(table)
+            for k, s in KS_GRID:
+                assert _table_image(table, k, s) == wv_scale(
+                    scale, _identity_image(specs, identity, k, s)), \
+                    (specs, identity, k, s)
+    assert nonzero
+
+
+def test_ks_residuals_are_empty_exactly_on_identities():
+    # a word against its own image, and the bracket identities
+    rng = random.Random(510)
+    for family in "MNV":
+        spec = random_weight_spec(rng, family)
+        x, y = "e", "f"
+        holds = [[(0, 1, (x, y)), (0, -1, (y, x)), (0, -1, ("h",))],
+                 [(0, F(2, 3), ()), (0, F(-2, 3), ())],
+                 [(0, 3, (x,)), (1, -3, (x,))]]
+        fails = [[(0, 1, (x, y)), (0, -1, (y, x))],
+                 [(0, 1, ())]]
+        out = ks_residuals([spec.adjoint, spec.adjoint], holds + fails)
+        assert [not table for table in out] == [True] * 3 + [False] * 2
+
+
 def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
-    # check_twist_iso hands _table_iso the residual Theta_z(y) - target(y);
-    # adding the target's table back gives the table of Theta_z(y)
+    # check_twist_iso hands ks_residuals Theta_z(y) on the source and -y
+    # on the target; the residual at (k, s) is M times twisted_act minus
+    # the target's action
     rng = random.Random(507)
-    residuals = {}
-    monkeypatch.setattr(functors, "_table_iso",
-                        lambda sums, window, details=None:
-                        residuals.update(sums))
+    calls = []
+
+    def recorded(adjoints, identities):
+        out = ks_residuals(adjoints, identities)
+        calls.append((adjoints, identities, out))
+        return out
+
+    monkeypatch.setattr(functors, "ks_residuals", recorded)
     failing = 0
     for i in range(6):
         spec = random_weight_spec(rng, "M")
@@ -343,29 +422,38 @@ def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
         target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                                spec.a, spec.b + i % 2)
         monkeypatch.setattr(functors, "make_weight_m", lambda *args: target)
-        residuals.clear()
-        check_twist_iso(z, spec)
-        failing += any(c for sums in residuals.values() for c in sums.values())
-        target_scale, target_tables = _ks_tables(target.adjoint)
-        for y in GENERATORS:
-            sums = {key: dict(c) for key, c in residuals[y].items()}
-            _ks_add_into(sums, target_tables[y], F(1, target_scale))
-            table = {key: PolyHH._adopt(c) for key, c in sums.items() if c}
+        calls.clear()
+        res = check_twist_iso(z, spec)
+        (adjoints, identities, residuals), = calls
+        assert adjoints[1] == target.adjoint
+        failing += not res.intertwines
+        assert res.intertwines == (not any(residuals))
+        scale = _residual_scale(adjoints, identities)
+        for y, table in zip(GENERATORS, residuals):
             for k, s in GRID:
-                assert _table_image(table, k, s) == \
-                    twisted_act(z, spec, y, wv_unit(k, s)), (spec, z, y, k, s)
+                want = vec_axpy(twisted_act(z, spec, y, wv_unit(k, s)), -1,
+                                act_weight(target, y, wv_unit(k, s)))
+                assert _table_image(table, k, s) == wv_scale(scale, want), \
+                    (spec, z, y, k, s)
     assert failing == 3
 
 
-def test_table_proofs_add_only_int_or_fraction_multiples(monkeypatch):
-    # each table enters a residual once, times an exact int or Fraction
+def _record_weights(monkeypatch):
+    """The type of every multiple a table is added into a residual with."""
     seen = []
+    add = freemod._ks_add_into
 
     def recorded(out, table, c):
         seen.append(type(c))
-        _ks_add_into(out, table, c)
+        add(out, table, c)
 
-    monkeypatch.setattr(functors, "_ks_add_into", recorded)
+    monkeypatch.setattr(freemod, "_ks_add_into", recorded)
+    return seen
+
+
+def test_table_proofs_add_only_int_or_fraction_multiples(monkeypatch):
+    # each table enters a residual times an exact int or Fraction
+    seen = _record_weights(monkeypatch)
     spec = make_weight_m(F(1, 2), F(-3, 5), F(2, 3), F(-9, 25), F(-7, 4))
     for z in (2, F(-3, 2)):
         assert check_twist_iso(z, spec, Window(-2, 2, 3)).intertwines
@@ -374,6 +462,36 @@ def test_table_proofs_add_only_int_or_fraction_multiples(monkeypatch):
         spec_b = replace(spec_a, lam=F(-5, 7))
         assert lambda_rescale_iso(spec_a, spec_b, Window(-2, 2, 3)).intertwines
     assert seen and set(seen) <= {int, F}, set(seen)
+
+
+def test_twist_proof_adds_int_multiples_at_an_integer_z(monkeypatch):
+    # Theta_z has int coefficients at an int z, and eb^-1's entry is whole
+    # on M, so every weight c M / S^n is an int: none is a Fraction
+    seen = _record_weights(monkeypatch)
+    spec = make_weight_m(F(1, 2), F(-3, 5), F(2, 3), F(-9, 25), F(-7, 4))
+    assert type(functors._ebinv_entry(spec)[1][0][2]) is int
+    for z in (2, -3, F(4)):
+        assert check_twist_iso(z, spec, Window(-2, 2, 3)).intertwines
+    assert seen and set(seen) == {int}, set(seen)
+
+
+def test_twist_builds_the_parent_table_once(monkeypatch):
+    # the source M(alpha) and the target M(alpha - 2z) share Gamma(lam, a,
+    # b), and so does the duality proof; parameters no other test draws
+    builds = []
+    gamma = freemod._OP_TABLES["gamma"]
+
+    def counted(spec):
+        builds.append(spec)
+        return gamma(spec)
+
+    monkeypatch.setitem(freemod._OP_TABLES, "gamma", counted)
+    spec = make_weight_m(F(5, 19), F(-11, 23), F(-31, 17), F(29, 13),
+                         F(-23, 11))
+    assert check_twist_iso(F(3, 7), spec, Window(-1, 1, 2)).intertwines
+    assert len(builds) == 1
+    assert dual_consistency(spec)["ok"]
+    assert len(builds) == 1
 
 
 def test_lambda_rescale_iso_rejects_v_family():
