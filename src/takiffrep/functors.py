@@ -345,8 +345,9 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     column matching, and the hbar equations hold identically.  Each
     kernel vector is expanded to the entries T[k, s_in, s_out] and the
     kernel is put in reduced echelon form with each pivot at its largest
-    entry, in free-entry order, the basis ``nullspace`` gives for the
-    entries themselves.
+    entry, in free-entry order: the basis ``nullspace`` would give for the
+    entries themselves, each vector ending at its own free entry, which
+    is 1, and vanishing at every other free entry.
 
     Every generator's image of every domain-window and codomain-window
     basis functional is computed once, as an integer vector scaled by a

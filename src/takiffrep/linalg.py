@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals with sparse dict vectors.
 
 Vectors are dicts from hashable coordinate keys (monomial exponents, weight
-basis indices, ...) to nonzero Fractions or ints.  There is one
-elimination, the incremental reduced row-echelon form of ``RowBasis``.  It
-is fraction-free (Bareiss, Math. Comp. 22, 1968): rows are stored as
-primitive integer vectors and reduced by gcd cross-multiplication, and
-Fractions appear only where rows leave it.  ``nullspace`` reads its kernels
-off that form.  Everything is exact; no floats anywhere.
+basis indices, ...) to nonzero Fractions or ints.  There are two
+eliminations, both fraction-free (Bareiss, Math. Comp. 22, 1968): vectors
+are stored as primitive integer vectors, combined by gcd
+cross-multiplication, and Fractions appear only where vectors leave them.
+``RowBasis`` is the incremental reduced row-echelon form of a row space.
+``nullspace`` is its column dual: it eliminates the kernel itself, so an
+equation that depends on the earlier ones costs one dot product per
+kernel vector.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -144,31 +146,73 @@ class RowBasis:
 def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
     """Basis of the solution space of a homogeneous system.
 
-    ``equations`` are linear forms in the unknowns named by ``columns``;
-    the returned vectors assign a Fraction to every column in their
-    support.  One basis vector per free column, in column order, with that
-    column set to 1.  Once the rank reaches the number of columns the
-    kernel is zero, so the remaining equations are only checked for
-    unknown columns, not reduced.
+    ``equations`` are linear forms in the unknowns named by ``columns``,
+    which must be distinct; the returned vectors assign a Fraction to every
+    column in their support.  One basis vector per free column, in column
+    order, with that column set to 1.
+
+    The kernel is eliminated directly (the column dual of Bareiss's
+    fraction-free step): it is kept as one primitive integer vector per
+    still-free column, starting from the unit vectors, and each vector's
+    pivot is its last column in ``columns`` order.  An equation holding a
+    Fraction is first cleared to a primitive integer row; it is then
+    evaluated on every kernel vector.  When every value is 0 the equation
+    depends on the earlier ones and costs nothing more.  Otherwise the
+    vector v_p with the earliest pivot among those with a nonzero value w_p
+    is dropped, and each other vector v with value w becomes
+    |w_p| v - sign(w_p) w v_p, content divided out, which vanishes on the
+    equation.  v_p's support ends before v's pivot, so every pivot stays
+    the last column of its vector; and v_p holds no other vector's pivot,
+    so no vector comes to hold one.  The vectors stay independent and span
+    the kernel of the equations so far.  Their pivots are therefore
+    exactly the columns that end some kernel vector, which are the free
+    columns of the reduced row-echelon form with pivots at first columns,
+    and dividing each vector by its pivot entry gives the one kernel
+    vector that is 1 at its pivot and 0 at every other free column.
+
+    Once no kernel vector is left, the remaining equations are only
+    checked for unknown columns.
     """
-    col_index = {c: i for i, c in enumerate(columns)}
-    basis = RowBasis(key=col_index.__getitem__)
+    known = set(columns)
+    if len(known) < len(columns):
+        raise ValueError("nullspace columns repeat a name")
+    # (pivot, vector) in pivot order
+    kernel = [(c, {c: 1}) for c in columns]
     for eq in equations:
+        ints = True
         for c, x in eq.items():
-            if x and c not in col_index:
-                raise ValueError(f"equation touches unknown column {c!r}")
-        if basis.rank < len(col_index):
-            basis.add(eq)
-    # the stored rows are multiples of the reduced row-echelon form, keyed
-    # by pivot
-    pivot_rows = basis._rows
-    kernel: List[Vec] = []
-    for free in columns:
-        if free in pivot_rows:
+            if x:
+                if c not in known:
+                    raise ValueError(f"equation touches unknown column {c!r}")
+                if type(x) is not int:
+                    ints = False
+        if not kernel:
             continue
-        v: Vec = {free: Fraction(1)}
-        for lead, row in pivot_rows.items():
-            if free in row:
-                v[lead] = Fraction(-row[free], row[lead])
-        kernel.append(v)
-    return kernel
+        if not ints:
+            eq = vec_primitive(eq)
+        hit = None
+        values = []
+        for i, (_, v) in enumerate(kernel):
+            w = 0
+            for c, x in eq.items():
+                y = v.get(c)
+                if y:
+                    w += x * y
+            if w and hit is None:
+                hit = i
+            values.append(w)
+        if hit is None:
+            continue
+        # the vectors before the hit vanish on eq and stay as they are
+        v_p, w_p = kernel[hit][1], values[hit]
+        scale, sign = (w_p, 1) if w_p > 0 else (-w_p, -1)
+        survivors = kernel[:hit]
+        for (pivot, v), w in zip(kernel[hit + 1:], values[hit + 1:]):
+            if w:
+                if scale != 1:
+                    v = {c: scale * x for c, x in v.items()}
+                v = _divide_content(_subtract(v, sign * w, v_p))
+            survivors.append((pivot, v))
+        kernel = survivors
+    return [{c: Fraction(x, v[pivot]) for c, x in v.items()}
+            for pivot, v in kernel]

@@ -6,6 +6,13 @@ is also solved as a dense sympy Matrix.  Column names are arbitrary
 hashables listed in a shuffled order, which fixes the elimination order.
 RowBasis computes over the integers, so it is also fed mixed int and
 Fraction entries with large denominators.
+
+``nullspace`` eliminates the kernel directly rather than the rows, so a
+second oracle, ``rowbasis_nullspace_oracle``, reads the kernel off the
+reduced row-echelon form of ``RowBasis``.  The two are compared on seeded
+tall systems shaped like the weight-module searches: many sparse rows,
+most of them duplicates, multiples or combinations of a few others, with
+huge integer or Fraction entries; sympy checks a subset of them.
 """
 
 import math
@@ -15,6 +22,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from takiffrep import linalg
 from takiffrep.linalg import RowBasis, nullspace
 
 F = Fraction
@@ -186,15 +194,130 @@ def test_nullspace_rejects_unknown_column():
         nullspace([{"x": F(1), "z": F(2)}], ["x", "y"])
 
 
+def test_nullspace_rejects_repeated_columns():
+    with pytest.raises(ValueError, match="repeat"):
+        nullspace([], ["x", "x"])
+    with pytest.raises(ValueError, match="repeat"):
+        nullspace([{"x": F(1), "y": F(-1)}], ["x", "y", "x"])
+
+
 def test_nullspace_stops_reducing_at_full_rank(monkeypatch):
-    added = []
-    add = RowBasis.add
-    monkeypatch.setattr(RowBasis, "add",
-                        lambda self, v: added.append(v) or add(self, v))
+    # every row holds a Fraction, so nullspace passes each row it uses
+    # through vec_primitive; the patched one records the row and returns
+    # entries that log every product taken with them
+    cleared, products = [], []
+
+    class Logged(int):
+        def __mul__(self, other):
+            products.append(len(cleared))
+            return int(self) * other
+        __rmul__ = __mul__
+
+    primitive = linalg.vec_primitive
+    monkeypatch.setattr(linalg, "vec_primitive", lambda v: cleared.append(v)
+                        or {k: Logged(x) for k, x in primitive(v).items()})
     rows = [{"x": F(1), "y": F(1)}, {"x": F(1), "y": F(-1)},
             {"x": F(2), "y": F(3)}, {"x": F(1, 2)}, {"y": F(7)}]
     assert nullspace(rows, ["x", "y"]) == []
-    assert len(added) == 2
+    # the kernel is empty after two rows: the other three are neither
+    # cleared nor multiplied
+    assert cleared == rows[:2]
+    assert set(products) == {1, 2}
     # an unknown column after full rank is still refused
     with pytest.raises(ValueError, match="unknown column 'z'"):
         nullspace(rows + [{"z": F(1)}], ["x", "y"])
+
+
+def rowbasis_nullspace_oracle(equations, columns):
+    """The kernel read off the reduced row-echelon form of RowBasis: one
+    vector per free column, in column order, with that column set to 1."""
+    col_index = {c: i for i, c in enumerate(columns)}
+    basis = RowBasis(key=col_index.__getitem__)
+    for eq in equations:
+        basis.add(eq)
+    pivot_rows = {min(row, key=col_index.__getitem__): row
+                  for row in basis.rows()}
+    kernel = []
+    for free in columns:
+        if free in pivot_rows:
+            continue
+        v = {free: F(1)}
+        for lead, row in pivot_rows.items():
+            if free in row:
+                v[lead] = -row[free]
+        kernel.append(v)
+    return kernel
+
+
+def tall_system(rng, entry):
+    """A seeded sparse system of 40-120 rows on 6-20 columns whose kernel
+    has dimension 0-4, built from independent echelon rows by repeating,
+    scaling and combining them; returns (rows, columns, kernel dim)."""
+    n_cols = rng.randint(6, 20)
+    columns = [("u", i) for i in range(n_cols)]
+    rng.shuffle(columns)
+    dim = rng.randint(0, min(4, n_cols))
+    leads = rng.sample(range(n_cols), n_cols - dim)
+    base = []
+    for lead in leads:
+        row = {columns[lead]: entry(rng)}
+        later = range(lead + 1, n_cols)
+        for j in rng.sample(later, min(len(later), rng.randint(0, 3))):
+            row[columns[j]] = entry(rng)
+        base.append(row)
+    rows = [{k: entry(rng) * x for k, x in row.items()} for row in base]
+    n_rows = rng.randint(40, 120)
+    while len(rows) < n_rows:
+        roll = rng.random()
+        if roll < 0.05:
+            rows.append({})
+        elif roll < 0.45:
+            rows.append(dict(rng.choice(rows)))
+        elif roll < 0.7:
+            c = entry(rng)
+            rows.append({k: c * x for k, x in rng.choice(rows).items()})
+        else:
+            v = {}
+            for row in rng.sample(rows, 2):
+                c = entry(rng)
+                for k, x in row.items():
+                    v[k] = v.get(k, 0) + c * x
+            rows.append(v)
+    rng.shuffle(rows)
+    return rows, columns, dim
+
+
+def huge_int(rng):
+    return rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.choice([2, 20, 180]))
+
+
+def huge_fraction(rng):
+    return F(huge_int(rng), rng.randint(1, 2 ** rng.choice([1, 30, 120])))
+
+
+def small_int(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 3])
+
+
+def tall_systems():
+    rng = random.Random(704)
+    return [tall_system(rng, entry)
+            for entry in (small_int, huge_int, huge_fraction) * 8]
+
+
+def test_nullspace_matches_rowbasis_oracle_on_tall_systems():
+    dims = set()
+    for rows, columns, dim in tall_systems():
+        got = nullspace(rows, columns)
+        assert got == rowbasis_nullspace_oracle(rows, columns)
+        assert len(got) == dim
+        assert all(type(x) is Fraction for v in got for x in v.values())
+        dims.add(dim)
+    assert dims == {0, 1, 2, 3, 4}
+
+
+def test_nullspace_matches_sympy_on_tall_systems():
+    for rows, columns, _ in tall_systems()[::5]:
+        want = [from_sympy(v, columns)
+                for v in to_matrix(rows, columns).nullspace()]
+        assert nullspace(rows, columns) == want
