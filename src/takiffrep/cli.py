@@ -389,6 +389,9 @@ def _suite_iso_check(cfg, args, rng, window):
 
 
 def _suite_intertwine(cfg, args, rng, window):
+    for key in sorted(cfg):  # a side's keys are read only with its family
+        if key[:2] in ("a_", "b_") and key[:2] + "family" not in cfg:
+            raise ValueError(f"config key {key!r}: needs {key[:2]}family")
     spec_a = _weight_spec_from_cfg(cfg, prefix="a_") if "a_family" in cfg \
         else weightmod.make_weight_n(0, 1, 1, 3, Fraction(1, 2))
     spec_b = _weight_spec_from_cfg(cfg, prefix="b_") if "b_family" in cfg \

@@ -9,8 +9,9 @@ proves the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
 an isomorphism of actions, and ``lambda_rescale_iso`` proves the lambda
 rescaling, both for every (k, s) at once as identity lists for
 ``freemod.ks_residuals``, the one (k, s) prover; the window scopes only
-the reported rank and failing probe.  ``vm_iso_check``,
-whose map holds e-powers, is checked on the window.
+the reported rank and failing probe.  ``vm_iso_check``, whose map
+holds e-powers, is checked on the window.  Every rank is read off its
+map's triangular shape, never eliminated.
 
 ``intertwiner_search`` solves for all window-supported linear maps
 commuting with the action.  Columns are matched by exact h-eigenvalue
@@ -22,11 +23,11 @@ column as -beta - N with N nilpotent, so the space is zero unless the
 betas agree, and otherwise each column's map is a polynomial in N, S
 unknowns per column for s_max = S; only the e, f, eb and fb probes give
 equations.  Each side's generator images are read once off its adjoint
-table, as integer vectors, so the equations are integer rows.  Its
-``verified`` flag does not reuse those equations: every basis map is
-checked on the interior probes, h and hbar included, against the full,
-unrelaxed codomain images, through the same map check the explicit
-isomorphisms go through.
+table, as integer vectors, so the equations are integer rows, and one
+``nullspace`` call gives the reported basis.  Its ``verified`` flag does
+not reuse those equations: every basis map is checked on the interior
+probes, h and hbar included, against the full, unrelaxed codomain
+images, through the same map check the explicit isomorphisms go through.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
 from .freemod import KSTable, ks_residuals
-from .linalg import RowBasis, nullspace, vec_axpy, vec_primitive
+from .linalg import nullspace, vec_axpy, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
                         act_weight, apply_adjoint, make_weight_m, unit_images,
@@ -115,11 +116,6 @@ def _first_failure(probes, act_a, act_b, phi) -> Optional[dict]:
     return None
 
 
-def _rank(vectors) -> int:
-    basis = RowBasis()
-    return sum(1 for v in vectors if basis.add(v))
-
-
 def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
     """scale * sum v[key] * columns[key], columns[key] the image of eta_key."""
     out: WeightVec = {}
@@ -136,12 +132,12 @@ def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
 
 def _window_iso(window: Window, act_a, act_b, phi,
                 details: dict | None = None) -> IsoCheckResult:
-    """Check phi against every generator on every window basis functional;
-    the rank is that of phi on the window basis."""
+    """Check phi, injective on the window basis, against every generator on
+    every window basis functional; the rank is the window's index count."""
     failing = _first_failure(
         ((k, s, x) for (k, s) in window.indices() for x in GENERATORS),
         act_a, act_b, phi)
-    rank = _rank(phi(wv_unit(k, s)) for (k, s) in window.indices())
+    rank = (window.k_max - window.k_min + 1) * window.s_max
     return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
                           failing_probe=failing, details=details)
 
@@ -259,7 +255,9 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
     (e-powers computed inside V).  It intertwines exactly when spec_m is
     the matched M module; the check also reports whether the scalar
     identity ((beta-a)/lam) alpha1(beta) - lam (beta+a) beta1(beta) - 2a
-    equals spec_m.b as a polynomial identity in beta.
+    equals spec_m.b as a polynomial identity in beta.  For any spec_m the
+    map is triangular: V's e entry at (m, r) = (1, 0) is lam (beta + a) on
+    every column, so phi(eta_{k,s}) is c^k eta_{k,s} plus lower s terms.
     """
     if spec_v.family != "V" or spec_m.family != "M":
         raise ValueError("vm_iso_check maps an M spec onto a V spec")
@@ -298,8 +296,6 @@ class LinearWindowMap:
     images live in the codomain window by construction.
     """
 
-    domain_window: Window
-    codomain_window: Window
     columns: Dict[Tuple[int, int], WeightVec]
 
     def apply(self, v: WeightVec) -> WeightVec:
@@ -312,7 +308,9 @@ class LinearWindowMap:
         return all(not col for col in self.columns.values())
 
     def rank(self) -> int:
-        return _rank(self.columns.values())
+        """The number of nonzero images: a map the search returns is
+        sum_{j >= j0} t_j N^j on each column, into a column of its own."""
+        return sum(1 for col in self.columns.values() if col)
 
 
 def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
@@ -342,12 +340,14 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
 
     So the unknowns are the S numbers t_{k,j} per column, and only the e,
     f, eb and fb probes give equations: the h equations cancel under the
-    column matching, and the hbar equations hold identically.  Each
-    kernel vector is expanded to the entries T[k, s_in, s_out] and the
-    kernel is put in reduced echelon form with each pivot at its largest
-    entry, in free-entry order: the basis ``nullspace`` would give for the
-    entries themselves, each vector ending at its own free entry, which
-    is 1, and vanishing at every other free entry.
+    column matching, and the hbar equations hold identically.  Listed
+    with k ascending and, within each k, j descending, the unknowns make
+    each ``nullspace`` vector 1 at its last unknown (k_p, j_p) and 0 at
+    the others'.  An entry T[k, s_in, s_out] = t_{k,j} perm(s_in - 1, j)
+    belongs to the one unknown j = s_in - s_out, so divided by
+    perm(S - 1, j_p) each map is 1 at its largest entry (k_p, S, S - j_p)
+    and the others vanish there: the maps are the reduced echelon basis
+    of the entries, in pivot order, as ``nullspace`` would give it.
 
     Every generator's image of every domain-window and codomain-window
     basis functional is computed once, as an integer vector scaled by a
@@ -393,23 +393,20 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
                 row[(k2, j)] = row.get((k2, j), 0) - d_b * perm(s2 - 1, j) * c
     kernel = nullspace(list(equations.values()),
                        [(k, j) for k in range(window.k_min, window.k_max + 1)
-                        for j in range(window.s_max)])
-
-    echelon = RowBasis(key=lambda entry: (-entry[0], -entry[1], -entry[2]))
-    for sol in kernel:
-        echelon.add({(k, s_in, s_in - j): c * perm(s_in - 1, j)
-                     for (k, j), c in sol.items()
-                     for s_in in range(j + 1, window.s_max + 1)})
-    kernel = echelon.rows()[::-1]
+                        for j in reversed(range(window.s_max))])
 
     def window_map(sol) -> LinearWindowMap:
-        columns: Dict[Tuple[int, int], WeightVec] = {
-            key: {} for key in window.indices()}
-        for (k, s_in, s_out), c in sol.items():
-            columns[(k, s_in)][(k + delta, s_out)] = c
-        return LinearWindowMap(window, cod, columns)
+        columns = {key: {} for key in window.indices()}
+        for (k, j), c in sol.items():
+            for s in range(j + 1, window.s_max + 1):
+                columns[(k, s)][(k + delta, s - j)] = c * perm(s - 1, j)
+        return LinearWindowMap(columns)
 
-    maps = [window_map(sol) for sol in kernel]
+    maps = []
+    for sol in kernel:
+        _, j_p = max(sol, key=lambda kj: (kj[0], -kj[1]))  # last unknown
+        norm = perm(window.s_max - 1, j_p)
+        maps.append(window_map({kj: c / norm for kj, c in sol.items()}))
     act_a = lambda x, v: _apply_columns(images_a[x], v, d_b)
     act_b = lambda x, v: _apply_columns(images_b[x], v, d_a)
     verified = all(

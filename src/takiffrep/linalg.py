@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List
 
 Vec = Dict[Hashable, Fraction]
 IntVec = Dict[Hashable, int]
@@ -76,15 +76,14 @@ def _subtract(v: IntVec, t: int, w: IntVec) -> IntVec:
 class RowBasis:
     """An incrementally built reduced row-echelon basis.
 
-    ``key`` orders the coordinates (defaults to natural ordering); the
-    pivot of each stored row is its smallest coordinate, and rows are
-    mutually reduced, so membership tests are canonical.  Each row is kept
-    as the primitive integer vector with a positive pivot coefficient;
-    ``rows()`` returns the same rows normalized to pivot coefficient 1.
+    The pivot of each stored row is its smallest coordinate (relabel the
+    coordinates for another order), and rows are mutually reduced, so
+    membership tests are canonical.  Each row is kept as the primitive
+    integer vector with a positive pivot coefficient; ``rows()`` returns
+    the same rows normalized to pivot coefficient 1.
     """
 
-    def __init__(self, key: Optional[Callable] = None):
-        self._key = key if key is not None else (lambda k: k)
+    def __init__(self):
         self._rows: Dict[Hashable, IntVec] = {}
 
     def reduce(self, v: Vec) -> IntVec:
@@ -113,7 +112,7 @@ class RowBasis:
         v = self.reduce(v)
         if not v:
             return False
-        lead = min(v, key=self._key)
+        lead = min(v)
         if v[lead] < 0:
             v = {k: -x for k, x in v.items()}
         # keep the basis mutually reduced; each row is multiplied by a
@@ -137,7 +136,7 @@ class RowBasis:
     def rows(self) -> List[Vec]:
         """The reduced rows in pivot order, each with pivot coefficient 1."""
         out = []
-        for p in sorted(self._rows, key=self._key):
+        for p in sorted(self._rows):
             row = self._rows[p]
             out.append({k: Fraction(x, row[p]) for k, x in row.items()})
         return out

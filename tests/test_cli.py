@@ -294,6 +294,20 @@ def test_intertwine_explicit_specs(capsys, tmp_path):
     assert doc["cases"][0]["dimension"] == 1
 
 
+def test_intertwine_refuses_a_prefixed_key_without_its_family(capsys,
+                                                              tmp_path):
+    # without a_family no a_* key is read, so running the default spec
+    # would report it under a config that names other parameters
+    cfg = tmp_path / "i.cfg"
+    for config, key in (("a_beta=2\nb_beta=2\n", "a_beta"),
+                        ("a_family=M\nb_lambda=2\n", "b_lambda")):
+        cfg.write_text(config)
+        assert main(["intertwine", "--config", str(cfg)]) == 2, config
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key {key!r}" in captured.err, config
+
+
 def test_seed_flag_overrides_config(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed=5\n")
@@ -482,9 +496,20 @@ GOLDEN_CASES = [
      "window=0:0:3\n"),
     ("intertwine_beta_mismatch.json", "intertwine",
      "a_family=M\na_beta=1\nb_family=M\nb_beta=2\nexpect_dimension=0\n"),
+    # saved while the intertwiner search still re-eliminated its kernel
+    # for the reported basis and every rank was eliminated: on 0:0:3 the
+    # first of three maps has rank 1, so the basis order sets the bytes
+    ("intertwine_window_0_0_3.json", "intertwine", "window=0:0:3\n"),
+    ("intertwine_commutant_wide.json", "intertwine",
+     "a_family=M\na_alpha=0\na_beta=0\na_lambda=1\na_a=0\na_b=0\n"
+     "b_family=M\nb_alpha=0\nb_beta=0\nb_lambda=1\nb_a=0\nb_b=0\n"
+     "window=-3:3:5\n"),
+    ("iso_check_vm_wrong_b.json", "iso-check", "kinds=vm\nb_m=5\n"),
+    ("iso_check_window_0_0_1.json", "iso-check", "window=0:0:1\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
-GOLDEN_EXIT = {"intertwine_unverified.json": 1}
+GOLDEN_EXIT = {"intertwine_unverified.json": 1,
+               "iso_check_vm_wrong_b.json": 1}
 
 
 @pytest.mark.parametrize("name, suite, config", GOLDEN_CASES,

@@ -16,7 +16,7 @@ from takiffrep.functors import (LinearWindowMap, _window_iso, apply_localized,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
-from takiffrep.linalg import nullspace, vec_axpy
+from takiffrep.linalg import RowBasis, nullspace, vec_axpy
 from takiffrep.poly import PolyHH, random_rational
 from takiffrep.weightmod import (Window, act_weight, act_weight_word,
                                  dual_consistency, make_weight_m,
@@ -544,6 +544,41 @@ def test_vm_iso_check_random_matched_pairs():
         made += 1
 
 
+def rowbasis_rank(vectors):
+    """The rank of ``vectors`` by elimination: the oracle of the ranks the
+    library reads off each map's shape."""
+    basis = RowBasis()
+    return sum(1 for v in vectors if basis.add(v))
+
+
+def test_vm_iso_check_rank_is_the_window_index_count():
+    # the map is built here from its formula, so the rank is checked
+    # against elimination on matched and mismatched pairs alike
+    rng = random.Random(509)
+    windows = [Window(0, 0, 1), Window(-2, 2, 3), Window(-1, 3, 5)]
+    moved = 0
+    for trial in range(24):
+        v = random_weight_spec(rng, "V")
+        if v.beta + v.a == 0:
+            continue
+        m = vm_matching_m_spec(v)
+        if trial % 2:
+            m = replace(m, b=m.b + random_rational(rng))
+            moved += m.b != vm_matching_b(v)
+        win = windows[trial % 3]
+        c = 2 / (v.beta + v.a)
+        images = []
+        for k, s in win.indices():
+            w = wv_unit(k + s - 1, 1)
+            for _ in range(s - 1):
+                w = act_weight(v, "e", w)
+            images.append(wv_scale(c ** (k + s - 1) / (2 * v.lam) ** (s - 1),
+                                   w))
+        res = vm_iso_check(v, m, win)
+        assert res.rank == rowbasis_rank(images) == len(images), (v, win)
+    assert moved >= 6
+
+
 def test_vm_iso_check_validates_inputs():
     v = make_weight_v(0, 1, 1, -1, (F(1),))  # beta + a = 0
     with pytest.raises(ValueError):
@@ -645,7 +680,7 @@ def intertwiner_oracle(spec_a, spec_b, window):
         columns = {key: {} for key in window.indices()}
         for (k, s_in, s_out), c in sol.items():
             columns[(k, s_in)][(k + delta, s_out)] = c
-        maps.append(LinearWindowMap(window, cod, columns))
+        maps.append(LinearWindowMap(columns))
     verified = all(
         act_weight(spec_b, y, m.apply(wv_unit(k, s)))
         == m.apply(act_weight(spec_a, y, wv_unit(k, s)))
@@ -708,6 +743,8 @@ def test_intertwiner_search_matches_oracle(window):
             assert got[key] == want[key], (key, spec_a, spec_b)
         assert [m.columns for m in got["maps"]] == \
             [m.columns for m in want["maps"]], (spec_a, spec_b)
+        assert [m.rank() for m in got["maps"]] == \
+            [rowbasis_rank(m.columns.values()) for m in got["maps"]]
         dimensions.add((got["dimension"], got["verified"], win == window))
     for pair in mismatches:
         got = intertwiner_search(*pair)

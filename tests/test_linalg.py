@@ -3,7 +3,9 @@
 sympy is the independent oracle: each seeded random sparse rational
 system, with zero rows, duplicate rows and explicit zero entries mixed in,
 is also solved as a dense sympy Matrix.  Column names are arbitrary
-hashables listed in a shuffled order, which fixes the elimination order.
+hashables listed in a shuffled order, which fixes the elimination order;
+RowBasis pivots at the smallest coordinate, so its tests relabel each
+column to its index in that order.
 RowBasis computes over the integers, so it is also fed mixed int and
 Fraction entries with large denominators.
 
@@ -81,17 +83,29 @@ def test_nullspace_vectors_solve_every_equation():
                 assert sum(c * v.get(k, 0) for k, c in row.items()) == 0
 
 
+def relabel(v, columns):
+    """v with each column renamed to its index in ``columns``, so that
+    RowBasis, which pivots at the smallest coordinate, eliminates in the
+    order ``columns`` lists."""
+    index = {c: i for i, c in enumerate(columns)}
+    return {index[c]: x for c, x in v.items()}
+
+
+def unlabel(v, columns):
+    """The inverse of ``relabel``."""
+    return {columns[i]: x for i, x in v.items()}
+
+
 def test_rowbasis_is_the_reduced_echelon_form():
     rng = random.Random(702)
     for rows, columns in systems():
-        order = {c: i for i, c in enumerate(columns)}
-        basis = RowBasis(key=order.__getitem__)
+        basis = RowBasis()
         for row in rows:
-            basis.add(row)
+            basis.add(relabel(row, columns))
         mat = to_matrix(rows, columns)
         rref, pivots = mat.rref()
         want = [from_sympy(rref.row(i), columns) for i in range(len(pivots))]
-        assert basis.rows() == want
+        assert [unlabel(row, columns) for row in basis.rows()] == want
         assert basis.rank == mat.rank()
         # membership: combinations of the equations, and random vectors
         for _ in range(5):
@@ -105,7 +119,8 @@ def test_rowbasis_is_the_reduced_echelon_form():
                 v = {col: F(rng.randint(-2, 2))
                      for col in rng.sample(columns, min(2, len(columns)))}
             stacked = to_matrix(rows + [v], columns)
-            assert basis.contains(v) == (stacked.rank() == mat.rank())
+            assert basis.contains(relabel(v, columns)) == \
+                (stacked.rank() == mat.rank())
 
 
 def big_entry(rng):
@@ -145,20 +160,19 @@ def test_rowbasis_on_mixed_int_and_large_fraction_entries():
             else:
                 rows.append({col: big_entry(rng) for col in
                              rng.sample(columns, rng.randint(1, n_cols))})
-        order = {c: i for i, c in enumerate(columns)}
-        basis = RowBasis(key=order.__getitem__)
+        basis = RowBasis()
         rank = 0
         for i, row in enumerate(rows):
             grown = to_matrix(rows[:i + 1], columns).rank()
             # reduce is zero exactly when the sympy rank does not grow
-            assert (not basis.reduce(row)) == (grown == rank)
-            assert basis.add(row) == (grown > rank)
+            assert (not basis.reduce(relabel(row, columns))) == (grown == rank)
+            assert basis.add(relabel(row, columns)) == (grown > rank)
             assert basis.rank == grown
             rank = grown
         mat = to_matrix(rows, columns)
         rref, pivots = mat.rref()
         want = [from_sympy(rref.row(i), columns) for i in range(len(pivots))]
-        assert basis.rows() == want
+        assert [unlabel(row, columns) for row in basis.rows()] == want
         # the stored form: primitive integer rows with a positive pivot
         for lead, row in basis._rows.items():
             assert all(type(x) is int for x in row.values())
@@ -166,7 +180,7 @@ def test_rowbasis_on_mixed_int_and_large_fraction_entries():
         for _ in range(4):
             v = {col: big_entry(rng) for col in
                  rng.sample(columns, rng.randint(1, n_cols))}
-            got = basis.reduce(v)
+            got = unlabel(basis.reduce(relabel(v, columns)), columns)
             assert all(type(x) is int for x in got.values())
             stacked = to_matrix(rows + [v], columns)
             assert (not got) == (stacked.rank() == mat.rank())
@@ -231,11 +245,10 @@ def test_nullspace_stops_reducing_at_full_rank(monkeypatch):
 def rowbasis_nullspace_oracle(equations, columns):
     """The kernel read off the reduced row-echelon form of RowBasis: one
     vector per free column, in column order, with that column set to 1."""
-    col_index = {c: i for i, c in enumerate(columns)}
-    basis = RowBasis(key=col_index.__getitem__)
+    basis = RowBasis()
     for eq in equations:
-        basis.add(eq)
-    pivot_rows = {min(row, key=col_index.__getitem__): row
+        basis.add(relabel(eq, columns))
+    pivot_rows = {columns[min(row)]: unlabel(row, columns)
                   for row in basis.rows()}
     kernel = []
     for free in columns:
