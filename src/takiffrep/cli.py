@@ -15,9 +15,11 @@ iso-check      lambda rescaling and the V ~ M explicit isomorphism
 intertwine     exact search for window-supported intertwiners
 
 Options: --config FILE (KEY=VALUE lines), --seed N, --window KMIN:KMAX:SMAX,
---format json|csv, --out PATH.  Command-line flags override config values.
-Reports are deterministic for fixed (config, seed); timing goes to stderr.
-Exit status is 0 exactly when the aggregate verdict is "pass".
+--format json|csv, --out PATH.  Flags, and the inline input of nf (words) and
+saturate (a seed), override config values, which are still parsed.  Reports
+are deterministic for fixed (config, seed); timing goes to stderr.  Exit is 0
+on "pass", 1 on "fail", 2 on a usage error, such as a word or (once the suite
+has run) a config key that ``report.Config`` never read.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from fractions import Fraction
 from . import freemod, functors, weightmod
 from .algebra import (LOCALIZED_LETTERS, check_theta_automorphism,
                       normal_form, parse_word_expr, theta)
-from .poly import PolyHH, parse_poly
-from .report import (config_value, emit, load_config, make_report,
-                     parse_bool, parse_int_pair, parse_rational_list,
-                     parse_window)
+from .poly import parse_poly
+from .report import (Config, emit, load_config, make_report, parse_bool,
+                     parse_int_pair, parse_rational_list, parse_window)
 from .scan import (SCAN_CSV_COLUMNS, builtin_scan_grid, criterion_agrees,
                    run_scan)
 from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
@@ -44,11 +45,11 @@ from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
 
 
 def _one_of(*names):
-    """A parser of one family name out of ``names``."""
+    """A parser of one name out of ``names``."""
     def parse(text):
         name = text.strip()
         if name not in names:
-            raise ValueError(f"unknown family {name!r}, expected one of "
+            raise ValueError(f"unknown name {name!r}, expected one of "
                              f"{', '.join(names)}")
         return name
     return parse
@@ -71,41 +72,43 @@ _FREE = _one_of("gamma", "theta", "omega")
 _WEIGHT = _one_of("M", "N", "V")
 
 
-def _free_spec_from_cfg(cfg: dict) -> freemod.FreeModuleSpec:
-    family = config_value(cfg, "family", "gamma", _FREE)
-    lam = config_value(cfg, "lambda", "1", _nonzero)
-    b = config_value(cfg, "b", "0", Fraction)
+def _free_spec_from_cfg(cfg: Config) -> freemod.FreeModuleSpec:
+    family = cfg.get("family", "gamma", _FREE)
+    lam = cfg.get("lambda", "1", _nonzero)
+    b = cfg.get("b", "0")
     if family == "omega":
-        return freemod.make_omega(
-            lam, b, config_value(cfg, "beta1", "0", parse_rational_list))
+        return freemod.make_omega(lam, b,
+                                  cfg.get("beta1", "0", parse_rational_list))
     mk = freemod.make_gamma if family == "gamma" else freemod.make_theta_mod
-    return mk(lam, config_value(cfg, "a", "0", Fraction), b)
+    return mk(lam, cfg.get("a", "0"), b)
 
 
-def _weight_spec_from_cfg(cfg: dict, prefix: str = "") -> weightmod.WeightModuleSpec:
-    get = lambda key, default, parse=Fraction: config_value(
-        cfg, prefix + key, default, parse)
-    family = get("family", "M", _WEIGHT)
-    alpha = get("alpha", "0")
-    beta = get("beta", "1")
-    lam = get("lambda", "1", _nonzero)
-    a = get("a", "-1")
+def _weight_spec_from_cfg(cfg: Config, prefix: str = "", family=None,
+                          **defaults) -> weightmod.WeightModuleSpec:
+    """The spec of the keys ``prefix + name``; ``family`` fixes the family
+    (its key is then unread), ``defaults`` replace default texts."""
+    texts = {"family": "M", "alpha": "0", "beta": "1", "lambda": "1",
+             "a": "-1", "b": "-2", "beta1": "1,1", **defaults}
+    get = lambda key, parse=Fraction: cfg.get(prefix + key, texts[key], parse)
+    family = family or get("family", _WEIGHT)
+    alpha, beta = get("alpha"), get("beta")
+    lam = get("lambda", _nonzero)
+    a = get("a")
     if family == "V":
         return weightmod.make_weight_v(alpha, beta, lam, a,
-                                       get("beta1", "1,1", parse_rational_list))
+                                       get("beta1", parse_rational_list))
     mk = weightmod.make_weight_m if family == "M" else weightmod.make_weight_n
-    return mk(alpha, beta, lam, a, get("b", "-2"))
+    return mk(alpha, beta, lam, a, get("b"))
 
 
 # -- suite handlers: each returns (cases, aggregate_pass, csv_columns) ----------
 
 def _suite_nf(cfg, args, rng, window):
-    read = lambda text: parse_word_expr(text, localized=True)
-    if args.words or not cfg.get("word"):
-        words = args.words or ["e*f - f*e", "f*e*h", "eb^-1*eb", "h*eb^-1"]
-        inputs = [(text, read(text)) for text in words]
-    else:
-        inputs = [(cfg["word"], config_value(cfg, "word", None, read))]
+    read = lambda text: (text, parse_word_expr(text, localized=True))
+    # a blank word is none; inline words override it, as a flag would
+    word = cfg.get("word", "", lambda text: [read(text)] if text else [])
+    inputs = [read(text) for text in args.words] or word or [
+        read(text) for text in ("e*f - f*e", "f*e*h", "eb^-1*eb", "h*eb^-1")]
     cases = []
     ok = True
     for text, elem in inputs:
@@ -120,7 +123,7 @@ def _suite_nf(cfg, args, rng, window):
 
 def _nonempty_list(cfg, key, default):
     """A comma-separated rational list that names at least one value."""
-    values = config_value(cfg, key, default, parse_rational_list)
+    values = cfg.get(key, default, parse_rational_list)
     if not values:
         raise ValueError(f"config key {key!r}: must name at least one value")
     return values
@@ -138,7 +141,7 @@ def _free_grid_specs(cfg, family):
     bs = _nonempty_list(cfg, "b", "0")
     specs = []
     if family == "omega":
-        beta1 = config_value(cfg, "beta1", "0", parse_rational_list)
+        beta1 = cfg.get("beta1", "0", parse_rational_list)
         for lam in lams:
             for b in bs:
                 specs.append(freemod.make_omega(lam, b, beta1))
@@ -152,17 +155,12 @@ def _free_grid_specs(cfg, family):
 
 
 def _suite_verify_free(cfg, args, rng, window):
-    families = config_value(cfg, "families", "gamma,theta,omega",
-                            _list_of(_FREE))
-    trials = config_value(cfg, "trials", "50", int)
-    n_specs = config_value(cfg, "specs", "5", int)
-    explicit = any(key in cfg for key in ("lambda", "a", "b", "beta1"))
+    families = cfg.get("families", "gamma,theta,omega", _list_of(_FREE))
     # trials is echoed only (verify_axioms samples nothing); it is
     # validated for compatibility, so trials < 1 still exits 2
-    if trials < 1:
-        raise ValueError("config key 'trials': must be at least 1")
-    if n_specs < 1 and not explicit:
-        raise ValueError("config key 'specs': must be at least 1")
+    trials = cfg.get("trials", "50", int, least=1)
+    explicit = any(k in cfg.values for k in ("lambda", "a", "b", "beta1"))
+    n_specs = None if explicit else cfg.get("specs", "5", int, least=1)
     cases = []
     ok = True
     for family in families:
@@ -182,13 +180,10 @@ def _suite_verify_free(cfg, args, rng, window):
 
 def _suite_saturate(cfg, args, rng, window):
     spec = _free_spec_from_cfg(cfg)
-    seed_poly = (parse_poly(args.words[0]) if args.words
-                 else config_value(cfg, "seed_poly", "h", parse_poly))
-    cap = config_value(cfg, "cap", "8,8", parse_int_pair)
-    if min(cap) < 0:
-        raise ValueError("config key 'cap': must be at least 0")
-    expected = (config_value(cfg, "expect_one", None, parse_bool)
-                if "expect_one" in cfg else None)
+    seed_poly = cfg.get("seed_poly", "h", parse_poly)  # inline input wins
+    seed_poly = parse_poly(args.words[0]) if args.words else seed_poly
+    cap = cfg.get("cap", "8,8", parse_int_pair, least=0)
+    expected = cfg.get("expect_one", parse=parse_bool)
     result = freemod.submodule_saturate(spec, seed_poly, cap=cap)
     case = {"family": spec.family, "params": spec.params(),
             "seed_poly": seed_poly.to_text(), "cap": list(cap),
@@ -204,28 +199,20 @@ def _suite_saturate(cfg, args, rng, window):
 
 
 def _suite_omega_quotient(cfg, args, rng, window):
-    lam = config_value(cfg, "lambda", "1", _nonzero)
-    beta1 = config_value(cfg, "beta1", "0", parse_rational_list)
+    lam = cfg.get("lambda", "1", _nonzero)
+    beta1 = cfg.get("beta1", "0", parse_rational_list)
     spec = freemod.make_omega(lam, 0, beta1)
-    layers = config_value(cfg, "i", "0,1,2,3",
-                          lambda text: [int(x) for x in text.split(",")])
-    if min(layers) < 0:
-        raise ValueError("config key 'i': must be at least 0")
-    n_max = config_value(cfg, "n_max", "8", int)
-    if n_max < 0:
-        raise ValueError("config key 'n_max': must be at least 0")
+    layers = cfg.get("i", "0,1,2,3", _list_of(int), least=0)
+    # n_max is echoed only, as trials is: each table is one term applied
+    # after the same shift, so equal tables act alike on every polynomial
+    n_max = cfg.get("n_max", "8", int, least=0)
     cases = []
     ok = True
     for i in layers:
         d_lam, d_a = freemod.omega_quotient_delta_params(spec, i)
-        layer_ok = True
-        for x in ("e", "f", "h"):
-            for n in range(n_max + 1):
-                g = PolyHH.term(n, 0)
-                got = freemod.omega_layer_action(spec, i, x, g)
-                want = weightmod.delta_action(1, d_lam, d_a, x, g)
-                if got != want:
-                    layer_ok = False
+        layer = freemod.omega_layer_ops(spec, i)
+        delta = freemod.delta_ops(1, d_lam, d_a)
+        layer_ok = all(layer[x] == delta[x] for x in ("e", "f", "h"))
         ok = ok and layer_ok
         cases.append({"i": i, "delta_lambda": d_lam, "delta_a": d_a,
                       "max_n": n_max, "pass": layer_ok})
@@ -233,21 +220,17 @@ def _suite_omega_quotient(cfg, args, rng, window):
 
 
 def _suite_verify_weight(cfg, args, rng, window):
-    families = config_value(cfg, "families", "M,N,V", _list_of(_WEIGHT))
-    trials = config_value(cfg, "trials", "50", int)
-    n_specs = config_value(cfg, "specs", "3", int)
+    families = cfg.get("families", "M,N,V", _list_of(_WEIGHT))
     # trials is echoed only, as for verify-free; validated for compatibility
-    if trials < 1:
-        raise ValueError("config key 'trials': must be at least 1")
-    if n_specs < 1:
-        raise ValueError("config key 'specs': must be at least 1")
-    explicit = any(key in cfg for key in ("alpha", "beta", "lambda", "a",
-                                          "b", "beta1"))
+    trials = cfg.get("trials", "50", int, least=1)
+    explicit = any(key in cfg.values for key in ("alpha", "beta", "lambda",
+                                                 "a", "b", "beta1"))
+    n_specs = None if explicit else cfg.get("specs", "3", int, least=1)
     cases = []
     ok = True
     for family in families:
         if explicit:
-            specs = [_weight_spec_from_cfg({**cfg, "family": family})]
+            specs = [_weight_spec_from_cfg(cfg, family=family)]
         else:
             specs = [weightmod.random_weight_spec(rng, family)
                      for _ in range(n_specs)]
@@ -284,23 +267,19 @@ def _suite_singular(cfg, args, rng, window):
 
 def _suite_verma_check(cfg, args, rng, window):
     spec = _weight_spec_from_cfg(cfg)
-    if "hit" in cfg:
-        hit = config_value(cfg, "hit", None, parse_int_pair)
-        if hit[1] < 1:
-            raise ValueError("config key 'hit': s must be at least 1")
-    else:
-        crit = simplicity_criterion_weight(spec)
-        if crit.simple:
-            raise ValueError("module is simple; give hit=K,S explicitly")
-        hit = crit.witness
-    depth = config_value(cfg, "depth", "4", int)
-    if depth < 0:
-        raise ValueError("config key 'depth': must be at least 0")
+    hit = cfg.get("hit", parse=parse_int_pair)
+    crit = None if hit else simplicity_criterion_weight(spec)
+    if crit and crit.simple:
+        raise ValueError("module is simple; give hit=K,S explicitly")
+    hit = hit or crit.witness
+    if hit[1] < 1:  # a witness has s = 1
+        raise ValueError("config key 'hit': s must be at least 1")
+    depth = cfg.get("depth", "4", int, least=0)
     win = Window(hit[0] - depth, hit[0] + depth, max(window.s_max, hit[1] + 2))
     try:
         rep = verma_check(spec, hit, win)
     except ValueError as exc:
-        if "hit" in cfg:
+        if crit is None:
             raise ValueError(f"config key 'hit': {exc}") from None
         # only V at beta = a = 0 gets here, its witness killed by (eb, fb)
         raise ValueError(f"the criterion's witness eta_{hit} is killed only by "
@@ -316,11 +295,10 @@ def _suite_verma_check(cfg, args, rng, window):
 
 
 def _suite_scan(cfg, args, rng, window):
-    specs = builtin_scan_grid()
-    if cfg.get("families"):
-        keep = config_value(cfg, "families", None, _list_of(_WEIGHT))
-        specs = [s for s in specs if s.family in keep]
-    rows = run_scan(specs)
+    # a blank families, as an absent one, keeps every family
+    keep = cfg.get("families", "", lambda text: _list_of(_WEIGHT)(
+        text or "M,N,V"))
+    rows = run_scan([s for s in builtin_scan_grid() if s.family in keep])
     ok = all(r["agrees"] for r in rows)
     return rows, ok, SCAN_CSV_COLUMNS
 
@@ -352,14 +330,11 @@ def _suite_twist_check(cfg, args, rng, window):
 def _suite_iso_check(cfg, args, rng, window):
     cases = []
     ok = True
-    kinds = [k.strip() for k in cfg.get("kinds", "lambda-rescale,vm").split(",")]
-    unknown = [k for k in kinds if k not in ("lambda-rescale", "vm")]
-    if unknown:
-        raise ValueError(f"config key 'kinds': unknown kind {unknown[0]!r}")
+    kinds = cfg.get("kinds", "lambda-rescale,vm",
+                    _list_of(_one_of("lambda-rescale", "vm")))
     if "lambda-rescale" in kinds:
         spec_a = _weight_spec_from_cfg(cfg)
-        lam2 = config_value(cfg, "lambda2", "3", _nonzero)
-        spec_b = _weight_spec_from_cfg({**cfg, "lambda": str(lam2)})
+        spec_b = replace(spec_a, lam=cfg.get("lambda2", "3", _nonzero))
         res = functors.lambda_rescale_iso(spec_a, spec_b, window)
         ok = ok and res.intertwines
         cases.append({"kind": "lambda-rescale",
@@ -368,15 +343,11 @@ def _suite_iso_check(cfg, args, rng, window):
                       "failing_probe": res.failing_probe, "window": res.window,
                       "pass": res.intertwines})
     if "vm" in kinds:
-        spec_v = _weight_spec_from_cfg({**cfg, "family": "V",
-                                        "alpha": cfg.get("alpha", "0"),
-                                        "beta": cfg.get("beta", "3"),
-                                        "a": cfg.get("a", "1"),
-                                        "beta1": cfg.get("beta1", "1,1")})
+        spec_v = _weight_spec_from_cfg(cfg, family="V", beta="3", a="1")
         spec_m = functors.vm_matching_m_spec(spec_v)
-        if "b_m" in cfg:
-            spec_m = replace(spec_m,
-                             b=config_value(cfg, "b_m", None, Fraction))
+        b_m = cfg.get("b_m")
+        if b_m is not None:
+            spec_m = replace(spec_m, b=b_m)
         res = functors.vm_iso_check(spec_v, spec_m, window)
         ok = ok and res.intertwines
         cases.append({"kind": "vm",
@@ -389,13 +360,12 @@ def _suite_iso_check(cfg, args, rng, window):
 
 
 def _suite_intertwine(cfg, args, rng, window):
-    for key in sorted(cfg):  # a side's keys are read only with its family
-        if key[:2] in ("a_", "b_") and key[:2] + "family" not in cfg:
-            raise ValueError(f"config key {key!r}: needs {key[:2]}family")
-    spec_a = _weight_spec_from_cfg(cfg, prefix="a_") if "a_family" in cfg \
-        else weightmod.make_weight_n(0, 1, 1, 3, Fraction(1, 2))
-    spec_b = _weight_spec_from_cfg(cfg, prefix="b_") if "b_family" in cfg \
-        else weightmod.make_weight_m(0, 1, 1, 3, Fraction(1, 2))
+    def side(prefix, default):
+        # a side's other keys are read only with its family
+        family = cfg.get(prefix + "family", parse=_WEIGHT)
+        return _weight_spec_from_cfg(cfg, prefix, family) if family else default
+    spec_a = side("a_", weightmod.make_weight_n(0, 1, 1, 3, Fraction(1, 2)))
+    spec_b = side("b_", weightmod.make_weight_m(0, 1, 1, 3, Fraction(1, 2)))
     result = functors.intertwiner_search(spec_a, spec_b, window)
     rank = result["maps"][0].rank() if result["maps"] else 0
     intertwines = result["dimension"] > 0 and result["verified"]
@@ -405,8 +375,8 @@ def _suite_intertwine(cfg, args, rng, window):
             "window": result["window"],
             "codomain_window": result["codomain_window"]}
     ok = result["verified"]
-    if "expect_dimension" in cfg:
-        expect = config_value(cfg, "expect_dimension", None, int)
+    expect = cfg.get("expect_dimension", parse=int)
+    if expect is not None:
         ok = ok and result["dimension"] == expect
         case["expected_dimension"] = expect
     return [case], ok, None
@@ -454,15 +424,27 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        cfg = load_config(args.config) if args.config else {}
-        seed = (args.seed if args.seed is not None
-                else config_value(cfg, "seed", "0", int))
-        window = parse_window(args.window or cfg.get("window", "-5:5:5"))
-        fmt = args.fmt or cfg.get("format", "json")
-        out_path = args.out or cfg.get("out")
+        # nf reads every inline word, saturate one seed, the others none
+        read = {"nf": len(args.words), "saturate": 1}.get(args.suite, 0)
+        if args.words[read:]:
+            raise ValueError(f"inline input {' '.join(args.words[read:])!r}: "
+                             f"not read by {args.suite}")
+        cfg = Config(load_config(args.config) if args.config else {})
+        seed = cfg.get("seed", "0", int)
+        window = cfg.get("window", "-5:5:5", parse_window)
+        fmt = cfg.get("format", "json", str)
+        out_path = cfg.get("out", parse=str)
+        # flags override the config values, whose keys still count as read
+        seed = seed if args.seed is None else args.seed
+        window = parse_window(args.window) if args.window else window
+        fmt, out_path = args.fmt or fmt, args.out or out_path
         rng = random.Random(seed)
         cases, ok, csv_columns = _HANDLERS[args.suite](cfg, args, rng, window)
-        config_echo = dict(sorted(cfg.items()))
+        unread = sorted(set(cfg.values) - cfg.read)
+        if unread:
+            raise ValueError(f"config key {unread[0]!r}: not read by "
+                             f"{args.suite} with this config")
+        config_echo = dict(sorted(cfg.values.items()))
         config_echo["seed"] = seed
         config_echo["window"] = window.as_text()
         if args.words:

@@ -58,7 +58,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -611,31 +611,39 @@ def simplicity_criterion_free(spec: FreeModuleSpec) -> FreeSimplicityResult:
 
 # -- the b = 0 layer structure of Omega ------------------------------------------
 
-def omega_layer_action(spec: FreeModuleSpec, i: int, x: str, g: PolyHH) -> PolyHH:
-    """Action induced on the layer hbar^i C[h] / hbar^(i+1) C[h] at b = 0.
-
-    ``g`` must be a polynomial in h alone; the result is again a
-    polynomial in h (the coefficient of hbar^i in x.(hbar^i g)).  Raises
-    unless b = 0, where the hbar-adic filtration is stable.
-    """
+def _check_layer(spec: FreeModuleSpec, i: int) -> None:
     if spec.family != "omega":
         raise ValueError("layers are an omega construction")
     if spec.b:
         raise ValueError("hbar-adic layers require b = 0")
-    if g.deg_hbar() > 0:
-        raise ValueError("layer representatives are polynomials in h alone")
     if i < 0:
         raise ValueError("layer index must be nonnegative")
-    p = PolyHH.term(0, i) * g
-    q = act(spec, x, p)
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for (dh, dhb), c in q.terms():
-        if dhb < i:
-            raise AssertionError("hbar-adic filtration violated; "
-                                 "this cannot happen at b = 0")
-        if dhb == i:
-            out[(dh, 0)] = c
-    return PolyHH(out)
+
+
+def omega_layer_ops(spec: FreeModuleSpec, i: int) -> OpTable:
+    """The operator table of the layer hbar^i C[h] / hbar^(i+1) C[h] at b = 0.
+
+    A term (c, m) of x sends hbar^i g to i!/(i-m)! c hbar^(i-m) g(h + SHIFT[x]).
+    At b = 0 no coefficient has a term below hbar^m, so the layer keeps the
+    hbar^m coefficient of c: one m = 0 term per generator, in h alone.
+    Raises unless b = 0, where the hbar-adic filtration is stable.
+    """
+    _check_layer(spec, i)
+    def term(c, m):
+        return PolyHH({(dh, 0): v * perm(i, m)
+                       for (dh, dhb), v in c.terms() if dhb == m})
+    return {x: ((sum((term(c, m) for c, m in terms), PolyHH()), 0),)
+            for x, terms in spec.ops.items()}
+
+
+def omega_layer_action(spec: FreeModuleSpec, i: int, x: str, g: PolyHH) -> PolyHH:
+    """Action induced on layer i at b = 0: ``omega_layer_ops`` applied to
+    ``g``, which must be a polynomial in h alone, as the result is."""
+    if g.deg_hbar() > 0:
+        raise ValueError("layer representatives are polynomials in h alone")
+    if x not in SHIFT:
+        raise ValueError(f"unknown generator {x!r}")
+    return _apply_terms(omega_layer_ops(spec, i)[x], g.shift_h(SHIFT[x]))
 
 
 def omega_quotient_delta_params(spec: FreeModuleSpec, i: int) -> Tuple[Fraction, Fraction]:
@@ -645,12 +653,7 @@ def omega_quotient_delta_params(spec: FreeModuleSpec, i: int) -> Tuple[Fraction,
     Delta_1(-1/lam, -lam*q0 + i) where q0 is the constant coefficient of
     beta1.
     """
-    if spec.family != "omega":
-        raise ValueError("layers are an omega construction")
-    if spec.b:
-        raise ValueError("hbar-adic layers require b = 0")
-    if i < 0:
-        raise ValueError("layer index must be nonnegative")
+    _check_layer(spec, i)
     q0 = spec.beta1[0] if spec.beta1 else Fraction(0)
     return (Fraction(-1) / spec.lam, -spec.lam * q0 + i)
 

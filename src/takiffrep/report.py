@@ -7,6 +7,7 @@ Reports are plain dicts with a fixed shape:
 
 Rationals are serialized as "num/den" strings (config input also accepts
 plain integers), polynomials and windows as their canonical text forms.
+Config keys are read through one ``Config``, which records each key read.
 Reports contain no timestamps; wall-clock information goes to stderr so
 identical (config, seed) runs emit byte-identical documents.
 """
@@ -134,19 +135,33 @@ def parse_bool(text: str) -> bool:
     return text.lower() == "true"
 
 
-def config_value(cfg: Dict[str, str], key: str, default: Optional[str],
-                 parse: Callable[[str], Any]) -> Any:
-    """Parse ``cfg[key]`` (or ``default`` when absent) with ``parse``.
+class Config:
+    """The dict ``values`` of ``load_config``, read through ``get``, which
+    adds each key it reads to ``read``; ``key in values`` reads nothing."""
 
-    Any parse failure, a zero denominator included, becomes a ValueError
-    that names the key, so the CLI reports it as a usage error.
-    """
-    text = cfg.get(key, default)
-    try:
-        return parse(text)
-    except ZeroDivisionError:
-        raise ValueError(f"config key {key!r}: zero denominator in "
-                         f"{text!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: bad value {text!r} "
-                         f"({exc})") from None
+    def __init__(self, values: Dict[str, str]):
+        self.values, self.read = values, set()
+
+    def get(self, key: str, default: Optional[str] = None,
+            parse: Callable[[str], Any] = Fraction,
+            least: Optional[int] = None) -> Any:
+        """Parse the value of ``key`` (``default`` when absent; None when both
+        are) with ``parse``.  A parse failure, a zero denominator included,
+        or a value below ``least`` (any item of a list or pair) is a
+        ValueError that names the key."""
+        self.read.add(key)
+        text = self.values.get(key, default)
+        if text is None:
+            return None
+        try:
+            value = parse(text)
+        except ZeroDivisionError:
+            raise ValueError(f"config key {key!r}: zero denominator in "
+                             f"{text!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: bad value {text!r} "
+                             f"({exc})") from None
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if least is not None and any(item < least for item in items):
+            raise ValueError(f"config key {key!r}: must be at least {least}")
+        return value

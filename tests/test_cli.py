@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from takiffrep import cli
+from takiffrep import cli, freemod
 from takiffrep.algebra import check_theta_automorphism
 from takiffrep.cli import main
 from takiffrep.scan import SCAN_CSV_COLUMNS
@@ -308,6 +308,147 @@ def test_intertwine_refuses_a_prefixed_key_without_its_family(capsys,
         assert f"config key {key!r}" in captured.err, config
 
 
+# -- every config key and inline word a run is given is read -----------------
+
+def _refused(capsys, argv, *named):
+    """``argv`` exits 2 with nothing on stdout and each of ``named`` on
+    stderr."""
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    for text in named:
+        assert text in captured.err, (argv, captured.err)
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_every_suite_refuses_a_misspelt_key(capsys, tmp_path, suite):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("alpah=2\nwindow=0:0:1\n")
+    _refused(capsys, [suite, "--config", str(cfg)],
+             f"config key 'alpah': not read by {suite}")
+
+
+@pytest.mark.parametrize("suite, config, key", [
+    ("iso-check", "kinds=lambda-rescale\nb_m=5\n", "b_m"),
+    ("iso-check", "kinds=vm\nlambda2=2\n", "lambda2"),
+    ("iso-check", "kinds=vm\nfamily=N\n", "family"),
+    ("verify-weight", "families=M\nbeta1=1\n", "beta1"),
+    ("verify-weight", "families=M\nfamily=N\n", "family"),
+    ("saturate", "family=omega\na=1\n", "a"),
+    ("saturate", "family=gamma\nbeta1=1\n", "beta1"),
+    ("singular", "family=V\nb=1\n", "b"),
+    # specs is read in random mode only
+    ("verify-free", "families=gamma\nlambda=1,2\nspecs=2\n", "specs"),
+    ("verify-free", "families=gamma\nlambda=1\nspecs=0\n", "specs"),
+    ("verify-weight", "families=M\nalpha=1\nspecs=2\n", "specs"),
+    # a side's keys are read only with its family
+    ("intertwine", "a_beta=2\nb_beta=2\n", "a_beta"),
+])
+def test_keys_that_the_mode_ignores_are_refused(capsys, tmp_path, suite,
+                                                config, key):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(config + "window=0:0:1\n")
+    _refused(capsys, [suite, "--config", str(cfg)], f"config key {key!r}")
+
+
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES
+                                   if s not in ("nf", "saturate")])
+def test_suites_without_inline_input_refuse_words(capsys, suite):
+    _refused(capsys, [suite, "gamma", "extra"],
+             f"inline input 'gamma extra': not read by {suite}")
+
+
+def test_saturate_refuses_a_second_seed(capsys):
+    _refused(capsys, ["saturate", "h", "hb"],
+             "inline input 'hb': not read by saturate")
+
+
+def test_flags_and_inline_input_override_keys_that_count_as_read(capsys,
+                                                                 tmp_path):
+    cfg = tmp_path / "c.cfg"
+    unused = tmp_path / "unused.csv"
+    cfg.write_text(f"seed=5\nwindow=0:0:1\nformat=csv\nout={unused}\n"
+                   "word=e*f\n")
+    target = tmp_path / "r.json"
+    assert main(["nf", "h", "--config", str(cfg), "--seed", "9",
+                 "--window=-1:1:2", "--format", "json",
+                 "--out", str(target)]) == 0
+    assert capsys.readouterr().out == "" and not unused.exists()
+    doc = json.loads(target.read_text())
+    assert (doc["config"]["seed"], doc["config"]["window"]) == (9, "-1:1:2")
+    assert [case["input"] for case in doc["cases"]] == ["h"]
+    cfg.write_text("seed_poly=hb\n")
+    code, doc = run_json(capsys, "saturate", "h", "--config", str(cfg))
+    assert code == 0 and doc["cases"][0]["seed_poly"] == "1*h^1"
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["nf", "h"], "word=e*\n", "word"),
+    (["saturate", "h"], "seed_poly=h^\n", "seed_poly"),
+    (["nf", "--seed", "3"], "seed=x\n", "seed"),
+    (["nf", "--window=0:0:1"], "window=0\n", "window"),
+])
+def test_an_overridden_key_is_still_parsed(capsys, tmp_path, argv, config,
+                                           key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    _refused(capsys, argv + ["--config", str(cfg)], f"config key {key!r}")
+
+
+# for each suite and mode, every key that the README lists for it
+_COMMON = "seed=1\nwindow=-1:1:2\nformat=json\n"
+COMPLETE_CONFIGS = [
+    ("nf", "word=e*f\n"),
+    ("verify-free", "families=gamma,omega\ntrials=2\nspecs=1\n"),
+    ("verify-free", "families=gamma,omega\ntrials=2\nlambda=1\na=0\nb=0\n"
+                    "beta1=1\n"),
+    ("saturate", "family=theta\nlambda=1\na=0\nb=1\nseed_poly=h\ncap=2,2\n"
+                 "expect_one=true\n"),
+    ("saturate", "family=omega\nlambda=1\nb=0\nbeta1=1\nseed_poly=hb\n"
+                 "cap=2,2\nexpect_one=false\n"),
+    ("omega-quotient", "lambda=2\nbeta1=1,2\ni=0,3\nn_max=2\n"),
+    ("verify-weight", "families=M,V\ntrials=2\nspecs=1\n"),
+    ("verify-weight", "families=M,V\ntrials=2\nalpha=0\nbeta=1\nlambda=1\n"
+                      "a=2\nb=1/3\nbeta1=1\n"),
+    ("singular", "family=N\nalpha=0\nbeta=1\nlambda=1\na=-1\nb=2\n"),
+    ("singular", "family=V\nalpha=0\nbeta=1\nlambda=1\na=2\nbeta1=1,1\n"),
+    ("verma-check", "family=M\nalpha=0\nbeta=1\nlambda=1\na=-1\nb=-2\n"
+                    "depth=2\nhit=0,1\n"),
+    ("scan", "families=V\n"),
+    ("twist-check", "family=M\nalpha=0\nbeta=1\nlambda=1\na=-1\nb=-2\nz=1\n"),
+    ("iso-check", "kinds=lambda-rescale,vm\nfamily=M\nalpha=0\nbeta=1\n"
+                  "lambda=1\na=1\nb=-2\nbeta1=1,1\nlambda2=3\nb_m=-8\n"),
+    ("intertwine", "a_family=M\na_alpha=0\na_beta=1\na_lambda=1\na_a=3\n"
+                   "a_b=1/2\nb_family=V\nb_alpha=0\nb_beta=1\nb_lambda=1\n"
+                   "b_a=3\nb_beta1=1\nexpect_dimension=0\n"),
+]
+
+
+@pytest.mark.parametrize("suite, config", COMPLETE_CONFIGS)
+def test_a_config_of_every_listed_key_is_read_whole(capsys, tmp_path, suite,
+                                                    config):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(config + _COMMON + f"out={tmp_path / 'r.out'}\n")
+    assert main([suite, "--config", str(cfg)]) in (0, 1), config
+    assert "error" not in capsys.readouterr().err
+
+
+def test_omega_quotient_fails_on_a_moved_delta_parameter(capsys, tmp_path,
+                                                          monkeypatch):
+    # a Delta parameter moved by one at the listed layer 5 fails that layer
+    real = freemod.omega_quotient_delta_params
+    cfg = tmp_path / "oq.cfg"
+    cfg.write_text("lambda=2\nbeta1=1,3\ni=0,5,9\nn_max=0\n")
+    for move in ((1, 0), (0, 1), (0, -1)):
+        def moved(spec, i, move=move):
+            d_lam, d_a = real(spec, i)
+            return (d_lam + move[0], d_a + move[1]) if i == 5 else (d_lam, d_a)
+        monkeypatch.setattr(freemod, "omega_quotient_delta_params", moved)
+        code, doc = run_json(capsys, "omega-quotient", "--config", str(cfg))
+        assert code == 1, move
+        assert [case["pass"] for case in doc["cases"]] == [True, False, True]
+
+
 def test_seed_flag_overrides_config(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed=5\n")
@@ -459,6 +600,7 @@ def test_console_script_entry_point():
 # Reports saved while Theta and N still had their own hand-written action
 # formulas; deriving them from Gamma and M must not change a byte.
 GOLDEN = Path(__file__).parent / "golden"
+_FRACTIONAL = "alpha=1/3\nbeta=3/5\nlambda=2/3\na=-9/25\nb=-7/4\n"
 GOLDEN_CASES = [
     ("verify_free_theta.json", "verify-free",
      "families=theta\ntrials=5\nspecs=4\n"),
@@ -506,6 +648,26 @@ GOLDEN_CASES = [
      "window=-3:3:5\n"),
     ("iso_check_vm_wrong_b.json", "iso-check", "kinds=vm\nb_m=5\n"),
     ("iso_check_window_0_0_1.json", "iso-check", "window=0:0:1\n"),
+    # saved while each suite still read its config keys in its own way: a
+    # spec whose every parameter is fractional, the twist at fractional z,
+    # the rescaling on N, V with a cubic beta1, and the Verma character on
+    # N, on both V walls and at depth 16
+    ("twist_check_fractional.json", "twist-check", _FRACTIONAL),
+    ("iso_check_fractional.json", "iso-check", _FRACTIONAL),
+    ("verify_weight_fractional.json", "verify-weight", _FRACTIONAL),
+    ("twist_check_fractional_z.json", "twist-check",
+     _FRACTIONAL + "z=1/3,-5/2,4\n"),
+    ("iso_check_n_rescale.json", "iso-check",
+     "family=N\nalpha=1/2\nbeta=2/3\nlambda=-3/2\na=5/7\nb=1/4\n"
+     "kinds=lambda-rescale\nlambda2=-7/5\n"),
+    ("verify_weight_v_beta1_cubic.json", "verify-weight",
+     "alpha=1/2\nbeta=2/3\nlambda=-3/2\na=5/7\nbeta1=1,-2,3/4,5\n"),
+    ("verma_check_n.json", "verma-check", "family=N\nb=2\n"),
+    ("verma_check_v_plus.json", "verma-check",
+     "family=V\nbeta=1\na=1\nbeta1=0\n"),
+    ("verma_check_v_minus.json", "verma-check",
+     "family=V\nbeta=-1\na=1\nbeta1=1\n"),
+    ("verma_check_depth16.json", "verma-check", "depth=16\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

@@ -19,7 +19,8 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                alpha_from_beta, e34_residual,
                                iso_invariants_free, make_gamma, make_omega,
                                make_theta_mod, omega_layer_action,
-                               omega_quotient_delta_params, prove_brackets,
+                               omega_layer_ops, omega_quotient_delta_params,
+                               prove_brackets,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
 from takiffrep.linalg import nullspace, vec_primitive
@@ -700,6 +701,34 @@ def test_omega_layer_rejects_b_nonzero():
     spec = make_omega(1, 1, (F(0),))
     with pytest.raises(ValueError):
         omega_layer_action(spec, 0, "e", ONE)
+    for bad, i in ((spec, 0), (make_gamma(1, 0, 0), 0),
+                   (make_omega(1, 0, (F(0),)), -1)):
+        with pytest.raises(ValueError):
+            omega_layer_ops(bad, i)
+
+
+def omega_layer_oracle(spec, i, x, g):
+    """The layer action read off the full action: the hbar^i coefficient of
+    x.(hbar^i g), after checking that nothing falls below hbar^i."""
+    q = act(spec, x, PolyHH.term(0, i) * g)
+    assert all(dhb >= i for (_, dhb), _ in q.terms()), (spec, i, x)
+    return PolyHH({(dh, 0): c for (dh, dhb), c in q.terms() if dhb == i})
+
+
+def test_omega_layer_tables_are_delta_and_match_the_full_action():
+    rng = random.Random(2027)
+    for _ in range(60):
+        spec = random_free_spec(rng, "omega", beta1_deg=3)
+        spec = make_omega(spec.lam, 0, spec.beta1)
+        for i in range(7):
+            layer = omega_layer_ops(spec, i)
+            delta = freemod.delta_ops(1, *omega_quotient_delta_params(spec, i))
+            assert all(layer[x] == delta[x] for x in ("e", "f", "h")), (spec, i)
+            for x in GENERATORS:
+                for n in range(4):
+                    g = PolyHH.term(n, 0)
+                    assert omega_layer_action(spec, i, x, g) == \
+                        omega_layer_oracle(spec, i, x, g), (spec, i, x, n)
 
 
 def test_iso_invariants():

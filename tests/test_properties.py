@@ -177,33 +177,87 @@ _junk = st.one_of(
 _count_junk = st.sampled_from(("", "x", "1/2", "1.5", "--3", "-1"))
 
 
+# keys that no suite reads, such as a misspelt one
+_unknown_keys = st.sampled_from(("alpah", "famliy", "spec", "seeds"))
+
+
 def _one_junk(configs, junk=None):
-    """The well-formed ``configs``, one time in three with one value replaced
-    by junk, ``junk[key]`` if given, else ``_junk``.  No junk is the
-    simplest draw, the one Hypothesis tries most, so most examples reach a
-    suite's work, and a refused config is refused for one key."""
+    """The well-formed ``configs``, one time in three made malformed: one
+    value replaced by junk, ``junk[key]`` if given, else ``_junk``, and in
+    one of three such draws, or in each where ``configs`` drew no key, a key
+    that no suite reads added.  No junk is the simplest draw, the one
+    Hypothesis tries most, so most examples reach a suite's work, and a
+    refused config is refused for one key, the first the run meets."""
     @st.composite
     def with_junk(draw):
         config = draw(configs)
-        if config and draw(st.integers(0, 2)) == 2:
-            key = draw(st.sampled_from(sorted(config)))
-            config[key] = draw((junk or {}).get(key, _junk))
+        if draw(st.integers(0, 2)) == 2:
+            keys = sorted(config)
+            if keys:
+                key = draw(st.sampled_from(keys))
+                config[key] = draw((junk or {}).get(key, _junk))
+            if not keys or draw(st.integers(0, 2)) == 2:
+                config[draw(_unknown_keys)] = draw(_junk)
         return config
     return with_junk()
 
 
-_valid = {"family": st.sampled_from(("M", "N", "V")),
-          "alpha": _rational_texts, "beta": _rational_texts,
+def _merged(*parts):
+    """One config of the keys drawn by each of ``parts``."""
+    return st.tuples(*parts).map(
+        lambda dicts: {k: v for d in dicts for k, v in d.items()})
+
+
+def _some_of(names, strategies, required=()):
+    """The ``required`` keys and any of ``names``, drawn from ``strategies``."""
+    return st.fixed_dictionaries(
+        {name: strategies[name] for name in required},
+        optional={name: strategies[name] for name in names
+                  if name not in required})
+
+
+# a well-formed config reads every key it names: the keys of a weight spec
+# are drawn with the family that reads them, b for M and N, beta1 for V
+_valid = {"alpha": _rational_texts, "beta": _rational_texts,
           "lambda": _nonzero_texts, "a": _rational_texts,
           "b": _rational_texts,
           "beta1": st.lists(_rational_texts, max_size=4).map(",".join)}
-_intertwine_configs = _one_junk(st.fixed_dictionaries(
+
+
+def _spec_keys(names_of, families, strategies, prefix="", default=None):
+    """Any of the keys of one spec, each one its family reads: ``names_of``
+    maps a family to its keys, drawn from ``strategies``.  The family key
+    is always given, except that ``default``, the family of an absent key,
+    may leave it out."""
+    @st.composite
+    def keys(draw):
+        family = draw(st.sampled_from(families))
+        config = {prefix + k: v for k, v in draw(
+            _some_of(names_of(family), strategies)).items()}
+        if family != default or draw(st.booleans()):
+            config[prefix + "family"] = family
+        return config
+    return keys()
+
+
+def _weight_names(family):
+    return ("alpha", "beta", "lambda", "a", "beta1" if family == "V" else "b")
+
+
+def _weight_keys(families=("M", "N", "V"), prefix="", default="M"):
+    return _spec_keys(_weight_names, families, _valid, prefix, default)
+
+
+_intertwine_configs = _one_junk(_merged(
     # the window is always given, small or malformed, so that no example
     # runs the search on the default window
-    {"window": _windows},
-    optional={**{side + name: value
-                 for side in ("a_", "b_") for name, value in _valid.items()},
-              "expect_dimension": st.integers(0, 2).map(str)}))
+    _some_of(("window", "expect_dimension"),
+             {"window": _windows,
+              "expect_dimension": st.integers(0, 2).map(str)},
+             required=("window",)),
+    # a side's keys are read only with its family
+    *[st.one_of(st.just({}), _weight_keys(prefix=side, default=None))
+      for side in ("a_", "b_")]))
 
 
 def _assert_exit_contract(suite, config):
@@ -218,6 +272,9 @@ def _assert_exit_contract(suite, config):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error" in err.getvalue()
+    else:
+        # a run that exits 0 or 1 has read every key it was given
+        assert "not read" not in err.getvalue()
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -229,17 +286,34 @@ def test_intertwine_config_never_leaks_a_traceback(config):
 _free_families = st.lists(st.sampled_from(("gamma", "theta", "omega")),
                           min_size=1, max_size=3).map(",".join)
 _short_lists = st.lists(_rational_texts, min_size=1, max_size=2).map(",".join)
-_verify_free_configs = _one_junk(st.fixed_dictionaries(
-    {}, optional={"families": _free_families,
-                  "trials": st.integers(1, 3).map(str),
-                  # specs stays small so that no example checks many specs
-                  "specs": st.integers(1, 3).map(str),
-                  "lambda": st.lists(_nonzero_texts, min_size=1,
-                                     max_size=2).map(",".join),
-                  "a": _short_lists, "b": _short_lists,
-                  "beta1": st.lists(_rational_texts,
-                                    max_size=3).map(",".join)}),
-    {"trials": _count_junk, "specs": _count_junk})
+_grid = {"lambda": st.lists(_nonzero_texts, min_size=1,
+                            max_size=2).map(",".join),
+         "a": _short_lists, "b": _short_lists,
+         "beta1": st.lists(_rational_texts, max_size=3).map(",".join)}
+
+
+@st.composite
+def _verify_free_keys(draw):
+    """Random specs, which read specs, or a grid, which reads lambda and b,
+    a for gamma and theta, beta1 for omega, and not specs."""
+    config = draw(_some_of(("families", "trials"), {
+        "families": _free_families, "trials": st.integers(1, 3).map(str)}))
+    families = config.get("families", "gamma,theta,omega").split(",")
+    if draw(st.booleans()):
+        # specs stays small so that no example checks many specs
+        config.update(draw(_some_of(("specs",), {
+            "specs": st.integers(1, 3).map(str)})))
+        return config
+    names = ["lambda", "b"]
+    names += ["a"] if {"gamma", "theta"} & set(families) else []
+    names += ["beta1"] if "omega" in families else []
+    config.update(draw(_some_of(names, _grid,
+                                required=(draw(st.sampled_from(names)),))))
+    return config
+
+
+_verify_free_configs = _one_junk(_verify_free_keys(),
+                                 {"trials": _count_junk, "specs": _count_junk})
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -253,18 +327,20 @@ _seed_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                               st.fractions(min_value=-9, max_value=9,
                                            max_denominator=9),
                               max_size=4).map(lambda c: PolyHH(c).to_text())
-_saturate_configs = _one_junk(st.fixed_dictionaries(
+_saturate_configs = _one_junk(_merged(
     # the cap is always given, from (2, 2) to (4, 4) or malformed, so that
     # every seed fits and no example saturates under the default (8, 8) cap
-    {"cap": st.tuples(st.integers(2, 4), st.integers(2, 4)).map(
-        lambda c: f"{c[0]},{c[1]}")},
-    optional={"family": st.sampled_from(("gamma", "theta", "omega")),
-              "lambda": _nonzero_texts, "a": _rational_texts,
-              "b": _rational_texts,
-              "beta1": st.lists(_rational_texts, max_size=3).map(",".join),
-              "seed_poly": _seed_polys,
-              "expect_one": st.sampled_from(("true", "false", "TRUE",
-                                             "False"))}))
+    _some_of(("cap", "seed_poly", "expect_one"), {
+        "cap": st.tuples(st.integers(2, 4), st.integers(2, 4)).map(
+            lambda c: f"{c[0]},{c[1]}"),
+        "seed_poly": _seed_polys,
+        "expect_one": st.sampled_from(("true", "false", "TRUE", "False"))},
+        required=("cap",)),
+    # omega reads beta1, gamma and theta read a
+    _spec_keys(lambda family: ("lambda", "b",
+                               "beta1" if family == "omega" else "a"),
+               ("gamma", "theta", "omega"),
+               {**_valid, "beta1": _grid["beta1"]}, default="gamma")))
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -324,27 +400,40 @@ _weight_families = st.lists(st.sampled_from(("M", "N", "V")), min_size=1,
                             max_size=3).map(",".join)
 
 
-def _configs(required, **optional):
-    """Configs with the ``required`` keys and any of the keys of one weight
-    spec and of ``optional``, at most one of them junk."""
-    return _one_junk(st.fixed_dictionaries(
-        required, optional={**_valid, **optional}),
-        {"trials": _count_junk, "specs": _count_junk})
+@st.composite
+def _verify_weight_keys(draw):
+    """Random specs, which read specs, or one spec per family, which reads
+    b for M and N, beta1 for V, and not specs (nor family: the families
+    key names them)."""
+    # trials is always given, at most 3, and the window is small or
+    # malformed
+    config = draw(_some_of(("window", "trials", "families"), {
+        "window": _windows, "trials": st.integers(1, 3).map(str),
+        "families": _weight_families}, required=("window", "trials")))
+    families = set(config.get("families", "M,N,V").split(","))
+    if draw(st.booleans()):
+        # specs is always given in random mode, at most 2, so that no
+        # example checks many specs
+        config["specs"] = draw(st.integers(1, 2).map(str))
+        return config
+    names = ["alpha", "beta", "lambda", "a"]
+    names += ["b"] if families & {"M", "N"} else []
+    names += ["beta1"] if "V" in families else []
+    config.update(draw(_some_of(names, _valid,
+                                required=(draw(st.sampled_from(names)),))))
+    return config
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-# trials and specs are always given, at most 3 and 2, and the window is
-# small or malformed, so that no example checks many specs
-@given(_configs({"window": _windows,
-                 "trials": st.integers(1, 3).map(str),
-                 "specs": st.integers(1, 2).map(str)},
-                families=_weight_families))
+@given(_one_junk(_verify_weight_keys(),
+                 {"trials": _count_junk, "specs": _count_junk}))
 def test_verify_weight_config_never_leaks_a_traceback(config):
     _assert_exit_contract("verify-weight", config)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"window": _windows}))
+@given(_one_junk(_merged(st.fixed_dictionaries({"window": _windows}),
+                         _weight_keys())))
 def test_singular_config_never_leaks_a_traceback(config):
     _assert_exit_contract("singular", config)
 
@@ -386,9 +475,12 @@ def test_scan_config_never_leaks_a_traceback(config):
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"window": _windows}, family=st.just("M"),
-                z=st.lists(_rational_texts, min_size=1,
-                           max_size=2).map(",".join)))
+@given(_one_junk(_merged(
+    _some_of(("window", "z"), {
+        "window": _windows,
+        "z": st.lists(_rational_texts, min_size=1, max_size=2).map(",".join)},
+        required=("window",)),
+    _weight_keys(families=("M",)))))
 def test_twist_check_config_never_leaks_a_traceback(config):
     _assert_exit_contract("twist-check", config)
 
@@ -397,8 +489,24 @@ _kinds = st.lists(st.sampled_from(("lambda-rescale", "vm")),
                   min_size=1, max_size=2).map(",".join)
 
 
+@st.composite
+def _iso_check_keys(draw):
+    """The keys each kind reads: the lambda rescaling an M or N spec and
+    lambda2, the V to M check alpha, beta, lambda, a, beta1 and b_m."""
+    config = draw(_some_of(("window", "kinds"), {
+        "window": _windows, "kinds": _kinds}, required=("window",)))
+    kinds = config.get("kinds", "lambda-rescale,vm").split(",")
+    if "lambda-rescale" in kinds:
+        config.update(draw(_weight_keys(families=("M", "N"))))
+        config.update(draw(_some_of(("lambda2",),
+                                    {"lambda2": _nonzero_texts})))
+    if "vm" in kinds:
+        config.update(draw(_some_of(_weight_names("V") + ("b_m",),
+                                    {**_valid, "b_m": _rational_texts})))
+    return config
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(_configs({"window": _windows}, kinds=_kinds, lambda2=_nonzero_texts,
-                b_m=_rational_texts))
+@given(_one_junk(_iso_check_keys()))
 def test_iso_check_config_never_leaks_a_traceback(config):
     _assert_exit_contract("iso-check", config)
