@@ -304,9 +304,8 @@ def _suite_scan(cfg, args, rng, window):
 
 
 def _suite_twist_check(cfg, args, rng, window):
-    spec = _weight_spec_from_cfg(cfg)
-    if spec.family != "M":
-        raise ValueError("twist-check runs on the M family")
+    spec = _weight_spec_from_cfg(cfg, family=cfg.get("family", "M",
+                                                      _one_of("M")))
     z_values = _nonempty_list(cfg, "z", "1,-2,1/2")
     # the relations are proved over Z[z], so one verdict holds for every z
     automorphism_ok = check_theta_automorphism(z_values[0])["ok"]
@@ -333,7 +332,8 @@ def _suite_iso_check(cfg, args, rng, window):
     kinds = cfg.get("kinds", "lambda-rescale,vm",
                     _list_of(_one_of("lambda-rescale", "vm")))
     if "lambda-rescale" in kinds:
-        spec_a = _weight_spec_from_cfg(cfg)
+        spec_a = _weight_spec_from_cfg(cfg, family=cfg.get(
+            "family", "M", _one_of("M", "N")))
         spec_b = replace(spec_a, lam=cfg.get("lambda2", "3", _nonzero))
         res = functors.lambda_rescale_iso(spec_a, spec_b, window)
         ok = ok and res.intertwines

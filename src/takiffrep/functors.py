@@ -8,10 +8,12 @@ Pulling the module back along the substitution Theta_z (see
 proves the index-preserving relabeling onto M(alpha - 2z, beta, ...) is
 an isomorphism of actions, and ``lambda_rescale_iso`` proves the lambda
 rescaling, both for every (k, s) at once as identity lists for
-``freemod.ks_residuals``, the one (k, s) prover; the window scopes only
-the reported rank and failing probe.  ``vm_iso_check``, whose map
-holds e-powers, is checked on the window.  Every rank is read off its
-map's triangular shape, never eliminated.
+``freemod.ks_residuals``, the one (k, s) prover.  ``vm_iso_check``, whose
+map holds e-powers, is proved for every (k, s) by e-generation: the
+brackets on both sides, M's e entry, and a fixed set of probes at s = 1.
+In every isomorphism check the window scopes only the reported rank and
+failing probe.  Every rank is read off its map's triangular shape, never
+eliminated.
 
 ``intertwiner_search`` solves for all window-supported linear maps
 commuting with the action.  Columns are matched by exact h-eigenvalue
@@ -40,12 +42,11 @@ from math import perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import KSTable, ks_residuals
+from .freemod import KSTable, ks_residuals, prove_brackets
 from .linalg import nullspace, vec_axpy, vec_primitive
 from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
-                        act_weight, apply_adjoint, make_weight_m, unit_images,
-                        wv_scale, wv_unit)
+                        act_weight, apply_adjoint, make_weight_m, unit_images)
 
 
 def _ebinv_entry(spec: WeightModuleSpec):
@@ -130,28 +131,16 @@ def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
     return out
 
 
-def _window_iso(window: Window, act_a, act_b, phi,
-                details: dict | None = None) -> IsoCheckResult:
-    """Check phi, injective on the window basis, against every generator on
-    every window basis functional; the rank is the window's index count."""
-    failing = _first_failure(
-        ((k, s, x) for (k, s) in window.indices() for x in GENERATORS),
-        act_a, act_b, phi)
-    rank = (window.k_max - window.k_min + 1) * window.s_max
-    return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
-                          failing_probe=failing, details=details)
-
-
 def _table_iso(residuals: Dict[str, KSTable], window: Window,
                details: dict | None = None) -> IsoCheckResult:
     """The verdict on a diagonal map phi(eta_{k,s}) = c_k eta_{k,s}, every
     c_k nonzero, from ``residuals[x]``, the ``freemod.ks_residuals`` table
     of (x o phi - phi o x) / c_k: the probe (k, s, x) fails exactly when
     one of its entries is nonzero at (k, s).  ``failing_probe`` is the
-    first failing window probe in the order of ``_window_iso``, else the
-    first on the grid k_min <= k <= k_min + d_k, 1 <= s <= d_s + 1, d_k
-    and d_s the largest degrees in k and s of any entry, where a nonzero
-    entry is nonzero somewhere.  ``rank`` is the number of window indices.
+    first failing window probe, k then s ascending and x in GENERATORS
+    order, else the first on the grid k_min <= k <= k_min + d_k, 1 <= s
+    <= d_s + 1, d_k and d_s the largest degrees in k and s of any entry,
+    where a nonzero entry is nonzero somewhere.  ``rank`` is the number of window indices.
     """
     nonzero = [p for table in residuals.values() for p in table.values()]
     failing = None
@@ -246,18 +235,45 @@ def _vm_p_identity_residual(spec_v: WeightModuleSpec, b: Fraction) -> PolyHH:
 
 def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
                  window: Window = DEFAULT_WINDOW) -> IsoCheckResult:
-    """Probe the explicit map M -> V built from iterated e-actions.
+    """Prove or refute that the map M -> V built from e-powers intertwines,
+    for every (k, s).
 
     With c = 2/(beta + a), the candidate isomorphism is
 
-        eta^M_{k,s} |-> c^(k+s-1) / (2 lam)^(s-1) * e^(s-1) . eta^V_{k+s-1, 1}
+        phi(eta^M_{k,s}) = c^(k+s-1) / (2 lam)^(s-1) * e^(s-1) . eta^V_{k+s-1,1}
 
-    (e-powers computed inside V).  It intertwines exactly when spec_m is
-    the matched M module; the check also reports whether the scalar
-    identity ((beta-a)/lam) alpha1(beta) - lam (beta+a) beta1(beta) - 2a
-    equals spec_m.b as a polynomial identity in beta.  For any spec_m the
-    map is triangular: V's e entry at (m, r) = (1, 0) is lam (beta + a) on
-    every column, so phi(eta_{k,s}) is c^k eta_{k,s} plus lower s terms.
+    (e-powers computed inside V).  The verdict is true exactly when
+
+    1. ``prove_brackets`` passes on both adjoint tables, so x.e - e.x =
+       [x, e] on V and on M;
+    2. M's e entry is (-1, ((1, 0, 2 lam d, 0),)), d its denominator: e
+       sends eta_{k,s} to 2 lam eta_{k-1,s+1}, so phi o e = e o phi holds
+       on all of M by construction;
+    3. phi commutes with every generator x on the probes (k, 1, x), for
+       the top + 2 columns k_min <= k <= k_min + top + 1, top the largest
+       m of M's table (1 on every M table).
+
+    Every k at s = 1: x.phi(eta_{k,1}) - phi(x.eta_{k,1}), divided by c^k,
+    has entries polynomial in k of degree at most 1 + top, one affine
+    factor from x's table and one from each e-power in phi(eta_{k',1+m}),
+    m <= top; top + 2 zeros make each entry zero.  Every s, by induction:
+    if x o phi = phi o x on every eta_{k,t}, t <= s, for every generator
+    x, write eta_{k,s+1} = (2 lam)^-1 e.eta_{k+1,s}; then x.phi(eta_{k,s+1})
+    = (2 lam)^-1 (e.x + [x, e]).phi(eta_{k+1,s}) = phi(x.eta_{k,s+1}), by
+    point 2, the hypothesis, [x, e] a combination of generators, and point
+    1 on V and then on M.
+
+    ``failing_probe`` is the first failing probe of point 3.  The specs
+    share alpha, beta and lambda, so a and b enter only c0 of M's table
+    and each generator's residual is nonzero at every k or at none: the
+    first failure is (k_min, 1, x), where the window's first index puts
+    it.  When only point 1 or 2 fails, as on planted tables only,
+    ``intertwines`` is false and ``failing_probe`` None.  ``details``
+    reports whether the scalar identity ((beta-a)/lam) alpha1(beta) - lam
+    (beta+a) beta1(beta) - 2a equals spec_m.b as a polynomial identity in
+    beta.  The map is triangular: V's e entry at (m, r) = (1, 0) is lam
+    (beta + a) on every column, so phi(eta_{k,s}) is c^k eta_{k,s} plus
+    lower s terms, and ``rank`` is the window's index count.
     """
     if spec_v.family != "V" or spec_m.family != "M":
         raise ValueError("vm_iso_check maps an M spec onto a V spec")
@@ -267,23 +283,30 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
     if beta + a == 0:
         raise ValueError("the explicit map needs beta + a != 0")
     c = Fraction(2) / (beta + a)
+    d, entries = spec_m.adjoint
+    top = max(m for _, terms in entries.values() for m, *_ in terms)
 
-    class Columns(dict):  # phi(eta_{k,s}) under (k, s), built on first use
-        def __missing__(self, key):
-            k, s = key
-            v = wv_unit(k + s - 1, 1)
+    def phi(v: WeightVec) -> WeightVec:
+        out: WeightVec = {}
+        for (k, s), x in v.items():
+            w = {(k + s - 1, 1): 1}
             for _ in range(s - 1):
-                v = act_weight(spec_v, "e", v)
-            v = wv_scale(c ** (k + s - 1) / (2 * lam) ** (s - 1), v)
-            self[key] = v
-            return v
+                w = act_weight(spec_v, "e", w)
+            out = vec_axpy(out, x * c ** (k + s - 1) / (2 * lam) ** (s - 1), w)
+        return out
 
-    p_identity_ok = _vm_p_identity_residual(spec_v, spec_m.b).is_zero()
-    return _window_iso(window, partial(act_weight, spec_m),
-                       partial(act_weight, spec_v),
-                       partial(_apply_columns, Columns()),
-                       details={"p_identity_ok": p_identity_ok,
-                                "matched_b": vm_matching_b(spec_v)})
+    failing = _first_failure(
+        ((k, 1, x) for k in range(window.k_min, window.k_min + top + 2)
+         for x in GENERATORS),
+        partial(act_weight, spec_m), partial(act_weight, spec_v), phi)
+    proved = (failing is None
+              and entries["e"] == (-1, ((1, 0, 2 * lam * d, 0),))
+              and all(p["pass"] for spec in (spec_v, spec_m)
+                      for p in prove_brackets(spec.adjoint)))
+    rank = (window.k_max - window.k_min + 1) * window.s_max
+    return IsoCheckResult(proved, rank, window.as_text(), failing, {
+        "p_identity_ok": _vm_p_identity_residual(spec_v, spec_m.b).is_zero(),
+        "matched_b": vm_matching_b(spec_v)})
 
 
 # -- window intertwiner search ----------------------------------------------------

@@ -351,6 +351,18 @@ def test_keys_that_the_mode_ignores_are_refused(capsys, tmp_path, suite,
     _refused(capsys, [suite, "--config", str(cfg)], f"config key {key!r}")
 
 
+@pytest.mark.parametrize("suite, config, expected", [
+    ("iso-check", "family=V\nkinds=lambda-rescale\n", "M, N"),
+    ("twist-check", "family=N\n", "expected one of M"),
+])
+def test_a_family_the_suite_does_not_run_on_names_its_key(
+        capsys, tmp_path, suite, config, expected):
+    cfg = tmp_path / "family.cfg"
+    cfg.write_text(config)
+    _refused(capsys, [suite, "--config", str(cfg)],
+             "config key 'family'", expected)
+
+
 @pytest.mark.parametrize("suite", [s for s in cli.SUITES
                                    if s not in ("nf", "saturate")])
 def test_suites_without_inline_input_refuse_words(capsys, suite):
@@ -668,10 +680,21 @@ GOLDEN_CASES = [
     ("verma_check_v_minus.json", "verma-check",
      "family=V\nbeta=-1\na=1\nbeta1=1\n"),
     ("verma_check_depth16.json", "verma-check", "depth=16\n"),
+    # saved while vm_iso_check still probed every window functional: the
+    # defaults, a wide and a one-column window, and a fractional V whose
+    # M side is off its matched b, on the window -2:9:2
+    ("iso_check_default.json", "iso-check", None),
+    ("iso_check_window_m8_8_6.json", "iso-check", "window=-8:8:6\n"),
+    ("twist_check_window_m8_8_6.json", "twist-check", "window=-8:8:6\n"),
+    ("twist_check_window_0_0_1.json", "twist-check", "window=0:0:1\n"),
+    ("iso_check_vm_fractional_wrong_b.json", "iso-check",
+     "kinds=vm\nalpha=7\nbeta=-2/3\nlambda=-3/2\na=5/7\nbeta1=1,-2,3/4\n"
+     "b_m=1/9\nwindow=-2:9:2\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,
-               "iso_check_vm_wrong_b.json": 1}
+               "iso_check_vm_wrong_b.json": 1,
+               "iso_check_vm_fractional_wrong_b.json": 1}
 
 
 @pytest.mark.parametrize("name, suite, config", GOLDEN_CASES,

@@ -11,7 +11,8 @@ from adjoint_views import fraction_view, integer_table
 from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
 from takiffrep.freemod import _ks_compose_into, _ks_tables, ks_residuals
-from takiffrep.functors import (LinearWindowMap, _window_iso, apply_localized,
+from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
+                                _first_failure, apply_localized,
                                 check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
@@ -165,8 +166,21 @@ def test_lambda_rescale_iso_detects_parameter_mismatch():
         assert res.failing_probe == {"k": -3, "s": 1, "x": x}
 
 
-# The window loop is the oracle of the table proofs: it applies every
-# generator to every window functional, Theta_z(y) through apply_localized.
+# The window loop is the oracle of the table proofs and of vm_iso_check's
+# e-generation proof: it applies every generator to every window
+# functional, Theta_z(y) through apply_localized.
+
+def _window_iso(window: Window, act_a, act_b, phi,
+                details: dict | None = None) -> IsoCheckResult:
+    """Check phi, injective on the window basis, against every generator on
+    every window basis functional; the rank is the window's index count."""
+    failing = _first_failure(
+        ((k, s, x) for (k, s) in window.indices() for x in GENERATORS),
+        act_a, act_b, phi)
+    rank = (window.k_max - window.k_min + 1) * window.s_max
+    return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
+                          failing_probe=failing, details=details)
+
 
 def _twist_oracle(z, spec, target, window):
     images = {x: theta(z, x) for x in GENERATORS}
@@ -551,6 +565,134 @@ def rowbasis_rank(vectors):
     return sum(1 for v in vectors if basis.add(v))
 
 
+def _vm_column(spec_v, k, s):
+    """phi(eta_{k,s}) of vm_iso_check's map, from its formula."""
+    w = wv_unit(k + s - 1, 1)
+    for _ in range(s - 1):
+        w = act_weight(spec_v, "e", w)
+    c = 2 / (spec_v.beta + spec_v.a)
+    return wv_scale(c ** (k + s - 1) / (2 * spec_v.lam) ** (s - 1), w)
+
+
+def _vm_oracle(spec_v, spec_m, window):
+    """The window check vm_iso_check made before its proof: every
+    generator on every window functional."""
+    def phi(v):
+        out = {}
+        for (k, s), c in v.items():
+            out = vec_axpy(out, c, _vm_column(spec_v, k, s))
+        return out
+    return _window_iso(window, partial(act_weight, spec_m),
+                       partial(act_weight, spec_v), phi)
+
+
+def _moved(spec, x, i, dc0):
+    """``spec`` with c0 of the i-th term of x's adjoint entry moved by dc0,
+    in true values."""
+    view = fraction_view(spec.adjoint)
+    dk, terms = view[x]
+    m, r, c0, c1 = terms[i]
+    terms = terms[:i] + ((m, r, c0 + dc0, c1),) + terms[i + 1:]
+    spec.__dict__["adjoint"] = integer_table({**view, x: (dk, terms)})
+    return spec
+
+
+def _random_v(rng):
+    """A random V spec off the wall beta + a = 0."""
+    while True:
+        v = random_weight_spec(rng, "V")
+        if v.beta + v.a:
+            return v
+
+
+def test_vm_iso_proof_agrees_with_window_oracle():
+    rng = random.Random(511)
+    windows = (Window(0, 0, 1), Window(-3, 3, 4), Window(-2, 2, 3),
+               Window(-1, 3, 5), Window(2, 2, 2))
+    failed = 0
+    for i in range(30):
+        v = _random_v(rng)
+        matched = vm_matching_m_spec(v)
+        window = windows[i % len(windows)]
+        for m in (matched,
+                  replace(matched, b=matched.b + random_rational(rng)),
+                  replace(matched, a=matched.a + random_rational(rng)),
+                  replace(matched, a=matched.a + random_rational(rng),
+                          b=matched.b + random_rational(rng))):
+            want = _vm_oracle(v, m, window)
+            assert _verdict(vm_iso_check(v, m, window)) == _verdict(want), \
+                (v, m, window)
+            failed += not want.intertwines
+    assert failed >= 60
+
+
+def test_vm_iso_proof_refuses_planted_faults():
+    v = make_weight_v(0, 3, 1, 1, (F(1), F(1)))
+    small, wide = Window(0, 0, 1), Window(-3, 3, 4)
+
+    def faults():
+        return {"e moved on V": (_moved(replace(v), "e", 0, F(1)),
+                                 vm_matching_m_spec(v)),
+                "r = 1 on M's e": (v, _planted(vm_matching_m_spec(v), "e",
+                                               (0, 1, F(1), 0))),
+                "r = 1 on V's f": (_planted(replace(v), "f", (0, 1, F(1), 0)),
+                                   vm_matching_m_spec(v))}
+    for window in (small, wide):
+        for name, (spec_v, spec_m) in faults().items():
+            assert not vm_iso_check(spec_v, spec_m, window).intertwines, name
+    # C(s-1, 1) vanishes at s = 1, the only s of the probes: the proof
+    # refuses V's r = 1 term by its brackets and names no probe, where the
+    # window oracle sees it only on a window with s_max >= 2
+    spec_v, spec_m = faults()["r = 1 on V's f"]
+    assert _verdict(vm_iso_check(spec_v, spec_m, small)) == (False, 1, None)
+    assert _vm_oracle(spec_v, spec_m, small).intertwines
+    assert _verdict(_vm_oracle(spec_v, spec_m, wide)) \
+        == (False, 28, {"k": -3, "s": 2, "x": "f"})
+
+
+def test_vm_iso_proof_refuses_every_moved_coefficient():
+    # a moved c0 on a random generator of either side, and an r = 1 term
+    # on M's e, which no window with s_max = 1 sees; the proof accepts no
+    # fault the oracle refuses, nor any other
+    rng = random.Random(512)
+    windows = (Window(-3, 3, 4), Window(-2, 2, 3), Window(0, 0, 1))
+    refused_by_oracle = 0
+    for i in range(27):
+        v = _random_v(rng)
+        window = windows[i // 3 % 3]
+        side = i % 3
+        spec_v, spec_m = replace(v), vm_matching_m_spec(v)
+        if side == 2:
+            _planted(spec_m, "e", (1, 1, random_rational(rng, nonzero=True),
+                                   0))
+        else:
+            spec = (spec_v, spec_m)[side]
+            x = rng.choice(GENERATORS)
+            _moved(spec, x, rng.randrange(len(spec.adjoint[1][x][1])),
+                   random_rational(rng, nonzero=True))
+        assert not vm_iso_check(spec_v, spec_m, window).intertwines, i
+        refused_by_oracle += not _vm_oracle(spec_v, spec_m, window).intertwines
+    assert refused_by_oracle >= 12
+
+
+def test_vm_iso_check_makes_the_same_probes_on_every_window(monkeypatch):
+    # the proof probes top + 2 columns at s = 1 whatever the window
+    calls = []
+
+    def counted(spec, x, v):
+        calls.append(x)
+        return act_weight(spec, x, v)
+    monkeypatch.setattr(functors, "act_weight", counted)
+    v = make_weight_v(0, 3, 1, 1, (F(1), F(1)))
+    for m in (vm_matching_m_spec(v), make_weight_m(0, 3, 1, -1, -5)):
+        counts = []
+        for window in (Window(0, 0, 1), Window(-8, 8, 6)):
+            calls.clear()
+            vm_iso_check(v, m, window)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, m
+
+
 def test_vm_iso_check_rank_is_the_window_index_count():
     # the map is built here from its formula, so the rank is checked
     # against elimination on matched and mismatched pairs alike
@@ -566,14 +708,7 @@ def test_vm_iso_check_rank_is_the_window_index_count():
             m = replace(m, b=m.b + random_rational(rng))
             moved += m.b != vm_matching_b(v)
         win = windows[trial % 3]
-        c = 2 / (v.beta + v.a)
-        images = []
-        for k, s in win.indices():
-            w = wv_unit(k + s - 1, 1)
-            for _ in range(s - 1):
-                w = act_weight(v, "e", w)
-            images.append(wv_scale(c ** (k + s - 1) / (2 * v.lam) ** (s - 1),
-                                   w))
+        images = [_vm_column(v, k, s) for k, s in win.indices()]
         res = vm_iso_check(v, m, win)
         assert res.rank == rowbasis_rank(images) == len(images), (v, win)
     assert moved >= 6
