@@ -20,11 +20,18 @@ saturate (a seed), override config values, which are still parsed.  Reports
 are deterministic for fixed (config, seed); timing goes to stderr.  Exit is 0
 on "pass", 1 on "fail", 2 on a usage error, such as a word or (once the suite
 has run) a config key that ``report.Config`` never read.
+
+Every suite builds its modules through one table, ``_MAKERS``: each family
+(gamma, theta, omega, M, N, V) maps to its library maker and the config keys
+of the maker's arguments, in order, with their default texts.  ``_spec``
+reads one spec of a family; verify-free's grid is the product of the same
+keys' comma-separated values.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 import time
@@ -39,9 +46,9 @@ from .report import (Config, emit, load_config, make_report, parse_bool,
                      parse_int_pair, parse_rational_list, parse_window)
 from .scan import (SCAN_CSV_COLUMNS, builtin_scan_grid, criterion_agrees,
                    run_scan)
-from .weightmod import (Window, dual_consistency, simplicity_criterion_weight,
-                        singular_vectors, verma_check, weight_bracket_report,
-                        wv_text)
+from .weightmod import (DEFAULT_WINDOW, Window, dual_consistency,
+                        simplicity_criterion_weight, singular_vectors,
+                        verma_check, weight_bracket_report, wv_text)
 
 
 def _one_of(*names):
@@ -56,8 +63,14 @@ def _one_of(*names):
 
 
 def _list_of(parse):
-    """A parser of comma-separated items, each read by ``parse``."""
-    return lambda text: [parse(item) for item in text.split(",")]
+    """A parser of comma-separated items, each read by ``parse``; an empty
+    item is refused, so '1,,2' never reads as two items."""
+    def read(text):
+        items = [item.strip() for item in text.split(",")]
+        if not all(items):
+            raise ValueError("empty entry in a comma-separated list")
+        return [parse(item) for item in items]
+    return read
 
 
 def _nonzero(text: str) -> Fraction:
@@ -68,37 +81,66 @@ def _nonzero(text: str) -> Fraction:
     return value
 
 
-_FREE = _one_of("gamma", "theta", "omega")
-_WEIGHT = _one_of("M", "N", "V")
+_FREE_FAMILIES, _WEIGHT_FAMILIES = ("gamma", "theta", "omega"), ("M", "N", "V")
+_FREE, _WEIGHT = _one_of(*_FREE_FAMILIES), _one_of(*_WEIGHT_FAMILIES)
+_FREE_KEYS = {"lambda": "1", "a": "0", "b": "0"}
+_WEIGHT_KEYS = {"alpha": "0", "beta": "1", "lambda": "1", "a": "-1"}
+# family -> (maker, {config key: default text}), keys in argument order
+_MAKERS = {
+    "gamma": (freemod.make_gamma, _FREE_KEYS),
+    "theta": (freemod.make_theta_mod, _FREE_KEYS),
+    "omega": (freemod.make_omega, {"lambda": "1", "b": "0", "beta1": "0"}),
+    "M": (weightmod.make_weight_m, {**_WEIGHT_KEYS, "b": "-2"}),
+    "N": (weightmod.make_weight_n, {**_WEIGHT_KEYS, "b": "-2"}),
+    "V": (weightmod.make_weight_v, {**_WEIGHT_KEYS, "beta1": "1,1"}),
+}
+_PARSE = {"lambda": _nonzero, "beta1": parse_rational_list}  # else Fraction
 
 
-def _free_spec_from_cfg(cfg: Config) -> freemod.FreeModuleSpec:
-    family = cfg.get("family", "gamma", _FREE)
-    lam = cfg.get("lambda", "1", _nonzero)
-    b = cfg.get("b", "0")
-    if family == "omega":
-        return freemod.make_omega(lam, b,
-                                  cfg.get("beta1", "0", parse_rational_list))
-    mk = freemod.make_gamma if family == "gamma" else freemod.make_theta_mod
-    return mk(lam, cfg.get("a", "0"), b)
+def _spec(cfg: Config, family: str, prefix: str = "", **texts):
+    """The ``family`` spec of the keys ``prefix + key``.  ``texts`` replace
+    default texts; a value that is not a text fixes its key, left unread."""
+    maker, defaults = _MAKERS[family]
+    return maker(*(
+        cfg.get(prefix + key, text, _PARSE.get(key, Fraction))
+        if isinstance(text, str) else text
+        for key, text in {**defaults, **texts}.items()))
 
 
-def _weight_spec_from_cfg(cfg: Config, prefix: str = "", family=None,
-                          **defaults) -> weightmod.WeightModuleSpec:
-    """The spec of the keys ``prefix + name``; ``family`` fixes the family
-    (its key is then unread), ``defaults`` replace default texts."""
-    texts = {"family": "M", "alpha": "0", "beta": "1", "lambda": "1",
-             "a": "-1", "b": "-2", "beta1": "1,1", **defaults}
-    get = lambda key, parse=Fraction: cfg.get(prefix + key, texts[key], parse)
-    family = family or get("family", _WEIGHT)
-    alpha, beta = get("alpha"), get("beta")
-    lam = get("lambda", _nonzero)
-    a = get("a")
-    if family == "V":
-        return weightmod.make_weight_v(alpha, beta, lam, a,
-                                       get("beta1", parse_rational_list))
-    mk = weightmod.make_weight_m if family == "M" else weightmod.make_weight_n
-    return mk(alpha, beta, lam, a, get("b"))
+def _grid(cfg: Config, family: str) -> list:
+    """The ``family`` specs of every combination of the keys'
+    comma-separated values; beta1, itself a list, is one value."""
+    maker, defaults = _MAKERS[family]
+    def values(key, text):
+        if key == "beta1":
+            return [cfg.get(key, text, parse_rational_list)]
+        return cfg.get(key, text, _list_of(_PARSE.get(key, Fraction)))
+    return [maker(*args) for args in itertools.product(
+        *(values(key, text) for key, text in defaults.items()))]
+
+
+def _chosen(cfg, rng, families, kind, specs, draw, explicit_specs):
+    """(family, spec, seed) for each spec a verify suite checks.
+
+    When a key of any family of ``kind`` is set, each family's specs are
+    ``explicit_specs(cfg, family)``; otherwise ``specs`` (a config default)
+    random ones from ``draw``.  A family's specs are drawn before their
+    seeds, as the report bytes depend on that order.
+    """
+    explicit = any(key in cfg.values for family in kind
+                   for key in _MAKERS[family][1])
+    n_specs = None if explicit else cfg.get("specs", specs, int, least=1)
+    for family in families:
+        chosen = (explicit_specs(cfg, family) if explicit
+                  else [draw(rng, family) for _ in range(n_specs)])
+        for spec in chosen:
+            yield family, spec, rng.randint(0, 10**6)
+
+
+def _iso_fields(res) -> dict:
+    """The case fields of an isomorphism check's result."""
+    return {"intertwines": res.intertwines, "rank": res.rank,
+            "failing_probe": res.failing_probe, "window": res.window}
 
 
 # -- suite handlers: each returns (cases, aggregate_pass, csv_columns) ----------
@@ -110,48 +152,11 @@ def _suite_nf(cfg, args, rng, window):
     inputs = [read(text) for text in args.words] or word or [
         read(text) for text in ("e*f - f*e", "f*e*h", "eb^-1*eb", "h*eb^-1")]
     cases = []
-    ok = True
     for text, elem in inputs:
         nf = normal_form(elem, localized=True)
-        again = normal_form(nf, localized=True)
-        idem = again == nf
-        ok = ok and idem
         cases.append({"input": text, "normal_form": nf.to_text(),
-                      "idempotent": idem})
-    return cases, ok, None
-
-
-def _nonempty_list(cfg, key, default):
-    """A comma-separated rational list that names at least one value."""
-    values = cfg.get(key, default, parse_rational_list)
-    if not values:
-        raise ValueError(f"config key {key!r}: must name at least one value")
-    return values
-
-
-def _free_grid_specs(cfg, family):
-    """Cross product of the lambda/a/b grids for one free family.
-
-    Grid values are comma-separated rationals; omega fixes beta1 (itself a
-    coefficient list) and grids over lambda and b only.
-    """
-    lams = _nonempty_list(cfg, "lambda", "1")
-    if not all(lams):
-        raise ValueError("config key 'lambda': lambda must be nonzero")
-    bs = _nonempty_list(cfg, "b", "0")
-    specs = []
-    if family == "omega":
-        beta1 = cfg.get("beta1", "0", parse_rational_list)
-        for lam in lams:
-            for b in bs:
-                specs.append(freemod.make_omega(lam, b, beta1))
-        return specs
-    mk = freemod.make_gamma if family == "gamma" else freemod.make_theta_mod
-    for lam in lams:
-        for a in _nonempty_list(cfg, "a", "0"):
-            for b in bs:
-                specs.append(mk(lam, a, b))
-    return specs
+                      "idempotent": normal_form(nf, localized=True) == nf})
+    return cases, all(case["idempotent"] for case in cases), None
 
 
 def _suite_verify_free(cfg, args, rng, window):
@@ -159,27 +164,18 @@ def _suite_verify_free(cfg, args, rng, window):
     # trials is echoed only (verify_axioms samples nothing); it is
     # validated for compatibility, so trials < 1 still exits 2
     trials = cfg.get("trials", "50", int, least=1)
-    explicit = any(k in cfg.values for k in ("lambda", "a", "b", "beta1"))
-    n_specs = None if explicit else cfg.get("specs", "5", int, least=1)
     cases = []
-    ok = True
-    for family in families:
-        if explicit:
-            specs = _free_grid_specs(cfg, family)
-        else:
-            specs = [freemod.random_free_spec(rng, family) for _ in range(n_specs)]
-        for spec in specs:
-            rep = freemod.verify_axioms(spec, trials=trials,
-                                        seed=rng.randint(0, 10**6))
-            ok = ok and rep["ok"]
-            cases.append({"family": family, "params": rep["params"],
-                          "pairs": rep["pairs"], "seed": rep["seed"],
-                          "trials": rep["trials"], "pass": rep["ok"]})
-    return cases, ok, None
+    for family, spec, seed in _chosen(cfg, rng, families, _FREE_FAMILIES, "5",
+                                      freemod.random_free_spec, _grid):
+        rep = freemod.verify_axioms(spec, trials=trials, seed=seed)
+        cases.append({"family": family, "params": rep["params"],
+                      "pairs": rep["pairs"], "seed": rep["seed"],
+                      "trials": rep["trials"], "pass": rep["ok"]})
+    return cases, all(case["pass"] for case in cases), None
 
 
 def _suite_saturate(cfg, args, rng, window):
-    spec = _free_spec_from_cfg(cfg)
+    spec = _spec(cfg, cfg.get("family", "gamma", _FREE))
     seed_poly = cfg.get("seed_poly", "h", parse_poly)  # inline input wins
     seed_poly = parse_poly(args.words[0]) if args.words else seed_poly
     cap = cfg.get("cap", "8,8", parse_int_pair, least=0)
@@ -199,55 +195,41 @@ def _suite_saturate(cfg, args, rng, window):
 
 
 def _suite_omega_quotient(cfg, args, rng, window):
-    lam = cfg.get("lambda", "1", _nonzero)
-    beta1 = cfg.get("beta1", "0", parse_rational_list)
-    spec = freemod.make_omega(lam, 0, beta1)
+    spec = _spec(cfg, "omega", b=0)
     layers = cfg.get("i", "0,1,2,3", _list_of(int), least=0)
     # n_max is echoed only, as trials is: each table is one term applied
     # after the same shift, so equal tables act alike on every polynomial
     n_max = cfg.get("n_max", "8", int, least=0)
     cases = []
-    ok = True
     for i in layers:
         d_lam, d_a = freemod.omega_quotient_delta_params(spec, i)
         layer = freemod.omega_layer_ops(spec, i)
         delta = freemod.delta_ops(1, d_lam, d_a)
-        layer_ok = all(layer[x] == delta[x] for x in ("e", "f", "h"))
-        ok = ok and layer_ok
         cases.append({"i": i, "delta_lambda": d_lam, "delta_a": d_a,
-                      "max_n": n_max, "pass": layer_ok})
-    return cases, ok, None
+                      "max_n": n_max,
+                      "pass": all(layer[x] == delta[x] for x in "efh")})
+    return cases, all(case["pass"] for case in cases), None
 
 
 def _suite_verify_weight(cfg, args, rng, window):
     families = cfg.get("families", "M,N,V", _list_of(_WEIGHT))
     # trials is echoed only, as for verify-free; validated for compatibility
     trials = cfg.get("trials", "50", int, least=1)
-    explicit = any(key in cfg.values for key in ("alpha", "beta", "lambda",
-                                                 "a", "b", "beta1"))
-    n_specs = None if explicit else cfg.get("specs", "3", int, least=1)
     cases = []
-    ok = True
-    for family in families:
-        if explicit:
-            specs = [_weight_spec_from_cfg(cfg, family=family)]
-        else:
-            specs = [weightmod.random_weight_spec(rng, family)
-                     for _ in range(n_specs)]
-        for spec in specs:
-            dual = dual_consistency(spec, window=window, trials=trials,
-                                    seed=rng.randint(0, 10**6))
-            brk = weight_bracket_report(spec, window=window)
-            good = dual["ok"] and brk["ok"]
-            ok = ok and good
-            cases.append({"family": family, "params": spec.params(),
-                          "dual_ok": dual["ok"], "bracket_ok": brk["ok"],
-                          "pass": good})
-    return cases, ok, None
+    for family, spec, seed in _chosen(
+            cfg, rng, families, _WEIGHT_FAMILIES, "3",
+            weightmod.random_weight_spec,
+            lambda cfg, family: [_spec(cfg, family)]):
+        dual = dual_consistency(spec, window=window, trials=trials, seed=seed)
+        brk = weight_bracket_report(spec, window=window)
+        cases.append({"family": family, "params": spec.params(),
+                      "dual_ok": dual["ok"], "bracket_ok": brk["ok"],
+                      "pass": dual["ok"] and brk["ok"]})
+    return cases, all(case["pass"] for case in cases), None
 
 
 def _suite_singular(cfg, args, rng, window):
-    spec = _weight_spec_from_cfg(cfg)
+    spec = _spec(cfg, cfg.get("family", "M", _WEIGHT))
     crit = simplicity_criterion_weight(spec)
     if not crit.simple and not window.contains(crit.witness):
         raise ValueError(
@@ -266,7 +248,7 @@ def _suite_singular(cfg, args, rng, window):
 
 
 def _suite_verma_check(cfg, args, rng, window):
-    spec = _weight_spec_from_cfg(cfg)
+    spec = _spec(cfg, cfg.get("family", "M", _WEIGHT))
     hit = cfg.get("hit", parse=parse_int_pair)
     crit = None if hit else simplicity_criterion_weight(spec)
     if crit and crit.simple:
@@ -304,66 +286,53 @@ def _suite_scan(cfg, args, rng, window):
 
 
 def _suite_twist_check(cfg, args, rng, window):
-    spec = _weight_spec_from_cfg(cfg, family=cfg.get("family", "M",
-                                                      _one_of("M")))
-    z_values = _nonempty_list(cfg, "z", "1,-2,1/2")
+    spec = _spec(cfg, cfg.get("family", "M", _one_of("M")))
+    z_values = cfg.get("z", "1,-2,1/2", _list_of(Fraction))
     # the relations are proved over Z[z], so one verdict holds for every z
     automorphism_ok = check_theta_automorphism(z_values[0])["ok"]
     cases = []
-    ok = True
     for z in z_values:
         iso = functors.check_twist_iso(z, spec, window)
         inverse_ok = all(
             theta(-z, theta(z, x)) == normal_form(x, localized=True)
             for x in LOCALIZED_LETTERS)
-        good = automorphism_ok and iso.intertwines and inverse_ok
-        ok = ok and good
         cases.append({"z": z, "automorphism_ok": automorphism_ok,
-                      "intertwines": iso.intertwines, "rank": iso.rank,
-                      "failing_probe": iso.failing_probe,
-                      "inverse_ok": inverse_ok, "window": iso.window,
-                      "pass": good})
-    return cases, ok, None
+                      "inverse_ok": inverse_ok, **_iso_fields(iso),
+                      "pass": automorphism_ok and iso.intertwines
+                      and inverse_ok})
+    return cases, all(case["pass"] for case in cases), None
 
 
 def _suite_iso_check(cfg, args, rng, window):
     cases = []
-    ok = True
     kinds = cfg.get("kinds", "lambda-rescale,vm",
                     _list_of(_one_of("lambda-rescale", "vm")))
     if "lambda-rescale" in kinds:
-        spec_a = _weight_spec_from_cfg(cfg, family=cfg.get(
-            "family", "M", _one_of("M", "N")))
+        spec_a = _spec(cfg, cfg.get("family", "M", _one_of("M", "N")))
         spec_b = replace(spec_a, lam=cfg.get("lambda2", "3", _nonzero))
         res = functors.lambda_rescale_iso(spec_a, spec_b, window)
-        ok = ok and res.intertwines
         cases.append({"kind": "lambda-rescale",
                       "params_a": spec_a.params(), "params_b": spec_b.params(),
-                      "intertwines": res.intertwines, "rank": res.rank,
-                      "failing_probe": res.failing_probe, "window": res.window,
-                      "pass": res.intertwines})
+                      **_iso_fields(res), "pass": res.intertwines})
     if "vm" in kinds:
-        spec_v = _weight_spec_from_cfg(cfg, family="V", beta="3", a="1")
+        spec_v = _spec(cfg, "V", beta="3", a="1")
         spec_m = functors.vm_matching_m_spec(spec_v)
         b_m = cfg.get("b_m")
         if b_m is not None:
             spec_m = replace(spec_m, b=b_m)
         res = functors.vm_iso_check(spec_v, spec_m, window)
-        ok = ok and res.intertwines
         cases.append({"kind": "vm",
                       "params_v": spec_v.params(), "params_m": spec_m.params(),
-                      "intertwines": res.intertwines, "rank": res.rank,
-                      "failing_probe": res.failing_probe,
-                      "details": res.details, "window": res.window,
+                      "details": res.details, **_iso_fields(res),
                       "pass": res.intertwines})
-    return cases, ok, None
+    return cases, all(case["pass"] for case in cases), None
 
 
 def _suite_intertwine(cfg, args, rng, window):
     def side(prefix, default):
         # a side's other keys are read only with its family
         family = cfg.get(prefix + "family", parse=_WEIGHT)
-        return _weight_spec_from_cfg(cfg, prefix, family) if family else default
+        return _spec(cfg, family, prefix) if family else default
     spec_a = side("a_", weightmod.make_weight_n(0, 1, 1, 3, Fraction(1, 2)))
     spec_b = side("b_", weightmod.make_weight_m(0, 1, 1, 3, Fraction(1, 2)))
     result = functors.intertwiner_search(spec_a, spec_b, window)
@@ -431,7 +400,7 @@ def main(argv=None) -> int:
                              f"not read by {args.suite}")
         cfg = Config(load_config(args.config) if args.config else {})
         seed = cfg.get("seed", "0", int)
-        window = cfg.get("window", "-5:5:5", parse_window)
+        window = cfg.get("window", DEFAULT_WINDOW.as_text(), parse_window)
         fmt = cfg.get("format", "json", str)
         out_path = cfg.get("out", parse=str)
         # flags override the config values, whose keys still count as read

@@ -57,7 +57,12 @@ class WeightModuleSpec:
     a: Fraction
     b: Optional[Fraction] = None
     beta1: Optional[Tuple[Fraction, ...]] = None
-    alpha1: Optional[Tuple[Fraction, ...]] = None
+
+    @cached_property
+    def alpha1(self) -> Optional[Tuple[Fraction, ...]]:
+        """V's alpha1, linked to (lam, a, beta1) by its parent Omega; None on
+        M and N.  Read off the parent, so ``replace`` cannot leave it stale."""
+        return parent_spec(self).alpha1
 
     def alpha_k(self, k: int) -> Fraction:
         return self.alpha + 2 * k
@@ -96,11 +101,10 @@ def make_weight_n(alpha, beta, lam, a, b) -> WeightModuleSpec:
 
 
 def make_weight_v(alpha, beta, lam, a, beta1: Sequence[RationalLike]) -> WeightModuleSpec:
-    """V with the lam, a, beta1 and linked alpha1 of Omega(lam, a, beta1)."""
+    """V with the lam, a and beta1 of Omega(lam, a, beta1)."""
     parent = make_omega(lam, a, beta1)
     return WeightModuleSpec("V", to_rational(alpha), to_rational(beta),
-                            parent.lam, parent.b, beta1=parent.beta1,
-                            alpha1=parent.alpha1)
+                            parent.lam, parent.b, beta1=parent.beta1)
 
 
 def parent_spec(spec: WeightModuleSpec) -> FreeModuleSpec:

@@ -690,6 +690,28 @@ GOLDEN_CASES = [
     ("iso_check_vm_fractional_wrong_b.json", "iso-check",
      "kinds=vm\nalpha=7\nbeta=-2/3\nlambda=-3/2\na=5/7\nbeta1=1,-2,3/4\n"
      "b_m=1/9\nwindow=-2:9:2\n"),
+    # saved while each suite still read its modules through a reader of
+    # its own: every console-script run of CI that had no golden case, a
+    # verify-free grid over all three free families, and an omega
+    # saturation at b != 0; a command carries the inline words that a
+    # config cannot express
+    ("nf_default.json", "nf", None),
+    ("nf_inline_words.json", "nf h*eb^-1 f*eb^-1 eb*eb^-1", None),
+    ("verify_free_default.json", "verify-free", None),
+    ("verify_free_seed_20221114.json", "verify-free", "seed=20221114\n"),
+    ("verify_weight_default.json", "verify-weight", None),
+    ("verify_weight_seed_20221114.json", "verify-weight", "seed=20221114\n"),
+    ("verify_weight_window_0_0_1.json", "verify-weight", "window=0:0:1\n"),
+    ("saturate_default.json", "saturate", None),
+    ("omega_quotient_default.json", "omega-quotient", None),
+    ("singular_default.json", "singular", None),
+    ("singular_window_m6_6_6.json", "singular", "window=-6:6:6\n"),
+    ("verma_check_default.json", "verma-check", None),
+    ("scan_default.json", "scan", None),
+    ("verify_free_grid.json", "verify-free",
+     "families=gamma,theta,omega\nlambda=1,-2/3\na=0,5\nb=1/2\nbeta1=1,2\n"),
+    ("saturate_omega_b2.json", "saturate",
+     "family=omega\nlambda=-3/2\nb=2\nbeta1=1,1/2\nseed_poly=hb\ncap=3,3\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,
@@ -697,10 +719,11 @@ GOLDEN_EXIT = {"intertwine_unverified.json": 1,
                "iso_check_vm_fractional_wrong_b.json": 1}
 
 
-@pytest.mark.parametrize("name, suite, config", GOLDEN_CASES,
+@pytest.mark.parametrize("name, command, config", GOLDEN_CASES,
                          ids=[name for name, _, _ in GOLDEN_CASES])
-def test_golden_report_bytes(capsys, tmp_path, name, suite, config):
-    argv = [suite]
+def test_golden_report_bytes(capsys, tmp_path, name, command, config):
+    # a command is the suite, then any inline words, split on blanks
+    argv = command.split()
     if config is not None:
         cfg = tmp_path / "golden.cfg"
         cfg.write_text(config)

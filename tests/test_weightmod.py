@@ -12,6 +12,7 @@ loop of the duality check.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gcd
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, adjoint_table,
 from takiffrep.freemod import act as act_free
 from takiffrep.linalg import RowBasis, nullspace, vec_axpy
 from takiffrep.poly import PolyHH, random_rational, shifted_expand
-from takiffrep.scan import builtin_scan_grid
+from takiffrep.scan import builtin_scan_grid, criterion_agrees
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
                                  act_weight_word, delta_action,
                                  dual_consistency, eval_functional,
@@ -457,6 +458,16 @@ def test_simplicity_v_walls():
     assert simplicity_criterion_weight(
         make_weight_v(0, 3, 1, 1, (F(0), F(1)))).simple
 
+
+def test_v_alpha1_follows_a_replaced_lambda():
+    # alpha1 is read off the parent Omega, so replacing lambda re-links it;
+    # a stale alpha1 called this spec simple while the search found (-2, 1)
+    spec = replace(make_weight_v(0, -1, 1, 1, (F(1),)), lam=2)
+    assert spec.alpha1 == make_weight_v(0, -1, 2, 1, (F(1),)).alpha1
+    crit = simplicity_criterion_weight(spec)
+    assert crit.witness == (-2, 1)
+    assert criterion_agrees(spec, crit,
+                            singular_vectors(spec, Window(-8, 8, 4)))
 
 def test_singular_vectors_agree_with_criterion():
     cases = [make_weight_m(0, 1, 1, -1, -2),
