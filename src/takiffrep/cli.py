@@ -320,7 +320,10 @@ def _suite_iso_check(cfg, args, rng, window):
         b_m = cfg.get("b_m")
         if b_m is not None:
             spec_m = replace(spec_m, b=b_m)
-        res = functors.vm_iso_check(spec_v, spec_m, window)
+        try:
+            res = functors.vm_iso_check(spec_v, spec_m, window)
+        except ValueError as exc:  # only the beta + a = 0 wall gets here
+            raise ValueError(f"config keys 'beta' and 'a': {exc}") from None
         cases.append({"kind": "vm",
                       "params_v": spec_v.params(), "params_m": spec_m.params(),
                       "details": res.details, **_iso_fields(res),
@@ -344,7 +347,7 @@ def _suite_intertwine(cfg, args, rng, window):
             "window": result["window"],
             "codomain_window": result["codomain_window"]}
     ok = result["verified"]
-    expect = cfg.get("expect_dimension", parse=int)
+    expect = cfg.get("expect_dimension", parse=int, least=0)
     if expect is not None:
         ok = ok and result["dimension"] == expect
         case["expected_dimension"] = expect

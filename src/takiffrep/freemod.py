@@ -106,11 +106,8 @@ class FreeModuleSpec:
 
     def params(self) -> dict:
         out = {"family": self.family, "lambda": self.lam, "b": self.b}
-        if self.family in ("gamma", "theta"):
-            out["a"] = self.a
-        else:
-            out["beta1"] = self.beta1
-            out["alpha1"] = self.alpha1
+        for key in (("beta1", "alpha1") if self.family == "omega" else ("a",)):
+            out[key] = getattr(self, key)
         return out
 
     @cached_property
@@ -693,10 +690,9 @@ def iso_invariants_free(spec: FreeModuleSpec) -> tuple:
 def random_free_spec(rng: random.Random, family: str,
                      beta1_deg: int = 2) -> FreeModuleSpec:
     lam = random_rational(rng, nonzero=True)
-    if family == "gamma":
-        return make_gamma(lam, random_rational(rng), random_rational(rng))
-    if family == "theta":
-        return make_theta_mod(lam, random_rational(rng), random_rational(rng))
+    if family in ("gamma", "theta"):
+        return replace(make_gamma(lam, random_rational(rng),
+                                  random_rational(rng)), family=family)
     if family == "omega":
         deg = rng.randint(0, beta1_deg)
         beta1 = tuple(random_rational(rng) for _ in range(deg + 1))

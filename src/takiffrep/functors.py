@@ -35,7 +35,7 @@ images, through the same map check the explicit isomorphisms go through.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import perm
@@ -44,7 +44,7 @@ from typing import Dict, Optional, Tuple
 from .algebra import GENERATORS, AlgebraElement, theta
 from .freemod import KSTable, ks_residuals, prove_brackets
 from .linalg import nullspace, vec_axpy, vec_primitive
-from .poly import PolyHH, RationalLike, poly1_eval, poly1_to_polyhh, to_rational
+from .poly import RationalLike, poly1_eval, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
                         act_weight, apply_adjoint, make_weight_m, unit_images)
 
@@ -173,8 +173,7 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     z = to_rational(z)
     if spec.family != "M":
         raise ValueError("the twisting functor is implemented on the M family")
-    target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
-                           spec.a, spec.b)
+    target = replace(spec, alpha=spec.alpha - 2 * z)
     d, entries = spec.adjoint
     residuals = ks_residuals(
         [(d, {**entries, "ebinv": _ebinv_entry(spec)}), target.adjoint],
@@ -220,19 +219,6 @@ def vm_matching_m_spec(spec_v: WeightModuleSpec) -> WeightModuleSpec:
                          -spec_v.a * spec_v.a, vm_matching_b(spec_v))
 
 
-def _vm_p_identity_residual(spec_v: WeightModuleSpec, b: Fraction) -> PolyHH:
-    """Residual of ((hbar - a)/lam) alpha1 - lam (hbar + a) beta1 - 2a = b,
-    as a polynomial in hbar (zero when the identity holds)."""
-    lam, a = spec_v.lam, spec_v.a
-    hbar = PolyHH.hbar()
-    a1 = poly1_to_polyhh(spec_v.alpha1)
-    b1 = poly1_to_polyhh(spec_v.beta1)
-    lhs = ((hbar - PolyHH.const(a)) * a1).scale(Fraction(1) / lam) \
-        - ((hbar + PolyHH.const(a)) * b1).scale(lam) \
-        - PolyHH.const(2 * a)
-    return lhs - PolyHH.const(b)
-
-
 def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
                  window: Window = DEFAULT_WINDOW) -> IsoCheckResult:
     """Prove or refute that the map M -> V built from e-powers intertwines,
@@ -268,12 +254,19 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
     and each generator's residual is nonzero at every k or at none: the
     first failure is (k_min, 1, x), where the window's first index puts
     it.  When only point 1 or 2 fails, as on planted tables only,
-    ``intertwines`` is false and ``failing_probe`` None.  ``details``
-    reports whether the scalar identity ((beta-a)/lam) alpha1(beta) - lam
-    (beta+a) beta1(beta) - 2a equals spec_m.b as a polynomial identity in
-    beta.  The map is triangular: V's e entry at (m, r) = (1, 0) is lam
-    (beta + a) on every column, so phi(eta_{k,s}) is c^k eta_{k,s} plus
-    lower s terms, and ``rank`` is the window's index count.
+    ``intertwines`` is false and ``failing_probe`` None.  The map is
+    triangular: V's e entry at (m, r) = (1, 0) is lam (beta + a) on every
+    column, so phi(eta_{k,s}) is c^k eta_{k,s} plus lower s terms, and
+    ``rank`` is the window's index count.
+
+    ``details`` gives ``matched_b`` and ``p_identity_ok``, whether the
+    scalar identity P(hbar) = spec_m.b holds as a polynomial identity in
+    hbar, where P(hbar) = ((hbar - a)/lam) alpha1 - lam (hbar + a) beta1 -
+    2a.  Its derivative P' is ``e34_residual(lam, a, beta1, alpha1)``,
+    which vanishes because a V spec's alpha1 is the linked alpha1 of its
+    parent Omega(lam, a, beta1).  So P is the constant P(a) = -2a (lam
+    beta1(a) + 1) = ``vm_matching_b``, and the identity holds exactly when
+    spec_m.b is the matched b.
     """
     if spec_v.family != "V" or spec_m.family != "M":
         raise ValueError("vm_iso_check maps an M spec onto a V spec")
@@ -304,9 +297,9 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
               and all(p["pass"] for spec in (spec_v, spec_m)
                       for p in prove_brackets(spec.adjoint)))
     rank = (window.k_max - window.k_min + 1) * window.s_max
+    matched_b = vm_matching_b(spec_v)
     return IsoCheckResult(proved, rank, window.as_text(), failing, {
-        "p_identity_ok": _vm_p_identity_residual(spec_v, spec_m.b).is_zero(),
-        "matched_b": vm_matching_b(spec_v)})
+        "p_identity_ok": spec_m.b == matched_b, "matched_b": matched_b})
 
 
 # -- window intertwiner search ----------------------------------------------------

@@ -24,11 +24,7 @@ SCAN_CSV_COLUMNS = ["family", "params", "simple?", "witness_k", "witness_s"]
 
 
 def _dedupe(values):
-    out = []
-    for v in values:
-        if v not in out:
-            out.append(v)
-    return out
+    return list(dict.fromkeys(values))
 
 
 def builtin_scan_grid() -> List[WeightModuleSpec]:
@@ -68,13 +64,12 @@ def builtin_scan_grid() -> List[WeightModuleSpec]:
 
 
 def _params_text(spec: WeightModuleSpec) -> str:
-    items = [("alpha", spec.alpha), ("beta", spec.beta), ("lambda", spec.lam),
-             ("a", spec.a)]
-    if spec.family in ("M", "N"):
-        items.append(("b", spec.b))
-    else:
-        items.append(("beta1", "(" + ",".join(str(q) for q in spec.beta1) + ")"))
-    return ";".join(f"{k}={v}" for k, v in items)
+    """``spec.params()`` less the family, beta1 printed as (q0,q1,...)."""
+    params = spec.params()
+    del params["family"]
+    return ";".join(
+        f"{k}=({','.join(map(str, v))})" if isinstance(v, tuple) else f"{k}={v}"
+        for k, v in params.items())
 
 
 def criterion_agrees(spec: WeightModuleSpec, crit: WeightSimplicityResult,

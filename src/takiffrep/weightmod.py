@@ -68,13 +68,9 @@ class WeightModuleSpec:
         return self.alpha + 2 * k
 
     def params(self) -> dict:
-        out = {"family": self.family, "alpha": self.alpha, "beta": self.beta,
-               "lambda": self.lam, "a": self.a}
-        if self.family in ("M", "N"):
-            out["b"] = self.b
-        else:
-            out["beta1"] = self.beta1
-        return out
+        last = _PARENTS[self.family][1]
+        return {"family": self.family, "alpha": self.alpha, "beta": self.beta,
+                "lambda": self.lam, "a": self.a, last: getattr(self, last)}
 
     @cached_property
     def adjoint(self) -> AdjointTable:
@@ -107,15 +103,19 @@ def make_weight_v(alpha, beta, lam, a, beta1: Sequence[RationalLike]) -> WeightM
                             parent.lam, parent.b, beta1=parent.beta1)
 
 
+# family -> (parent maker, the parameter after a); the parent is
+# maker(lam, a, that parameter), so V's a fills Omega's b slot
+_PARENTS = {"M": (make_gamma, "b"), "N": (make_theta_mod, "b"),
+            "V": (make_omega, "beta1")}
+
+
 def parent_spec(spec: WeightModuleSpec) -> FreeModuleSpec:
     """The free module this weight family is dual to."""
-    if spec.family == "M":
-        return make_gamma(spec.lam, spec.a, spec.b)
-    if spec.family == "N":
-        return make_theta_mod(spec.lam, spec.a, spec.b)
-    if spec.family == "V":
-        return make_omega(spec.lam, spec.a, spec.beta1)
-    raise ValueError(f"unknown weight family {spec.family!r}")
+    try:
+        maker, last = _PARENTS[spec.family]
+    except KeyError:
+        raise ValueError(f"unknown weight family {spec.family!r}") from None
+    return maker(spec.lam, spec.a, getattr(spec, last))
 
 
 # -- weight vectors ----------------------------------------------------------
@@ -549,12 +549,9 @@ def random_weight_spec(rng: random.Random, family: str,
     lam = random_rational(rng, nonzero=True)
     alpha = random_rational(rng)
     beta = random_rational(rng)
-    if family == "M":
-        return make_weight_m(alpha, beta, lam, random_rational(rng),
-                             random_rational(rng))
-    if family == "N":
-        return make_weight_n(alpha, beta, lam, random_rational(rng),
-                             random_rational(rng))
+    if family in ("M", "N"):
+        return replace(make_weight_m(alpha, beta, lam, random_rational(rng),
+                                     random_rational(rng)), family=family)
     if family == "V":
         deg = rng.randint(0, beta1_deg)
         beta1 = tuple(random_rational(rng) for _ in range(deg + 1))

@@ -294,6 +294,26 @@ def test_intertwine_explicit_specs(capsys, tmp_path):
     assert doc["cases"][0]["dimension"] == 1
 
 
+def test_intertwine_refuses_a_negative_expect_dimension(capsys, tmp_path):
+    # no space has dimension -1, so the key is a config error, not a fail
+    cfg = tmp_path / "i.cfg"
+    cfg.write_text("expect_dimension=-1\n")
+    assert main(["intertwine", "--config", str(cfg), "--window=0:0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config key 'expect_dimension': must be at least 0" in captured.err
+
+
+def test_iso_check_names_the_keys_of_the_beta_plus_a_wall(capsys, tmp_path):
+    cfg = tmp_path / "vm.cfg"
+    cfg.write_text("kinds=vm\nbeta=-1\na=1\n")
+    assert main(["iso-check", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("config keys 'beta' and 'a': the explicit map needs "
+            "beta + a != 0") in captured.err
+
+
 def test_intertwine_refuses_a_prefixed_key_without_its_family(capsys,
                                                               tmp_path):
     # without a_family no a_* key is read, so running the default spec
@@ -712,6 +732,12 @@ GOLDEN_CASES = [
      "families=gamma,theta,omega\nlambda=1,-2/3\na=0,5\nb=1/2\nbeta1=1,2\n"),
     ("saturate_omega_b2.json", "saturate",
      "family=omega\nlambda=-3/2\nb=2\nbeta1=1,1/2\nseed_poly=hb\ncap=3,3\n"),
+    # saved while each params() still listed its family's fields itself:
+    # the CSV cells print params in insertion order
+    ("verify_weight_default.csv", "verify-weight", "format=csv\n"),
+    ("verify_free_grid.csv", "verify-free",
+     "families=gamma,theta,omega\nlambda=1,-2/3\na=0,5\nb=1/2\nbeta1=1,2\n"
+     "format=csv\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

@@ -18,10 +18,10 @@ from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
 from takiffrep.linalg import RowBasis, nullspace, vec_axpy
-from takiffrep.poly import PolyHH, random_rational
-from takiffrep.weightmod import (Window, act_weight, act_weight_word,
-                                 dual_consistency, make_weight_m,
-                                 make_weight_n, make_weight_v,
+from takiffrep.poly import PolyHH, poly1_to_polyhh, random_rational
+from takiffrep.weightmod import (Window, WeightModuleSpec, act_weight,
+                                 act_weight_word, dual_consistency,
+                                 make_weight_m, make_weight_n, make_weight_v,
                                  random_weight_spec, wv_scale, wv_text,
                                  wv_unit)
 
@@ -203,8 +203,9 @@ def _verdict(res):
 
 
 def _twist_onto(monkeypatch, target, z, spec, window):
-    """check_twist_iso with ``target`` in place of M(alpha - 2z, ...)."""
-    monkeypatch.setattr(functors, "make_weight_m", lambda *args: target)
+    """check_twist_iso with ``target`` in place of M(alpha - 2z, ...),
+    which it builds by ``replace``."""
+    monkeypatch.setattr(functors, "replace", lambda *args, **kw: target)
     try:
         return check_twist_iso(z, spec, window)
     finally:
@@ -435,7 +436,7 @@ def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
         # a wrong target half the time, so that the residuals are not empty
         target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
                                spec.a, spec.b + i % 2)
-        monkeypatch.setattr(functors, "make_weight_m", lambda *args: target)
+        monkeypatch.setattr(functors, "replace", lambda *args, **kw: target)
         calls.clear()
         res = check_twist_iso(z, spec)
         (adjoints, identities, residuals), = calls
@@ -556,6 +557,41 @@ def test_vm_iso_check_random_matched_pairs():
         res = vm_iso_check(v, vm_matching_m_spec(v), win)
         assert res.intertwines, (lam, a, beta, beta1, res.failing_probe)
         made += 1
+
+
+def _vm_p_identity_residual(spec_v: WeightModuleSpec, b: Fraction) -> PolyHH:
+    """Residual of ((hbar - a)/lam) alpha1 - lam (hbar + a) beta1 - 2a = b,
+    as a polynomial in hbar (zero when the identity holds)."""
+    lam, a = spec_v.lam, spec_v.a
+    hbar = PolyHH.hbar()
+    a1 = poly1_to_polyhh(spec_v.alpha1)
+    b1 = poly1_to_polyhh(spec_v.beta1)
+    lhs = ((hbar - PolyHH.const(a)) * a1).scale(Fraction(1) / lam) \
+        - ((hbar + PolyHH.const(a)) * b1).scale(lam) \
+        - PolyHH.const(2 * a)
+    return lhs - PolyHH.const(b)
+
+
+def test_vm_p_identity_agrees_with_the_residual_oracle():
+    # p_identity_ok compares b with the matched b; the oracle is the
+    # residual in hbar that the check computed before, kept verbatim
+    rng = random.Random(30)
+    held = 0
+    for _ in range(40):
+        while True:
+            v = random_weight_spec(rng, "V", beta1_deg=4)
+            if v.beta + v.a:
+                break
+        matched = vm_matching_m_spec(v)
+        for m in (matched,
+                  replace(matched, b=matched.b
+                          + random_rational(rng, nonzero=True)),
+                  replace(matched, b=random_rational(rng))):
+            want = _vm_p_identity_residual(v, m.b).is_zero()
+            res = vm_iso_check(v, m, Window(0, 0, 1))
+            assert res.details["p_identity_ok"] is want, (v, m)
+            held += want
+    assert held >= 40
 
 
 def rowbasis_rank(vectors):

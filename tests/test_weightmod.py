@@ -401,6 +401,8 @@ def test_parent_spec_families():
     assert par.family == "omega"
     assert par.b == 3  # the V family's a parameter rides in Omega's b slot
     assert par.alpha1 == v.alpha1
+    with pytest.raises(ValueError, match="unknown weight family 'W'"):
+        parent_spec(replace(v, family="W"))
 
 
 # -- simplicity and singular vectors -------------------------------------------
