@@ -42,8 +42,9 @@ from . import freemod, functors, weightmod
 from .algebra import (LOCALIZED_LETTERS, check_theta_automorphism,
                       normal_form, parse_word_expr, theta)
 from .poly import parse_poly
-from .report import (Config, emit, load_config, make_report, parse_bool,
-                     parse_int_pair, parse_rational_list, parse_window)
+from .report import (Config, emit, list_of, load_config, make_report,
+                     parse_bool, parse_int_pair, parse_rational_list,
+                     parse_window)
 from .scan import (SCAN_CSV_COLUMNS, builtin_scan_grid, criterion_agrees,
                    run_scan)
 from .weightmod import (DEFAULT_WINDOW, Window, dual_consistency,
@@ -60,17 +61,6 @@ def _one_of(*names):
                              f"{', '.join(names)}")
         return name
     return parse
-
-
-def _list_of(parse):
-    """A parser of comma-separated items, each read by ``parse``; an empty
-    item is refused, so '1,,2' never reads as two items."""
-    def read(text):
-        items = [item.strip() for item in text.split(",")]
-        if not all(items):
-            raise ValueError("empty entry in a comma-separated list")
-        return [parse(item) for item in items]
-    return read
 
 
 def _nonzero(text: str) -> Fraction:
@@ -114,7 +104,7 @@ def _grid(cfg: Config, family: str) -> list:
     def values(key, text):
         if key == "beta1":
             return [cfg.get(key, text, parse_rational_list)]
-        return cfg.get(key, text, _list_of(_PARSE.get(key, Fraction)))
+        return cfg.get(key, text, list_of(_PARSE.get(key, Fraction)))
     return [maker(*args) for args in itertools.product(
         *(values(key, text) for key, text in defaults.items()))]
 
@@ -160,7 +150,7 @@ def _suite_nf(cfg, args, rng, window):
 
 
 def _suite_verify_free(cfg, args, rng, window):
-    families = cfg.get("families", "gamma,theta,omega", _list_of(_FREE))
+    families = cfg.get("families", "gamma,theta,omega", list_of(_FREE))
     # trials is echoed only (verify_axioms samples nothing); it is
     # validated for compatibility, so trials < 1 still exits 2
     trials = cfg.get("trials", "50", int, least=1)
@@ -196,7 +186,7 @@ def _suite_saturate(cfg, args, rng, window):
 
 def _suite_omega_quotient(cfg, args, rng, window):
     spec = _spec(cfg, "omega", b=0)
-    layers = cfg.get("i", "0,1,2,3", _list_of(int), least=0)
+    layers = cfg.get("i", "0,1,2,3", list_of(int), least=0)
     # n_max is echoed only, as trials is: each table is one term applied
     # after the same shift, so equal tables act alike on every polynomial
     n_max = cfg.get("n_max", "8", int, least=0)
@@ -212,7 +202,7 @@ def _suite_omega_quotient(cfg, args, rng, window):
 
 
 def _suite_verify_weight(cfg, args, rng, window):
-    families = cfg.get("families", "M,N,V", _list_of(_WEIGHT))
+    families = cfg.get("families", "M,N,V", list_of(_WEIGHT))
     # trials is echoed only, as for verify-free; validated for compatibility
     trials = cfg.get("trials", "50", int, least=1)
     cases = []
@@ -278,7 +268,7 @@ def _suite_verma_check(cfg, args, rng, window):
 
 def _suite_scan(cfg, args, rng, window):
     # a blank families, as an absent one, keeps every family
-    keep = cfg.get("families", "", lambda text: _list_of(_WEIGHT)(
+    keep = cfg.get("families", "", lambda text: list_of(_WEIGHT)(
         text or "M,N,V"))
     rows = run_scan([s for s in builtin_scan_grid() if s.family in keep])
     ok = all(r["agrees"] for r in rows)
@@ -287,7 +277,7 @@ def _suite_scan(cfg, args, rng, window):
 
 def _suite_twist_check(cfg, args, rng, window):
     spec = _spec(cfg, cfg.get("family", "M", _one_of("M")))
-    z_values = cfg.get("z", "1,-2,1/2", _list_of(Fraction))
+    z_values = cfg.get("z", "1,-2,1/2", list_of(Fraction))
     # the relations are proved over Z[z], so one verdict holds for every z
     automorphism_ok = check_theta_automorphism(z_values[0])["ok"]
     cases = []
@@ -306,7 +296,7 @@ def _suite_twist_check(cfg, args, rng, window):
 def _suite_iso_check(cfg, args, rng, window):
     cases = []
     kinds = cfg.get("kinds", "lambda-rescale,vm",
-                    _list_of(_one_of("lambda-rescale", "vm")))
+                    list_of(_one_of("lambda-rescale", "vm")))
     if "lambda-rescale" in kinds:
         spec_a = _spec(cfg, cfg.get("family", "M", _one_of("M", "N")))
         spec_b = replace(spec_a, lam=cfg.get("lambda2", "3", _nonzero))

@@ -62,7 +62,7 @@ from math import factorial, gcd, lcm, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
-from .linalg import RowBasis, vec_primitive
+from .linalg import RowBasis, add_into, vec_primitive
 from .poly import (PolyHH, RationalLike, poly1_to_polyhh, random_rational,
                    to_rational)
 
@@ -419,11 +419,7 @@ def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
 def _ks_add_into(out: KSSums, table: KSTable, c: RationalLike) -> None:
     """Add c * table to ``out``."""
     for key, p in table.items():
-        acc = out.setdefault(key, {})
-        for e, v in p._c.items():
-            acc[e] = acc.get(e, 0) + c * v
-            if not acc[e]:
-                del acc[e]
+        add_into(out.setdefault(key, {}), c, p._c.items())
 
 
 def ks_residuals(adjoints: Sequence[AdjointTable],

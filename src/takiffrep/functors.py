@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
 from .freemod import KSTable, ks_residuals, prove_brackets
-from .linalg import nullspace, vec_axpy, vec_primitive
+from .linalg import add_into, nullspace, vec_primitive
 from .poly import RationalLike, poly1_eval, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
                         act_weight, apply_adjoint, make_weight_m, unit_images)
@@ -80,7 +80,7 @@ def apply_localized(spec: WeightModuleSpec, elem: AlgebraElement,
                 w = act_weight(spec, letter, w)
             if not w:
                 break
-        out = vec_axpy(out, coeff, w)
+        add_into(out, coeff, w.items())
     return out
 
 
@@ -121,13 +121,7 @@ def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
     """scale * sum v[key] * columns[key], columns[key] the image of eta_key."""
     out: WeightVec = {}
     for key, c in v.items():
-        c *= scale
-        for key2, x in columns[key].items():
-            y = out.get(key2, 0) + c * x
-            if y:
-                out[key2] = y
-            else:
-                out.pop(key2, None)
+        add_into(out, c * scale, columns[key].items())
     return out
 
 
@@ -285,7 +279,8 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
             w = {(k + s - 1, 1): 1}
             for _ in range(s - 1):
                 w = act_weight(spec_v, "e", w)
-            out = vec_axpy(out, x * c ** (k + s - 1) / (2 * lam) ** (s - 1), w)
+            add_into(out, x * c ** (k + s - 1) / (2 * lam) ** (s - 1),
+                     w.items())
         return out
 
     failing = _first_failure(
@@ -389,6 +384,7 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     probes = [(k, s, y) for (k, s) in window.indices() for y in GENERATORS
               if all(window.contains(key) for key in images_a[y][(k, s)])]
 
+    # zeros in a row cost nullspace nothing, so rows skip linalg.add_into
     equations: Dict[Tuple, Dict[Tuple[int, int], int]] = {}
     for idx, (k, s_in, y) in enumerate(probes):
         if y in ("h", "hb"):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals with sparse dict vectors.
 
 Vectors are dicts from hashable coordinate keys (monomial exponents, weight
-basis indices, ...) to nonzero Fractions or ints.  There are two
+basis indices, ...) to nonzero Fractions or ints, a rule written once, in
+``add_into``, for the exact dicts of every module.  There are two
 eliminations, both fraction-free (Bareiss, Math. Comp. 22, 1968): vectors
 are stored as primitive integer vectors, combined by gcd
 cross-multiplication, and Fractions appear only where vectors leave them.
@@ -25,16 +26,21 @@ def vec_clean(v: Vec) -> Vec:
     return {k: x for k, x in v.items() if x}
 
 
+def add_into(acc: dict, c, pairs: Iterable) -> dict:
+    """Add c*x at key k of ``acc`` for each (k, x) in ``pairs``, in place,
+    dropping every entry that cancels to zero; returns ``acc``."""
+    for k, x in pairs:
+        y = acc.get(k, 0) + c * x
+        if y:
+            acc[k] = y
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 def vec_axpy(v: Vec, c: Fraction, w: Vec) -> Vec:
     """v + c*w, cleaned."""
-    out = dict(v)
-    for k, x in w.items():
-        y = out.get(k, 0) + c * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
+    return add_into(dict(v), c, w.items())
 
 
 def vec_primitive(v: Vec) -> IntVec:
@@ -60,17 +66,6 @@ def _divide_content(v: IntVec) -> IntVec:
         if g == 1:
             return v
     return {k: x // g for k, x in v.items()} if g else v
-
-
-def _subtract(v: IntVec, t: int, w: IntVec) -> IntVec:
-    """v - t*w over the integers, in place, cleaned."""
-    for k, x in w.items():
-        y = v.get(k, 0) - t * x
-        if y:
-            v[k] = y
-        else:
-            del v[k]
-    return v
 
 
 class RowBasis:
@@ -104,7 +99,7 @@ class RowBasis:
         out = {k: m * x for k, x in v.items()}
         for k in hits:
             row = self._rows[k]
-            _subtract(out, m * v[k] // row[k], row)
+            add_into(out, -(m * v[k] // row[k]), row.items())
         return _divide_content(out)
 
     def add(self, v: Vec) -> bool:
@@ -122,7 +117,7 @@ class RowBasis:
                 g = gcd(v[lead], row[lead])
                 scaled = {k: v[lead] // g * x for k, x in row.items()}
                 self._rows[p] = _divide_content(
-                    _subtract(scaled, row[lead] // g, v))
+                    add_into(scaled, -(row[lead] // g), v.items()))
         self._rows[lead] = v
         return True
 
@@ -210,7 +205,7 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
             if w:
                 if scale != 1:
                     v = {c: scale * x for c, x in v.items()}
-                v = _divide_content(_subtract(v, sign * w, v_p))
+                v = _divide_content(add_into(v, -sign * w, v_p.items()))
             survivors.append((pivot, v))
         kernel = survivors
     return [{c: Fraction(x, v[pivot]) for c, x in v.items()}

@@ -6,8 +6,9 @@ sparse map from exponent pairs (i, j) -- meaning h^i * hbar^j -- to exact
 coefficients: the public constructor stores ``fractions.Fraction``, and
 sums, products, int shifts and dbar of int coefficients stay ints, so one
 type serves both the rational actions and the integer saturation.  Zero
-coefficients are never stored, and an int equals and hashes like the equal
-Fraction, so equality of the underlying dicts is equality of polynomials.
+coefficients are never stored (``linalg.add_into`` is the one place that
+rule is written), and an int equals and hashes like the equal Fraction, so
+equality of the underlying dicts is equality of polynomials.
 An expansion about a point is the recentred polynomial (``shifted_expand``),
 so there is one polynomial form.
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
+
+from .linalg import add_into
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -152,17 +155,10 @@ class PolyHH:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "PolyHH") -> "PolyHH":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        return PolyHH._adopt(c)
+        return PolyHH._adopt(add_into(dict(self._c), 1, other._c.items()))
 
     def __sub__(self, other: "PolyHH") -> "PolyHH":
-        return self + (-other)
+        return PolyHH._adopt(add_into(dict(self._c), -1, other._c.items()))
 
     def __neg__(self) -> "PolyHH":
         return PolyHH._adopt({e: -v for e, v in self._c.items()})
@@ -176,6 +172,8 @@ class PolyHH:
 
     def _mul_into(self, other: "PolyHH", c: Dict[Exponent, Rational]) -> None:
         """Add self * other into the cleaned dict c, keeping it cleaned."""
+        # add_into's loop written out: a key per term, and a pair generator
+        # would cost every term on the free-axioms and saturate paths
         for (i1, j1), v1 in self._c.items():
             for (i2, j2), v2 in other._c.items():
                 e = (i1 + i2, j1 + j2)
@@ -211,6 +209,7 @@ class PolyHH:
         if not d:
             return self
         c: Dict[Exponent, Rational] = {}
+        # add_into's loop written out, as in _mul_into: a key per term
         for (i, j), v in self._c.items():
             for k in range(i + 1):
                 e = (k, j)
@@ -229,6 +228,7 @@ class PolyHH:
         if not d:
             return self
         c: Dict[Exponent, Rational] = {}
+        # add_into's loop written out, as in _mul_into: a key per term
         for (i, j), v in self._c.items():
             for k in range(j + 1):
                 e = (i, k)

@@ -85,8 +85,10 @@ def _csv_cell(x) -> str:
 # -- config files --------------------------------------------------------------
 
 def load_config(path: str) -> Dict[str, str]:
-    """Read a KEY=VALUE config file; '#' starts a comment, blanks skipped."""
+    """Read a KEY=VALUE config file; '#' starts a comment, blanks skipped.
+    A key set twice is refused, naming both lines."""
     out: Dict[str, str] = {}
+    lines: Dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -95,7 +97,11 @@ def load_config(path: str) -> Dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} "
+                                 f"already set on line {lines[key]}")
+            out[key], lines[key] = value.strip(), lineno
     return out
 
 
@@ -106,18 +112,21 @@ def parse_window(text: str) -> Window:
     return Window(int(parts[0]), int(parts[1]), int(parts[2]))
 
 
-def parse_rational_list(text: str) -> tuple:
-    """Comma-separated rationals: '0,1,-3/2' -> (0, 1, -3/2).
+def list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
+    """A parser of comma-separated items, each read by ``parse``; an empty
+    item is refused, so '1,,2' never reads as two items."""
+    def read(text):
+        items = [item.strip() for item in text.split(",")]
+        if not all(items):
+            raise ValueError("empty entry in a comma-separated list")
+        return [parse(item) for item in items]
+    return read
 
-    A blank text is the empty list; an empty entry in any other list is
-    refused, so '1,,2' never reads as (1, 2).
-    """
-    if not text.strip():
-        return ()
-    items = [t.strip() for t in text.split(",")]
-    if not all(items):
-        raise ValueError("empty entry in a comma-separated list")
-    return tuple(Fraction(t) for t in items)
+
+def parse_rational_list(text: str) -> tuple:
+    """Comma-separated rationals: '0,1,-3/2' -> (0, 1, -3/2), read by
+    ``list_of``; a blank text is the empty list."""
+    return tuple(list_of(Fraction)(text)) if text.strip() else ()
 
 
 def parse_int_pair(text: str) -> Tuple[int, int]:

@@ -168,6 +168,7 @@ def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
     v: the terms are summed in their own type, and each output entry is
     multiplied by ``scale`` once."""
     out: WeightVec = {}
+    # not linalg.add_into: summed in the terms' type, cleaned once, scaled
     for (k, s), a in v.items():
         for m, r, c0, c1 in terms:
             if r >= s:

@@ -5,10 +5,12 @@ worked out by hand; the random loops check structural properties
 (idempotence, associativity, bracket compatibility) on top of them.
 Test-only oracles check the fast paths: a whole-word bubble loop built from
 that table and the localized rules, for normal_form, the letter-by-letter
-substitution, for theta, the per-z comparison of letter pairs in Fraction
-arithmetic, for check_theta_automorphism, a sum of scaled generators, for
-bracket, and the Fraction-coercing public constructor, for from_word.  A
-letter count checks how canonical words are read into exponents.
+substitution, for theta, with each letter's image written by hand or built
+from commutators as conjugation by eb^-z, the per-z comparison of letter
+pairs in Fraction arithmetic, for check_theta_automorphism, a sum of scaled
+generators, for bracket, and the Fraction-coercing public constructor, for
+from_word.  A letter count checks how canonical words are read into
+exponents.
 """
 
 import random
@@ -388,11 +390,13 @@ def test_theta_images():
         assert theta(z, x) == normal_form(x, localized=True), x
 
 
-def theta_oracle(z, elem):
-    """Theta_z by substituting each letter's image and multiplying out."""
-    images = {x: normal_form(x, localized=True) for x in LOCALIZED_LETTERS}
-    images["f"] = images["f"] - AlgebraElement.from_word(("ebinv", "hb"), z)
-    images["h"] = images["h"] + AlgebraElement.one().scale(2 * z)
+def theta_oracle(z, elem, images=None):
+    """Theta_z by substituting each letter's image and multiplying out; the
+    images are the hand-written ones unless given."""
+    if images is None:
+        images = {x: normal_form(x, localized=True) for x in LOCALIZED_LETTERS}
+        images["f"] = images["f"] - AlgebraElement.from_word(("ebinv", "hb"), z)
+        images["h"] = images["h"] + AlgebraElement.one().scale(2 * z)
     out = AlgebraElement.zero()
     for mono, c in elem.terms():
         piece = AlgebraElement.one().scale(c)
@@ -437,6 +441,43 @@ def test_theta_table_evaluated_at_z_agrees_with_oracle():
             got = AlgebraElement({m: sum(c * F(z) ** j for j, c in enumerate(p))
                                   for m, p in table.items()})
             assert got == theta_oracle(F(z), elem), (z, elem)
+
+
+def conjugation_images(z):
+    """Theta_z of each letter as conjugation by eb^-z (Mathieu, Ann. Inst.
+    Fourier 50, 2000), from commutators alone:
+
+        x |-> sum_i C(-z, i) (ad eb)^i(x) eb^-i,
+
+    the sum stopping where (ad eb)^i(x) vanishes, which is by i = 2 on
+    every letter."""
+    eb, ebinv = (normal_form(x, localized=True) for x in ("eb", "ebinv"))
+    images = {}
+    for x in LOCALIZED_LETTERS:
+        term, image, binom = normal_form(x, True), AlgebraElement.zero(), F(1)
+        for i in range(3):
+            image = image + (term * ebinv ** i).scale(binom)
+            term, binom = commutator(eb, term), binom * (-z - i) / (i + 1)
+        assert term.is_zero(), x
+        images[x] = image
+    return images
+
+
+def test_theta_is_conjugation_by_a_power_of_eb():
+    # an oracle that knows neither shift: both are read off the bracket
+    # table in theta, and arise from commutators here
+    rng = random.Random(213)
+    elems = _random_elements(rng, 4)
+    elems += [normal_form(tuple(rng.choice(LOCALIZED_LETTERS)
+                                for _ in range(rng.randint(1, 6))), True)
+              for _ in range(30)]
+    for z in (0, 1, -3, 5, F(2, 7), F(-5, 3)):
+        images = conjugation_images(F(z))
+        for elem in elems:
+            got = theta(z, elem)
+            assert got == theta_oracle(F(z), elem, images), (z, elem)
+            if type(z) is int and _coeff_types(elem) <= {int}:
+                assert _coeff_types(got) <= {int}, (z, elem)
 
 
 def test_theta_table_drops_coefficients_that_cancel():
@@ -532,6 +573,32 @@ def test_theta_respects_products_of_elements():
         b = normal_form(tuple(rng.choice(LOCALIZED_LETTERS)
                               for _ in range(rng.randint(1, 3))), True)
         assert theta(z, a * b) == theta(z, a) * theta(z, b)
+
+
+def test_cancelling_sums_and_products_store_no_zero():
+    x = parse_word_expr("e*f + 1/2*hb - 3*eb^-1*h", localized=True)
+    for zero in (x - x, x + (-x), x.scale(-1) + x):
+        assert zero._c == {} and zero == AlgebraElement.zero()
+    e, f, h = (AlgebraElement.gen(g) for g in ("e", "f", "h"))
+    # (e + f)(e - f) = e^2 - ef + fe - f^2, and ef = fe + h: fe cancels
+    assert ((e + f) * (e - f))._c == {Monomial(0, 0, 0, 0, 0, 2): 1,
+                                       Monomial(0, 0, 0, 0, 1, 0): -1,
+                                       Monomial(0, 0, 2, 0, 0, 0): -1}
+    assert parse_word_expr("e*f - f*e")._c == {Monomial(0, 0, 0, 0, 1, 0): 1}
+    # an int coefficient cancels against the equal Fraction
+    assert (e.scale(F(2)) - (e + e)).is_zero()
+    assert _coeff_types(e + f + h, e - f, (e + f) * (e - f)) == {int}
+
+
+def test_straightening_drops_terms_that_cancel():
+    # h eb fb, in the bubble loop: the 2 eb fb of h eb = eb h + 2 eb
+    # cancels the -2 eb fb of h fb = fb h - 2 fb
+    assert normal_form(("h", "eb", "fb"))._c == {Monomial(1, 1, 0, 0, 1, 0): 1}
+    # e h eb, folded: e h = h e - 2e, and the 2 eb e of h eb e cancels
+    # the -2 eb e
+    assert normal_form(("e", "h", "eb"))._c == {Monomial(1, 0, 0, 0, 1, 1): 1}
+    for word in (("h", "eb", "f"), ("e", "hb", "f")):
+        assert normal_form(word) == straighten_oracle(word), word
 
 
 def test_element_arithmetic():

@@ -348,6 +348,14 @@ def test_every_suite_refuses_a_misspelt_key(capsys, tmp_path, suite):
              f"config key 'alpah': not read by {suite}")
 
 
+def test_a_repeated_key_is_refused_with_both_lines(capsys, tmp_path):
+    # the last line used to win silently: this ran at lambda = 2, exit 0
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("lambda=1\n# lambda again\n\nwindow=0:0:1\nlambda=2\n")
+    _refused(capsys, ["twist-check", "--config", str(cfg)],
+             f"{cfg}:5: config key 'lambda' already set on line 1")
+
+
 @pytest.mark.parametrize("suite, config, key", [
     ("iso-check", "kinds=lambda-rescale\nb_m=5\n", "b_m"),
     ("iso-check", "kinds=vm\nlambda2=2\n", "lambda2"),

@@ -450,6 +450,23 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
     assert values and all(type(v) is int for _, v in values)
 
 
+def test_ks_sums_drop_what_cancels():
+    table = {(1, 0): PolyHH._adopt({(1, 0): 2, (0, 0): -1}),
+             (0, 1): PolyHH({(0, 1): F(1, 3)})}
+    sums = {}
+    freemod._ks_add_into(sums, table, 3)
+    assert sums == {(1, 0): {(1, 0): 6, (0, 0): -3}, (0, 1): {(0, 1): 1}}
+    assert {type(v) for v in sums[(1, 0)].values()} == {int}
+    freemod._ks_add_into(sums, {(1, 0): PolyHH({(1, 0): -6})}, 1)
+    assert sums == {(1, 0): {(0, 0): -3}, (0, 1): {(0, 1): 1}}
+    # the int -3 and the Fraction 1 cancel against Fractions
+    freemod._ks_add_into(sums, table, F(-3, 2))
+    freemod._ks_add_into(sums, table, F(-3, 2))
+    freemod._ks_add_into(sums, {(1, 0): PolyHH({(1, 0): 6})}, 1)
+    assert sums == {(1, 0): {}, (0, 1): {}}
+    assert freemod._adopt_table(sums) == {}
+
+
 def test_ks_table_never_yields_a_float():
     rng = random.Random(423)
     for adjoint in _prover_cases(rng, 40):

@@ -12,8 +12,8 @@ from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
 from takiffrep.freemod import _ks_compose_into, _ks_tables, ks_residuals
 from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
-                                _first_failure, apply_localized,
-                                check_twist_iso, ebinv_act,
+                                _apply_columns, _first_failure,
+                                apply_localized, check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
                                 vm_matching_m_spec)
@@ -803,6 +803,20 @@ def test_intertwiner_search_odd_alpha_gap_is_empty():
     res = intertwiner_search(a, b, win)
     assert res["dimension"] == 0
     assert res["codomain_window"] is None
+
+
+def test_apply_columns_drops_what_cancels():
+    columns = {(0, 1): {(1, 1): 2, (1, 2): F(1, 2)},
+               (0, 2): {(1, 1): -1, (1, 2): 3}}
+    assert _apply_columns(columns, {(0, 1): 1, (0, 2): 2}) == {(1, 2): F(13, 2)}
+    # the int 2 * 2 cancels against the Fraction 4
+    columns[(0, 2)] = {(1, 1): F(4)}
+    assert _apply_columns(columns, {(0, 1): 2, (0, 2): -1}) == {(1, 2): 1}
+    assert _apply_columns({(0, 1): {(1, 1): 2}, (0, 2): {(1, 1): F(4)}},
+                          {(0, 1): 2, (0, 2): -1}) == {}
+    got = _apply_columns({(0, 1): {(1, 1): 2, (2, 1): 1}}, {(0, 1): 2}, 3)
+    assert got == {(1, 1): 12, (2, 1): 6}
+    assert {type(x) for x in got.values()} == {int}
 
 
 def test_linear_window_map_domain_guard():

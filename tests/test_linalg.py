@@ -25,7 +25,7 @@ import pytest
 import sympy
 
 from takiffrep import linalg
-from takiffrep.linalg import RowBasis, nullspace
+from takiffrep.linalg import RowBasis, add_into, nullspace, vec_axpy
 
 F = Fraction
 
@@ -192,6 +192,28 @@ def test_rowbasis_on_mixed_int_and_large_fraction_entries():
                 ratio = residue[k] / got[k]
                 assert ratio and all(residue[c] == ratio * x
                                      for c, x in got.items())
+
+
+def test_add_into_drops_every_entry_that_cancels():
+    acc = {"x": 2, "y": F(1, 2)}
+    assert add_into(acc, 1, [("x", F(-2)), ("y", 1), ("z", 3)]) is acc
+    # the int 2 and the Fraction -2 cancel: nothing is stored at x
+    assert acc == {"y": F(3, 2), "z": 3}
+    assert add_into(acc, F(-1, 2), [("y", 3), ("z", 6)]) == {}
+    ints = add_into({"x": 3}, 2, [("x", 4), ("w", -1)])
+    assert ints == {"x": 11, "w": -2}
+    assert {type(v) for v in ints.values()} == {int}
+
+
+def test_vec_axpy_cancels_to_the_empty_vector():
+    v = {("k", 0): F(2, 3), ("k", 1): 4}
+    assert vec_axpy(v, -1, v) == {}
+    assert vec_axpy(v, F(-2), {("k", 0): F(1, 3), ("k", 1): 2}) == {}
+    assert vec_axpy({0: 2}, F(-2), {0: 1}) == {}
+    out = vec_axpy({0: 2, 1: 5}, 3, {0: -1, 2: 1})
+    assert out == {0: -1, 1: 5, 2: 3}
+    assert {type(x) for x in out.values()} == {int}
+    assert v == {("k", 0): F(2, 3), ("k", 1): 4}  # v itself is not changed
 
 
 def test_rowbasis_add_reports_independence():

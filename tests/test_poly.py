@@ -124,6 +124,27 @@ def test_int_shifts_of_int_polynomials_stay_ints():
     assert shifted_expand(p, (0, 0)) is p
 
 
+def test_cancelling_sums_store_no_zero():
+    p = PolyHH({(1, 0): Fraction(1, 2), (0, 1): 3})
+    for zero in (p - p, p + (-p), -p + p):
+        assert zero._c == {} and zero == PolyHH.zero()
+    h, hb = PolyHH.h(), PolyHH.hbar()
+    assert ((h + hb) - h)._c == {(0, 1): 1}
+    assert (hb + (h - hb))._c == {(1, 0): 1}
+    # an int coefficient cancels against the equal Fraction
+    ints = PolyHH._adopt({(1, 0): 2, (0, 0): 1})
+    assert (ints - PolyHH({(1, 0): 2}))._c == {(0, 0): 1}
+    assert (ints + PolyHH({(1, 0): -2, (0, 0): -1})).is_zero()
+
+
+def test_sums_of_int_polynomials_stay_int():
+    p = PolyHH._adopt({(1, 0): 2, (0, 1): -1})
+    q = PolyHH._adopt({(1, 0): 3, (0, 0): 1})
+    for got in (p + q, p - q, q - p):
+        assert {type(v) for _, v in got.terms()} == {int}
+    assert (p + q)._c == {(1, 0): 5, (0, 1): -1, (0, 0): 1}
+
+
 def test_eval_at():
     p = PolyHH.term(2, 1, 3) + PolyHH.const(Fraction(1, 2))
     # 3 h^2 hb + 1/2 at h=2, hb=-1
