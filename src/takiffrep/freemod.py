@@ -50,6 +50,17 @@ holds for the operators exactly when it holds on every eta_{k,s}.
 ``ks_residuals``, the one prover of such identities, proves for every
 (k, s) the brackets of ``verify_axioms`` and of the dual weight families
 of ``weightmod``, and the twist and rescaling maps of ``functors``.
+
+An adjoint term (m, r, c0, c1) means (c0 + c1*k)/d C(s-1, r)
+eta_{k+dk, s-r+m}, and ``ks_residuals`` keeps every table in that basis
+C(s-1, t) of Q[s]: a generator's table is its entry as it is, and a
+composition multiplies C(s-1, t) by C(s-1+ds, rho), which one cached
+integer rule writes back in the basis (Vandermonde, then the product of
+two binomials).  As the C(s-1, t) are a basis, a table vanishes exactly
+when each of its coefficients, polynomials in k, does.  C(s-1, r) = 0 at
+s = 1..r, where the term is absent, so each coefficient is true at every
+s >= 1.  Only a nonzero residual is expanded into monomials in (k, s),
+times the scale M of ``ks_residuals``.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -360,66 +371,106 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
 
 # an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
 # sum P(k, s) * eta_{k+dk, s+ds}, P a PolyHH with k in the h slot and s in
-# the hbar slot
+# the hbar slot; the form a nonzero residual is returned in
 KSTable = Dict[Tuple[int, int], PolyHH]
-# a table being summed: (dk, ds) -> the cleaned coefficient dict of P
-KSSums = Dict[Tuple[int, int], Dict[Tuple[int, int], RationalLike]]
+# the same operator in the basis C(s-1, t) of Q[s] that adjoint entries
+# are written in: (dk, ds, t, j) -> the coefficient of k^j C(s-1, t)
+BinomialTable = Dict[Tuple[int, int, int, int], RationalLike]
 
 
-def _adopt_table(sums: KSSums) -> KSTable:
-    return {key: PolyHH._adopt(c) for key, c in sums.items() if c}
+def _binomial(n: int, i: int) -> int:
+    """C(n, i) = n (n-1) ... (n-i+1) / i! for every int n, negative too."""
+    return comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
 
 
-def _ks_table(entry: AdjointEntry, top: int) -> KSTable:
-    """top! times one generator's table, read off its adjoint entry
-    (dk, terms) whose every r is at most ``top``: each term (m, r, c0, c1)
-    adds (c0 + c1*k) top!/r! (s-1)(s-2)...(s-r) at (dk, m - r)."""
+@lru_cache(maxsize=1 << 12)
+def _binomial_product(t: int, rho: int, ds: int) -> Tuple[Tuple[int, int], ...]:
+    """C(x, t) C(x + ds, rho) in the basis C(x, u): its pairs (u, n), n != 0.
+
+    By Vandermonde C(x + ds, rho) = sum_i C(ds, i) C(x, rho - i), and
+    C(x, a) C(x, b) = sum_j (a+b-j)! / (j! (a-j)! (b-j)!) C(x, a+b-j), that
+    coefficient being C(a+b-j, a) C(a, j).  Every n is an int.
+    """
+    out: Dict[int, int] = {}
+    for i in range(rho + 1):
+        a, b = t, rho - i
+        add_into(out, _binomial(ds, i),
+                 ((a + b - j, comb(a + b - j, a) * comb(a, j))
+                  for j in range(min(a, b) + 1)))
+    return tuple(out.items())
+
+
+def _binomial_table(entry: AdjointEntry) -> BinomialTable:
+    """One generator's table, its adjoint entry (dk, terms) read as it is:
+    a term (m, r, c0, c1) is c0 + c1*k at C(s-1, r), moving s by m - r."""
     dk, terms = entry
-    sums: KSSums = {}
+    out: BinomialTable = {}
     for m, r, c0, c1 in terms:
-        falling = [1]  # coefficients of (s-1)...(s-r) in s, lowest first
-        for t in range(1, r + 1):
-            falling = [a - t * b for a, b in zip([0] + falling, falling + [0])]
-        w = factorial(top) // factorial(r)
-        linear = {(i, 0): c * w for i, c in enumerate((c0, c1)) if c}
-        PolyHH._adopt(linear)._mul_into(
-            PolyHH._adopt({(0, j): b for j, b in enumerate(falling)}),
-            sums.setdefault((dk, m - r), {}))
-    return _adopt_table(sums)
+        add_into(out, 1, (((dk, m - r, r, 0), c0), ((dk, m - r, r, 1), c1)))
+    return out
 
 
-def _ks_tables(adjoint: AdjointTable) -> Tuple[int, Dict[str, KSTable]]:
-    """(S, tables): the table of every generator of ``adjoint`` = (d,
-    entries), each S = d R! times the true one, R the largest r; integer
-    entries give integer tables."""
-    d, entries = adjoint
-    top = max((r for _, terms in entries.values() for _, r, _, _ in terms),
-              default=0)
-    return d * factorial(top), {x: _ks_table(entry, top)
-                                for x, entry in entries.items()}
+def _compose_into(out: BinomialTable, left: BinomialTable,
+                  right: BinomialTable) -> None:
+    """Add left o right to ``out``, ``left`` linear in k as every
+    generator's table is.  ``right`` sends eta_{k,s} to a k^j C(x, t)
+    eta_{k+dk, s+ds}, x = s - 1, and a term (ek, es, rho, i) -> b of left
+    sends that on with b (k + dk)^i C(x + ds, rho); ``_binomial_product``
+    writes C(x, t) C(x + ds, rho) back in the basis."""
+    for (dk, ds, t, j), a in right.items():
+        for (ek, es, rho, i), b in left.items():
+            c = a * b
+            # b (k + dk) adds c at k^(j+1) and c dk at k^j
+            parts = ((j + 1, c), (j, c * dk)) if i and dk else ((j + i, c),)
+            k_to, s_to = dk + ek, ds + es
+            rule = _binomial_product(t, rho, ds)
+            for jj, v in parts:
+                # add_into's loop written out, as in PolyHH._mul_into
+                for u, n in rule:
+                    e = (k_to, s_to, u, jj)
+                    y = out.get(e, 0) + v * n
+                    if y:
+                        out[e] = y
+                    else:
+                        out.pop(e, None)
 
 
-def _ks_compose_into(out: KSSums, tables: Dict[str, KSTable], x: str,
-                     right: KSTable, shifted: Dict[tuple, PolyHH]) -> None:
-    """Add x o right to ``out``: ``right`` sends eta_{k,s} to P(k, s)
-    eta_{k+dk, s+ds}, and x sends that on with P_x(k + dk, s + ds).
-    ``shifted`` keeps each shift of each P_x, made once."""
-    for (dk, ds), py in right.items():
-        for (ek, es), px in tables[x].items():
-            key = (x, ek, es, dk, ds)
-            shift = shifted.get(key)
-            if shift is None:
-                h_shift = shifted.get(key[:4])
-                if h_shift is None:
-                    h_shift = shifted[key[:4]] = px.shift_h(dk)
-                shift = shifted[key] = h_shift.shift_hbar(ds)
-            shift._mul_into(py, out.setdefault((ek + dk, es + ds), {}))
+def _word_into(out: BinomialTable, tables: Dict[str, BinomialTable],
+               word: Tuple[str, ...], w: RationalLike) -> None:
+    """Add w times the table of ``word`` to ``out``, the rightmost letter
+    acting first; the empty word is the identity."""
+    table: BinomialTable = {(0, 0, 0, 0): w}
+    for letter in reversed(word[1:]):
+        part: BinomialTable = {}
+        _compose_into(part, tables[letter], table)
+        table = part
+    if word:
+        _compose_into(out, tables[word[0]], table)
+    else:
+        add_into(out, 1, table.items())
 
 
-def _ks_add_into(out: KSSums, table: KSTable, c: RationalLike) -> None:
-    """Add c * table to ``out``."""
-    for key, p in table.items():
-        add_into(out.setdefault(key, {}), c, p._c.items())
+def _monomial_table(table: BinomialTable, scale: int) -> KSTable:
+    """``scale`` times ``table`` in monomials: (dk, ds) -> P(k, s).
+
+    T! C(s-1, t) = T!/t! (s-1)(s-2)...(s-t) has int coefficients, T the
+    largest t, so the sums stay exact and each is divided by T! once."""
+    den = factorial(max(t for _, _, t, _ in table))
+    sums: Dict[Tuple[int, int], Dict[Tuple[int, int], RationalLike]] = {}
+    for (dk, ds, t, j), a in table.items():
+        falling = [1]  # coefficients of (s-1)...(s-t) in s, lowest first
+        for n in range(1, t + 1):
+            falling = [u - n * v for u, v in zip([0] + falling, falling + [0])]
+        add_into(sums.setdefault((dk, ds), {}),
+                 a * scale * (den // factorial(t)),
+                 (((j, e), v) for e, v in enumerate(falling)))
+    out = {}
+    for key, c in sums.items():
+        for e, v in c.items():
+            v = Fraction(v, den)
+            c[e] = v.numerator if v.denominator == 1 else v
+        out[key] = PolyHH._adopt(c)
+    return out
 
 
 def ks_residuals(adjoints: Sequence[AdjointTable],
@@ -427,49 +478,39 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
     """M times the (k, s) table of each identity, zero entries dropped.
 
     A term (i, c, word) is c times ``word`` (rightmost letter first; the
-    empty word is the identity) on ``adjoints[i]``.  A generator's table
-    (dk, ds) -> P(k, s) sums (c0 + c1*k) C(s-1, r) over its terms with
-    m - r = ds; C(s-1, r) vanishes at s = 1..r, where the term is absent,
-    so every coefficient is true on the Zariski-dense Z x Z_{>=1}: a table
+    empty word is the identity) on ``adjoints[i]``.  Tables are kept in
+    the basis C(s-1, t) of Q[s], the one adjoint entries are written in:
+    a term (m, r, c0, c1) is (c0 + c1*k)/d C(s-1, r) eta_{k+dk, s-r+m},
+    and composing multiplies two such binomials, which
+    ``_binomial_product`` writes back in the basis.  C(s-1, r) vanishes at
+    s = 1..r, where the term is absent, so every coefficient is true on
+    the Zariski-dense Z x Z_{>=1}: as the C(s-1, t) are a basis, a table
     is empty exactly when its identity holds on every eta_{k,s}, and
     nonzero at (k, s) exactly when it fails there.  Adjoint i is read at
-    its integer scale S_i, so a word of n letters is weighted by c M /
-    S_i^n, M the product of the S_i^(L_i), L_i the longest word on adjoint
-    i.  Each adjoint has its own shift cache, as they share letter names.
+    its scale d_i, so a word of n letters is weighted by c D / d_i^n, D
+    the product of the d_i^(L_i), L_i the longest word on adjoint i; a
+    nonzero residual is returned in monomials in (k, s), times the product
+    of the R_i!^(L_i), R_i the largest r of adjoint i.  So M is the
+    product of the (d_i R_i!)^(L_i), and integer adjoints and weights
+    give integer tables.
     """
-    read = [_ks_tables(adjoint) for adjoint in adjoints]
+    tables = [{x: _binomial_table(entry) for x, entry in entries.items()}
+              for _, entries in adjoints]
     longest = [max((len(word) for identity in identities
                     for j, _, word in identity if j == i), default=0)
                for i in range(len(adjoints))]
-    total = prod(scale ** n for (scale, _), n in zip(read, longest))
-    caches: List[Dict[tuple, PolyHH]] = [{} for _ in adjoints]
-    weighted: Dict[tuple, KSTable] = {}
+    total = prod(d ** n for (d, _), n in zip(adjoints, longest))
+    scale = prod(factorial(max((r for _, terms in entries.values()
+                                for _, r, _, _ in terms), default=0)) ** n
+                 for (_, entries), n in zip(adjoints, longest))
     out = []
     for identity in identities:
-        sums: KSSums = {}
+        sums: BinomialTable = {}
         for i, c, word in identity:
-            scale, tables = read[i]
-            w = c * (total // scale ** len(word))
-            w = w.numerator if w.denominator == 1 else w
-            table = (tables[word[-1]] if word
-                     else {(0, 0): PolyHH._adopt({(0, 0): 1})})
-            if len(word) < 2:
-                _ks_add_into(sums, table, w)
-                continue
-            # weight the rightmost table; the leftmost letter adds to sums
-            if w != 1:
-                key = (i, word[-1], w)
-                if key not in weighted:
-                    part: KSSums = {}
-                    _ks_add_into(part, table, w)
-                    weighted[key] = _adopt_table(part)
-                table = weighted[key]
-            for letter in reversed(word[1:-1]):
-                part = {}
-                _ks_compose_into(part, tables, letter, table, caches[i])
-                table = _adopt_table(part)
-            _ks_compose_into(sums, tables, word[0], table, caches[i])
-        out.append(_adopt_table(sums))
+            w = c * (total // adjoints[i][0] ** len(word))
+            _word_into(sums, tables[i], word,
+                       w.numerator if w.denominator == 1 else w)
+        out.append(_monomial_table(sums, scale) if sums else {})
     return out
 
 

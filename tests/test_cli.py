@@ -746,6 +746,11 @@ GOLDEN_CASES = [
     ("verify_free_grid.csv", "verify-free",
      "families=gamma,theta,omega\nlambda=1,-2/3\na=0,5\nb=1/2\nbeta1=1,2\n"
      "format=csv\n"),
+    # saved while ks_residuals still composed its (k, s) tables in
+    # monomials in s: omega with beta1 of degree 4, whose r = 4 terms are
+    # the largest the prover composes, at fractional lambda and b
+    ("verify_free_omega_beta1_quartic.json", "verify-free",
+     "families=omega\nlambda=-3/2\nb=2/5\nbeta1=1,-2,3/4,5,-1/3\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

@@ -9,7 +9,9 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
-from adjoint_views import fraction_view, integer_table
+from adjoint_views import (fraction_view, integer_table, plant,
+                           smallest_fault)
+from ks_oracle import ks_residuals_monomial
 from samplers import random_poly
 
 from takiffrep import freemod
@@ -20,13 +22,14 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                iso_invariants_free, make_gamma, make_omega,
                                make_theta_mod, omega_layer_action,
                                omega_layer_ops, omega_quotient_delta_params,
-                               prove_brackets,
+                               ks_residuals, prove_brackets,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
 from takiffrep.linalg import nullspace, vec_primitive
 from takiffrep.poly import PolyHH, parse_poly, random_rational
 from takiffrep.weightmod import (delta_action, make_weight_m, make_weight_n,
-                                 make_weight_v, weight_bracket_report)
+                                 make_weight_v, random_weight_spec,
+                                 weight_bracket_report)
 
 F = Fraction
 ONE = PolyHH.const(1)
@@ -396,17 +399,6 @@ def _prover_cases(rng, count):
     return cases
 
 
-def _plant(adjoint, x, index, dc0, dc1=0):
-    """``adjoint`` with term ``index`` of generator x moved by (dc0, dc1)
-    in true values."""
-    view = fraction_view(adjoint)
-    dk, terms = view[x]
-    m, r, c0, c1 = terms[index]
-    planted = (m, r, c0 + dc0, c1 + dc1)
-    return integer_table(
-        {**view, x: (dk, terms[:index] + (planted,) + terms[index + 1:])})
-
-
 def test_prove_brackets_agrees_with_fraction_prover():
     rng = random.Random(420)
     failing = 0
@@ -423,10 +415,18 @@ def test_prove_brackets_agrees_with_fraction_prover_on_planted_faults():
     for adjoint in _prover_cases(rng, 40):
         x = rng.choice(GENERATORS)
         index = rng.randrange(len(adjoint[1][x][1]))
-        planted = _plant(adjoint, x, index, random_rational(rng),
+        planted = plant(adjoint, x, index, random_rational(rng),
                          rng.choice((0, random_rational(rng))))
         flags = [p["pass"] for p in prove_brackets(planted)]
         assert flags == fraction_prover(fraction_view(planted)), (x, index)
+
+
+def _values(table):
+    """The coefficients of a table: a binomial table's own values, or
+    those of a monomial table's PolyHH entries."""
+    for v in table.values():
+        yield from ((c for _, c in v.terms()) if isinstance(v, PolyHH)
+                    else (v,))
 
 
 def test_prove_brackets_builds_int_tables(monkeypatch):
@@ -439,32 +439,38 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
             return out
         return run
 
-    for name in ("_ks_table", "_ks_compose_into", "_ks_add_into"):
+    for name in ("_binomial_table", "_compose_into", "_monomial_table"):
         monkeypatch.setattr(freemod, name, recorded(getattr(freemod, name)))
     rng = random.Random(422)
+    failing = 0
     for adjoint in _prover_cases(rng, 24):
-        prove_brackets(adjoint)
-    # the tables, and the sums they are composed and added into
-    values = [c for table in seen for p in table.values()
-              for c in (p.terms() if isinstance(p, PolyHH) else p.items())]
-    assert values and all(type(v) is int for _, v in values)
+        failing += not all(p["pass"] for p in prove_brackets(adjoint))
+    # the generator tables, the sums they are composed into, and the
+    # monomial form of each nonzero residual
+    values = [c for table in seen for c in _values(table)]
+    assert failing and values and all(type(v) is int for v in values)
 
 
 def test_ks_sums_drop_what_cancels():
-    table = {(1, 0): PolyHH._adopt({(1, 0): 2, (0, 0): -1}),
-             (0, 1): PolyHH({(0, 1): F(1, 3)})}
+    # (2 + k/3) eta_{k+1,s} after 3 C(s-1, 1) eta_{k-1,s+1}:
+    # 3 C(s-1, 1) (2 + (k-1)/3) = (5 + k) C(s-1, 1) at (0, 1)
+    left = {(1, 0, 0, 0): 2, (1, 0, 0, 1): F(1, 3)}
     sums = {}
-    freemod._ks_add_into(sums, table, 3)
-    assert sums == {(1, 0): {(1, 0): 6, (0, 0): -3}, (0, 1): {(0, 1): 1}}
-    assert {type(v) for v in sums[(1, 0)].values()} == {int}
-    freemod._ks_add_into(sums, {(1, 0): PolyHH({(1, 0): -6})}, 1)
-    assert sums == {(1, 0): {(0, 0): -3}, (0, 1): {(0, 1): 1}}
-    # the int -3 and the Fraction 1 cancel against Fractions
-    freemod._ks_add_into(sums, table, F(-3, 2))
-    freemod._ks_add_into(sums, table, F(-3, 2))
-    freemod._ks_add_into(sums, {(1, 0): PolyHH({(1, 0): 6})}, 1)
-    assert sums == {(1, 0): {}, (0, 1): {}}
-    assert freemod._adopt_table(sums) == {}
+    freemod._compose_into(sums, left, {(-1, 1, 1, 0): 3})
+    assert sums == {(0, 1, 1, 0): 5, (0, 1, 1, 1): 1}
+    assert type(sums[(0, 1, 1, 0)]) is F  # 6 - 1 over Fractions
+    freemod._compose_into(sums, {(1, 0, 0, 1): F(1, 3)}, {(-1, 1, 1, 0): 3})
+    assert sums == {(0, 1, 1, 0): 4, (0, 1, 1, 1): 2}
+    # the Fraction 4 and 2 cancel against ints and Fractions
+    freemod._compose_into(sums, left, {(-1, 1, 1, 0): F(-3, 2)})
+    freemod._compose_into(sums, left, {(-1, 1, 1, 0): F(-3, 2)})
+    freemod._compose_into(sums, {(1, 0, 0, 1): 1}, {(-1, 1, 1, 0): -1})
+    assert sums == {}
+    # a term (m, r, c0, c1) with c0 = 0 stores no zero
+    assert freemod._binomial_table((1, ((0, 2, 0, 5), (1, 0, 3, 0)))) == \
+        {(1, -2, 2, 1): 5, (1, 1, 0, 0): 3}
+    assert ks_residuals([(1, {"x": (1, ((0, 2, 0, 5),))})],
+                        [[(0, 2, ("x",)), (0, -2, ("x",))]]) == [{}]
 
 
 def test_ks_table_never_yields_a_float():
@@ -472,37 +478,112 @@ def test_ks_table_never_yields_a_float():
     for adjoint in _prover_cases(rng, 40):
         x = rng.choice(GENERATORS)
         # a zero c0 beside a nonzero c1, and the int 0 as c1
-        view = fraction_view(_plant(adjoint, x, 0, 0, F(1, 3)))
+        view = fraction_view(plant(adjoint, x, 0, 0, F(1, 3)))
         view[x] = (view[x][0],
                    view[x][1] + ((1, 3, F(0), F(5, 7)), (0, 2, F(2), 0)))
         d, entries = integer_table(view)
         # a Fraction entry that is not whole, as eb^-1's may be
         entries["ebinv"] = (1, ((0, 0, F(2 * d + 1, 2), 0),))
-        scale, tables = freemod._ks_tables((d, entries))
-        top = max(r for _, terms in entries.values() for _, r, _, _ in terms)
-        assert scale == d * factorial(top)
-        for y, table in tables.items():
-            for p in table.values():
-                assert not p.is_zero()
-                assert all(type(v) is (F if y == "ebinv" else int)
-                           for _, v in p.terms())
+        for y, entry in entries.items():
+            table = freemod._binomial_table(entry)
+            assert all(v and type(v) is (F if y == "ebinv" else int)
+                       for v in table.values())
+        # words with eb^-1 may hold Fractions, the others only ints
+        words = [(x, y) for y in entries] + [(y, "ebinv") for y in entries]
+        residuals = ks_residuals([(d, entries)],
+                                 [[(0, 1, word)] for word in words])
+        for word, table in zip(words, residuals):
+            for v in _values(table):
+                assert v and type(v) in ((int, F) if "ebinv" in word
+                                         else (int,)), (word, v)
 
 
-def _smallest_fault(adjoint):
-    """The largest-r term of f moved by 1/(2 d R!), with d the denominator
-    of the integer table and R the largest r: below the resolution of
-    tables scaled by d R! and truncated to ints."""
+# -- the binomial composer against the monomial oracle --------------------------
+
+def _falling_binomial(x, n):
+    """C(x, n) = x (x-1) ... (x-n+1) / n! for any int x, as a Fraction."""
+    out = F(1)
+    for i in range(n):
+        out *= F(x - i, i + 1)
+    return out
+
+
+def test_binomial_product_rule_pointwise():
+    # the oracle: math.comb at x = 0..15 on the left, the falling product
+    # on the right where x + ds is negative; both sides have degree at
+    # most 8 in x, so 16 points decide the identity
+    for t in range(5):
+        for rho in range(5):
+            for ds in range(-4, 5):
+                rule = freemod._binomial_product(t, rho, ds)
+                assert all(type(n) is int and n for _, n in rule)
+                for x in range(16):
+                    want = comb(x, t) * _falling_binomial(x + ds, rho)
+                    assert sum(n * comb(x, u) for u, n in rule) == want, \
+                        (t, rho, ds, x)
+
+
+def _ebinv_adjoint(adjoint):
+    """``adjoint`` with an entry eb^-1 added whose coefficient is not whole
+    over the table's denominator, as eb^-1's may be."""
     d, entries = adjoint
-    top = max(r for _, terms in entries.values() for _, r, _, _ in terms)
-    terms = entries["f"][1]
-    index = max(range(len(terms)), key=lambda i: terms[i][1])
-    return _plant(adjoint, "f", index, F(1, 2 * d * factorial(top)))
+    return d, {**entries, "ebinv": (1, ((0, 0, F(2 * d + 1, 2), 0),))}
+
+
+def test_ks_residuals_match_the_monomial_oracle_on_random_identities():
+    rng = random.Random(424)
+    nonzero = 0
+    for n in range(120):
+        adjoints = []
+        for i in range(1 + n % 2):
+            if rng.random() < 0.5:
+                spec = random_weight_spec(rng, rng.choice("MNV"))
+                adjoints.append(spec.adjoint)
+            else:
+                spec = random_free_spec(rng, rng.choice(("gamma", "theta",
+                                                         "omega")), 3)
+                adjoints.append(adjoint_table(spec.ops, random_rational(rng),
+                                              random_rational(rng)))
+        if n % 3 == 0:
+            adjoints[0] = _ebinv_adjoint(adjoints[0])
+        identities = []
+        for _ in range(3):
+            identity = []
+            for _ in range(rng.randint(1, 5)):
+                i = rng.randrange(len(adjoints))
+                letters = list(adjoints[i][1])
+                word = tuple(rng.choice(letters)
+                             for _ in range(rng.randint(0, 3)))
+                c = (random_rational(rng, nonzero=True) if rng.random() < 0.5
+                     else rng.choice((-3, -1, 1, 2)))
+                identity.append((i, c, word))
+            identities.append(identity)
+        got = ks_residuals(adjoints, identities)
+        assert got == ks_residuals_monomial(adjoints, identities), n
+        nonzero += sum(bool(table) for table in got)
+    assert nonzero > 200
+
+
+def test_ks_residuals_match_the_monomial_oracle_on_brackets():
+    rng = random.Random(425)
+    adjoints = _prover_cases(rng, 60)
+    # omega at the largest beta1 degree verify-free composes
+    adjoints += [adjoint_table(random_free_spec(rng, "omega", 4).ops,
+                               F(0), F(0)) for _ in range(6)]
+    adjoints += [smallest_fault(adjoint) for adjoint in adjoints[:12]]
+    failing = 0
+    for adjoint in adjoints:
+        identities = freemod._BRACKET_IDENTITIES
+        got = ks_residuals([adjoint], identities)
+        assert got == ks_residuals_monomial([adjoint], identities)
+        failing += any(got)
+    assert 12 <= failing < len(adjoints)
 
 
 def test_free_prover_fails_the_smallest_planted_fault(monkeypatch):
     spec = make_gamma(F(3, 7), F(-5, 11), F(2, 13))
     assert verify_axioms(spec)["ok"]
-    planted = _smallest_fault(adjoint_table(spec.ops, F(0), F(0)))
+    planted = smallest_fault(adjoint_table(spec.ops, F(0), F(0)))
     view = fraction_view(planted)
     assert not fraction_prover(view)[GENERATOR_PAIRS.index(("f", "hb"))]
     monkeypatch.setattr(freemod, "adjoint_table", lambda ops, a, b: planted)
@@ -515,7 +596,7 @@ def test_free_prover_fails_the_smallest_planted_fault(monkeypatch):
 def test_weight_bracket_report_fails_the_smallest_planted_fault():
     spec = make_weight_m(F(1, 3), F(-2, 5), F(3, 7), F(-5, 11), F(2, 13))
     assert weight_bracket_report(spec)["ok"]
-    planted = _smallest_fault(spec.adjoint)
+    planted = smallest_fault(spec.adjoint)
     spec.__dict__["adjoint"] = planted
     flags = [p["pass"] for p in weight_bracket_report(spec)["pairs"]]
     assert flags == fraction_prover(fraction_view(planted))

@@ -4,13 +4,15 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from math import comb, factorial
 
 import pytest
-from adjoint_views import fraction_view, integer_table
+from adjoint_views import fraction_view, integer_table, smallest_fault
+from ks_oracle import ks_residuals_monomial
 
 from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
-from takiffrep.freemod import _ks_compose_into, _ks_tables, ks_residuals
+from takiffrep.freemod import _binomial_table, _compose_into, ks_residuals
 from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
                                 _apply_columns, _first_failure,
                                 apply_localized, check_twist_iso, ebinv_act,
@@ -321,37 +323,48 @@ def _table_image(table, k, s):
     return out
 
 
+def _binomial_image(table, k, s):
+    """The vector that a binomial table sends eta_{k,s} to: each entry
+    (dk, ds, t, j) -> c adds c k^j C(s-1, t) at (k + dk, s + ds)."""
+    out = {}
+    for (dk, ds, t, j), c in table.items():
+        v = c * k ** j * comb(s - 1, t)
+        if v:
+            assert s + ds >= 1, ((dk, ds, t, j), k, s)
+            out[(k + dk, s + ds)] = out.get((k + dk, s + ds), 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
 def test_composed_tables_match_act_weight_pointwise():
     rng = random.Random(506)
     for family in "MNVMNV":
         spec = random_weight_spec(rng, family)
-        # each table is S times the true one, each composition S^2 times
-        scale, tables = _ks_tables(spec.adjoint)
-        shifted = {}
+        # each table is d times the true one, each composition d^2 times
+        d, entries = spec.adjoint
+        tables = {x: _binomial_table(entry) for x, entry in entries.items()}
         for x in GENERATORS:
             for y in GENERATORS:
-                sums = {}
-                _ks_compose_into(sums, tables, x, tables[y], shifted)
-                composed = {key: PolyHH._adopt(c)
-                            for key, c in sums.items() if c}
+                composed = {}
+                _compose_into(composed, tables[x], tables[y])
                 for k, s in GRID:
                     v = act_weight(spec, y, wv_unit(k, s))
-                    assert _table_image(tables[y], k, s) == \
-                        wv_scale(scale, v), (spec, y, k, s)
-                    assert _table_image(composed, k, s) == \
-                        wv_scale(scale ** 2, act_weight(spec, x, v)), \
+                    assert _binomial_image(tables[y], k, s) == \
+                        wv_scale(d, v), (spec, y, k, s)
+                    assert _binomial_image(composed, k, s) == \
+                        wv_scale(d ** 2, act_weight(spec, x, v)), \
                         (spec, x, y, k, s)
 
 
 def _residual_scale(adjoints, identities):
-    """M of ``freemod.ks_residuals``: the product of S_i^(L_i), S_i the
-    scale ``_ks_tables`` reads adjoint i at and L_i the longest word on
-    it."""
+    """M of ``freemod.ks_residuals``: the product of (d_i R_i!)^(L_i), d_i
+    the denominator of adjoint i, R_i its largest r and L_i the longest
+    word on it."""
     out = 1
-    for i, adjoint in enumerate(adjoints):
+    for i, (d, entries) in enumerate(adjoints):
         longest = max((len(word) for identity in identities
                        for j, _, word in identity if j == i), default=0)
-        out *= _ks_tables(adjoint)[0] ** longest
+        top = max(r for _, terms in entries.values() for _, r, _, _ in terms)
+        out *= (d * factorial(top)) ** longest
     return out
 
 
@@ -370,7 +383,7 @@ KS_GRID = [(k, s) for k in range(-2, 3) for s in range(1, 5)]
 def test_ks_residuals_match_act_weight_pointwise():
     # the oracle applies every word letter by letter through act_weight;
     # each identity holds 2-letter words on every adjoint, with the same
-    # letters, so that a shift cache shared by the adjoints shows
+    # letters, so that tables mixed up between the adjoints show
     rng = random.Random(509)
     nonzero = 0
     for n in range(18):
@@ -453,16 +466,52 @@ def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
     assert failing == 3
 
 
+def test_twist_and_rescale_residuals_match_the_monomial_oracle(monkeypatch):
+    # every identity list the twist and the rescaling hand ks_residuals,
+    # against right and planted wrong targets and the smallest fault
+    rng = random.Random(508)
+    calls = []
+
+    def recorded(adjoints, identities):
+        out = ks_residuals(adjoints, identities)
+        calls.append(out == ks_residuals_monomial(adjoints, identities))
+        return out
+
+    monkeypatch.setattr(functors, "ks_residuals", recorded)
+    verdicts = []
+    for i in range(24):
+        spec = random_weight_spec(rng, "M")
+        z = random_rational(rng)
+        target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
+                               spec.a, spec.b + i % 2)
+        if i % 4 == 3:
+            target.__dict__["adjoint"] = smallest_fault(target.adjoint)
+        with monkeypatch.context() as patch:
+            patch.setattr(functors, "replace", lambda *args, **kw: target)
+            verdicts.append(check_twist_iso(z, spec).intertwines)
+        family = "MN"[i % 2]
+        spec_a = random_weight_spec(rng, family)
+        spec_b = replace(spec_a, lam=random_rational(rng, nonzero=True))
+        if i % 3 == 1:
+            spec_b = replace(spec_b, b=spec_b.b + 1)
+        elif i % 3 == 2:
+            spec_b.__dict__["adjoint"] = smallest_fault(spec_b.adjoint)
+        verdicts.append(lambda_rescale_iso(spec_a, spec_b).intertwines)
+    assert calls == [True] * 48
+    assert 12 <= verdicts.count(False) < 48
+
+
 def _record_weights(monkeypatch):
-    """The type of every multiple a table is added into a residual with."""
+    """The type of every multiple a word's table is added into a residual
+    with."""
     seen = []
-    add = freemod._ks_add_into
+    add = freemod._word_into
 
-    def recorded(out, table, c):
-        seen.append(type(c))
-        add(out, table, c)
+    def recorded(out, tables, word, w):
+        seen.append(type(w))
+        add(out, tables, word, w)
 
-    monkeypatch.setattr(freemod, "_ks_add_into", recorded)
+    monkeypatch.setattr(freemod, "_word_into", recorded)
     return seen
 
 
