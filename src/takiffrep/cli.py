@@ -5,7 +5,7 @@ Suites
 nf             normal forms of words in the (localized) enveloping algebra
 verify-free    commutator axioms on Gamma/Theta/Omega modules
 saturate       degree-capped submodule saturation from a seed polynomial
-omega-quotient Omega b=0 layers against the closed-form Delta parameters
+omega-quotient Omega b=0 layers: e, f, h as on Delta_1; eb, fb, hb by zero
 verify-weight  duality + bracket identities for the M/N/V families
 singular       windowed singular vectors vs the closed-form criterion
 verma-check    opposite Verma character of a generated submodule
@@ -195,9 +195,13 @@ def _suite_omega_quotient(cfg, args, rng, window):
         d_lam, d_a = freemod.omega_quotient_delta_params(spec, i)
         layer = freemod.omega_layer_ops(spec, i)
         delta = freemod.delta_ops(1, d_lam, d_a)
+        # e, f and h act as on Delta; eb, fb and hb, each a multiple of
+        # hbar at b = 0, act by zero
+        ok = (all(layer[x] == delta[x] for x in "efh")
+              and all(c.is_zero() for x in ("eb", "fb", "hb")
+                      for c, _ in layer[x]))
         cases.append({"i": i, "delta_lambda": d_lam, "delta_a": d_a,
-                      "max_n": n_max,
-                      "pass": all(layer[x] == delta[x] for x in "efh")})
+                      "max_n": n_max, "pass": ok})
     return cases, all(case["pass"] for case in cases), None
 
 

@@ -59,8 +59,8 @@ integer rule writes back in the basis (Vandermonde, then the product of
 two binomials).  As the C(s-1, t) are a basis, a table vanishes exactly
 when each of its coefficients, polynomials in k, does.  C(s-1, r) = 0 at
 s = 1..r, where the term is absent, so each coefficient is true at every
-s >= 1.  Only a nonzero residual is expanded into monomials in (k, s),
-times the scale M of ``ks_residuals``.
+s >= 1.  A residual is returned in that basis too, times the scale D of
+``ks_residuals``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm, perm, prod
+from math import comb, gcd, lcm, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -369,12 +369,9 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
                         for x, (dk, out) in table.items()}
 
 
-# an operator on the basis as (dk, ds) -> P: eta_{k,s} goes to
-# sum P(k, s) * eta_{k+dk, s+ds}, P a PolyHH with k in the h slot and s in
-# the hbar slot; the form a nonzero residual is returned in
-KSTable = Dict[Tuple[int, int], PolyHH]
-# the same operator in the basis C(s-1, t) of Q[s] that adjoint entries
-# are written in: (dk, ds, t, j) -> the coefficient of k^j C(s-1, t)
+# an operator on the basis as (dk, ds, t, j) -> a: eta_{k,s} goes to the
+# sum of a k^j C(s-1, t) eta_{k+dk, s+ds}, the C(s-1, t) being the basis
+# of Q[s] that adjoint entries are written in; no value is zero
 BinomialTable = Dict[Tuple[int, int, int, int], RationalLike]
 
 
@@ -450,32 +447,9 @@ def _word_into(out: BinomialTable, tables: Dict[str, BinomialTable],
         add_into(out, 1, table.items())
 
 
-def _monomial_table(table: BinomialTable, scale: int) -> KSTable:
-    """``scale`` times ``table`` in monomials: (dk, ds) -> P(k, s).
-
-    T! C(s-1, t) = T!/t! (s-1)(s-2)...(s-t) has int coefficients, T the
-    largest t, so the sums stay exact and each is divided by T! once."""
-    den = factorial(max(t for _, _, t, _ in table))
-    sums: Dict[Tuple[int, int], Dict[Tuple[int, int], RationalLike]] = {}
-    for (dk, ds, t, j), a in table.items():
-        falling = [1]  # coefficients of (s-1)...(s-t) in s, lowest first
-        for n in range(1, t + 1):
-            falling = [u - n * v for u, v in zip([0] + falling, falling + [0])]
-        add_into(sums.setdefault((dk, ds), {}),
-                 a * scale * (den // factorial(t)),
-                 (((j, e), v) for e, v in enumerate(falling)))
-    out = {}
-    for key, c in sums.items():
-        for e, v in c.items():
-            v = Fraction(v, den)
-            c[e] = v.numerator if v.denominator == 1 else v
-        out[key] = PolyHH._adopt(c)
-    return out
-
-
 def ks_residuals(adjoints: Sequence[AdjointTable],
-                 identities: Sequence[Sequence[tuple]]) -> List[KSTable]:
-    """M times the (k, s) table of each identity, zero entries dropped.
+                 identities: Sequence[Sequence[tuple]]) -> List[BinomialTable]:
+    """D times the (k, s) table of each identity, zero entries dropped.
 
     A term (i, c, word) is c times ``word`` (rightmost letter first; the
     empty word is the identity) on ``adjoints[i]``.  Tables are kept in
@@ -488,11 +462,8 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
     is empty exactly when its identity holds on every eta_{k,s}, and
     nonzero at (k, s) exactly when it fails there.  Adjoint i is read at
     its scale d_i, so a word of n letters is weighted by c D / d_i^n, D
-    the product of the d_i^(L_i), L_i the longest word on adjoint i; a
-    nonzero residual is returned in monomials in (k, s), times the product
-    of the R_i!^(L_i), R_i the largest r of adjoint i.  So M is the
-    product of the (d_i R_i!)^(L_i), and integer adjoints and weights
-    give integer tables.
+    the product of the d_i^(L_i), L_i the longest word on adjoint i, and
+    integer adjoints and weights give integer tables.
     """
     tables = [{x: _binomial_table(entry) for x, entry in entries.items()}
               for _, entries in adjoints]
@@ -500,9 +471,6 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
                     for j, _, word in identity if j == i), default=0)
                for i in range(len(adjoints))]
     total = prod(d ** n for (d, _), n in zip(adjoints, longest))
-    scale = prod(factorial(max((r for _, terms in entries.values()
-                                for _, r, _, _ in terms), default=0)) ** n
-                 for (_, entries), n in zip(adjoints, longest))
     out = []
     for identity in identities:
         sums: BinomialTable = {}
@@ -510,7 +478,7 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
             w = c * (total // adjoints[i][0] ** len(word))
             _word_into(sums, tables[i], word,
                        w.numerator if w.denominator == 1 else w)
-        out.append(_monomial_table(sums, scale) if sums else {})
+        out.append(sums)
     return out
 
 

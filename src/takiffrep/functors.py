@@ -38,11 +38,11 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import perm
+from math import comb, perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import KSTable, ks_residuals, prove_brackets
+from .freemod import BinomialTable, ks_residuals, prove_brackets
 from .linalg import add_into, nullspace, vec_primitive
 from .poly import RationalLike, poly1_eval, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -125,29 +125,37 @@ def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
     return out
 
 
-def _table_iso(residuals: Dict[str, KSTable], window: Window,
+def _table_iso(residuals: Dict[str, BinomialTable], window: Window,
                details: dict | None = None) -> IsoCheckResult:
     """The verdict on a diagonal map phi(eta_{k,s}) = c_k eta_{k,s}, every
     c_k nonzero, from ``residuals[x]``, the ``freemod.ks_residuals`` table
     of (x o phi - phi o x) / c_k: the probe (k, s, x) fails exactly when
-    one of its entries is nonzero at (k, s).  ``failing_probe`` is the
-    first failing window probe, k then s ascending and x in GENERATORS
-    order, else the first on the grid k_min <= k <= k_min + d_k, 1 <= s
-    <= d_s + 1, d_k and d_s the largest degrees in k and s of any entry,
-    where a nonzero entry is nonzero somewhere.  ``rank`` is the number of window indices.
+    that table sends eta_{k,s} to a nonzero vector.  ``failing_probe`` is
+    the first failing window probe, k then s ascending and x in
+    GENERATORS order, else the first on the grid k_min <= k <= k_min +
+    d_k, 1 <= s <= d_s + 1, d_k the largest j and d_s the largest t of
+    any entry: as the C(s-1, t) are triangular in the monomials s^t,
+    these are the degrees in k and s, so a nonzero table is nonzero
+    somewhere on that grid.  ``rank`` is the number of window indices.
     """
-    nonzero = [p for table in residuals.values() for p in table.values()]
+    def nonzero_at(table, k, s):
+        # the sum of a k^j C(s-1, t) over (dk, ds, t, j) -> a, per (dk, ds)
+        sums: Dict[Tuple[int, int], RationalLike] = {}
+        for (dk, ds, t, j), a in table.items():
+            sums[dk, ds] = sums.get((dk, ds), 0) + a * k ** j * comb(s - 1, t)
+        return any(sums.values())
+
+    keys = [key for table in residuals.values() for key in table]
     failing = None
-    if nonzero:
-        d_k = max(p.deg_h() for p in nonzero)
-        d_s = max(p.deg_hbar() for p in nonzero)
+    if keys:
+        d_k = max(j for *_, j in keys)
+        d_s = max(t for _, _, t, _ in keys)
         grid = ((k, s) for k in range(window.k_min, window.k_min + d_k + 1)
                 for s in range(1, d_s + 2))
         failing = next(
             ({"k": k, "s": s, "x": x}
              for k, s in itertools.chain(window.indices(), grid)
-             for x in GENERATORS
-             if any(p.eval_at(k, s) for p in residuals[x].values())), None)
+             for x in GENERATORS if nonzero_at(residuals[x], k, s)), None)
     rank = (window.k_max - window.k_min + 1) * window.s_max
     return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
                           failing_probe=failing, details=details)

@@ -12,6 +12,7 @@ import pytest
 from takiffrep import cli, freemod
 from takiffrep.algebra import check_theta_automorphism
 from takiffrep.cli import main
+from takiffrep.poly import PolyHH
 from takiffrep.scan import SCAN_CSV_COLUMNS
 
 
@@ -489,6 +490,24 @@ def test_omega_quotient_fails_on_a_moved_delta_parameter(capsys, tmp_path,
         assert [case["pass"] for case in doc["cases"]] == [True, False, True]
 
 
+def test_omega_quotient_fails_on_a_constant_term_in_eb(capsys, tmp_path,
+                                                       monkeypatch):
+    # at b = 0 eb, fb and hb act by zero on every layer; a constant term
+    # added to one of them acts on each layer by that constant
+    real = freemod._ops_of
+    cfg = tmp_path / "oq.cfg"
+    cfg.write_text("lambda=2\nbeta1=1,3\ni=0,5,9\nn_max=0\n")
+    for x in ("eb", "fb", "hb"):
+        def planted(spec, x=x):
+            ops = real(spec)
+            (c, m), = ops[x]
+            return {**ops, x: ((c + PolyHH.const(1), m),)}
+        monkeypatch.setattr(freemod, "_ops_of", planted)
+        code, doc = run_json(capsys, "omega-quotient", "--config", str(cfg))
+        assert code == 1, x
+        assert [case["pass"] for case in doc["cases"]] == [False] * 3
+
+
 def test_seed_flag_overrides_config(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed=5\n")
@@ -751,6 +770,10 @@ GOLDEN_CASES = [
     # the largest the prover composes, at fractional lambda and b
     ("verify_free_omega_beta1_quartic.json", "verify-free",
      "families=omega\nlambda=-3/2\nb=2/5\nbeta1=1,-2,3/4,5,-1/3\n"),
+    # saved while omega-quotient still compared only e, f and h: layers
+    # 0, 4 and 7 at fractional lambda, beta1 of degree 2
+    ("omega_quotient_layers_0_4_7.json", "omega-quotient",
+     "lambda=-3/2\nbeta1=1,-2,3/4\ni=0,4,7\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

@@ -4,17 +4,17 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb
 
 import pytest
 from adjoint_views import fraction_view, integer_table, smallest_fault
-from ks_oracle import ks_residuals_monomial
+from ks_oracle import matches_monomial
 
 from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
 from takiffrep.freemod import _binomial_table, _compose_into, ks_residuals
 from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
-                                _apply_columns, _first_failure,
+                                _apply_columns, _first_failure, _table_iso,
                                 apply_localized, check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
@@ -306,21 +306,32 @@ def test_lambda_rescale_proof_catches_faults_outside_the_window():
     assert _verdict(res) == (False, 14, {"k": -3, "s": 3, "x": "fb"})
 
 
+def _hand_table_iso(table, window, x="f"):
+    """``_table_iso`` on one hand-written residual at generator x, the
+    other generators' residuals empty."""
+    return _verdict(_table_iso({y: table if y == x else {}
+                                for y in GENERATORS}, window))
+
+
+def test_table_iso_on_hand_written_binomial_residuals():
+    window = Window(-2, 2, 2)
+    # k + 2 at one target vanishes on the column k = -2 only
+    assert _hand_table_iso({(0, 0, 0, 1): 1, (0, 0, 0, 0): 2}, window) == \
+        (False, 10, {"k": -1, "s": 1, "x": "f"})
+    # 1 at eta_{k,s} and -1 at eta_{k+1,s}: summed across the two targets
+    # they would cancel, so each target is tested on its own
+    assert _hand_table_iso({(0, 0, 0, 0): 1, (1, 0, 0, 0): -1}, window,
+                           "eb") == (False, 10, {"k": -2, "s": 1, "x": "eb"})
+    # C(s-1, 2) vanishes at s = 1, 2, so on no window probe when s_max = 2;
+    # the grid up to s = d_s + 1 = 3 finds it at k_min
+    assert _hand_table_iso({(0, 0, 2, 0): 1}, window) == \
+        (False, 10, {"k": -2, "s": 3, "x": "f"})
+    assert _hand_table_iso({}, window) == (True, 10, None)
+
+
 # Pointwise: a (k, s) table, evaluated at (k, s), is the image of eta_{k,s}.
 
 GRID = [(k, s) for k in range(-2, 3) for s in range(1, 6)]
-
-
-def _table_image(table, k, s):
-    """The vector that a (k, s) table sends eta_{k,s} to; an entry whose
-    target index s + ds lies below 1 must vanish at (k, s)."""
-    out = {}
-    for (dk, ds), p in table.items():
-        c = p.eval_at(k, s)
-        if c:
-            assert s + ds >= 1, ((dk, ds), k, s)
-            out[(k + dk, s + ds)] = c
-    return out
 
 
 def _binomial_image(table, k, s):
@@ -356,15 +367,13 @@ def test_composed_tables_match_act_weight_pointwise():
 
 
 def _residual_scale(adjoints, identities):
-    """M of ``freemod.ks_residuals``: the product of (d_i R_i!)^(L_i), d_i
-    the denominator of adjoint i, R_i its largest r and L_i the longest
-    word on it."""
+    """D of ``freemod.ks_residuals``: the product of the d_i^(L_i), d_i the
+    denominator of adjoint i and L_i the longest word on it."""
     out = 1
-    for i, (d, entries) in enumerate(adjoints):
+    for i, (d, _) in enumerate(adjoints):
         longest = max((len(word) for identity in identities
                        for j, _, word in identity if j == i), default=0)
-        top = max(r for _, terms in entries.values() for _, r, _, _ in terms)
-        out *= (d * factorial(top)) ** longest
+        out *= d ** longest
     return out
 
 
@@ -405,10 +414,10 @@ def test_ks_residuals_match_act_weight_pointwise():
         residuals = ks_residuals(adjoints, identities)
         assert len(residuals) == len(identities)
         for identity, table in zip(identities, residuals):
-            assert all(not p.is_zero() for p in table.values())
+            assert all(table.values())
             nonzero += bool(table)
             for k, s in KS_GRID:
-                assert _table_image(table, k, s) == wv_scale(
+                assert _binomial_image(table, k, s) == wv_scale(
                     scale, _identity_image(specs, identity, k, s)), \
                     (specs, identity, k, s)
     assert nonzero
@@ -431,7 +440,7 @@ def test_ks_residuals_are_empty_exactly_on_identities():
 
 def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
     # check_twist_iso hands ks_residuals Theta_z(y) on the source and -y
-    # on the target; the residual at (k, s) is M times twisted_act minus
+    # on the target; the residual at (k, s) is D times twisted_act minus
     # the target's action
     rng = random.Random(507)
     calls = []
@@ -461,7 +470,7 @@ def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
             for k, s in GRID:
                 want = vec_axpy(twisted_act(z, spec, y, wv_unit(k, s)), -1,
                                 act_weight(target, y, wv_unit(k, s)))
-                assert _table_image(table, k, s) == wv_scale(scale, want), \
+                assert _binomial_image(table, k, s) == wv_scale(scale, want), \
                     (spec, z, y, k, s)
     assert failing == 3
 
@@ -474,7 +483,7 @@ def test_twist_and_rescale_residuals_match_the_monomial_oracle(monkeypatch):
 
     def recorded(adjoints, identities):
         out = ks_residuals(adjoints, identities)
-        calls.append(out == ks_residuals_monomial(adjoints, identities))
+        calls.append(matches_monomial(adjoints, identities, out))
         return out
 
     monkeypatch.setattr(functors, "ks_residuals", recorded)
