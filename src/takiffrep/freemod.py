@@ -61,6 +61,18 @@ when each of its coefficients, polynomials in k, does.  C(s-1, r) = 0 at
 s = 1..r, where the term is absent, so each coefficient is true at every
 s >= 1.  A residual is returned in that basis too, times the scale D of
 ``ks_residuals``.
+
+A bracket is composed in one pass.  For a term of y, key (dk, ds, t, j),
+and a term of x, key (ek, es, rho, i), x o y and y o x both land at (dk +
+ek, ds + es), with the one product of the two coefficients, and differ
+only in the integers they carry: x's term after y's multiplies C(s-1, t)
+by C(s-1+ds, rho) and k^j by (k + dk)^i, and y's after x's multiplies
+C(s-1, rho) by C(s-1+es, t) and k^i by (k + ek)^j.  ``_commutator``
+subtracts the two integer expansions once per pair of keys and caches the
+difference, so a pair adds its part of c [x, y] and never forms what the
+two orders share: when ds = es = 0 the top parts k^(i+j) C(s-1, t)
+C(s-1, rho) drop out of the rule, and a pair whose rule is empty is
+skipped.
 """
 
 from __future__ import annotations
@@ -407,25 +419,57 @@ def _binomial_table(entry: AdjointEntry) -> BinomialTable:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
+def _after(left: Tuple[int, int, int, int],
+           right: Tuple[int, int, int, int]) -> Tuple[tuple, ...]:
+    """The term of key ``left`` after the term of key ``right``, as pairs
+    (key, n), n a nonzero int: a left term b after a right term a adds
+    a b n at each key, the one composition law of the (k, s) tables.
+
+    ``right`` = (dk, ds, t, j) sends eta_{k,s} to a k^j C(x, t) eta_{k+dk,
+    s+ds}, x = s - 1, and ``left`` = (ek, es, rho, i), i at most 1 as in
+    every generator's table, sends that on with b (k + dk)^i C(x + ds,
+    rho): b (k + dk) adds k^(j+1) and dk k^j, and ``_binomial_product``
+    writes C(x, t) C(x + ds, rho) back in the basis, at (dk + ek, ds + es).
+    """
+    (ek, es, rho, i), (dk, ds, t, j) = left, right
+    shift = ((j + 1, 1), (j, dk)) if i and dk else ((j + i, 1),)
+    out: Dict[Tuple[int, int, int, int], int] = {}
+    for jj, m in shift:
+        add_into(out, m, (((dk + ek, ds + es, u, jj), n)
+                          for u, n in _binomial_product(t, rho, ds)))
+    return tuple(out.items())
+
+
+# a generator's key (dk, ds, t, j) has dk in {-1, 0, 1}, j and m = ds + t
+# in {0, 1} and t <= R, 12 (R + 1) keys, so this holds every pair up to
+# R = 4, that of omega with beta1 of degree 4
+@lru_cache(maxsize=1 << 12)
+def _commutator(x: Tuple[int, int, int, int],
+                y: Tuple[int, int, int, int]) -> Tuple[tuple, ...]:
+    """The term of key x after the term of key y, minus y after x: the
+    pairs (key, n) of ``_after(x, y)`` less those of ``_after(y, x)``,
+    what is shared dropped.  Both land at (dk + ek, ds + es) and share
+    the top power of k, so when ds = es = 0 their top parts cancel."""
+    return tuple(add_into(dict(_after(x, y)), -1, _after(y, x)).items())
+
+
 def _compose_into(out: BinomialTable, left: BinomialTable,
-                  right: BinomialTable) -> None:
+                  right: BinomialTable, rule=_after) -> None:
     """Add left o right to ``out``, ``left`` linear in k as every
-    generator's table is.  ``right`` sends eta_{k,s} to a k^j C(x, t)
-    eta_{k+dk, s+ds}, x = s - 1, and a term (ek, es, rho, i) -> b of left
-    sends that on with b (k + dk)^i C(x + ds, rho); ``_binomial_product``
-    writes C(x, t) C(x + ds, rho) back in the basis."""
-    for (dk, ds, t, j), a in right.items():
-        for (ek, es, rho, i), b in left.items():
-            c = a * b
-            # b (k + dk) adds c at k^(j+1) and c dk at k^j
-            parts = ((j + 1, c), (j, c * dk)) if i and dk else ((j + i, c),)
-            k_to, s_to = dk + ek, ds + es
-            rule = _binomial_product(t, rho, ds)
-            for jj, v in parts:
+    generator's table is: each pair of a left and a right term forms its
+    product once and adds it times ``rule`` of their keys.  With ``rule``
+    ``_commutator`` and ``right`` a generator's table too, it adds left o
+    right - right o left, and a pair whose rule is empty is skipped, so
+    what the two orders share is never formed."""
+    for key, a in right.items():
+        for x, b in left.items():
+            pairs = rule(x, key)
+            if pairs:
+                c = a * b
                 # add_into's loop written out, as in PolyHH._mul_into
-                for u, n in rule:
-                    e = (k_to, s_to, u, jj)
-                    y = out.get(e, 0) + v * n
+                for e, n in pairs:
+                    y = out.get(e, 0) + c * n
                     if y:
                         out[e] = y
                     else:
@@ -436,15 +480,16 @@ def _word_into(out: BinomialTable, tables: Dict[str, BinomialTable],
                word: Tuple[str, ...], w: RationalLike) -> None:
     """Add w times the table of ``word`` to ``out``, the rightmost letter
     acting first; the empty word is the identity."""
-    table: BinomialTable = {(0, 0, 0, 0): w}
-    for letter in reversed(word[1:]):
+    if len(word) < 2:
+        add_into(out, w, tables[word[0]].items() if word
+                 else (((0, 0, 0, 0), 1),))
+        return
+    table = {key: w * a for key, a in tables[word[-1]].items()}
+    for letter in reversed(word[1:-1]):
         part: BinomialTable = {}
         _compose_into(part, tables[letter], table)
         table = part
-    if word:
-        _compose_into(out, tables[word[0]], table)
-    else:
-        add_into(out, 1, table.items())
+    _compose_into(out, tables[word[0]], table)
 
 
 def ks_residuals(adjoints: Sequence[AdjointTable],
@@ -464,6 +509,13 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
     its scale d_i, so a word of n letters is weighted by c D / d_i^n, D
     the product of the d_i^(L_i), L_i the longest word on adjoint i, and
     integer adjoints and weights give integer tables.
+
+    Two terms (i, c, (x, y)) and (i, -c, (y, x)) of one identity, x != y,
+    are composed together as c [x, y]: each pair of a term of x and a
+    term of y forms its product once and adds it times ``_commutator``,
+    x's term after y's less y's term after x's.  Composition is bilinear,
+    so the table is the same, entry for entry; what x o y and y o x share
+    is subtracted in the rule, once per pair of keys, and never formed.
     """
     tables = [{x: _binomial_table(entry) for x, entry in entries.items()}
               for _, entries in adjoints]
@@ -474,10 +526,21 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
     out = []
     for identity in identities:
         sums: BinomialTable = {}
-        for i, c, word in identity:
+        terms = list(identity)
+        while terms:
+            i, c, word = terms.pop()
             w = c * (total // adjoints[i][0] ** len(word))
-            _word_into(sums, tables[i], word,
-                       w.numerator if w.denominator == 1 else w)
+            w = w.numerator if w.denominator == 1 else w
+            mate = (i, -c, word[::-1])
+            if len(word) == 2 and word[0] != word[1] and mate in terms:
+                # c x o y and -c y o x: one commutator pass
+                terms.remove(mate)
+                x, y = word
+                _compose_into(sums, tables[i][x],
+                              {key: w * a for key, a in tables[i][y].items()},
+                              _commutator)
+            else:
+                _word_into(sums, tables[i], word, w)
         out.append(sums)
     return out
 

@@ -6,6 +6,7 @@ displayed action formulas before the implementation existed.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, lcm
 
 import pytest
@@ -25,7 +26,7 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                ks_residuals, prove_brackets,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
-from takiffrep.linalg import nullspace, vec_primitive
+from takiffrep.linalg import add_into, nullspace, vec_primitive
 from takiffrep.poly import PolyHH, parse_poly, random_rational
 from takiffrep.weightmod import (delta_action, make_weight_m, make_weight_n,
                                  make_weight_v, random_weight_spec,
@@ -423,6 +424,7 @@ def test_prove_brackets_agrees_with_fraction_prover_on_planted_faults():
 
 def test_prove_brackets_builds_int_tables(monkeypatch):
     seen = []
+    paired = []
 
     def recorded(wrapped):
         def run(*args):
@@ -431,8 +433,19 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
             return out
         return run
 
-    for name in ("_binomial_table", "_compose_into"):
-        monkeypatch.setattr(freemod, name, recorded(getattr(freemod, name)))
+    compose = freemod._compose_into
+
+    def composed(out, left, right, rule=freemod._after):
+        # the sums a commutator pass adds to, and the right tables it is
+        # handed scaled by the term's weight
+        compose(out, left, right, rule)
+        seen.extend((out, right))
+        if rule is freemod._commutator:
+            paired.append(dict(out))
+
+    monkeypatch.setattr(freemod, "_binomial_table",
+                        recorded(freemod._binomial_table))
+    monkeypatch.setattr(freemod, "_compose_into", composed)
     prove = freemod.ks_residuals
 
     def residuals(*args):
@@ -449,6 +462,10 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
     # returned residual, nonzero ones among them
     values = [c for table in seen for c in table.values()]
     assert failing and values and all(type(v) is int for v in values)
+    # every bracket went through the commutator pass, and its sums are
+    # among the values checked
+    assert len(paired) == 24 * len(GENERATOR_PAIRS)
+    assert any(any(table.values()) for table in paired)
 
 
 def test_ks_sums_drop_what_cancels():
@@ -523,6 +540,74 @@ def test_binomial_product_rule_pointwise():
                         (t, rho, ds, x)
 
 
+def test_commutator_rule_pointwise():
+    # the oracle: a term (ek, es, rho, i) of x after a term (dk, ds, t, j)
+    # of y carries (k + dk)^i k^j C(x, t) C(x + ds, rho), and y's term after
+    # x's (k + ek)^j k^i C(x, rho) C(x + es, t), C(x, .) through math.comb
+    # and the shifted one through the falling product; both sides have
+    # degree at most 4 in x and 2 in k, so 6 values of x and 3 of k decide
+    empty = 0
+    for t, rho, ds, es, dk, ek, i, j in product(
+            range(3), range(3), range(-2, 2), range(-2, 2), (-1, 0, 1),
+            (-1, 0, 1), (0, 1), (0, 1)):
+        x_key, y_key = (ek, es, rho, i), (dk, ds, t, j)
+        rule = freemod._commutator(x_key, y_key)
+        assert all(type(n) is int and n and key[:2] == (dk + ek, ds + es)
+                   for key, n in rule)
+        empty += not rule
+        for x in range(6):
+            for k in range(-1, 2):
+                want = ((k + dk) ** i * k ** j * comb(x, t)
+                        * _falling_binomial(x + ds, rho)
+                        - (k + ek) ** j * k ** i * comb(x, rho)
+                        * _falling_binomial(x + es, t))
+                got = sum(n * k ** jj * comb(x, u)
+                          for (_, _, u, jj), n in rule)
+                assert got == want, (x_key, y_key, x, k)
+    # among others, every pair that shifts neither s nor k shares all
+    assert empty >= 9 * 4
+
+
+def _unpaired_residuals(adjoints, identities):
+    """The residuals of ``ks_residuals`` with every word composed letter by
+    letter from the identity table, x o y and y o x each in full, so that
+    what they share is formed and cancels: the route without the
+    commutator pass, kept as its oracle."""
+    tables = [{x: freemod._binomial_table(entry)
+               for x, entry in entries.items()} for _, entries in adjoints]
+    longest = [max((len(word) for identity in identities
+                    for j, _, word in identity if j == i), default=0)
+               for i in range(len(adjoints))]
+    total = 1
+    for (d, _), n in zip(adjoints, longest):
+        total *= d ** n
+    out = []
+    for identity in identities:
+        sums = {}
+        for i, c, word in identity:
+            table = {(0, 0, 0, 0): c * (total // adjoints[i][0] ** len(word))}
+            for letter in reversed(word):
+                part = {}
+                freemod._compose_into(part, tables[i][letter], table)
+                table = part
+            add_into(sums, 1, table.items())
+        out.append(sums)
+    return out
+
+
+def _count_commutator_passes(monkeypatch):
+    """The number of term pairs that go through the commutator rule."""
+    rule = freemod._commutator
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return rule(x, y)
+
+    monkeypatch.setattr(freemod, "_commutator", counted)
+    return calls
+
+
 def _ebinv_adjoint(adjoint):
     """``adjoint`` with an entry eb^-1 added whose coefficient is not whole
     over the table's denominator, as eb^-1's may be."""
@@ -578,6 +663,68 @@ def test_ks_residuals_match_the_monomial_oracle_on_brackets():
         assert matches_monomial([adjoint], identities, got)
         failing += any(got)
     assert 12 <= failing < len(adjoints)
+
+
+def test_paired_residuals_equal_the_unpaired_route(monkeypatch):
+    rng = random.Random(426)
+    calls = _count_commutator_passes(monkeypatch)
+    adjoints = _prover_cases(rng, 40)
+    adjoints += [smallest_fault(adjoint) for adjoint in adjoints[:10]]
+    # omega with beta1 of degree exactly 4, the largest verify-free composes
+    for _ in range(4):
+        beta1 = [random_rational(rng) for _ in range(4)]
+        spec = make_omega(random_rational(rng, nonzero=True),
+                          random_rational(rng),
+                          beta1 + [random_rational(rng, nonzero=True)])
+        adjoints.append(adjoint_table(spec.ops, F(0), F(0)))
+    brackets = list(freemod._BRACKET_IDENTITIES)
+    failing = 0
+    for adjoint in adjoints:
+        got = ks_residuals([adjoint], brackets)
+        assert got == _unpaired_residuals([adjoint], brackets)
+        assert all(all(table.values()) for table in got)
+        failing += any(got)
+    assert 10 <= failing < len(adjoints)
+    assert calls
+    # a Fraction entry, eb^-1's, paired with every generator at a Fraction
+    # weight, beside the brackets
+    for adjoint in adjoints[:12]:
+        adjoint = _ebinv_adjoint(adjoint)
+        identities = list(brackets)
+        for y in GENERATORS:
+            c = random_rational(rng, nonzero=True)
+            identities.append([(0, c, ("ebinv", y)), (0, -c, (y, "ebinv")),
+                               (0, c, (y,))])
+        got = ks_residuals([adjoint], identities)
+        assert got == _unpaired_residuals([adjoint], identities)
+        assert any(got[len(brackets):])
+
+
+def test_terms_that_are_not_mates_are_not_paired(monkeypatch):
+    # mates need x != y, one adjoint and opposite coefficients; none of
+    # these pairs, and each still matches both oracles
+    rng = random.Random(427)
+    calls = _count_commutator_passes(monkeypatch)
+    nonzero = 0
+    for n in range(24):
+        adjoints = _prover_cases(rng, 2)
+        x, y = rng.sample(GENERATORS, 2)
+        c = random_rational(rng, nonzero=True)
+        other = c + rng.choice((1, F(1, 3)))
+        identities = [
+            [(0, c, (x, y)), (0, -other, (y, x))],
+            [(0, c, (x, y)), (0, c, (y, x))],
+            [(0, c, (x, y)), (1, -c, (y, x))],
+            [(0, c, (x, x)), (0, -c, (x, x))],
+            [(1, c, (y, y)), (0, c, (x,))],
+        ]
+        got = ks_residuals(adjoints, identities)
+        assert matches_monomial(adjoints, identities, got), n
+        assert got == _unpaired_residuals(adjoints, identities), n
+        assert got[3] == {}
+        nonzero += sum(bool(table) for table in got)
+    assert not calls
+    assert nonzero > 24 * 3
 
 
 def test_free_prover_fails_the_smallest_planted_fault(monkeypatch):
