@@ -24,12 +24,13 @@ relaxed.  The maps are solved on the hbar-commutant: hbar acts on each
 column as -beta - N with N nilpotent, so the space is zero unless the
 betas agree, and otherwise each column's map is a polynomial in N, S
 unknowns per column for s_max = S; only the e, f, eb and fb probes give
-equations.  Each side's generator images are read once off its adjoint
-table, as integer vectors, so the equations are integer rows, and one
-``nullspace`` call gives the reported basis.  Its ``verified`` flag does
-not reuse those equations: every basis map is checked on the interior
-probes, h and hbar included, against the full, unrelaxed codomain
-images, through the same map check the explicit isomorphisms go through.
+equations.  Each side's generator images are read at most once off its
+adjoint table, as integer vectors, so the equations are integer rows,
+and one ``nullspace`` call gives the reported basis.  Its ``verified``
+flag reuses them: the solve makes every row it took vanish exactly, so
+only the rows it left out are checked, the components of e, f, eb and
+fb probes outside the codomain window and every component of the h and
+hbar probes, each by one integer dot product per kernel vector.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class IsoCheckResult:
 
 
 def _first_failure(probes, act_a, act_b, phi) -> Optional[dict]:
-    """The first probe (k, s, x) at which phi fails to commute with x.
+    """The first probe (k, s, x) at which phi fails to commute with x:
+    point 3 of ``vm_iso_check``, whose map is no window matrix.
 
     ``act_a(x, v)`` and ``act_b(x, v)`` are the actions on the domain and
     the codomain of ``phi``; the probe fails when x.phi(eta_{k,s}) !=
@@ -115,14 +117,6 @@ def _first_failure(probes, act_a, act_b, phi) -> Optional[dict]:
         if act_b(x, phi(v)) != phi(act_a(x, v)):
             return {"k": k, "s": s, "x": x}
     return None
-
-
-def _apply_columns(columns, v: WeightVec, scale: int = 1) -> WeightVec:
-    """scale * sum v[key] * columns[key], columns[key] the image of eta_key."""
-    out: WeightVec = {}
-    for key, c in v.items():
-        add_into(out, c * scale, columns[key].items())
-    return out
 
 
 def _table_iso(residuals: Dict[str, BinomialTable], window: Window,
@@ -321,7 +315,10 @@ class LinearWindowMap:
         for key in v:
             if key not in self.columns:
                 raise ValueError(f"vector leaves the domain window at {key}")
-        return _apply_columns(self.columns, v)
+        out: WeightVec = {}
+        for key, c in v.items():
+            add_into(out, c, self.columns[key].items())
+        return out
 
     def is_zero(self) -> bool:
         return all(not col for col in self.columns.values())
@@ -368,13 +365,23 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     and the others vanish there: the maps are the reduced echelon basis
     of the entries, in pivot order, as ``nullspace`` would give it.
 
-    Every generator's image of every domain-window and codomain-window
-    basis functional is computed once, as an integer vector scaled by a
-    common denominator d_A or d_B per spec.  An equation then reads
-    d_A (codomain side) - d_B (domain side), an integer row with the same
-    kernel.  ``verified`` goes through ``_first_failure`` on every
-    interior probe, h and hbar included, with both actions scaled to
-    d_A d_B times the true one and an integer multiple of each basis map.
+    A generator's image of every domain-window and codomain-window basis
+    functional is computed at most once, as an integer vector scaled by a
+    common denominator d_A or d_B per spec.  A row then reads d_A
+    (codomain side) - d_B (domain side), an integer row with the same
+    kernel.  One helper builds every component of a probe's row, and
+    a component is solved or checked:
+
+    * a component of an e, f, eb or fb probe inside the codomain window
+      is an equation, which every kernel vector solves exactly;
+    * a component outside it, and every component of an h or hbar probe,
+      is a check.  T(y.eta) lies inside the codomain window for an
+      interior probe, so the checks are exactly the components where the
+      maps could still fail to commute.
+
+    ``verified`` holds when every check vanishes on the primitive integer
+    multiple of every kernel vector, one integer dot product each; the h
+    and hbar images and rows are built only when the kernel is nonempty.
     """
     offset2 = spec_a.alpha - spec_b.alpha
     empty = {"maps": [], "dimension": 0, "codomain_window": None,
@@ -385,33 +392,43 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     cod = Window(window.k_min + delta, window.k_max + delta, window.s_max)
     if spec_a.beta != spec_b.beta:
         return {**empty, "codomain_window": cod}
-    d_a, images_a = unit_images(spec_a, window)
-    d_b, images_b = unit_images(spec_b, cod)
+    solved = ("eb", "fb", "f", "e")
+    d_a, images_a = unit_images(spec_a, window, solved)
+    d_b, images_b = unit_images(spec_b, cod, solved)
 
-    # probes (k, s, y) whose domain image stays inside the window
-    probes = [(k, s, y) for (k, s) in window.indices() for y in GENERATORS
-              if all(window.contains(key) for key in images_a[y][(k, s)])]
+    domain = set(window.indices())
 
-    # zeros in a row cost nullspace nothing, so rows skip linalg.add_into
-    equations: Dict[Tuple, Dict[Tuple[int, int], int]] = {}
-    for idx, (k, s_in, y) in enumerate(probes):
-        if y in ("h", "hb"):
-            continue
-        # y.T(eta_{k,s_in}) = sum_j t[k,j] perm(s_in - 1, j) *
-        # y.eta_{k+delta,s_in-j}, relaxed to the components inside the
-        # codomain window
-        for j in range(s_in):
-            c_j = d_a * perm(s_in - 1, j)
-            for key, c in images_b[y][(k + delta, s_in - j)].items():
-                if cod.contains(key):
-                    row = equations.setdefault((idx,) + key, {})
-                    row[(k, j)] = row.get((k, j), 0) + c_j * c
-        # T(y.eta_{k,s_in})
-        for (k2, s2), c in images_a[y][(k, s_in)].items():
-            for j in range(s2):
-                row = equations.setdefault((idx, k2 + delta, s2 - j), {})
-                row[(k2, j)] = row.get((k2, j), 0) - d_b * perm(s2 - 1, j) * c
-    kernel = nullspace(list(equations.values()),
+    def probe_rows(generators):
+        """The rows of every probe (k, s, y), y in ``generators``, whose
+        domain image stays inside the window: each component of d_a
+        y.T(eta_{k,s}) - d_b T(y.eta_{k,s}) as a form in the t[k, j]."""
+        # zeros in a row cost nullspace nothing, so rows skip add_into
+        for (k, s_in) in window.indices():
+            for y in generators:
+                image = images_a[y][(k, s_in)]
+                if not image.keys() <= domain:
+                    continue
+                rows: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+                # y.T(eta_{k,s_in}) = sum_j t[k,j] perm(s_in - 1, j) *
+                # y.eta_{k+delta,s_in-j}
+                for j in range(s_in):
+                    c_j = d_a * perm(s_in - 1, j)
+                    for key, c in images_b[y][(k + delta, s_in - j)].items():
+                        row = rows.setdefault(key, {})
+                        row[(k, j)] = row.get((k, j), 0) + c_j * c
+                # T(y.eta_{k,s_in}), inside the codomain window
+                for (k2, s2), c in image.items():
+                    for j in range(s2):
+                        row = rows.setdefault((k2 + delta, s2 - j), {})
+                        row[(k2, j)] = (row.get((k2, j), 0)
+                                        - d_b * perm(s2 - 1, j) * c)
+                yield from rows.items()
+
+    # components inside the codomain window are solved; the rest are checks
+    equations, checks = [], []
+    for key, row in probe_rows(solved):
+        (equations if cod.contains(key) else checks).append(row)
+    kernel = nullspace(equations,
                        [(k, j) for k in range(window.k_min, window.k_max + 1)
                         for j in reversed(range(window.s_max))])
 
@@ -427,11 +444,13 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         _, j_p = max(sol, key=lambda kj: (kj[0], -kj[1]))  # last unknown
         norm = perm(window.s_max - 1, j_p)
         maps.append(window_map({kj: c / norm for kj, c in sol.items()}))
-    act_a = lambda x, v: _apply_columns(images_a[x], v, d_b)
-    act_b = lambda x, v: _apply_columns(images_b[x], v, d_a)
-    verified = all(
-        _first_failure(probes, act_a, act_b,
-                       window_map(vec_primitive(sol)).apply) is None
-        for sol in kernel)
+    verified = True
+    if kernel:
+        images_a.update(unit_images(spec_a, window, ("hb", "h"))[1])
+        images_b.update(unit_images(spec_b, cod, ("hb", "h"))[1])
+        checks += [row for _, row in probe_rows(("hb", "h"))]
+        primitive = [vec_primitive(sol) for sol in kernel]
+        verified = all(not sum(c * v.get(u, 0) for u, c in row.items())
+                       for row in checks for v in primitive)
     return {"maps": maps, "dimension": len(maps), "codomain_window": cod,
             "verified": verified, "window": window.as_text()}

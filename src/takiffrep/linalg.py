@@ -7,9 +7,11 @@ eliminations, both fraction-free (Bareiss, Math. Comp. 22, 1968): vectors
 are stored as primitive integer vectors, combined by gcd
 cross-multiplication, and Fractions appear only where vectors leave them.
 ``RowBasis`` is the incremental reduced row-echelon form of a row space.
-``nullspace`` is its column dual: it eliminates the kernel itself, so an
-equation that depends on the earlier ones costs one dot product per
-kernel vector.  Everything is exact; no floats anywhere.
+``nullspace`` is its column dual: it eliminates the kernel itself, and
+an index from each column to the kernel entries there sums an equation
+over its own columns only, so one that depends on the earlier ones costs
+a product per kernel entry it meets.  Everything is exact; no floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -148,35 +150,40 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
     The kernel is eliminated directly (the column dual of Bareiss's
     fraction-free step): it is kept as one primitive integer vector per
     still-free column, starting from the unit vectors, and each vector's
-    pivot is its last column in ``columns`` order.  An equation holding a
-    Fraction is first cleared to a primitive integer row; it is then
-    evaluated on every kernel vector.  When every value is 0 the equation
-    depends on the earlier ones and costs nothing more.  Otherwise the
-    vector v_p with the earliest pivot among those with a nonzero value w_p
-    is dropped, and each other vector v with value w becomes
+    pivot is its last column in ``columns`` order.  Beside the vectors an
+    index maps each column to {pivot: entry} over the vectors nonzero
+    there.  An equation holding a nonzero Fraction is first cleared to a
+    primitive integer row; its values on the kernel vectors are then
+    summed over the index entries of its own nonzero columns, so a kernel
+    vector that misses its support costs nothing.  When every value is 0
+    the equation depends on the earlier ones.  Otherwise the vector v_p
+    with the earliest pivot among those with a nonzero value w_p is
+    dropped, and each other vector v with value w becomes
     |w_p| v - sign(w_p) w v_p, content divided out, which vanishes on the
-    equation.  v_p's support ends before v's pivot, so every pivot stays
-    the last column of its vector; and v_p holds no other vector's pivot,
-    so no vector comes to hold one.  The vectors stay independent and span
-    the kernel of the equations so far.  Their pivots are therefore
-    exactly the columns that end some kernel vector, which are the free
-    columns of the reduced row-echelon form with pivots at first columns,
-    and dividing each vector by its pivot entry gives the one kernel
-    vector that is 1 at its pivot and 0 at every other free column.
+    equation; the index follows every vector that changes.  v_p's support
+    ends before v's pivot, so every pivot stays the last column of its
+    vector; and v_p holds no other vector's pivot, so no vector comes to
+    hold one.  The vectors stay independent and span the kernel of the
+    equations so far.  Their pivots are therefore exactly the columns that
+    end some kernel vector, which are the free columns of the reduced
+    row-echelon form with pivots at first columns, and dividing each
+    vector by its pivot entry gives the one kernel vector that is 1 at its
+    pivot and 0 at every other free column.
 
     Once no kernel vector is left, the remaining equations are only
     checked for unknown columns.
     """
-    known = set(columns)
-    if len(known) < len(columns):
+    # pivot -> vector, in pivot order; column -> {pivot: entry}, a key
+    # for every column
+    kernel = {c: {c: 1} for c in columns}
+    if len(kernel) < len(columns):
         raise ValueError("nullspace columns repeat a name")
-    # (pivot, vector) in pivot order
-    kernel = [(c, {c: 1}) for c in columns]
+    index: Dict[Hashable, IntVec] = {c: {c: 1} for c in columns}
     for eq in equations:
         ints = True
         for c, x in eq.items():
             if x:
-                if c not in known:
+                if c not in index:
                     raise ValueError(f"equation touches unknown column {c!r}")
                 if type(x) is not int:
                     ints = False
@@ -184,29 +191,33 @@ def nullspace(equations: Iterable[Vec], columns: List[Hashable]) -> List[Vec]:
             continue
         if not ints:
             eq = vec_primitive(eq)
-        hit = None
-        values = []
-        for i, (_, v) in enumerate(kernel):
-            w = 0
-            for c, x in eq.items():
-                y = v.get(c)
-                if y:
-                    w += x * y
-            if w and hit is None:
-                hit = i
-            values.append(w)
-        if hit is None:
+        values: IntVec = {}
+        for c, x in eq.items():
+            # an explicit zero, a Fraction(0) in an int row included, adds
+            # nothing: a Fraction product would reach _divide_content
+            if x:
+                add_into(values, x, index[c].items())
+        if not values:
             continue
-        # the vectors before the hit vanish on eq and stay as they are
-        v_p, w_p = kernel[hit][1], values[hit]
+        # the earliest pivot with a value: kernel keeps column order
+        for hit in kernel:
+            if hit in values:
+                break
+        # the vectors with no value on eq stay as they are
+        v_p, w_p = kernel.pop(hit), values.pop(hit)
+        for c in v_p:
+            del index[c][hit]
         scale, sign = (w_p, 1) if w_p > 0 else (-w_p, -1)
-        survivors = kernel[:hit]
-        for (pivot, v), w in zip(kernel[hit + 1:], values[hit + 1:]):
-            if w:
-                if scale != 1:
-                    v = {c: scale * x for c, x in v.items()}
-                v = _divide_content(add_into(v, -sign * w, v_p.items()))
-            survivors.append((pivot, v))
-        kernel = survivors
+        for pivot, w in values.items():
+            v = kernel[pivot]
+            # before add_into, which updates v in place when scale is 1
+            for c in v:
+                del index[c][pivot]
+            if scale != 1:
+                v = {c: scale * x for c, x in v.items()}
+            v = kernel[pivot] = _divide_content(
+                add_into(v, -sign * w, v_p.items()))
+            for c, x in v.items():
+                index[c][pivot] = x
     return [{c: Fraction(x, v[pivot]) for c, x in v.items()}
-            for pivot, v in kernel]
+            for pivot, v in kernel.items()]

@@ -774,9 +774,18 @@ GOLDEN_CASES = [
     # 0, 4 and 7 at fractional lambda, beta1 of degree 2
     ("omega_quotient_layers_0_4_7.json", "omega-quotient",
      "lambda=-3/2\nbeta1=1,-2,3/4\ni=0,4,7\n"),
+    # saved while the intertwiner search still re-applied every map on
+    # every interior probe to verify it: N -> M at beta = a = b = 0 on
+    # 0:1:2, a space of dimension 2 whose maps both fail an eb probe
+    # outside the codomain window, so the verdict is fail
+    ("intertwine_n_to_m_relaxed_0_1_2.json", "intertwine",
+     "a_family=N\na_alpha=0\na_beta=0\na_lambda=1\na_a=0\na_b=0\n"
+     "b_family=M\nb_alpha=0\nb_beta=0\nb_lambda=1\nb_a=0\nb_b=0\n"
+     "window=0:1:2\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,
+               "intertwine_n_to_m_relaxed_0_1_2.json": 1,
                "iso_check_vm_wrong_b.json": 1,
                "iso_check_vm_fractional_wrong_b.json": 1}
 

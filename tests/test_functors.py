@@ -14,7 +14,7 @@ from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
 from takiffrep.freemod import _binomial_table, _compose_into, ks_residuals
 from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
-                                _apply_columns, _first_failure, _table_iso,
+                                _first_failure, _table_iso,
                                 apply_localized, check_twist_iso, ebinv_act,
                                 intertwiner_search, lambda_rescale_iso,
                                 twisted_act, vm_iso_check, vm_matching_b,
@@ -24,8 +24,8 @@ from takiffrep.poly import PolyHH, poly1_to_polyhh, random_rational
 from takiffrep.weightmod import (Window, WeightModuleSpec, act_weight,
                                  act_weight_word, dual_consistency,
                                  make_weight_m, make_weight_n, make_weight_v,
-                                 random_weight_spec, wv_scale, wv_text,
-                                 wv_unit)
+                                 random_weight_spec, unit_images, wv_scale,
+                                 wv_text, wv_unit)
 
 F = Fraction
 
@@ -866,13 +866,14 @@ def test_intertwiner_search_odd_alpha_gap_is_empty():
 def test_apply_columns_drops_what_cancels():
     columns = {(0, 1): {(1, 1): 2, (1, 2): F(1, 2)},
                (0, 2): {(1, 1): -1, (1, 2): 3}}
-    assert _apply_columns(columns, {(0, 1): 1, (0, 2): 2}) == {(1, 2): F(13, 2)}
+    apply = LinearWindowMap(columns).apply
+    assert apply({(0, 1): 1, (0, 2): 2}) == {(1, 2): F(13, 2)}
     # the int 2 * 2 cancels against the Fraction 4
     columns[(0, 2)] = {(1, 1): F(4)}
-    assert _apply_columns(columns, {(0, 1): 2, (0, 2): -1}) == {(1, 2): 1}
-    assert _apply_columns({(0, 1): {(1, 1): 2}, (0, 2): {(1, 1): F(4)}},
-                          {(0, 1): 2, (0, 2): -1}) == {}
-    got = _apply_columns({(0, 1): {(1, 1): 2, (2, 1): 1}}, {(0, 1): 2}, 3)
+    assert apply({(0, 1): 2, (0, 2): -1}) == {(1, 2): 1}
+    assert LinearWindowMap({(0, 1): {(1, 1): 2}, (0, 2): {(1, 1): F(4)}}) \
+        .apply({(0, 1): 2, (0, 2): -1}) == {}
+    got = LinearWindowMap({(0, 1): {(1, 1): 2, (2, 1): 1}}).apply({(0, 1): 6})
     assert got == {(1, 1): 12, (2, 1): 6}
     assert {type(x) for x in got.values()} == {int}
 
@@ -1021,6 +1022,79 @@ def test_intertwiner_search_catches_a_planted_hbar_fault(side, coeff):
     assert not (got["verified"] and any(not m.is_zero() for m in got["maps"]))
     assert got["dimension"] == 1
     assert intertwiner_oracle(specs["a"], specs["b"], win)["dimension"] == 0
+
+
+def _commutes_on_interior_probes(spec_a, spec_b, window, tmap):
+    """Whether tmap commutes with every generator, through ``act_weight``
+    on both specs, on every probe whose domain image stays in the window:
+    the meaning of the search's ``verified``."""
+    for (k, s) in window.indices():
+        for y in GENERATORS:
+            img = act_weight(spec_a, y, wv_unit(k, s))
+            if all(window.contains(key) for key in img) and \
+                    act_weight(spec_b, y, tmap.apply(wv_unit(k, s))) \
+                    != tmap.apply(img):
+                return False
+    return True
+
+
+def _n_to_m_pair():
+    # the space is one map, verified, on -2:2:3
+    return (make_weight_n(1, F(1, 2), 2, 3, F(1, 3)),
+            make_weight_m(1, F(1, 2), 2, 3, F(1, 3)))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_intertwiner_search_checks_a_planted_h_fault(side):
+    # the solve takes no h row, so a constant added to h's entry on one
+    # side leaves its kernel as it is; only the checked h rows see it
+    win = Window(-2, 2, 3)
+    got = intertwiner_search(*_n_to_m_pair(), win)
+    assert (got["dimension"], got["verified"]) == (1, True)
+    specs = list(_n_to_m_pair())
+    _planted(specs[side], "h", (0, 0, F(1), 0))
+    got = intertwiner_search(*specs, win)
+    assert got["dimension"] == 1 and not got["verified"]
+    assert not _commutes_on_interior_probes(*specs, win, got["maps"][0])
+    # the full search solves the h rows too, and finds no map
+    assert intertwiner_oracle(*specs, win)["dimension"] == 0
+
+
+@pytest.mark.parametrize("x", ["e", "eb"])
+def test_intertwiner_search_checks_a_fault_outside_the_codomain_window(x):
+    # a term that raises s by s_max lands outside the codomain window on
+    # every column: no solved row holds it, and the relaxed oracle finds
+    # the same maps, which fail there
+    win = Window(-2, 2, 3)
+    spec_a, spec_b = _n_to_m_pair()
+    _planted(spec_b, x, (win.s_max, 0, F(1), 0))
+    got = intertwiner_search(spec_a, spec_b, win)
+    want = intertwiner_oracle(spec_a, spec_b, win)
+    assert [m.columns for m in got["maps"]] == \
+        [m.columns for m in want["maps"]]
+    assert (got["dimension"], got["verified"]) == (1, False)
+    assert want["verified"] is False
+    assert not _commutes_on_interior_probes(spec_a, spec_b, win,
+                                            got["maps"][0])
+
+
+def test_intertwiner_search_builds_no_h_image_for_an_empty_space(monkeypatch):
+    requested = []
+
+    def recorded(spec, window, generators=GENERATORS):
+        requested.append(set(generators))
+        return unit_images(spec, window, generators)
+
+    monkeypatch.setattr(functors, "unit_images", recorded)
+    win = Window(-3, 3, 3)
+    # beta matches and a differs: the solve leaves an empty kernel
+    res = intertwiner_search(make_weight_m(0, 1, 1, 3, F(1, 2)),
+                             make_weight_m(0, 1, 1, 4, F(1, 2)), win)
+    assert (res["dimension"], res["verified"]) == (0, True)
+    assert requested and all(not gens & {"h", "hb"} for gens in requested)
+    requested.clear()
+    assert intertwiner_search(*_n_to_m_pair(), win)["dimension"] == 1
+    assert {"h", "hb"} <= set().union(*requested)
 
 
 def test_intertwiner_search_reports_a_relaxed_failure():

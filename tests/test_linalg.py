@@ -76,6 +76,15 @@ def test_nullspace_matches_sympy():
         assert nullspace(rows, columns) == want, (rows, columns)
 
 
+def test_nullspace_ignores_equation_order():
+    rng = random.Random(705)
+    for rows, columns in systems():
+        want = nullspace(rows, columns)
+        for _ in range(4):
+            shuffled = rng.sample(rows, len(rows))
+            assert nullspace(shuffled, columns) == want, (rows, columns)
+
+
 def test_nullspace_vectors_solve_every_equation():
     for rows, columns in systems():
         for v in nullspace(rows, columns):
@@ -262,6 +271,76 @@ def test_nullspace_stops_reducing_at_full_rank(monkeypatch):
     # an unknown column after full rank is still refused
     with pytest.raises(ValueError, match="unknown column 'z'"):
         nullspace(rows + [{"z": F(1)}], ["x", "y"])
+
+
+def test_nullspace_skips_an_explicit_fraction_zero():
+    # a Fraction(0) in an int row adds nothing, as an int 0 does: no value
+    # of the row on the kernel becomes a Fraction
+    want = [{"b": F(1), "a": F(2), "c": F(10, 3)}]
+    for zero in (0, F(0)):
+        rows = [{"a": -2, "b": 4}, {"c": 3, "a": -5, "b": zero}]
+        assert nullspace(rows, ["c", "a", "b"]) == want
+    assert nullspace([{"x": 1, "y": F(0)}, {"y": 2}], ["x", "y"]) == []
+
+
+def dot_product_nullspace(equations, columns):
+    """The kernel elimination of ``nullspace`` with each equation's values
+    taken by one dot product per kernel vector: the same vectors, pivots
+    and eliminations, so the same dicts, item order and value types."""
+    if len(set(columns)) < len(columns):
+        raise ValueError("nullspace columns repeat a name")
+    kernel = [(c, {c: 1}) for c in columns]
+    for eq in equations:
+        if not kernel:
+            continue
+        if any(type(x) is not int for x in eq.values()):
+            eq = linalg.vec_primitive(eq)
+        values = [sum(x * v.get(c, 0) for c, x in eq.items())
+                  for _, v in kernel]
+        hit = next((i for i, w in enumerate(values) if w), None)
+        if hit is None:
+            continue
+        v_p, w_p = kernel[hit][1], values[hit]
+        survivors = kernel[:hit]
+        for (pivot, v), w in zip(kernel[hit + 1:], values[hit + 1:]):
+            if w:
+                v = {c: abs(w_p) * x for c, x in v.items()}
+                for c, x in v_p.items():
+                    v[c] = v.get(c, 0) - (1 if w_p > 0 else -1) * w * x
+                v = linalg._divide_content({c: x for c, x in v.items() if x})
+            survivors.append((pivot, v))
+        kernel = survivors
+    return [{c: Fraction(x, v[pivot]) for c, x in v.items()}
+            for pivot, v in kernel]
+
+
+def rational_systems():
+    return systems() + [(rows, columns) for rows, columns, _ in tall_systems()]
+
+
+def integer_systems():
+    """The random and tall systems with every row scaled to integers, and
+    some entries set to an explicit int or Fraction zero."""
+    rng = random.Random(706)
+    out = []
+    for rows, columns in rational_systems():
+        int_rows = []
+        for row in rows:
+            den = math.lcm(*(F(x).denominator for x in row.values()))
+            row = {k: int(x * den) for k, x in row.items()}
+            for k in rng.sample(columns, rng.randint(0, 1)):
+                row.setdefault(k, rng.choice([0, F(0)]))
+            int_rows.append(row)
+        out.append((int_rows, columns))
+    return out
+
+
+def test_nullspace_equals_the_dot_product_elimination():
+    for rows, columns in rational_systems() + integer_systems():
+        got = nullspace(rows, columns)
+        want = dot_product_nullspace(rows, columns)
+        assert [[(c, type(x), x) for c, x in v.items()] for v in got] == \
+            [[(c, type(x), x) for c, x in v.items()] for v in want]
 
 
 def rowbasis_nullspace_oracle(equations, columns):
