@@ -29,8 +29,11 @@ adjoint table, as integer vectors, so the equations are integer rows,
 and one ``nullspace`` call gives the reported basis.  Its ``verified``
 flag reuses them: the solve makes every row it took vanish exactly, so
 only the rows it left out are checked, the components of e, f, eb and
-fb probes outside the codomain window and every component of the h and
-hbar probes, each by one integer dot product per kernel vector.
+fb probes outside the codomain window, each by one integer dot product
+per kernel vector.  The h and hbar probes are decided on the adjoint
+entries: where both sides act by multiplication, their rows vanish on
+every solution, and they are checked on rows only where an entry
+differs.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from math import comb, perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import BinomialTable, ks_residuals, prove_brackets
+from .freemod import (_CARTAN, BinomialTable, adjoint_table, ks_residuals,
+                      prove_brackets)
 from .linalg import add_into, nullspace, vec_primitive
 from .poly import RationalLike, poly1_eval, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -329,6 +333,22 @@ class LinearWindowMap:
         return sum(1 for col in self.columns.values() if col)
 
 
+def _multiplication_entries(spec: WeightModuleSpec) -> set:
+    """The generators among h and hbar whose adjoint entry in ``spec`` is
+    multiplication by themselves: the entry of ``freemod._CARTAN``
+    dualized at the spec's (alpha, beta), compared over the product of
+    the two denominators."""
+    d, entries = spec.adjoint
+    d_cartan, cartan = adjoint_table(_CARTAN, spec.alpha, spec.beta)
+
+    def scaled(entry, n):
+        dk, terms = entry
+        return dk, tuple((m, r, c0 * n, c1 * n) for m, r, c0, c1 in terms)
+
+    return {y for y, entry in cartan.items()
+            if scaled(entries[y], d_cartan) == scaled(entry, d)}
+
+
 def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
                        window: Window = DEFAULT_WINDOW) -> dict:
     """Exact basis of window-supported intertwiners spec_a -> spec_b.
@@ -380,8 +400,16 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
       maps could still fail to commute.
 
     ``verified`` holds when every check vanishes on the primitive integer
-    multiple of every kernel vector, one integer dot product each; the h
-    and hbar images and rows are built only when the kernel is nonempty.
+    multiple of every kernel vector, one integer dot product each.  The h
+    and hbar checks are decided on the adjoint entries first.  Where both
+    sides' h entry is multiplication by h (``freemod._CARTAN`` dualized
+    at the spec's (alpha, beta)), h acts on column k as -alpha_A - 2k on
+    one side and on column k + delta as the same scalar on the other, so
+    every h row vanishes; where both sides' hbar entry is multiplication
+    by hbar, it acts as -beta - N on both, and every hbar row vanishes on
+    a polynomial in N.  So a nonempty kernel builds the images and rows
+    of h or hbar only when one side's entry for it differs from that
+    form, as only a planted table makes it.
     """
     offset2 = spec_a.alpha - spec_b.alpha
     empty = {"maps": [], "dimension": 0, "codomain_window": None,
@@ -446,9 +474,14 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         maps.append(window_map({kj: c / norm for kj, c in sol.items()}))
     verified = True
     if kernel:
-        images_a.update(unit_images(spec_a, window, ("hb", "h"))[1])
-        images_b.update(unit_images(spec_b, cod, ("hb", "h"))[1])
-        checks += [row for _, row in probe_rows(("hb", "h"))]
+        # an h or hbar row vanishes where both sides multiply (see above)
+        both = (_multiplication_entries(spec_a)
+                & _multiplication_entries(spec_b))
+        differ = tuple(y for y in ("hb", "h") if y not in both)
+        if differ:
+            images_a.update(unit_images(spec_a, window, differ)[1])
+            images_b.update(unit_images(spec_b, cod, differ)[1])
+            checks += [row for _, row in probe_rows(differ)]
         primitive = [vec_primitive(sol) for sol in kernel]
         verified = all(not sum(c * v.get(u, 0) for u, c in row.items())
                        for row in checks for v in primitive)

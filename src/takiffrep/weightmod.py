@@ -186,11 +186,36 @@ def unit_images(spec: WeightModuleSpec, window: Window,
     """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
     each of ``generators`` and every window index, the integer entries of
     ``spec.adjoint`` applied as they are; d is its denominator.
+
+    An entry (dk, terms) is read once per s, not once per index: its terms
+    (m, r, c0, c1) with r < s sum to the template {s - r + m: (u, v)},
+    u = sum C(s-1, r) c0 and v = sum C(s-1, r) c1, and the image of
+    eta_{k,s} is {(k + dk, s'): u + v k}, less the entries that vanish at
+    this k.  Values and their types are those of ``apply_adjoint``.
     """
     d, entries = spec.adjoint
-    return d, {x: {key: apply_adjoint(*entries[x], {key: 1})
-                   for key in window.indices()}
-               for x in generators}
+    images = {}
+    for x in generators:
+        dk, terms = entries[x]
+        templates = []
+        for s in range(1, window.s_max + 1):
+            template: Dict[int, List] = {}
+            for m, r, c0, c1 in terms:
+                if r < s:
+                    n = comb(s - 1, r)
+                    u_v = template.setdefault(s - r + m, [0, 0])
+                    u_v[0] += n * c0
+                    if c1:
+                        u_v[1] += n * c1
+            templates.append((s, [(s2, u, v)
+                                  for s2, (u, v) in template.items()]))
+        column = images[x] = {}
+        for k in range(window.k_min, window.k_max + 1):
+            k2 = k + dk
+            for s, template in templates:
+                column[(k, s)] = {(k2, s2): c for s2, u, v in template
+                                  if (c := u + v * k)}
+    return d, images
 
 
 def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:

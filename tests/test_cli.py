@@ -782,6 +782,11 @@ GOLDEN_CASES = [
      "a_family=N\na_alpha=0\na_beta=0\na_lambda=1\na_a=0\na_b=0\n"
      "b_family=M\nb_alpha=0\nb_beta=0\nb_lambda=1\nb_a=0\nb_b=0\n"
      "window=0:1:2\n"),
+    # saved while unit_images still applied each adjoint entry to every
+    # window index on its own: V at beta = a = 0, where the barred pair
+    # eb, fb kills eta_{k,1} on every column
+    ("singular_v_beta_a_zero.json", "singular --window=-2:2:3",
+     "family=V\nbeta=0\na=0\nbeta1=1,2\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

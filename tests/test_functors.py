@@ -7,7 +7,7 @@ from functools import partial
 from math import comb
 
 import pytest
-from adjoint_views import fraction_view, integer_table, smallest_fault
+from adjoint_views import fraction_view, integer_table, plant, smallest_fault
 from ks_oracle import matches_monomial
 
 from takiffrep import freemod, functors
@@ -1092,9 +1092,50 @@ def test_intertwiner_search_builds_no_h_image_for_an_empty_space(monkeypatch):
                              make_weight_m(0, 1, 1, 4, F(1, 2)), win)
     assert (res["dimension"], res["verified"]) == (0, True)
     assert requested and all(not gens & {"h", "hb"} for gens in requested)
+    # both sides multiply by h and hbar, so their rows vanish on the map
+    # the solve finds, and none is built
     requested.clear()
-    assert intertwiner_search(*_n_to_m_pair(), win)["dimension"] == 1
-    assert {"h", "hb"} <= set().union(*requested)
+    res = intertwiner_search(*_n_to_m_pair(), win)
+    assert (res["dimension"], res["verified"]) == (1, True)
+    assert requested and all(not gens & {"h", "hb"} for gens in requested)
+    # a constant planted in h or hbar on either side is checked on rows
+    for side in (0, 1):
+        for y in ("h", "hb"):
+            specs = list(_n_to_m_pair())
+            _planted(specs[side], y, (0, 0, F(1), 0))
+            requested.clear()
+            res = intertwiner_search(*specs, win)
+            assert (res["dimension"], res["verified"]) == (1, False)
+            assert set().union(*requested) & {"h", "hb"} == {y}
+
+
+def test_multiplication_entries_read_h_and_hbar_off_the_table():
+    rng = random.Random(3301)
+    specs = [random_weight_spec(rng, family, beta1_deg=3)
+             for family in "MNV" for _ in range(20)]
+    # alpha = 0 (h's c0 is 0), beta = 0 (hbar has one term), and
+    # fractional alpha at denominators the rest of the table lacks
+    edges = [make_weight_m(0, F(1, 2), 2, 3, 1),
+             make_weight_n(F(2, 3), 0, -1, 0, F(1, 5)),
+             make_weight_v(0, 0, 1, 0, (F(1), F(2))),
+             make_weight_m(F(1, 3), F(2, 5), F(-3, 2), F(5, 7), F(1, 4)),
+             make_weight_v(F(-7, 6), F(3, 4), 2, F(1, 9), (F(1, 2), 0, 3))]
+    assert fraction_view(edges[0].adjoint)["h"][1][0][2] == 0
+    assert len(fraction_view(edges[1].adjoint)["hb"][1]) == 1
+    assert any(spec.adjoint[0] != freemod.adjoint_table(
+        freemod._CARTAN, spec.alpha, spec.beta)[0] for spec in edges)
+    for spec in specs + edges:
+        assert functors._multiplication_entries(spec) == {"h", "hb"}
+    for spec in specs[::6] + edges:
+        for y, other in (("h", "hb"), ("hb", "h")):
+            # a moved c0, a moved c1 and an extra r = 1 term
+            for table in (plant(spec.adjoint, y, 0, F(1)),
+                          plant(spec.adjoint, y, 0, 0, F(1)),
+                          _planted(replace(spec), y,
+                                   (0, 1, F(1, 2), 0)).adjoint):
+                moved = replace(spec)
+                moved.__dict__["adjoint"] = table
+                assert functors._multiplication_entries(moved) == {other}
 
 
 def test_intertwiner_search_reports_a_relaxed_failure():

@@ -5,10 +5,10 @@ module's operator table.  The single-action expected values below do not
 come from that code: they were derived by hand by dualizing the parent
 actions at sample points, or frozen from the earlier hand-written action
 formulas.  dual_consistency then proves the actions against the
-parents for every (k, s).  Four replaced implementations stay as
+parents for every (k, s).  Five replaced implementations stay as
 oracles: the hand-written Delta formulas, the Fraction unit loop of the
-singular search, the closure loop of the Verma check, and the sampled
-loop of the duality check.
+singular search, the per-index images of ``unit_images``, the closure
+loop of the Verma check, and the sampled loop of the duality check.
 """
 
 import random
@@ -783,6 +783,57 @@ def test_unit_images_builds_only_the_named_generators():
     d_pair, pair = weightmod.unit_images(spec, window, ("f", "fb"))
     assert d_pair == d and set(full) == set(GENERATORS)
     assert pair == {x: full[x] for x in ("f", "fb")}
+
+
+def unit_images_oracle(spec, window):
+    """The images ``unit_images`` read before its per-s templates: each
+    entry applied to every window index on its own, through
+    ``apply_adjoint`` on a one-entry vector."""
+    d, entries = spec.adjoint
+    return d, {x: {key: weightmod.apply_adjoint(*entries[x], {key: 1})
+                   for key in window.indices()}
+               for x in entries}
+
+
+def _typed(images):
+    """images with every value paired with its type, so == also compares
+    int against Fraction."""
+    return {x: {key: {k2: (type(c), c) for k2, c in image.items()}
+                for key, image in column.items()}
+            for x, column in images.items()}
+
+
+def test_unit_images_equal_the_per_index_oracle():
+    rng = random.Random(4417)
+    windows = (Window(-4, 2, 6), Window(-3, -1, 5), Window(-2, 2, 3),
+               Window(0, 0, 1), Window(-6, 6, 4))
+    specs = [random_weight_spec(rng, family, beta1_deg=3)
+             for family in "MNV" for _ in range(8)]
+    # entries with c1 != 0 on r >= 1 terms, in true values
+    for spec in specs[::4]:
+        view = fraction_view(spec.adjoint)
+        for x in ("e", "fb"):
+            dk, terms = view[x]
+            view[x] = (dk, terms + ((0, 1, F(1, 3), F(-2, 5)),
+                                    (1, 2, F(0), F(3, 7))))
+        spec.__dict__["adjoint"] = integer_table(view)
+    # two terms on one target whose sum 2 + k vanishes at k = -2 only, one
+    # that vanishes at k = 3 alone, and a pair that cancels at every k
+    planted = make_weight_m(0, 1, 1, 0, 0)
+    d, entries = planted.adjoint
+    planted.__dict__["adjoint"] = (d, {**entries, "e": (1, (
+        (0, 0, 3, 1), (0, 0, -1, 0), (0, 1, -3, 1),
+        (3, 1, 5, 2), (3, 1, -5, -2)))})
+    specs.append(planted)
+    for i, spec in enumerate(specs):
+        window = windows[i % len(windows)]
+        got = weightmod.unit_images(spec, window)
+        want = unit_images_oracle(spec, window)
+        assert got[0] == want[0]
+        assert _typed(got[1]) == _typed(want[1]), spec.params()
+    got = weightmod.unit_images(planted, Window(-4, 4, 3))[1]["e"]
+    assert (-1, 1) not in got[(-2, 1)] and got[(-1, 1)][(0, 1)] == 1
+    assert (4, 1) not in got[(3, 2)] and (3, 5) not in got[(2, 3)]
 
 
 # -- windows and the rank-1 sl2 comparison models -------------------------------
