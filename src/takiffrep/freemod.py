@@ -43,24 +43,27 @@ dualizes an operator table onto the functionals
 
     eta_{k,s}(q) = dbar^(s-1) q at (alpha + 2k, beta),   k in Z, s >= 1,
 
-as one integer table (d, entries) over one denominator d.  These
-functionals separate C[h, hbar] (at alpha = beta = 0, if dbar^j q(h, 0)
-is zero at every even integer h for every j, then q = 0), so an identity
-holds for the operators exactly when it holds on every eta_{k,s}.
+as (d, tables), one table per generator in ints over one denominator d.
+These functionals separate C[h, hbar] (at alpha = beta = 0, if dbar^j
+q(h, 0) is zero at every even integer h for every j, then q = 0), so an
+identity holds for the operators exactly when it holds on every
+eta_{k,s}.
 ``ks_residuals``, the one prover of such identities, proves for every
 (k, s) the brackets of ``verify_axioms`` and of the dual weight families
 of ``weightmod``, and the twist and rescaling maps of ``functors``.
 
-An adjoint term (m, r, c0, c1) means (c0 + c1*k)/d C(s-1, r)
-eta_{k+dk, s-r+m}, and ``ks_residuals`` keeps every table in that basis
-C(s-1, t) of Q[s]: a generator's table is its entry as it is, and a
-composition multiplies C(s-1, t) by C(s-1+ds, rho), which one cached
-integer rule writes back in the basis (Vandermonde, then the product of
-two binomials).  As the C(s-1, t) are a basis, a table vanishes exactly
-when each of its coefficients, polynomials in k, does.  C(s-1, r) = 0 at
-s = 1..r, where the term is absent, so each coefficient is true at every
-s >= 1.  A residual is returned in that basis too, times the scale D of
-``ks_residuals``.
+An operator on the eta basis has one form, the ``BinomialTable``
+{(dk, ds, t, j): a}: it sends eta_{k,s} to the sum of a k^j C(s-1, t)
+eta_{k+dk, s+ds}.  ``adjoint_table`` writes every generator in it,
+``ks_residuals`` composes tables in it and returns its residuals in it,
+and ``weightmod.apply_adjoint`` applies it.  The C(s-1, t) are a basis of
+Q[s], in which a composition multiplies C(s-1, t) by C(s-1+ds, rho), and
+one cached integer rule writes that back in the basis (Vandermonde, then
+the product of two binomials).  As they are a basis, a table vanishes
+exactly when each of its coefficients, polynomials in k, does.  C(s-1, t)
+= 0 at s = 1..t, where the term is absent, so each coefficient is true at
+every s >= 1.  ``ks_residuals`` returns D times each residual, D its
+scale.
 
 A bracket is composed in one pass.  For a term of y, key (dk, ds, t, j),
 and a term of x, key (ek, es, rho, i), x o y and y o x both land at (dk +
@@ -310,11 +313,12 @@ def act_word(spec: FreeModuleSpec, elem, p: PolyHH) -> PolyHH:
 
 # -- the bracket axioms, proved on the dual basis -------------------------------
 
-# one generator's action on eta_{k,s}: (dk, terms), each term (m, r, c0, c1)
-# of ints meaning (c0 + c1*k)/d * C(s-1, r) * eta_{k+dk, s-r+m}, present
-# when r < s, d the denominator of the whole table (d, entries)
-AdjointEntry = Tuple[int, Tuple[Tuple[int, int, int, int], ...]]
-AdjointTable = Tuple[int, Dict[str, AdjointEntry]]
+# an operator on the basis as (dk, ds, t, j) -> a: eta_{k,s} goes to the
+# sum of a k^j C(s-1, t) eta_{k+dk, s+ds}, the C(s-1, t) being a basis of
+# Q[s]; no value is zero
+BinomialTable = Dict[Tuple[int, int, int, int], RationalLike]
+# every generator's table as ints over one denominator d: (d, tables)
+AdjointTable = Tuple[int, Dict[str, BinomialTable]]
 
 
 def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable:
@@ -329,9 +333,10 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     Every coefficient is linear in h, c = sum_j (u_j + v_j h) hbar^j, so
     (dbar^r c)(alpha + 2k, beta) is read off its terms:
     sum_{j>=r} j!/(j-r)! beta^(j-r) (u_j + v_j alpha_k).  It is stored with
-    the sign as c0 + c1*k and summed over the terms that share (m, r); c1
-    is 0 when the term is constant in k.  A coefficient of higher degree
-    in h raises ValueError.
+    the sign as c0 + c1*k, summed over the terms that share (m, r), in x's
+    ``BinomialTable``: c0 at (d/2, m - r, r, 0) and c1 at (d/2, m - r, r,
+    1), a zero dropped.  A coefficient of higher degree in h raises
+    ValueError.
 
     The sums run on ints: every coefficient is put over one denominator
     E, and beta = p/q is cleared by q^J, J the largest hbar-degree, so
@@ -357,7 +362,7 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     top = max((j for _, _, j, _ in every), default=0)
     p_pow = [p ** t for t in range(top + 1)]
     q_pow = [q ** t for t in range(top + 1)]
-    table = {}
+    tables: Dict[str, BinomialTable] = {}
     for x, terms in monomials.items():
         sums: Dict[Tuple[int, int], List[int]] = {}
         for m, i, j, e in terms:
@@ -367,24 +372,16 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
                 sums.setdefault((m, r), [0, 0])[i] += \
                     w * p_pow[j - r] * q_pow[top - j + r]
                 w *= j - r
-        out = []
+        dk = SHIFT[x] // 2
+        table = tables[x] = {}
         for (m, r), (u, v) in sums.items():
-            num = u * alpha_den + alpha_num * v
-            if num or v:
-                out.append((m, r, -num, -2 * v * alpha_den))
-        table[x] = (SHIFT[x] // 2, out)
+            key = (dk, m - r, r)
+            add_into(table, -1, ((key + (0,), u * alpha_den + alpha_num * v),
+                                 (key + (1,), 2 * v * alpha_den)))
     denom *= q_pow[top] * alpha_den
-    g = gcd(denom, *(c for _, out in table.values() for term in out
-                     for c in term[2:]))
-    return denom // g, {x: (dk, tuple((m, r, c0 // g, c1 // g)
-                                      for m, r, c0, c1 in out))
-                        for x, (dk, out) in table.items()}
-
-
-# an operator on the basis as (dk, ds, t, j) -> a: eta_{k,s} goes to the
-# sum of a k^j C(s-1, t) eta_{k+dk, s+ds}, the C(s-1, t) being the basis
-# of Q[s] that adjoint entries are written in; no value is zero
-BinomialTable = Dict[Tuple[int, int, int, int], RationalLike]
+    g = gcd(denom, *(a for table in tables.values() for a in table.values()))
+    return denom // g, {x: {key: a // g for key, a in table.items()}
+                        for x, table in tables.items()}
 
 
 def _binomial(n: int, i: int) -> int:
@@ -407,16 +404,6 @@ def _binomial_product(t: int, rho: int, ds: int) -> Tuple[Tuple[int, int], ...]:
                  ((a + b - j, comb(a + b - j, a) * comb(a, j))
                   for j in range(min(a, b) + 1)))
     return tuple(out.items())
-
-
-def _binomial_table(entry: AdjointEntry) -> BinomialTable:
-    """One generator's table, its adjoint entry (dk, terms) read as it is:
-    a term (m, r, c0, c1) is c0 + c1*k at C(s-1, r), moving s by m - r."""
-    dk, terms = entry
-    out: BinomialTable = {}
-    for m, r, c0, c1 in terms:
-        add_into(out, 1, (((dk, m - r, r, 0), c0), ((dk, m - r, r, 1), c1)))
-    return out
 
 
 @lru_cache(maxsize=1 << 12)
@@ -497,18 +484,18 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
     """D times the (k, s) table of each identity, zero entries dropped.
 
     A term (i, c, word) is c times ``word`` (rightmost letter first; the
-    empty word is the identity) on ``adjoints[i]``.  Tables are kept in
-    the basis C(s-1, t) of Q[s], the one adjoint entries are written in:
-    a term (m, r, c0, c1) is (c0 + c1*k)/d C(s-1, r) eta_{k+dk, s-r+m},
-    and composing multiplies two such binomials, which
-    ``_binomial_product`` writes back in the basis.  C(s-1, r) vanishes at
-    s = 1..r, where the term is absent, so every coefficient is true on
-    the Zariski-dense Z x Z_{>=1}: as the C(s-1, t) are a basis, a table
-    is empty exactly when its identity holds on every eta_{k,s}, and
-    nonzero at (k, s) exactly when it fails there.  Adjoint i is read at
-    its scale d_i, so a word of n letters is weighted by c D / d_i^n, D
-    the product of the d_i^(L_i), L_i the longest word on adjoint i, and
-    integer adjoints and weights give integer tables.
+    empty word is the identity) on ``adjoints[i]``, whose tables are read
+    as they are.  Every table is a ``BinomialTable``: a key (dk, ds, t,
+    j) -> a of adjoint i is a/d_i k^j C(s-1, t) eta_{k+dk, s+ds}, and
+    composing multiplies two such binomials, which ``_binomial_product``
+    writes back in the basis.  C(s-1, t) vanishes at s = 1..t, where the
+    term is absent, so every coefficient is true on the Zariski-dense Z x
+    Z_{>=1}: as the C(s-1, t) are a basis, a table is empty exactly when
+    its identity holds on every eta_{k,s}, and nonzero at (k, s) exactly
+    when it fails there.  Adjoint i is read at its scale d_i, so a word of
+    n letters is weighted by c D / d_i^n, D the product of the d_i^(L_i),
+    L_i the longest word on adjoint i, and integer adjoints and weights
+    give integer tables.
 
     Two terms (i, c, (x, y)) and (i, -c, (y, x)) of one identity, x != y,
     are composed together as c [x, y]: each pair of a term of x and a
@@ -517,8 +504,7 @@ def ks_residuals(adjoints: Sequence[AdjointTable],
     so the table is the same, entry for entry; what x o y and y o x share
     is subtracted in the rule, once per pair of keys, and never formed.
     """
-    tables = [{x: _binomial_table(entry) for x, entry in entries.items()}
-              for _, entries in adjoints]
+    tables = [adjoint[1] for adjoint in adjoints]
     longest = [max((len(word) for identity in identities
                     for j, _, word in identity if j == i), default=0)
                for i in range(len(adjoints))]

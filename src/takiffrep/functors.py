@@ -1,6 +1,6 @@
 """Twisting functor on M, explicit isomorphisms, and intertwiner search.
 
-The eb-localization acts on the M family, and eb^-1's adjoint entry is
+The eb-localization acts on the M family, and eb^-1's adjoint table is
 read off eb's: eb sends eta_{k,s} to -lam * eta_{k-1,s}, so its inverse
 sends it to -(1/lam) eta_{k+1,s}.
 Pulling the module back along the substitution Theta_z (see
@@ -10,7 +10,7 @@ an isomorphism of actions, and ``lambda_rescale_iso`` proves the lambda
 rescaling, both for every (k, s) at once as identity lists for
 ``freemod.ks_residuals``, the one (k, s) prover.  ``vm_iso_check``, whose
 map holds e-powers, is proved for every (k, s) by e-generation: the
-brackets on both sides, M's e entry, and a fixed set of probes at s = 1.
+brackets on both sides, M's e table, and a fixed set of probes at s = 1.
 In every isomorphism check the window scopes only the reported rank and
 failing probe.  Every rank is read off its map's triangular shape, never
 eliminated.
@@ -31,8 +31,8 @@ flag reuses them: the solve makes every row it took vanish exactly, so
 only the rows it left out are checked, the components of e, f, eb and
 fb probes outside the codomain window, each by one integer dot product
 per kernel vector.  The h and hbar probes are decided on the adjoint
-entries: where both sides act by multiplication, their rows vanish on
-every solution, and they are checked on rows only where an entry
+tables: where both sides act by multiplication, their rows vanish on
+every solution, and they are checked on rows only where a table
 differs.
 """
 
@@ -42,34 +42,35 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import comb, perm
+from math import perm
 from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
-from .freemod import (_CARTAN, BinomialTable, adjoint_table, ks_residuals,
-                      prove_brackets)
+from .freemod import (_CARTAN, SHIFT, BinomialTable, adjoint_table,
+                      ks_residuals, prove_brackets)
 from .linalg import add_into, nullspace, vec_primitive
 from .poly import RationalLike, poly1_eval, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
                         act_weight, apply_adjoint, make_weight_m, unit_images)
 
 
-def _ebinv_entry(spec: WeightModuleSpec):
-    """eb^-1's adjoint entry over the spec's denominator d, read off eb's:
-    where eb sends eta_{k,s} to (c/d) eta_{k+dk,s}, as only in M, eb^-1
-    sends it to (d/c) eta_{k-dk,s}, so its entry is d^2/c, an int when it
-    is whole."""
-    d, entries = spec.adjoint
-    dk, terms = entries["eb"]
-    if len(terms) != 1 or terms[0][:2] != (0, 0) or terms[0][3]:
+def _ebinv_entry(spec: WeightModuleSpec) -> BinomialTable:
+    """eb^-1's table over the spec's denominator d, read off eb's: where
+    eb's is the one key (dk, 0, 0, 0) -> c, sending eta_{k,s} to (c/d)
+    eta_{k+dk,s}, as only in M, eb^-1 sends it to (d/c) eta_{k-dk,s}, so
+    its table is (-dk, 0, 0, 0) -> d^2/c, an int when it is whole."""
+    d, tables = spec.adjoint
+    eb = tables["eb"]
+    if len(eb) != 1 or next(iter(eb))[1:] != (0, 0, 0):
         raise ValueError("the eb-localization acts on the M family")
-    c = Fraction(d * d, terms[0][2])
-    return -dk, ((0, 0, c.numerator if c.denominator == 1 else c, 0),)
+    [((dk, _, _, _), c)] = eb.items()
+    c = Fraction(d * d, c)
+    return {(-dk, 0, 0, 0): c.numerator if c.denominator == 1 else c}
 
 
 def ebinv_act(spec: WeightModuleSpec, v: WeightVec) -> WeightVec:
     """Action of the inverse of eb on an M-family vector."""
-    return apply_adjoint(*_ebinv_entry(spec), v, Fraction(1, spec.adjoint[0]))
+    return apply_adjoint(_ebinv_entry(spec), v, Fraction(1, spec.adjoint[0]))
 
 
 def apply_localized(spec: WeightModuleSpec, elem: AlgebraElement,
@@ -128,21 +129,14 @@ def _table_iso(residuals: Dict[str, BinomialTable], window: Window,
     """The verdict on a diagonal map phi(eta_{k,s}) = c_k eta_{k,s}, every
     c_k nonzero, from ``residuals[x]``, the ``freemod.ks_residuals`` table
     of (x o phi - phi o x) / c_k: the probe (k, s, x) fails exactly when
-    that table sends eta_{k,s} to a nonzero vector.  ``failing_probe`` is
-    the first failing window probe, k then s ascending and x in
-    GENERATORS order, else the first on the grid k_min <= k <= k_min +
-    d_k, 1 <= s <= d_s + 1, d_k the largest j and d_s the largest t of
-    any entry: as the C(s-1, t) are triangular in the monomials s^t,
+    ``apply_adjoint`` of that table to eta_{k,s} is nonzero.
+    ``failing_probe`` is the first failing window probe, k then s
+    ascending and x in GENERATORS order, else the first on the grid k_min
+    <= k <= k_min + d_k, 1 <= s <= d_s + 1, d_k the largest j and d_s the
+    largest t of any entry: as the C(s-1, t) are triangular in the monomials s^t,
     these are the degrees in k and s, so a nonzero table is nonzero
     somewhere on that grid.  ``rank`` is the number of window indices.
     """
-    def nonzero_at(table, k, s):
-        # the sum of a k^j C(s-1, t) over (dk, ds, t, j) -> a, per (dk, ds)
-        sums: Dict[Tuple[int, int], RationalLike] = {}
-        for (dk, ds, t, j), a in table.items():
-            sums[dk, ds] = sums.get((dk, ds), 0) + a * k ** j * comb(s - 1, t)
-        return any(sums.values())
-
     keys = [key for table in residuals.values() for key in table]
     failing = None
     if keys:
@@ -153,7 +147,8 @@ def _table_iso(residuals: Dict[str, BinomialTable], window: Window,
         failing = next(
             ({"k": k, "s": s, "x": x}
              for k, s in itertools.chain(window.indices(), grid)
-             for x in GENERATORS if nonzero_at(residuals[x], k, s)), None)
+             for x in GENERATORS
+             if apply_adjoint(residuals[x], {(k, s): 1})), None)
     rank = (window.k_max - window.k_min + 1) * window.s_max
     return IsoCheckResult(failing is None, rank=rank, window=window.as_text(),
                           failing_probe=failing, details=details)
@@ -174,9 +169,9 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     if spec.family != "M":
         raise ValueError("the twisting functor is implemented on the M family")
     target = replace(spec, alpha=spec.alpha - 2 * z)
-    d, entries = spec.adjoint
+    d, tables = spec.adjoint
     residuals = ks_residuals(
-        [(d, {**entries, "ebinv": _ebinv_entry(spec)}), target.adjoint],
+        [(d, {**tables, "ebinv": _ebinv_entry(spec)}), target.adjoint],
         [[(0, c, mono.to_word()) for mono, c in theta(z, y).terms()]
          + [(1, -1, (y,))] for y in GENERATORS])
     return _table_iso(dict(zip(GENERATORS, residuals)), window,
@@ -199,12 +194,12 @@ def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
         raise ValueError("lambda rescaling is the M/N-family isomorphism")
     ratio = spec_a.lam / spec_b.lam
     sign = 1 if spec_a.family == "M" else -1
-    entries = spec_a.adjoint[1]
+    tables = spec_a.adjoint[1]
     residuals = ks_residuals(
         [spec_a.adjoint, spec_b.adjoint],
-        [[(0, ratio ** (sign * dk), (x,)), (1, -1, (x,))]
-         for x, (dk, _) in entries.items()])
-    return _table_iso(dict(zip(entries, residuals)), window)
+        [[(0, ratio ** (sign * (SHIFT[x] // 2)), (x,)), (1, -1, (x,))]
+         for x in tables])
+    return _table_iso(dict(zip(tables, residuals)), window)
 
 
 def vm_matching_b(spec_v: WeightModuleSpec) -> Fraction:
@@ -232,12 +227,13 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
 
     1. ``prove_brackets`` passes on both adjoint tables, so x.e - e.x =
        [x, e] on V and on M;
-    2. M's e entry is (-1, ((1, 0, 2 lam d, 0),)), d its denominator: e
+    2. M's e table is {(-1, 1, 0, 0): 2 lam d}, d its denominator: e
        sends eta_{k,s} to 2 lam eta_{k-1,s+1}, so phi o e = e o phi holds
        on all of M by construction;
     3. phi commutes with every generator x on the probes (k, 1, x), for
        the top + 2 columns k_min <= k <= k_min + top + 1, top the largest
-       m of M's table (1 on every M table).
+       ds + t of M's tables, the m of the operator term (1 on every M
+       table).
 
     Every k at s = 1: x.phi(eta_{k,1}) - phi(x.eta_{k,1}), divided by c^k,
     has entries polynomial in k of degree at most 1 + top, one affine
@@ -255,7 +251,7 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
     first failure is (k_min, 1, x), where the window's first index puts
     it.  When only point 1 or 2 fails, as on planted tables only,
     ``intertwines`` is false and ``failing_probe`` None.  The map is
-    triangular: V's e entry at (m, r) = (1, 0) is lam (beta + a) on every
+    triangular: V's e table at (-1, 1, 0, 0) is lam (beta + a) on every
     column, so phi(eta_{k,s}) is c^k eta_{k,s} plus lower s terms, and
     ``rank`` is the window's index count.
 
@@ -276,8 +272,8 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
     if beta + a == 0:
         raise ValueError("the explicit map needs beta + a != 0")
     c = Fraction(2) / (beta + a)
-    d, entries = spec_m.adjoint
-    top = max(m for _, terms in entries.values() for m, *_ in terms)
+    d, tables = spec_m.adjoint
+    top = max(ds + t for table in tables.values() for _, ds, t, _ in table)
 
     def phi(v: WeightVec) -> WeightVec:
         out: WeightVec = {}
@@ -294,7 +290,7 @@ def vm_iso_check(spec_v: WeightModuleSpec, spec_m: WeightModuleSpec,
          for x in GENERATORS),
         partial(act_weight, spec_m), partial(act_weight, spec_v), phi)
     proved = (failing is None
-              and entries["e"] == (-1, ((1, 0, 2 * lam * d, 0),))
+              and tables["e"] == {(-1, 1, 0, 0): 2 * lam * d}
               and all(p["pass"] for spec in (spec_v, spec_m)
                       for p in prove_brackets(spec.adjoint)))
     rank = (window.k_max - window.k_min + 1) * window.s_max
@@ -334,19 +330,15 @@ class LinearWindowMap:
 
 
 def _multiplication_entries(spec: WeightModuleSpec) -> set:
-    """The generators among h and hbar whose adjoint entry in ``spec`` is
-    multiplication by themselves: the entry of ``freemod._CARTAN``
+    """The generators among h and hbar whose adjoint table in ``spec`` is
+    multiplication by themselves: the table of ``freemod._CARTAN``
     dualized at the spec's (alpha, beta), compared over the product of
     the two denominators."""
-    d, entries = spec.adjoint
+    d, tables = spec.adjoint
     d_cartan, cartan = adjoint_table(_CARTAN, spec.alpha, spec.beta)
-
-    def scaled(entry, n):
-        dk, terms = entry
-        return dk, tuple((m, r, c0 * n, c1 * n) for m, r, c0, c1 in terms)
-
-    return {y for y, entry in cartan.items()
-            if scaled(entries[y], d_cartan) == scaled(entry, d)}
+    return {y for y, table in cartan.items()
+            if {key: a * d_cartan for key, a in tables[y].items()}
+            == {key: a * d for key, a in table.items()}}
 
 
 def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
@@ -401,14 +393,14 @@ def intertwiner_search(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
 
     ``verified`` holds when every check vanishes on the primitive integer
     multiple of every kernel vector, one integer dot product each.  The h
-    and hbar checks are decided on the adjoint entries first.  Where both
-    sides' h entry is multiplication by h (``freemod._CARTAN`` dualized
+    and hbar checks are decided on the adjoint tables first.  Where both
+    sides' h table is multiplication by h (``freemod._CARTAN`` dualized
     at the spec's (alpha, beta)), h acts on column k as -alpha_A - 2k on
     one side and on column k + delta as the same scalar on the other, so
-    every h row vanishes; where both sides' hbar entry is multiplication
+    every h row vanishes; where both sides' hbar table is multiplication
     by hbar, it acts as -beta - N on both, and every hbar row vanishes on
     a polynomial in N.  So a nonempty kernel builds the images and rows
-    of h or hbar only when one side's entry for it differs from that
+    of h or hbar only when one side's table for it differs from that
     form, as only a planted table makes it.
     """
     offset2 = spec_a.alpha - spec_b.alpha

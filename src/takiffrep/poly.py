@@ -138,11 +138,6 @@ class PolyHH:
     def terms(self) -> Iterator[Tuple[Exponent, Fraction]]:
         return iter(sorted(self._c.items()))
 
-    def deg_h(self):
-        if not self._c:
-            return NEG_INF
-        return max(i for (i, _) in self._c)
-
     def deg_hbar(self):
         if not self._c:
             return NEG_INF
@@ -257,9 +252,9 @@ class PolyHH:
     def to_text(self) -> str:
         """Canonical text form, e.g. '3/2*h^2*hb^1 + -1*hb^0'.
 
-        Terms are sorted descending by (deg_h, deg_hbar); zero-exponent
-        factors are omitted except that the pure constant keeps the
-        placeholder 'hb^0'.  The zero polynomial prints as '0'.
+        Terms are sorted descending by their (h, hbar) exponents;
+        zero-exponent factors are omitted except that the pure constant
+        keeps the placeholder 'hb^0'.  The zero polynomial prints as '0'.
         """
         if not self._c:
             return "0"

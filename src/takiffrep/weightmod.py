@@ -38,11 +38,11 @@ from math import comb, factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS
-from .freemod import (CHEVALLEY, SHIFT, AdjointTable, FreeModuleSpec,
-                      _apply_terms, adjoint_table, delta_ops, make_gamma,
-                      make_omega, make_theta_mod, prove_brackets)
+from .freemod import (CHEVALLEY, SHIFT, AdjointTable, BinomialTable,
+                      FreeModuleSpec, _apply_terms, adjoint_table, delta_ops,
+                      make_gamma, make_omega, make_theta_mod, prove_brackets)
 from .freemod import act as act_free
-from .linalg import RowBasis, nullspace
+from .linalg import RowBasis, add_into, nullspace
 from .poly import PolyHH, RationalLike, poly1_eval, to_rational
 
 WeightVec = Dict[Tuple[int, int], Fraction]
@@ -74,8 +74,8 @@ class WeightModuleSpec:
 
     @cached_property
     def adjoint(self) -> AdjointTable:
-        """(d, entries): the action of every generator on eta_{k,s} as
-        integers over one denominator d, built once per spec."""
+        """(d, tables): the ``BinomialTable`` of every generator on
+        eta_{k,s}, ints over one denominator d, built once per spec."""
         return adjoint_table(parent_spec(self).ops, self.alpha, self.beta)
 
     @property
@@ -161,71 +161,64 @@ def eval_functional(k: int, s: int, alpha: RationalLike, beta: RationalLike,
 
 # -- generator actions ---------------------------------------------------------
 
-def apply_adjoint(dk: int, terms: Sequence[Tuple[int, int, RationalLike,
-                                                RationalLike]],
-                  v: WeightVec, scale: RationalLike = 1) -> WeightVec:
-    """``scale`` times one generator's adjoint entry (dk, terms) applied to
-    v: the terms are summed in their own type, and each output entry is
-    multiplied by ``scale`` once."""
+def apply_adjoint(table: BinomialTable, v: WeightVec,
+                  scale: RationalLike = 1) -> WeightVec:
+    """``scale`` times the operator ``table`` applied to v: each key (dk,
+    ds, t, j) -> a adds a k^j C(s-1, t) at (k + dk, s + ds) for each entry
+    (k, s) of v, skipped where t >= s, as C(s-1, t) = 0 there.  The sums
+    are kept in the table's type, and each output entry is multiplied by
+    ``scale`` once."""
     out: WeightVec = {}
-    # not linalg.add_into: summed in the terms' type, cleaned once, scaled
-    for (k, s), a in v.items():
-        for m, r, c0, c1 in terms:
-            if r >= s:
-                continue
-            c = c0 + c1 * k if c1 else c0
-            if r:
-                c *= comb(s - 1, r)
-            key = (k + dk, s - r + m)
-            out[key] = out.get(key, 0) + a * c
+    # not linalg.add_into: summed in the table's type, cleaned once, scaled
+    for (k, s), c in v.items():
+        for (dk, ds, t, j), a in table.items():
+            if t < s:
+                key = (k + dk, s + ds)
+                out[key] = out.get(key, 0) + c * (a * k ** j * comb(s - 1, t))
     return {key: c * scale for key, c in out.items() if c}
 
 
 def unit_images(spec: WeightModuleSpec, window: Window,
                 generators: Iterable[str] = GENERATORS):
     """(d, images): images[x][(k, s)] is d times x.eta_{k,s}, in full, for
-    each of ``generators`` and every window index, the integer entries of
+    each of ``generators`` and every window index, the integer tables of
     ``spec.adjoint`` applied as they are; d is its denominator.
 
-    An entry (dk, terms) is read once per s, not once per index: its terms
-    (m, r, c0, c1) with r < s sum to the template {s - r + m: (u, v)},
-    u = sum C(s-1, r) c0 and v = sum C(s-1, r) c1, and the image of
-    eta_{k,s} is {(k + dk, s'): u + v k}, less the entries that vanish at
-    this k.  Values and their types are those of ``apply_adjoint``.
+    A table is read once per s, not once per index: its keys (dk, ds, t,
+    j) -> a with t < s sum to the template {(dk, s + ds): (u, v)}, u the
+    sum of C(s-1, t) a over the keys with j = 0 and v over those with j =
+    1, and the image of eta_{k,s} is {(k + dk, s'): u + v k}, less the
+    entries that vanish at this k.  Values and their types are those of
+    ``apply_adjoint``.
     """
-    d, entries = spec.adjoint
+    d, tables = spec.adjoint
     images = {}
     for x in generators:
-        dk, terms = entries[x]
         templates = []
         for s in range(1, window.s_max + 1):
-            template: Dict[int, List] = {}
-            for m, r, c0, c1 in terms:
-                if r < s:
-                    n = comb(s - 1, r)
-                    u_v = template.setdefault(s - r + m, [0, 0])
-                    u_v[0] += n * c0
-                    if c1:
-                        u_v[1] += n * c1
-            templates.append((s, [(s2, u, v)
-                                  for s2, (u, v) in template.items()]))
+            template: Dict[Tuple[int, int], List] = {}
+            for (dk, ds, t, j), a in tables[x].items():
+                if t < s:
+                    template.setdefault((dk, s + ds), [0, 0])[j] += \
+                        comb(s - 1, t) * a
+            templates.append((s, [(dk, s2, u, v)
+                                  for (dk, s2), (u, v) in template.items()]))
         column = images[x] = {}
         for k in range(window.k_min, window.k_max + 1):
-            k2 = k + dk
             for s, template in templates:
-                column[(k, s)] = {(k2, s2): c for s2, u, v in template
+                column[(k, s)] = {(k + dk, s2): c for dk, s2, u, v in template
                                   if (c := u + v * k)}
     return d, images
 
 
 def act_weight(spec: WeightModuleSpec, x: str, v: WeightVec) -> WeightVec:
     """Apply a generator to a weight vector (exact, untruncated)."""
-    d, entries = spec.adjoint
+    d, tables = spec.adjoint
     try:
-        dk, terms = entries[x]
+        table = tables[x]
     except KeyError:
         raise ValueError(f"unknown generator {x!r}") from None
-    return apply_adjoint(dk, terms, v, Fraction(1, d))
+    return apply_adjoint(table, v, Fraction(1, d))
 
 
 def act_weight_word(spec: WeightModuleSpec, word: Sequence[str],
@@ -280,14 +273,14 @@ def dual_consistency(spec: WeightModuleSpec, window: Window = DEFAULT_WINDOW,
     whole vector x.eta_{k,s} read from ``spec.adjoint``.  At a fixed t - s
     both sides are affine in k (``adjoint_table`` rejects coefficients of
     degree > 1 in h) and polynomials in s of degree <= D, the largest of
-    the parent's hbar-degrees and the table's r (C(s-1, r) hides a term at
-    every s <= r).  So k in {0, 1} and s in 1..D+1 decide every (k, s).
+    the parent's hbar-degrees and the tables' t (C(s-1, t) hides a term at
+    every s <= t).  So k in {0, 1} and s in 1..D+1 decide every (k, s).
     ``window``, ``trials`` and ``seed`` are echoed only; nothing is sampled.
     """
     parent = parent_spec(spec)
     coeffs = [(c, m) for terms in parent.ops.values() for c, m in terms]
     top = max([c.deg_hbar() for c, _ in coeffs] + [
-        r for _, terms in spec.adjoint[1].values() for _, r, _, _ in terms])
+        t for table in spec.adjoint[1].values() for _, _, t, _ in table])
     m_top = max(m for _, m in coeffs)
     shifted = PolyHH.hbar() - PolyHH.const(spec.beta)
     probes = [PolyHH.const(1)]  # probes[t - 1] is p_t
@@ -500,10 +493,10 @@ def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
     column at the hit, so the quotient is not a semisimple hbar-module.
     """
     k0, s0 = hit
-    d, entries = spec.adjoint
+    d, tables = spec.adjoint
     for direction, pair, growth in ((-1, _LOWERING, _RAISING),
                                     (+1, _RAISING, _LOWERING)):
-        if not any(apply_adjoint(*entries[x], {hit: 1}) for x in pair):
+        if not any(apply_adjoint(tables[x], {hit: 1}) for x in pair):
             break
     else:
         raise ValueError(f"eta_{hit} is not singular for an sl2-type pair")
@@ -514,14 +507,14 @@ def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
     if depth_max < 0:
         raise ValueError("window does not contain the hit column")
 
-    x, xbar = (entries[g] for g in growth)
+    x, xbar = (tables[g] for g in growth)
     # chains[t - 1][a] is x^a xbar^(n-a) eta_{k0,t}
     chains = [[{(k0, t): 1}] for t in range(1, s0 + 1)]
     depth_dims = []
     for n in range(depth_max + 1):
         if n:
-            chains = [[apply_adjoint(*xbar, v) for v in chain]
-                      + [apply_adjoint(*x, chain[-1])] for chain in chains]
+            chains = [[apply_adjoint(xbar, v) for v in chain]
+                      + [apply_adjoint(x, chain[-1])] for chain in chains]
         basis = RowBasis()
         for chain in chains:
             for v in chain:
@@ -533,18 +526,18 @@ def verma_check(spec: WeightModuleSpec, hit: Tuple[int, int],
     # quotient certificate at the hit column, where the submodule is
     # span{eta_{k0,t} : t <= s0}: hbar + beta is nilpotent on the column yet
     # nonzero modulo the submodule.  It runs on the ints of D (hbar + beta),
-    # D = d times beta's denominator.
-    dk, terms = entries["hb"]
+    # D = d times beta's denominator; hbar's constant key (0, 0, 0, 0) is
+    # -D beta, as hbar + beta acts as -N, so it cancels there.
     q = spec.beta.denominator
-    shifted = (dk, tuple((m, r, c0 * q, c1 * q) for m, r, c0, c1 in terms)
-               + ((0, 0, d * spec.beta.numerator, 0),))
+    shifted = add_into({key: a * q for key, a in tables["hb"].items()},
+                       d * spec.beta.numerator, (((0, 0, 0, 0), 1),))
     s_cap = max(window.s_max, s0 + 2)
     nonzero_mod, nilpotent = False, True
     for s in range(1, s_cap + 1):
-        w = apply_adjoint(*shifted, {(k0, s): 1})
+        w = apply_adjoint(shifted, {(k0, s): 1})
         nonzero_mod = nonzero_mod or any(t > s0 for _, t in w)
         for _ in range(s_cap - 1):
-            w = apply_adjoint(*shifted, w)
+            w = apply_adjoint(shifted, w)
         nilpotent = nilpotent and not w
     return VermaReport(hit=hit, direction=direction, depth_dims=depth_dims,
                        expected_dims=expected, character_ok=character_ok,

@@ -16,6 +16,8 @@ compares them.
 
 from math import comb, factorial, prod
 
+from adjoint_views import entry_terms
+
 from takiffrep.linalg import add_into
 from takiffrep.poly import PolyHH
 
@@ -24,11 +26,12 @@ def adopt_table(sums):
     return {key: PolyHH._adopt(c) for key, c in sums.items() if c}
 
 
-def ks_table(entry, top):
-    """top! times one generator's table, read off its adjoint entry (dk,
-    terms) whose every r is at most ``top``: each term (m, r, c0, c1) adds
-    (c0 + c1*k) top!/r! (s-1)(s-2)...(s-r) at (dk, m - r)."""
-    dk, terms = entry
+def ks_table(table, top):
+    """top! times one generator's table, read off its ``BinomialTable`` as
+    terms (``entry_terms``) whose every r is at most ``top``: each term (m,
+    r, c0, c1) adds (c0 + c1*k) top!/r! (s-1)(s-2)...(s-r) at (dk, m -
+    r)."""
+    dk, terms = entry_terms(table)
     sums = {}
     for m, r, c0, c1 in terms:
         falling = [1]  # coefficients of (s-1)...(s-r) in s, lowest first
@@ -45,11 +48,11 @@ def ks_table(entry, top):
 def ks_tables(adjoint):
     """(S, tables): every generator's table, each S = d R! times the true
     one."""
-    d, entries = adjoint
-    top = max((r for _, terms in entries.values() for _, r, _, _ in terms),
+    d, tables = adjoint
+    top = max((t for table in tables.values() for _, _, t, _ in table),
               default=0)
-    return d * factorial(top), {x: ks_table(entry, top)
-                                for x, entry in entries.items()}
+    return d * factorial(top), {x: ks_table(table, top)
+                                for x, table in tables.items()}
 
 
 def ks_compose_into(out, tables, x, right):
@@ -92,10 +95,10 @@ def factorial_scale(adjoints, identities):
     """R, the product of the R_i!^(L_i): M of ``ks_residuals_monomial``
     over D of ``freemod.ks_residuals``."""
     out = 1
-    for i, (_, entries) in enumerate(adjoints):
+    for i, (_, tables) in enumerate(adjoints):
         longest = max((len(word) for identity in identities
                        for j, _, word in identity if j == i), default=0)
-        top = max((r for _, terms in entries.values() for _, r, _, _ in terms),
+        top = max((t for table in tables.values() for _, _, t, _ in table),
                   default=0)
         out *= factorial(top) ** longest
     return out
@@ -124,8 +127,10 @@ def matches_monomial(adjoints, identities, residuals):
         by_target = {}
         for (dk, ds, t, j), a in table.items():
             by_target.setdefault((dk, ds), []).append((t, j, a))
+        # the h-degree of each oracle polynomial is its degree in k
         d_k = max([j for *_, j in table]
-                  + [p.deg_h() for p in want.values()], default=0)
+                  + [i for p in want.values() for (i, _), _ in p.terms()],
+                  default=0)
         d_s = max([t for _, _, t, _ in table]
                   + [p.deg_hbar() for p in want.values()], default=0)
         for target in set(by_target) | set(want):

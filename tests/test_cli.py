@@ -787,6 +787,12 @@ GOLDEN_CASES = [
     # eb, fb kills eta_{k,1} on every column
     ("singular_v_beta_a_zero.json", "singular --window=-2:2:3",
      "family=V\nbeta=0\na=0\nbeta1=1,2\n"),
+    # saved while every adjoint table was still a tuple of terms (m, r, c0,
+    # c1): M at a beta whose denominator is 3, so that the hbar + beta
+    # certificate is rescaled by q = 3; the hit (0, 1) is the witness of
+    # beta^2 + a = 0 and alpha_1 beta + b = 0
+    ("verma_check_fractional.json", "verma-check",
+     "family=M\nalpha=1/3\nbeta=2/3\nlambda=-3/2\na=-4/9\nb=-14/9\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

@@ -10,8 +10,8 @@ from itertools import product
 from math import comb, factorial, lcm
 
 import pytest
-from adjoint_views import (fraction_view, integer_table, plant,
-                           smallest_fault)
+from adjoint_views import (entry_terms, fraction_view, integer_table,
+                           plant, smallest_fault, terms_table)
 from ks_oracle import matches_monomial
 from samplers import random_poly
 
@@ -415,7 +415,7 @@ def test_prove_brackets_agrees_with_fraction_prover_on_planted_faults():
     rng = random.Random(421)
     for adjoint in _prover_cases(rng, 40):
         x = rng.choice(GENERATORS)
-        index = rng.randrange(len(adjoint[1][x][1]))
+        index = rng.randrange(len(entry_terms(adjoint[1][x])[1]))
         planted = plant(adjoint, x, index, random_rational(rng),
                          rng.choice((0, random_rational(rng))))
         flags = [p["pass"] for p in prove_brackets(planted)]
@@ -425,14 +425,6 @@ def test_prove_brackets_agrees_with_fraction_prover_on_planted_faults():
 def test_prove_brackets_builds_int_tables(monkeypatch):
     seen = []
     paired = []
-
-    def recorded(wrapped):
-        def run(*args):
-            out = wrapped(*args)
-            seen.append(out if out is not None else args[0])
-            return out
-        return run
-
     compose = freemod._compose_into
 
     def composed(out, left, right, rule=freemod._after):
@@ -443,8 +435,6 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
         if rule is freemod._commutator:
             paired.append(dict(out))
 
-    monkeypatch.setattr(freemod, "_binomial_table",
-                        recorded(freemod._binomial_table))
     monkeypatch.setattr(freemod, "_compose_into", composed)
     prove = freemod.ks_residuals
 
@@ -457,6 +447,7 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
     rng = random.Random(422)
     failing = 0
     for adjoint in _prover_cases(rng, 24):
+        seen.extend(adjoint[1].values())
         failing += not all(p["pass"] for p in prove_brackets(adjoint))
     # the generator tables, the sums they are composed into, and each
     # returned residual, nonzero ones among them
@@ -483,10 +474,10 @@ def test_ks_sums_drop_what_cancels():
     freemod._compose_into(sums, left, {(-1, 1, 1, 0): F(-3, 2)})
     freemod._compose_into(sums, {(1, 0, 0, 1): 1}, {(-1, 1, 1, 0): -1})
     assert sums == {}
-    # a term (m, r, c0, c1) with c0 = 0 stores no zero
-    assert freemod._binomial_table((1, ((0, 2, 0, 5), (1, 0, 3, 0)))) == \
+    # a term (m, r, c0, c1) with c0 = 0 is written with no zero
+    assert terms_table(1, ((0, 2, 0, 5), (1, 0, 3, 0))) == \
         {(1, -2, 2, 1): 5, (1, 1, 0, 0): 3}
-    assert ks_residuals([(1, {"x": (1, ((0, 2, 0, 5),))})],
+    assert ks_residuals([(1, {"x": {(1, -2, 2, 1): 5}})],
                         [[(0, 2, ("x",)), (0, -2, ("x",))]]) == [{}]
 
 
@@ -500,9 +491,8 @@ def test_ks_table_never_yields_a_float():
                    view[x][1] + ((1, 3, F(0), F(5, 7)), (0, 2, F(2), 0)))
         d, entries = integer_table(view)
         # a Fraction entry that is not whole, as eb^-1's may be
-        entries["ebinv"] = (1, ((0, 0, F(2 * d + 1, 2), 0),))
-        for y, entry in entries.items():
-            table = freemod._binomial_table(entry)
+        entries["ebinv"] = {(1, 0, 0, 0): F(2 * d + 1, 2)}
+        for y, table in entries.items():
             assert all(v and type(v) is (F if y == "ebinv" else int)
                        for v in table.values())
         # words with eb^-1 may hold Fractions, the others only ints
@@ -573,8 +563,7 @@ def _unpaired_residuals(adjoints, identities):
     letter from the identity table, x o y and y o x each in full, so that
     what they share is formed and cancels: the route without the
     commutator pass, kept as its oracle."""
-    tables = [{x: freemod._binomial_table(entry)
-               for x, entry in entries.items()} for _, entries in adjoints]
+    tables = [adjoint[1] for adjoint in adjoints]
     longest = [max((len(word) for identity in identities
                     for j, _, word in identity if j == i), default=0)
                for i in range(len(adjoints))]
@@ -612,7 +601,7 @@ def _ebinv_adjoint(adjoint):
     """``adjoint`` with an entry eb^-1 added whose coefficient is not whole
     over the table's denominator, as eb^-1's may be."""
     d, entries = adjoint
-    return d, {**entries, "ebinv": (1, ((0, 0, F(2 * d + 1, 2), 0),))}
+    return d, {**entries, "ebinv": {(1, 0, 0, 0): F(2 * d + 1, 2)}}
 
 
 def test_ks_residuals_match_the_monomial_oracle_on_random_identities():

@@ -7,12 +7,13 @@ from functools import partial
 from math import comb
 
 import pytest
-from adjoint_views import fraction_view, integer_table, plant, smallest_fault
+from adjoint_views import (entry_terms, fraction_view, integer_table, plant,
+                           smallest_fault)
 from ks_oracle import matches_monomial
 
 from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
-from takiffrep.freemod import _binomial_table, _compose_into, ks_residuals
+from takiffrep.freemod import _compose_into, ks_residuals
 from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
                                 _first_failure, _table_iso,
                                 apply_localized, check_twist_iso, ebinv_act,
@@ -22,7 +23,8 @@ from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
 from takiffrep.linalg import RowBasis, nullspace, vec_axpy
 from takiffrep.poly import PolyHH, poly1_to_polyhh, random_rational
 from takiffrep.weightmod import (Window, WeightModuleSpec, act_weight,
-                                 act_weight_word, dual_consistency,
+                                 act_weight_word, apply_adjoint,
+                                 dual_consistency,
                                  make_weight_m, make_weight_n, make_weight_v,
                                  random_weight_spec, unit_images, wv_scale,
                                  wv_text, wv_unit)
@@ -65,8 +67,8 @@ def test_ebinv_act_rejects_n_and_v():
              # r = 1 (V), so it is still no invertible translation
              make_weight_n(F(1, 2), 0, 2, 0, 1),
              make_weight_v(1, 2, 3, -2, (F(1),))]
-    assert len(specs[2].adjoint[1]["eb"][1]) == 1
-    assert len(specs[3].adjoint[1]["eb"][1]) == 1
+    assert len(entry_terms(specs[2].adjoint[1]["eb"])[1]) == 1
+    assert len(entry_terms(specs[3].adjoint[1]["eb"])[1]) == 1
     for spec in specs:
         with pytest.raises(ValueError, match="eb-localization acts on the M"):
             ebinv_act(spec, wv_unit(0, 1))
@@ -78,14 +80,14 @@ def test_ebinv_entry_is_whole_on_m_and_exact_when_planted():
     rng = random.Random(508)
     for _ in range(100):
         spec = random_weight_spec(rng, "M")
-        (_, _, c, _), = functors._ebinv_entry(spec)[1]
+        (c,) = functors._ebinv_entry(spec).values()
         assert type(c) is int
     # a planted eb whose inverse is no multiple of 1/d stays exact
     spec = make_weight_m(0, 1, 2, 0, 0)
     view = fraction_view(spec.adjoint)
     view["eb"] = (view["eb"][0], ((0, 0, F(-7, 2), 0),))
     spec.__dict__["adjoint"] = integer_table(view)
-    (_, _, c, _), = functors._ebinv_entry(spec)[1]
+    (c,) = functors._ebinv_entry(spec).values()
     assert type(c) is F and c == F(-2, 7) * spec.adjoint[0]
     assert ebinv_act(spec, wv_unit(0, 1)) == {(1, 1): F(-2, 7)}
 
@@ -329,6 +331,72 @@ def test_table_iso_on_hand_written_binomial_residuals():
     assert _hand_table_iso({}, window) == (True, 10, None)
 
 
+def _per_target_nonzero(table, k, s):
+    """Whether a binomial residual sends eta_{k,s} to a nonzero vector, as
+    ``_table_iso`` decided it before it read ``apply_adjoint``: the sum of
+    a k^j C(s-1, t) over the keys (dk, ds, t, j) -> a of each target (dk,
+    ds), C(s-1, t) = 0 for t >= s included."""
+    sums = {}
+    for (dk, ds, t, j), a in table.items():
+        sums[dk, ds] = sums.get((dk, ds), 0) + a * k ** j * comb(s - 1, t)
+    return any(sums.values())
+
+
+def test_apply_adjoint_decides_probes_as_the_per_target_sums(monkeypatch):
+    # the residuals the twist and the rescaling hand _table_iso, against
+    # right and planted wrong targets and the smallest fault, and hand-made
+    # ones: k^2 - 4, (k^2 - k)/3 C(s-1, 1), and two targets that cancel
+    # when summed together
+    rng = random.Random(513)
+    residuals = []
+
+    def recorded(adjoints, identities):
+        out = ks_residuals(adjoints, identities)
+        residuals.extend(out)
+        return out
+
+    monkeypatch.setattr(functors, "ks_residuals", recorded)
+    for i in range(12):
+        spec = random_weight_spec(rng, "M")
+        z = random_rational(rng)
+        target = make_weight_m(spec.alpha - 2 * z, spec.beta, spec.lam,
+                               spec.a, spec.b + i % 2)
+        if i % 4 == 3:
+            target.__dict__["adjoint"] = smallest_fault(target.adjoint)
+        with monkeypatch.context() as patch:
+            patch.setattr(functors, "replace", lambda *args, **kw: target)
+            check_twist_iso(z, spec)
+        spec_a = random_weight_spec(rng, "MN"[i % 2])
+        spec_b = replace(spec_a, lam=random_rational(rng, nonzero=True))
+        if i % 3 == 1:
+            spec_b = replace(spec_b, b=spec_b.b + 1)
+        elif i % 3 == 2:
+            spec_b.__dict__["adjoint"] = smallest_fault(spec_b.adjoint)
+        lambda_rescale_iso(spec_a, spec_b)
+    assert len(residuals) == 24 * len(GENERATORS)
+    residuals += [{(0, 0, 0, 2): 1, (0, 0, 0, 0): -4},
+                  {(0, -1, 1, 2): F(1, 3), (0, -1, 1, 1): F(-1, 3)},
+                  {(0, 0, 0, 0): 1, (1, 0, 0, 0): -1}]
+    failing = 0
+    for table in residuals:
+        for k in range(-3, 4):
+            for s in range(1, 6):
+                got = apply_adjoint(table, {(k, s): 1})
+                assert bool(got) == _per_target_nonzero(table, k, s), \
+                    (table, k, s)
+                assert got == _binomial_image(table, k, s)
+                failing += bool(got)
+    # the k^2 - 4 residual vanishes on the columns k = 2 and k = -2 only,
+    # and the k^2 - k one at s = 1 and on the columns k = 0 and k = 1
+    assert [bool(apply_adjoint(residuals[-3], {(k, 1): 1}))
+            for k in range(-3, 4)] == [True, False, True, True, True, False,
+                                       True]
+    assert [bool(apply_adjoint(residuals[-2], {(k, s): 1}))
+            for k in range(-1, 3) for s in (1, 2)] == [
+                False, True, False, False, False, False, False, True]
+    assert failing > 200
+
+
 # Pointwise: a (k, s) table, evaluated at (k, s), is the image of eta_{k,s}.
 
 GRID = [(k, s) for k in range(-2, 3) for s in range(1, 6)]
@@ -351,8 +419,7 @@ def test_composed_tables_match_act_weight_pointwise():
     for family in "MNVMNV":
         spec = random_weight_spec(rng, family)
         # each table is d times the true one, each composition d^2 times
-        d, entries = spec.adjoint
-        tables = {x: _binomial_table(entry) for x, entry in entries.items()}
+        d, tables = spec.adjoint
         for x in GENERATORS:
             for y in GENERATORS:
                 composed = {}
@@ -542,7 +609,8 @@ def test_twist_proof_adds_int_multiples_at_an_integer_z(monkeypatch):
     # on M, so every weight c M / S^n is an int: none is a Fraction
     seen = _record_weights(monkeypatch)
     spec = make_weight_m(F(1, 2), F(-3, 5), F(2, 3), F(-9, 25), F(-7, 4))
-    assert type(functors._ebinv_entry(spec)[1][0][2]) is int
+    (c,) = functors._ebinv_entry(spec).values()
+    assert type(c) is int
     for z in (2, -3, F(4)):
         assert check_twist_iso(z, spec, Window(-2, 2, 3)).intertwines
     assert seen and set(seen) == {int}, set(seen)
@@ -762,7 +830,8 @@ def test_vm_iso_proof_refuses_every_moved_coefficient():
         else:
             spec = (spec_v, spec_m)[side]
             x = rng.choice(GENERATORS)
-            _moved(spec, x, rng.randrange(len(spec.adjoint[1][x][1])),
+            _moved(spec, x,
+                   rng.randrange(len(entry_terms(spec.adjoint[1][x])[1])),
                    random_rational(rng, nonzero=True))
         assert not vm_iso_check(spec_v, spec_m, window).intertwines, i
         refused_by_oracle += not _vm_oracle(spec_v, spec_m, window).intertwines
@@ -785,6 +854,19 @@ def test_vm_iso_check_makes_the_same_probes_on_every_window(monkeypatch):
             vm_iso_check(v, m, window)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, m
+    # top, the largest ds + t of M's tables, is 1 on every M table: the
+    # probes are the 6 generators on the 3 columns from k_min, at s = 1
+    probes = []
+    first = functors._first_failure
+
+    def recorded(listed, *args):
+        listed = list(listed)
+        probes.extend(listed)
+        return first(listed, *args)
+
+    monkeypatch.setattr(functors, "_first_failure", recorded)
+    vm_iso_check(v, vm_matching_m_spec(v), Window(-8, 8, 6))
+    assert probes == [(k, 1, x) for k in (-8, -7, -6) for x in GENERATORS]
 
 
 def test_vm_iso_check_rank_is_the_window_index_count():

@@ -35,12 +35,11 @@ def from_sympy(expr):
 def test_zero_and_const():
     z = PolyHH.zero()
     assert z.is_zero()
-    assert z.deg_h() is NEG_INF
     assert z.deg_hbar() is NEG_INF
     assert PolyHH.const(0) == z
     c = PolyHH.const(Fraction(3, 2))
     assert c.coeff(0, 0) == Fraction(3, 2)
-    assert c.deg_h() == 0
+    assert c.deg_hbar() == 0
 
 
 def test_neg_inf_compares_below_everything():

@@ -18,15 +18,17 @@ from math import factorial, gcd
 from types import SimpleNamespace
 
 import pytest
-from adjoint_views import fraction_view, integer_table
+from adjoint_views import (entry_terms, fraction_view, integer_table,
+                           term_adjoint_table, terms_table)
 from samplers import eval_weightvec, random_poly
 
 from takiffrep import weightmod
 from takiffrep.algebra import GENERATORS, bracket
 from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, adjoint_table,
-                               make_gamma, make_omega, make_theta_mod)
+                               make_gamma, make_omega, make_theta_mod,
+                               random_free_spec)
 from takiffrep.freemod import act as act_free
-from takiffrep.linalg import RowBasis, nullspace, vec_axpy
+from takiffrep.linalg import RowBasis, add_into, nullspace, vec_axpy
 from takiffrep.poly import PolyHH, random_rational, shifted_expand
 from takiffrep.scan import builtin_scan_grid, criterion_agrees
 from takiffrep.weightmod import (DEFAULT_WINDOW, Window, act_weight,
@@ -284,7 +286,8 @@ def test_weight_brackets_detect_planted_fault(family, x, dc0, dc1):
     # the term of highest r; some other single-term changes, such as the
     # constant term of f on M, only move the spec to another valid module
     spec = random_weight_spec(random.Random(406), family)
-    _perturb(spec, x, len(spec.adjoint[1][x][1]) - 1, dc0=dc0, dc1=dc1)
+    _perturb(spec, x, len(entry_terms(spec.adjoint[1][x])[1]) - 1,
+             dc0=dc0, dc1=dc1)
     assert not weight_bracket_report(spec)["ok"]
     assert _flags(spec) == bracket_window_oracle(spec, Window(-2, 2, 4))
 
@@ -294,7 +297,7 @@ def test_weight_brackets_prove_beyond_the_window(dc0, dc1):
     # f's (m = 0, r = 2) term only acts on eta_{k,s} with s >= 3, so a
     # fault there is invisible to every window with s_max = 2
     spec = make_weight_v(1, -1, 1, 1, (0, 1, 2))
-    terms = spec.adjoint[1]["f"][1]
+    terms = entry_terms(spec.adjoint[1]["f"])[1]
     index = next(i for i, (m, r, _, _) in enumerate(terms) if (m, r) == (0, 2))
     _perturb(spec, "f", index, dc0=dc0, dc1=dc1)
     assert all(bracket_window_oracle(spec, Window(-1, 1, 2)))
@@ -353,7 +356,7 @@ def test_dual_consistency_agrees_with_sampling_oracle():
 def test_dual_consistency_fails_every_moved_coefficient(family, x, dc0, dc1):
     def make():
         return random_weight_spec(random.Random(411), family, beta1_deg=3)
-    for index in range(len(make().adjoint[1][x][1])):
+    for index in range(len(entry_terms(make().adjoint[1][x])[1])):
         spec = make()
         _perturb(spec, x, index, dc0=dc0, dc1=dc1)
         rep = dual_consistency(spec)
@@ -768,9 +771,8 @@ def test_verma_check_fails_a_planted_hbar_shift():
     # hb + 1 in place of hb: hbar + beta is no longer nilpotent on the column
     spec = make_weight_m(0, 1, 1, -1, -2)
     d, entries = spec.adjoint
-    dk, terms = entries["hb"]
-    spec.__dict__["adjoint"] = (d, {**entries,
-                                    "hb": (dk, terms + ((0, 0, d, 0),))})
+    hb = add_into(dict(entries["hb"]), d, (((0, 0, 0, 0), 1),))
+    spec.__dict__["adjoint"] = (d, {**entries, "hb": hb})
     rep = verma_check(spec, (0, 1), Window(-4, 4, 6))
     assert rep.character_ok
     assert not rep.quotient_nilpotent_ok and not rep.passed
@@ -790,7 +792,7 @@ def unit_images_oracle(spec, window):
     entry applied to every window index on its own, through
     ``apply_adjoint`` on a one-entry vector."""
     d, entries = spec.adjoint
-    return d, {x: {key: weightmod.apply_adjoint(*entries[x], {key: 1})
+    return d, {x: {key: weightmod.apply_adjoint(entries[x], {key: 1})
                    for key in window.indices()}
                for x in entries}
 
@@ -817,13 +819,16 @@ def test_unit_images_equal_the_per_index_oracle():
             view[x] = (dk, terms + ((0, 1, F(1, 3), F(-2, 5)),
                                     (1, 2, F(0), F(3, 7))))
         spec.__dict__["adjoint"] = integer_table(view)
-    # two terms on one target whose sum 2 + k vanishes at k = -2 only, one
-    # that vanishes at k = 3 alone, and a pair that cancels at every k
+    # keys of two t on one target, 3 + k at t = 0 and -1 at t = 1, whose
+    # sum 2 + k at s = 2 vanishes at k = -2 only; (k - 3) C(s-1, 1), which
+    # vanishes at k = 3 alone; and a pair whose sum 5 - 5 C(s-1, 1)
+    # vanishes at s = 2 at every k
     planted = make_weight_m(0, 1, 1, 0, 0)
     d, entries = planted.adjoint
-    planted.__dict__["adjoint"] = (d, {**entries, "e": (1, (
-        (0, 0, 3, 1), (0, 0, -1, 0), (0, 1, -3, 1),
-        (3, 1, 5, 2), (3, 1, -5, -2)))})
+    planted.__dict__["adjoint"] = (d, {**entries, "e": {
+        (1, 0, 0, 0): 3, (1, 0, 0, 1): 1, (1, 0, 1, 0): -1,
+        (1, -1, 1, 0): -3, (1, -1, 1, 1): 1,
+        (1, 2, 0, 0): 5, (1, 2, 1, 0): -5}})
     specs.append(planted)
     for i, spec in enumerate(specs):
         window = windows[i % len(windows)]
@@ -832,8 +837,9 @@ def test_unit_images_equal_the_per_index_oracle():
         assert got[0] == want[0]
         assert _typed(got[1]) == _typed(want[1]), spec.params()
     got = weightmod.unit_images(planted, Window(-4, 4, 3))[1]["e"]
-    assert (-1, 1) not in got[(-2, 1)] and got[(-1, 1)][(0, 1)] == 1
-    assert (4, 1) not in got[(3, 2)] and (3, 5) not in got[(2, 3)]
+    assert (-1, 2) not in got[(-2, 2)] and got[(-1, 2)][(0, 2)] == 1
+    assert (4, 1) not in got[(3, 2)] and got[(2, 2)][(3, 1)] == -1
+    assert (3, 4) not in got[(2, 2)] and got[(2, 3)][(3, 5)] == -5
 
 
 # -- windows and the rank-1 sl2 comparison models -------------------------------
@@ -1016,8 +1022,7 @@ def _assert_matches_oracle_with_types(table, want):
     assert _as_oracle_table(table) == want
     # ints over the least denominator: d shares no factor with every entry
     d, entries = table
-    values = [c for _, terms in entries.values() for term in terms
-              for c in term[2:]]
+    values = [c for x_table in entries.values() for c in x_table.values()]
     assert type(d) is int and d > 0
     assert all(type(c) is int for c in values)
     assert gcd(d, *values) == 1
@@ -1072,3 +1077,48 @@ def test_adjoint_table_reads_planted_operator_terms(monkeypatch):
     ops["f"] = ((h * h, 0),)
     with pytest.raises(ValueError, match="degree 2 in h"):
         make_weight_m(F(1, 3), F(-5, 2), 1, 0, 0).adjoint
+
+
+def _typed_terms(adjoint):
+    """(d, {x: (dk, terms)}) with d, c0 and c1 each paired with its type,
+    so == also compares int against Fraction."""
+    d, entries = adjoint
+    return (type(d), d), {
+        x: (dk, tuple((m, r, (type(c0), c0), (type(c1), c1))
+                      for m, r, c0, c1 in terms))
+        for x, (dk, terms) in entries.items()}
+
+
+def _fractional(rng):
+    """A rational that is not an integer, its denominator 2, 3, 5 or 7."""
+    q = rng.choice((2, 3, 5, 7))
+    return F(q * rng.randint(-4, 4) + rng.randint(1, q - 1), q)
+
+
+def test_adjoint_table_reads_as_the_term_table_it_replaced():
+    # the oracle is the term table (m, r, c0, c1) adjoint_table wrote
+    # before its binomial keys; each binomial table, read back as terms,
+    # is that table, term order and value types included
+    rng = random.Random(4419)
+    cases = [(random_free_spec(rng, family, beta1_deg=4).ops, F(0), F(0))
+             for family in ("gamma", "theta", "omega") for _ in range(30)]
+    for n in range(120):
+        lam = random_rational(rng, nonzero=True)
+        alpha, beta = _fractional(rng), _fractional(rng)
+        a, b = random_rational(rng), random_rational(rng)
+        if n % 3 == 2:
+            spec = make_weight_v(alpha, beta, lam, a,
+                                 [random_rational(rng)
+                                  for _ in range(rng.randint(1, 5))])
+        else:
+            spec = (make_weight_m, make_weight_n)[n % 3](alpha, beta, lam,
+                                                         a, b)
+        cases.append((parent_spec(spec).ops, spec.alpha, spec.beta))
+    for ops, alpha, beta in cases:
+        d, tables = adjoint_table(ops, alpha, beta)
+        read = (d, {x: entry_terms(table) for x, table in tables.items()})
+        assert _typed_terms(read) == \
+            _typed_terms(term_adjoint_table(ops, alpha, beta))
+        # and each table is written back from its terms unchanged
+        for x, (dk, terms) in read[1].items():
+            assert terms_table(dk, terms) == tables[x]
