@@ -50,7 +50,9 @@ identity holds for the operators exactly when it holds on every
 eta_{k,s}.
 ``ks_residuals``, the one prover of such identities, proves for every
 (k, s) the brackets of ``verify_axioms`` and of the dual weight families
-of ``weightmod``, and the twist and rescaling maps of ``functors``.
+of ``weightmod``, and the twist and rescaling maps of ``functors``.  It
+runs a plan that ``ks_plan`` makes once per identity list: the brackets'
+``_BRACKET_PLAN`` at import, the twist's and the rescaling's per call.
 
 An operator on the eta basis has one form, the ``BinomialTable``
 {(dk, ds, t, j): a}: it sends eta_{k,s} to the sum of a k^j C(s-1, t)
@@ -84,7 +86,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, bracket, parse_word_expr
@@ -218,10 +220,13 @@ def make_omega(lam: RationalLike, b: RationalLike,
 
 # -- actions -------------------------------------------------------------------
 
-def _reflect(c: PolyHH) -> PolyHH:
-    """sigma(c)(h, hbar) = c(-h, -hbar)."""
-    return PolyHH({(i, j): v if (i + j) % 2 == 0 else -v
-                   for (i, j), v in c.terms()})
+def _reflect(c: PolyHH, sign: int) -> PolyHH:
+    """sign * sigma(c), sigma(c)(h, hbar) = c(-h, -hbar), written as one
+    dict in c's term order: the term h^i hbar^j is multiplied by sign
+    (-1)^(i+j), and its value is not coerced."""
+    flip = 0 if sign > 0 else 1
+    return PolyHH._adopt({(i, j): -v if (i + j + flip) % 2 else v
+                          for (i, j), v in c.terms()})
 
 
 def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
@@ -240,10 +245,13 @@ def chevalley(ops: OpTable) -> OpTable:
     """``ops`` transported by the Chevalley involution omega and sigma:
     x . g = sigma(omega(x) . sigma(g)) computed with ``ops``.
 
-    sigma conjugates c to sigma(c) and dbar to -dbar, hence (-1)^m.  A
+    sigma conjugates c to sigma(c) and dbar to -dbar, hence (-1)^m, so a
+    term (c, m) of omega(x) becomes (sign (-1)^m sigma(c), m), each
+    coefficient written by ``_reflect`` as one dict with sign (-1)^(i+j+m)
+    folded in: no temporary polynomial, and no value coerced.  A
     generator whose image ``ops`` lacks is left out.
     """
-    return {x: tuple((sign * (-1) ** m * _reflect(c), m) for c, m in ops[y])
+    return {x: tuple((_reflect(c, sign * (-1) ** m), m) for c, m in ops[y])
             for x, (y, sign) in CHEVALLEY.items() if y in ops}
 
 
@@ -335,51 +343,77 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     sum_{j>=r} j!/(j-r)! beta^(j-r) (u_j + v_j alpha_k).  It is stored with
     the sign as c0 + c1*k, summed over the terms that share (m, r), in x's
     ``BinomialTable``: c0 at (d/2, m - r, r, 0) and c1 at (d/2, m - r, r,
-    1), a zero dropped.  A coefficient of higher degree in h raises
-    ValueError.
+    1), a zero dropped.  That key is one per (m, r), so each is written
+    once.  A coefficient of higher degree in h raises ValueError.
 
     The sums run on ints: every coefficient is put over one denominator
     E, and beta = p/q is cleared by q^J, J the largest hbar-degree, so
     each monomial n hbar^j (times h^i) adds the integer
     n j!/(j-r)! p^(j-r) q^(J-j+r) to U (i = 0) or V (i = 1) at (m, r).
+    One pass reads each monomial's numerator and denominator, checks its
+    h-degree and takes E and J.  At beta = 0 only r = j adds, n j! (q =
+    1), as p^(j-r) = 0 below it; the pairs (m, r < j) are still made, so the
+    keys come in the order of every other beta: by (m, r) as each first
+    appears, x's terms and their monomials in order, r rising.
     Then c0 = -(U alpha_den + alpha_num V) and c1 = -2V alpha_den are the
     entries over D = E q^J alpha_den, and the table is returned over
-    d = D / g, each entry divided by g = gcd(D, every entry): d is the
-    least common denominator, and no Fraction is formed.
+    d = D / g, each entry divided by g = gcd(D, every entry), folded
+    entry by entry and stopped at 1: d is the least common denominator,
+    and no Fraction is formed.
     """
     p, q = beta.numerator, beta.denominator
     alpha_num, alpha_den = alpha.numerator, alpha.denominator
-    monomials = {x: [(m, i, j, e) for c, m in terms for (i, j), e in c.terms()]
-                 for x, terms in ops.items()}
-    for x, terms in monomials.items():
-        for _, i, _, _ in terms:
-            if i > 1:
-                raise ValueError(f"operator coefficient of {x} has degree "
-                                 f"{i} in h; the adjoint table reads "
-                                 "coefficients linear in h")
-    every = [term for terms in monomials.values() for term in terms]
-    denom = lcm(*(e.denominator for *_, e in every))
-    top = max((j for _, _, j, _ in every), default=0)
+    monomials: Dict[str, List[Tuple[int, int, int, int, int]]] = {}
+    denom = 1
+    top = 0
+    for x, terms in ops.items():
+        read = monomials[x] = []
+        for c, m in terms:
+            for (i, j), e in c.terms():
+                if i > 1:
+                    raise ValueError(f"operator coefficient of {x} has degree "
+                                     f"{i} in h; the adjoint table reads "
+                                     "coefficients linear in h")
+                num, den = e.numerator, e.denominator
+                if denom % den:
+                    denom = lcm(denom, den)
+                if j > top:
+                    top = j
+                read.append((m, i, j, num, den))
     p_pow = [p ** t for t in range(top + 1)]
     q_pow = [q ** t for t in range(top + 1)]
     tables: Dict[str, BinomialTable] = {}
     for x, terms in monomials.items():
         sums: Dict[Tuple[int, int], List[int]] = {}
-        for m, i, j, e in terms:
-            # n j!/(j-r)!, built up one factor per r
-            w = e.numerator * (denom // e.denominator)
-            for r in range(j + 1):
-                sums.setdefault((m, r), [0, 0])[i] += \
-                    w * p_pow[j - r] * q_pow[top - j + r]
-                w *= j - r
+        for m, i, j, num, den in terms:
+            w = num * (denom // den)
+            if p:
+                # n j!/(j-r)!, built up one factor per r
+                for r in range(j + 1):
+                    sums.setdefault((m, r), [0, 0])[i] += \
+                        w * p_pow[j - r] * q_pow[top - j + r]
+                    w *= j - r
+            else:
+                # beta = 0: only r = j adds; the pairs r < j are still made
+                # so that the keys keep the order of every other beta
+                for r in range(j):
+                    sums.setdefault((m, r), [0, 0])
+                sums.setdefault((m, j), [0, 0])[i] += w * factorial(j)
         dk = SHIFT[x] // 2
         table = tables[x] = {}
         for (m, r), (u, v) in sums.items():
-            key = (dk, m - r, r)
-            add_into(table, -1, ((key + (0,), u * alpha_den + alpha_num * v),
-                                 (key + (1,), 2 * v * alpha_den)))
+            c0 = u * alpha_den + alpha_num * v
+            if c0:
+                table[dk, m - r, r, 0] = -c0
+            if v:
+                table[dk, m - r, r, 1] = -2 * v * alpha_den
     denom *= q_pow[top] * alpha_den
-    g = gcd(denom, *(a for table in tables.values() for a in table.values()))
+    g = denom
+    for table in tables.values():
+        for a in table.values():
+            g = gcd(g, a)
+            if g == 1:
+                return denom, tables
     return denom // g, {x: {key: a // g for key, a in table.items()}
                         for x, table in tables.items()}
 
@@ -442,14 +476,18 @@ def _commutator(x: Tuple[int, int, int, int],
 
 
 def _compose_into(out: BinomialTable, left: BinomialTable,
-                  right: BinomialTable, rule=_after) -> None:
-    """Add left o right to ``out``, ``left`` linear in k as every
+                  right: BinomialTable, rule=_after,
+                  w: RationalLike = 1) -> None:
+    """Add w left o right to ``out``, ``left`` linear in k as every
     generator's table is: each pair of a left and a right term forms its
-    product once and adds it times ``rule`` of their keys.  With ``rule``
-    ``_commutator`` and ``right`` a generator's table too, it adds left o
-    right - right o left, and a pair whose rule is empty is skipped, so
-    what the two orders share is never formed."""
+    product once, the right term taken times w, and adds it times
+    ``rule`` of their keys.  With ``rule`` ``_commutator`` and ``right`` a
+    generator's table too, it adds w (left o right - right o left), and a
+    pair whose rule is empty is skipped, so what the two orders share is
+    never formed."""
     for key, a in right.items():
+        if w != 1:
+            a = w * a
         for x, b in left.items():
             pairs = rule(x, key)
             if pairs:
@@ -479,52 +517,83 @@ def _word_into(out: BinomialTable, tables: Dict[str, BinomialTable],
     _compose_into(out, tables[word[0]], table)
 
 
-def ks_residuals(adjoints: Sequence[AdjointTable],
-                 identities: Sequence[Sequence[tuple]]) -> List[BinomialTable]:
-    """D times the (k, s) table of each identity, zero entries dropped.
+# what ``ks_residuals`` runs for one identity list: the longest word on
+# each adjoint, and per identity its steps (i, c, word, paired), a paired
+# step being the commutator pass c [x, y] of the terms (i, c, (x, y)) and
+# (i, -c, (y, x))
+KsPlan = Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, RationalLike,
+                                                   Tuple[str, ...], bool],
+                                             ...], ...]]
+
+
+def ks_plan(identities: Sequence[Sequence[tuple]], n_adjoints: int) -> KsPlan:
+    """The plan of ``identities`` on ``n_adjoints`` adjoints, computed once
+    per list: L_i, the longest word on adjoint i, and each identity's
+    steps in the order ``ks_residuals`` adds them.
 
     A term (i, c, word) is c times ``word`` (rightmost letter first; the
-    empty word is the identity) on ``adjoints[i]``, whose tables are read
-    as they are.  Every table is a ``BinomialTable``: a key (dk, ds, t,
-    j) -> a of adjoint i is a/d_i k^j C(s-1, t) eta_{k+dk, s+ds}, and
-    composing multiplies two such binomials, which ``_binomial_product``
-    writes back in the basis.  C(s-1, t) vanishes at s = 1..t, where the
-    term is absent, so every coefficient is true on the Zariski-dense Z x
-    Z_{>=1}: as the C(s-1, t) are a basis, a table is empty exactly when
-    its identity holds on every eta_{k,s}, and nonzero at (k, s) exactly
-    when it fails there.  Adjoint i is read at its scale d_i, so a word of
-    n letters is weighted by c D / d_i^n, D the product of the d_i^(L_i),
-    L_i the longest word on adjoint i, and integer adjoints and weights
-    give integer tables.
-
-    Two terms (i, c, (x, y)) and (i, -c, (y, x)) of one identity, x != y,
-    are composed together as c [x, y]: each pair of a term of x and a
-    term of y forms its product once and adds it times ``_commutator``,
-    x's term after y's less y's term after x's.  Composition is bilinear,
-    so the table is the same, entry for entry; what x o y and y o x share
-    is subtracted in the rule, once per pair of keys, and never formed.
+    empty word is the identity) on adjoint i.  The terms are taken from
+    the last, and two terms (i, c, (x, y)) and (i, -c, (y, x)) of one
+    identity, x != y, become one paired step (i, c, (x, y), True), the
+    commutator pass; every other term is a step (i, c, word, False).
     """
-    tables = [adjoint[1] for adjoint in adjoints]
-    longest = [max((len(word) for identity in identities
-                    for j, _, word in identity if j == i), default=0)
-               for i in range(len(adjoints))]
-    total = prod(d ** n for (d, _), n in zip(adjoints, longest))
-    out = []
+    longest = tuple(max((len(word) for identity in identities
+                         for j, _, word in identity if j == i), default=0)
+                    for i in range(n_adjoints))
+    plan = []
     for identity in identities:
-        sums: BinomialTable = {}
+        steps = []
         terms = list(identity)
         while terms:
             i, c, word = terms.pop()
+            mate = (i, -c, word[::-1])
+            paired = len(word) == 2 and word[0] != word[1] and mate in terms
+            if paired:
+                terms.remove(mate)
+            steps.append((i, c, tuple(word), paired))
+        plan.append(tuple(steps))
+    return longest, tuple(plan)
+
+
+def ks_residuals(adjoints: Sequence[AdjointTable],
+                 plan: KsPlan) -> List[BinomialTable]:
+    """D times the (k, s) table of each identity of ``plan`` (see
+    ``ks_plan``), zero entries dropped.
+
+    The tables of ``adjoints[i]`` are read as they are.  Every table is a
+    ``BinomialTable``: a key (dk, ds, t, j) -> a of adjoint i is a/d_i k^j
+    C(s-1, t) eta_{k+dk, s+ds}, and composing multiplies two such
+    binomials, which ``_binomial_product`` writes back in the basis.
+    C(s-1, t) vanishes at s = 1..t, where the term is absent, so every
+    coefficient is true on the Zariski-dense Z x Z_{>=1}: as the C(s-1, t)
+    are a basis, a table is empty exactly when its identity holds on
+    every eta_{k,s}, and nonzero at (k, s) exactly when it fails there.
+    Adjoint i is read at its scale d_i, so a word of n letters is
+    weighted by c D / d_i^n, D the product of the d_i^(L_i), L_i the
+    plan's longest word on adjoint i, and integer adjoints and weights
+    give integer tables.
+
+    A paired step (i, c, (x, y)) is composed as c [x, y]: each pair of a
+    term of x and a term of y forms its product once and adds it times
+    ``_commutator``, x's term after y's less y's term after x's.
+    Composition is bilinear, so the table is the same, entry for entry;
+    what x o y and y o x share is subtracted in the rule, once per pair
+    of keys, and never formed.  y's table is not copied: each of its
+    terms is taken times the weight as the pass reads it.
+    """
+    longest, steps = plan
+    tables = [adjoint[1] for adjoint in adjoints]
+    total = prod(d ** n for (d, _), n in zip(adjoints, longest))
+    out = []
+    for identity in steps:
+        sums: BinomialTable = {}
+        for i, c, word, paired in identity:
             w = c * (total // adjoints[i][0] ** len(word))
             w = w.numerator if w.denominator == 1 else w
-            mate = (i, -c, word[::-1])
-            if len(word) == 2 and word[0] != word[1] and mate in terms:
-                # c x o y and -c y o x: one commutator pass
-                terms.remove(mate)
+            if paired:
                 x, y = word
-                _compose_into(sums, tables[i][x],
-                              {key: w * a for key, a in tables[i][y].items()},
-                              _commutator)
+                _compose_into(sums, tables[i][x], tables[i][y], _commutator,
+                              w)
             else:
                 _word_into(sums, tables[i], word, w)
         out.append(sums)
@@ -536,12 +605,13 @@ _BRACKET_IDENTITIES = tuple(
     [(0, 1, (x, y)), (0, -1, (y, x))]
     + [(0, -c, mono.to_word()) for mono, c in bracket(x, y).terms()]
     for x, y in GENERATOR_PAIRS)
+_BRACKET_PLAN = ks_plan(_BRACKET_IDENTITIES, 1)
 
 
 def prove_brackets(adjoint: AdjointTable) -> List[dict]:
     """Prove or refute [x,y].v == x.(y.v) - y.(x.v) for every eta_{k,s}:
     one {"x", "y", "pass"} per pair of ``GENERATOR_PAIRS``."""
-    residuals = ks_residuals([adjoint], _BRACKET_IDENTITIES)
+    residuals = ks_residuals([adjoint], _BRACKET_PLAN)
     return [{"x": x, "y": y, "pass": not residual}
             for (x, y), residual in zip(GENERATOR_PAIRS, residuals)]
 

@@ -47,7 +47,7 @@ from typing import Dict, Optional, Tuple
 
 from .algebra import GENERATORS, AlgebraElement, theta
 from .freemod import (_CARTAN, SHIFT, BinomialTable, adjoint_table,
-                      ks_residuals, prove_brackets)
+                      ks_plan, ks_residuals, prove_brackets)
 from .linalg import add_into, nullspace, vec_primitive
 from .poly import RationalLike, poly1_eval, to_rational
 from .weightmod import (DEFAULT_WINDOW, WeightModuleSpec, WeightVec, Window,
@@ -172,8 +172,8 @@ def check_twist_iso(z: RationalLike, spec: WeightModuleSpec,
     d, tables = spec.adjoint
     residuals = ks_residuals(
         [(d, {**tables, "ebinv": _ebinv_entry(spec)}), target.adjoint],
-        [[(0, c, mono.to_word()) for mono, c in theta(z, y).terms()]
-         + [(1, -1, (y,))] for y in GENERATORS])
+        ks_plan([[(0, c, mono.to_word()) for mono, c in theta(z, y).terms()]
+                 + [(1, -1, (y,))] for y in GENERATORS], 2))
     return _table_iso(dict(zip(GENERATORS, residuals)), window,
                       details={"z": z})
 
@@ -197,8 +197,8 @@ def lambda_rescale_iso(spec_a: WeightModuleSpec, spec_b: WeightModuleSpec,
     tables = spec_a.adjoint[1]
     residuals = ks_residuals(
         [spec_a.adjoint, spec_b.adjoint],
-        [[(0, ratio ** (sign * (SHIFT[x] // 2)), (x,)), (1, -1, (x,))]
-         for x in tables])
+        ks_plan([[(0, ratio ** (sign * (SHIFT[x] // 2)), (x,)), (1, -1, (x,))]
+                 for x in tables], 2))
     return _table_iso(dict(zip(tables, residuals)), window)
 
 

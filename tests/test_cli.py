@@ -793,6 +793,13 @@ GOLDEN_CASES = [
     # beta^2 + a = 0 and alpha_1 beta + b = 0
     ("verma_check_fractional.json", "verma-check",
      "family=M\nalpha=1/3\nbeta=2/3\nlambda=-3/2\na=-4/9\nb=-14/9\n"),
+    # saved while chevalley still built each coefficient through the
+    # coercing PolyHH constructor and adjoint_table still added every r at
+    # beta = 0: theta at fractional lambda, a and b, proved and saturated
+    ("verify_free_theta_fractional.json", "verify-free",
+     "families=theta\nlambda=-3/2,2/3\na=-9/25\nb=-7/4\n"),
+    ("saturate_theta_fractional.json", "saturate",
+     "family=theta\nlambda=2/3\na=-9/25\nb=-7/4\ncap=4,4\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

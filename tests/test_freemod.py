@@ -23,7 +23,7 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                iso_invariants_free, make_gamma, make_omega,
                                make_theta_mod, omega_layer_action,
                                omega_layer_ops, omega_quotient_delta_params,
-                               ks_residuals, prove_brackets,
+                               ks_plan, ks_residuals, prove_brackets,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
 from takiffrep.linalg import add_into, nullspace, vec_primitive
@@ -91,6 +91,45 @@ def test_theta_is_gamma_transported_by_chevalley_involution():
             for x, (y, sign) in CHEVALLEY.items():
                 want = reflect(act(gamma, y, reflect(p))).scale(sign)
                 assert act(theta, x, p) == want, (x, lam, a, b, p)
+
+
+def coercing_chevalley(ops):
+    """``freemod.chevalley`` as it was before it wrote each coefficient as
+    one dict: sigma(c) through the coercing ``PolyHH`` constructor, then
+    times sign (-1)^m through ``__rmul__``, kept as its oracle."""
+    return {x: tuple((sign * (-1) ** m * reflect(c), m) for c, m in ops[y])
+            for x, (y, sign) in CHEVALLEY.items() if y in ops}
+
+
+def _typed_ops(ops):
+    """Each generator's terms (m, [(exponent, type, value)]) in order, so
+    == also compares the order of the terms and int against Fraction."""
+    return [(x, [(m, [(e, type(v), v) for e, v in c.terms()])
+                 for c, m in terms]) for x, terms in ops.items()]
+
+
+def test_chevalley_writes_the_terms_of_the_coercing_transport():
+    # random gamma tables, the Delta_2 -> Delta_3 transport, and a table
+    # lacking a generator; gamma's f has an m = 1 term, where the sign
+    # (-1)^m matters
+    rng = random.Random(308)
+    cases = [freemod._gamma_ops(random_free_spec(rng, "gamma"))
+             for _ in range(40)]
+    cases += [freemod.delta_ops(2, random_rational(rng, nonzero=True),
+                                random_rational(rng)) for _ in range(10)]
+    lacking = dict(cases[0])
+    del lacking["fb"]
+    cases.append(lacking)
+    for ops in cases:
+        got = freemod.chevalley(ops)
+        assert _typed_ops(got) == _typed_ops(coercing_chevalley(ops))
+        assert all(type(v) is F for _, terms in got.items()
+                   for c, _ in terms for _, v in c.terms())
+    assert "eb" not in freemod.chevalley(lacking)
+    # Delta_3 is Delta_2's transport
+    assert _typed_ops(freemod.delta_ops(3, F(-3, 2), F(5, 7))) == \
+        _typed_ops(coercing_chevalley(freemod.delta_ops(2, F(-3, 2),
+                                                        F(5, 7))))
 
 
 def test_omega_actions():
@@ -427,11 +466,11 @@ def test_prove_brackets_builds_int_tables(monkeypatch):
     paired = []
     compose = freemod._compose_into
 
-    def composed(out, left, right, rule=freemod._after):
-        # the sums a commutator pass adds to, and the right tables it is
-        # handed scaled by the term's weight
-        compose(out, left, right, rule)
-        seen.extend((out, right))
+    def composed(out, left, right, rule=freemod._after, w=1):
+        # the sums a commutator pass adds to, the right tables it is
+        # handed, and the right tables scaled by the term's weight
+        compose(out, left, right, rule, w)
+        seen.extend((out, right, {key: w * a for key, a in right.items()}))
         if rule is freemod._commutator:
             paired.append(dict(out))
 
@@ -478,7 +517,8 @@ def test_ks_sums_drop_what_cancels():
     assert terms_table(1, ((0, 2, 0, 5), (1, 0, 3, 0))) == \
         {(1, -2, 2, 1): 5, (1, 1, 0, 0): 3}
     assert ks_residuals([(1, {"x": {(1, -2, 2, 1): 5}})],
-                        [[(0, 2, ("x",)), (0, -2, ("x",))]]) == [{}]
+                        ks_plan([[(0, 2, ("x",)), (0, -2, ("x",))]], 1)) \
+        == [{}]
 
 
 def test_ks_table_never_yields_a_float():
@@ -498,7 +538,8 @@ def test_ks_table_never_yields_a_float():
         # words with eb^-1 may hold Fractions, the others only ints
         words = [(x, y) for y in entries] + [(y, "ebinv") for y in entries]
         residuals = ks_residuals([(d, entries)],
-                                 [[(0, 1, word)] for word in words])
+                                 ks_plan([[(0, 1, word)] for word in words],
+                                         1))
         for word, table in zip(words, residuals):
             for v in table.values():
                 assert v and type(v) in ((int, F) if "ebinv" in word
@@ -632,7 +673,7 @@ def test_ks_residuals_match_the_monomial_oracle_on_random_identities():
                      else rng.choice((-3, -1, 1, 2)))
                 identity.append((i, c, word))
             identities.append(identity)
-        got = ks_residuals(adjoints, identities)
+        got = ks_residuals(adjoints, ks_plan(identities, len(adjoints)))
         assert matches_monomial(adjoints, identities, got), n
         nonzero += sum(bool(table) for table in got)
     assert nonzero > 200
@@ -648,10 +689,57 @@ def test_ks_residuals_match_the_monomial_oracle_on_brackets():
     failing = 0
     for adjoint in adjoints:
         identities = freemod._BRACKET_IDENTITIES
-        got = ks_residuals([adjoint], identities)
+        got = ks_residuals([adjoint], freemod._BRACKET_PLAN)
         assert matches_monomial([adjoint], identities, got)
         failing += any(got)
     assert 12 <= failing < len(adjoints)
+
+
+def _typed_residuals(residuals):
+    """Each residual table's items in order, each value with its type."""
+    return [[(key, type(a), a) for key, a in table.items()]
+            for table in residuals]
+
+
+def test_bracket_plan_pairs_each_bracket_once():
+    longest, steps = freemod._BRACKET_PLAN
+    assert longest == (2,)
+    assert len(steps) == len(GENERATOR_PAIRS) == 15
+    for (x, y), identity, plan in zip(GENERATOR_PAIRS,
+                                      freemod._BRACKET_IDENTITIES, steps):
+        assert [paired for *_, paired in plan].count(True) == 1
+        # the steps are the identity's terms, a paired step standing for
+        # c x o y and -c y o x
+        terms = []
+        for i, c, word, paired in plan:
+            terms.append((i, c, word))
+            if paired:
+                terms.append((i, -c, word[::-1]))
+        assert sorted(map(repr, terms)) == sorted(map(repr, identity))
+        assert (0, 1, (x, y)) in terms and (0, -1, (y, x)) in terms
+
+
+def test_bracket_plan_proves_as_a_plan_built_per_call():
+    # the plan built at import and one built per call from a copy of the
+    # identities give the same tables: items, order and value types
+    rng = random.Random(428)
+    adjoints = _prover_cases(rng, 40)
+    adjoints += [smallest_fault(adjoint) for adjoint in adjoints[:10]]
+    for _ in range(4):
+        beta1 = [random_rational(rng) for _ in range(4)]
+        spec = make_omega(random_rational(rng, nonzero=True),
+                          random_rational(rng),
+                          beta1 + [random_rational(rng, nonzero=True)])
+        adjoints.append(adjoint_table(spec.ops, F(0), F(0)))
+    failing = 0
+    for adjoint in adjoints:
+        got = ks_residuals([adjoint], freemod._BRACKET_PLAN)
+        per_call = ks_plan([list(identity) for identity
+                            in freemod._BRACKET_IDENTITIES], 1)
+        assert _typed_residuals(got) == \
+            _typed_residuals(ks_residuals([adjoint], per_call))
+        failing += any(got)
+    assert 10 <= failing < len(adjoints)
 
 
 def test_paired_residuals_equal_the_unpaired_route(monkeypatch):
@@ -669,7 +757,7 @@ def test_paired_residuals_equal_the_unpaired_route(monkeypatch):
     brackets = list(freemod._BRACKET_IDENTITIES)
     failing = 0
     for adjoint in adjoints:
-        got = ks_residuals([adjoint], brackets)
+        got = ks_residuals([adjoint], ks_plan(brackets, 1))
         assert got == _unpaired_residuals([adjoint], brackets)
         assert all(all(table.values()) for table in got)
         failing += any(got)
@@ -684,7 +772,7 @@ def test_paired_residuals_equal_the_unpaired_route(monkeypatch):
             c = random_rational(rng, nonzero=True)
             identities.append([(0, c, ("ebinv", y)), (0, -c, (y, "ebinv")),
                                (0, c, (y,))])
-        got = ks_residuals([adjoint], identities)
+        got = ks_residuals([adjoint], ks_plan(identities, 1))
         assert got == _unpaired_residuals([adjoint], identities)
         assert any(got[len(brackets):])
 
@@ -707,7 +795,7 @@ def test_terms_that_are_not_mates_are_not_paired(monkeypatch):
             [(0, c, (x, x)), (0, -c, (x, x))],
             [(1, c, (y, y)), (0, c, (x,))],
         ]
-        got = ks_residuals(adjoints, identities)
+        got = ks_residuals(adjoints, ks_plan(identities, len(adjoints)))
         assert matches_monomial(adjoints, identities, got), n
         assert got == _unpaired_residuals(adjoints, identities), n
         assert got[3] == {}

@@ -13,7 +13,7 @@ from ks_oracle import matches_monomial
 
 from takiffrep import freemod, functors
 from takiffrep.algebra import GENERATORS, parse_word_expr, theta
-from takiffrep.freemod import _compose_into, ks_residuals
+from takiffrep.freemod import _compose_into, ks_plan, ks_residuals
 from takiffrep.functors import (IsoCheckResult, LinearWindowMap,
                                 _first_failure, _table_iso,
                                 apply_localized, check_twist_iso, ebinv_act,
@@ -350,8 +350,8 @@ def test_apply_adjoint_decides_probes_as_the_per_target_sums(monkeypatch):
     rng = random.Random(513)
     residuals = []
 
-    def recorded(adjoints, identities):
-        out = ks_residuals(adjoints, identities)
+    def recorded(adjoints, plan):
+        out = ks_residuals(adjoints, plan)
         residuals.extend(out)
         return out
 
@@ -478,7 +478,8 @@ def test_ks_residuals_match_act_weight_pointwise():
             identities.append(identity)
         adjoints = [spec.adjoint for spec in specs]
         scale = _residual_scale(adjoints, identities)
-        residuals = ks_residuals(adjoints, identities)
+        residuals = ks_residuals(adjoints,
+                                 ks_plan(identities, len(adjoints)))
         assert len(residuals) == len(identities)
         for identity, table in zip(identities, residuals):
             assert all(table.values())
@@ -501,8 +502,28 @@ def test_ks_residuals_are_empty_exactly_on_identities():
                  [(0, 3, (x,)), (1, -3, (x,))]]
         fails = [[(0, 1, (x, y)), (0, -1, (y, x))],
                  [(0, 1, ())]]
-        out = ks_residuals([spec.adjoint, spec.adjoint], holds + fails)
+        out = ks_residuals([spec.adjoint, spec.adjoint],
+                           ks_plan(holds + fails, 2))
         assert [not table for table in out] == [True] * 3 + [False] * 2
+
+
+def _record_proofs(monkeypatch):
+    """(adjoints, identities, residuals) of every ``ks_residuals`` call of
+    ``functors``, the identities as they were handed to ``ks_plan``."""
+    handed, calls = [], []
+
+    def planned(identities, n_adjoints):
+        handed.append(identities)
+        return ks_plan(identities, n_adjoints)
+
+    def proved(adjoints, plan):
+        out = ks_residuals(adjoints, plan)
+        calls.append((adjoints, handed.pop(), out))
+        return out
+
+    monkeypatch.setattr(functors, "ks_plan", planned)
+    monkeypatch.setattr(functors, "ks_residuals", proved)
+    return calls
 
 
 def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
@@ -510,14 +531,7 @@ def test_twist_tables_match_twisted_act_pointwise(monkeypatch):
     # on the target; the residual at (k, s) is D times twisted_act minus
     # the target's action
     rng = random.Random(507)
-    calls = []
-
-    def recorded(adjoints, identities):
-        out = ks_residuals(adjoints, identities)
-        calls.append((adjoints, identities, out))
-        return out
-
-    monkeypatch.setattr(functors, "ks_residuals", recorded)
+    calls = _record_proofs(monkeypatch)
     failing = 0
     for i in range(6):
         spec = random_weight_spec(rng, "M")
@@ -546,14 +560,7 @@ def test_twist_and_rescale_residuals_match_the_monomial_oracle(monkeypatch):
     # every identity list the twist and the rescaling hand ks_residuals,
     # against right and planted wrong targets and the smallest fault
     rng = random.Random(508)
-    calls = []
-
-    def recorded(adjoints, identities):
-        out = ks_residuals(adjoints, identities)
-        calls.append(matches_monomial(adjoints, identities, out))
-        return out
-
-    monkeypatch.setattr(functors, "ks_residuals", recorded)
+    calls = _record_proofs(monkeypatch)
     verdicts = []
     for i in range(24):
         spec = random_weight_spec(rng, "M")
@@ -573,7 +580,8 @@ def test_twist_and_rescale_residuals_match_the_monomial_oracle(monkeypatch):
         elif i % 3 == 2:
             spec_b.__dict__["adjoint"] = smallest_fault(spec_b.adjoint)
         verdicts.append(lambda_rescale_iso(spec_a, spec_b).intertwines)
-    assert calls == [True] * 48
+    assert len(calls) == 48
+    assert all(matches_monomial(*call) for call in calls)
     assert 12 <= verdicts.count(False) < 48
 
 

@@ -1122,3 +1122,46 @@ def test_adjoint_table_reads_as_the_term_table_it_replaced():
         # and each table is written back from its terms unchanged
         for x, (dk, terms) in read[1].items():
             assert terms_table(dk, terms) == tables[x]
+
+
+
+def _typed_items(table):
+    """A ``BinomialTable``'s items in order, each value with its type."""
+    return [(key, type(a), a) for key, a in table.items()]
+
+
+def test_adjoint_table_at_beta_zero_keeps_the_term_tables_order():
+    # at beta = 0 only r = j adds; the oracle is the term table, each
+    # generator written back by terms_table, compared as ordered items
+    # with types: M/N/V at beta = 0 with alpha != 0, gamma/theta/omega at
+    # alpha = beta = 0, and a planted table whose m = 2 terms share (m, r)
+    # pairs first made by a higher hbar-degree
+    rng = random.Random(4420)
+    cases = []
+    for n in range(90):
+        lam = random_rational(rng, nonzero=True)
+        alpha = random_rational(rng, nonzero=True)
+        a, b = random_rational(rng), random_rational(rng)
+        if n % 3 == 2:
+            spec = make_weight_v(alpha, 0, lam, a,
+                                 [random_rational(rng)
+                                  for _ in range(rng.randint(1, 5))])
+        else:
+            spec = (make_weight_m, make_weight_n)[n % 3](alpha, 0, lam, a, b)
+        cases.append((parent_spec(spec).ops, spec.alpha, spec.beta))
+    cases += [(random_free_spec(rng, family, beta1_deg=4).ops, F(0), F(0))
+              for family in ("gamma", "theta", "omega") for _ in range(30)]
+    h, hbar = PolyHH.h(), PolyHH.hbar()
+    planted = {"e": ((hbar * hbar * hbar + h.scale(F(2, 3)), 2),
+                     (hbar + h * hbar * hbar.scale(F(-5, 7)), 2),
+                     (PolyHH.const(3), 0)),
+               "hb": ((hbar * hbar, 1), (h * hbar, 2))}
+    cases += [(planted, F(0), F(0)), (planted, F(-7, 3), F(0))]
+    for ops, alpha, beta in cases:
+        d, tables = adjoint_table(ops, alpha, beta)
+        want_d, want = term_adjoint_table(ops, alpha, beta)
+        assert (type(d), d) == (type(want_d), want_d)
+        assert list(tables) == list(want)
+        for x, (dk, terms) in want.items():
+            assert _typed_items(tables[x]) == \
+                _typed_items(terms_table(dk, terms)), (x, alpha)
