@@ -15,15 +15,19 @@ Normal form in the enveloping algebra orders monomials as
     eb^n * fb^a * f^b * hb^c * h^d * e^g
 
 A word is folded from the right, nf(x*w) = x*nf(w): each letter is
-inserted into each canonical monomial of the part already straightened, by
-bubbling it past adjacent out-of-order letters with the commutation rules.
-Each side term strictly reduces the number of unbarred letters, so the
-rewriting terminates, and by Bergman's diamond lemma the result does not
-depend on the order of reductions.  Whole words and letter-times-monomial
-products share one cache; all structure constants are integers, so the
-cached coefficients are ints, and elements keep them as ints: an
-``AlgebraElement`` follows ``PolyHH``'s rule, Fractions from its public
-constructor and exact ints kept by every other constructor and operation.
+inserted into each canonical monomial of the part already straightened.
+A letter that commutes with every letter it has to pass moves by its
+exponent alone; any other letter x passes the monomial one block y^k at a
+time, by one commutation x*y = y*x + sum c*side per power of y.  Each side
+term strictly reduces the number of unbarred letters, so the rewriting
+terminates, and by Bergman's diamond lemma (Adv. Math. 29, 1978) the
+result does not depend on the order of reductions.  A product of elements
+folds the letters of each left monomial into the whole right factor.
+Whole words and letter-times-monomial products share one cache; all
+structure constants are integers, so the cached coefficients are ints,
+and elements keep them as ints: an ``AlgebraElement`` follows ``PolyHH``'s
+rule, Fractions from its public constructor and exact ints kept by every
+other constructor and operation.
 
 The localized algebra adjoins a two-sided inverse of eb (letter ``ebinv``,
 printed ``eb^-1``).  Its rewriting rules are read off the bracket table by
@@ -144,47 +148,87 @@ for _x in GENERATORS:
             for c, g in _BRACKET[("eb", _x)]]
 
 
+# for each letter x: its slot, the step it adds to that slot's exponent,
+# and the slot range lo:hi that spans the letters below it that x does not
+# commute with (eb^-1 commutes with whatever eb commutes with); x*m is read
+# off the exponents when m has no letter in that range
+_STEP: Dict[str, Tuple[int, int, int, int]] = {}
+for _x, _s in _SLOT.items():
+    _blocking = [t for t in range(_s) if _BRACKET[(_x, GENERATORS[t])]]
+    _STEP[_x] = (_s, -1 if _x == "ebinv" else 1,
+                 min(_blocking, default=0), max(_blocking, default=-1) + 1)
+
+
+def _fold(word: Sequence[str], acc: Dict[Monomial, RationalLike]) -> dict:
+    """word * acc for a word and a combination of canonical monomials,
+    folded from the right one letter at a time; ``acc`` itself if the word
+    is empty.  Each x*m is read off the exponents when x commutes with
+    every letter of m in a slot below its own, and is else the
+    ``_reduce_word`` entry of the word x*m."""
+    for x in reversed(word):
+        s, step, lo, hi = _STEP[x]
+        prod: dict = {}
+        for m, v in acc.items():
+            if any(m[lo:hi]):
+                add_into(prod, v, _reduce_word((x,) + m.to_word()))
+            else:
+                add_into(prod, v, ((tuple.__new__(
+                    Monomial, (*m[:s], m[s] + step, *m[s + 1:])), 1),))
+        acc = prod
+    return acc
+
+
+def _insert(x: str, tail: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
+    """x * tail, for a letter x and a canonical monomial with a letter
+    below x's slot that x does not commute with, by one commutation per
+    block.  Write tail = y^k * R, y^k its first block, so slot(y) <
+    slot(x).  Starting from x*R, the rule x*y = y*x + sum c*side gives
+
+        x * y^j * R = y * (x * y^(j-1) * R) + sum c * side * y^(j-1) * R
+
+    for j = 1 .. k, each product read through ``_fold``.  x*R has one
+    block fewer, so the recursion is as deep as the blocks, not as the
+    powers."""
+    lead = next(t for t in range(_SLOT[x]) if tail[t])
+    k = tail[lead]
+    y = ("ebinv" if k < 0 else "eb") if lead == 0 else GENERATORS[lead]
+    sides = _COMM[(x, y)]
+    rest = list(tail)
+    rest[lead] = 0
+    acc = _fold((x,), {Monomial(*rest): 1})
+    for j in range(abs(k)):
+        # acc is x * y^j * R, and y^j * R is R with j letters y
+        prev, acc = acc, _fold((y,), acc)
+        if sides:
+            rest[lead] = -j if k < 0 else j
+            power = Monomial(*rest)
+            for c, side in sides:
+                # a side x (e * h = h * e - 2e) times y^j * R is prev
+                add_into(acc, c, (prev if side == (x,) else
+                                  _fold(side, {power: 1})).items())
+    return tuple(sorted(acc.items()))
+
+
 @lru_cache(maxsize=1 << 16)
 def _reduce_word(word: Tuple[str, ...]) -> Tuple[Tuple[Monomial, int], ...]:
     """Straighten a word into canonical monomials with integer coefficients.
 
-    A word whose tail ``word[1:]`` is canonical goes through the bubble
-    loop below, which inserts its first letter into the monomial.  Any
-    other word is folded from the right, nf(x*w) = x*nf(w) one letter at a
-    time, each term's product being a letter-times-monomial entry of this
-    same cache; so the recursion is two calls deep whatever the length.
-    Every structure constant is an integer, so coefficients stay ints.
+    A word x*T whose tail T is canonical goes through ``_insert`` when x
+    does not commute with some letter of T below its slot.  Any other
+    word is folded from the right, nf(x*w) = x*nf(w) one letter at a time
+    by ``_fold``, whose products are read off the exponents or are
+    letter-times-monomial entries of this same cache.  Every structure
+    constant is an integer, so coefficients stay ints.
     """
     start = len(word) - 1  # word[start:] is the longest canonical suffix
     while start > 0 and _SLOT[word[start - 1]] <= _SLOT[word[start]]:
         start -= 1
-    if start > 1:
-        acc: Dict[Monomial, int] = {_word_to_monomial(word[start:]): 1}
-        for x in reversed(word[:start]):
-            prod: Dict[Monomial, int] = {}
-            for m, v in acc.items():
-                add_into(prod, v, _reduce_word((x,) + m.to_word()))
-            acc = prod
-        return tuple(sorted(acc.items()))
-    acc = {}
-    stack: List[Tuple[int, Tuple[str, ...]]] = [(1, word)]
-    while stack:
-        coeff, w = stack.pop()
-        # find the first adjacent out-of-order pair
-        swap_at = -1
-        for i in range(len(w) - 1):
-            if _SLOT[w[i]] > _SLOT[w[i + 1]]:
-                swap_at = i
-                break
-        if swap_at < 0:
-            add_into(acc, coeff, ((_word_to_monomial(w), 1),))
-            continue
-        i = swap_at
-        x, y = w[i], w[i + 1]
-        stack.append((coeff, w[:i] + (y, x) + w[i + 2:]))
-        for c, side in _COMM[(x, y)]:
-            stack.append((coeff * c, w[:i] + side + w[i + 2:]))
-    return tuple(sorted(acc.items()))
+    tail = _word_to_monomial(word[start:])
+    if start == 1:
+        _, _, lo, hi = _STEP[word[0]]
+        if any(tail[lo:hi]):
+            return _insert(word[0], tail)
+    return tuple(sorted(_fold(word[:start], {tail: 1}).items()))
 
 
 class AlgebraElement:
@@ -266,13 +310,14 @@ class AlgebraElement:
         return self.scale(other)
 
     def __mul__(self, other) -> "AlgebraElement":
+        """The product, or ``scale`` for a scalar.  Each left monomial's
+        letters are folded from the right into the whole right factor, one
+        letter-times-monomial product per letter and term."""
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         acc: Dict[Monomial, Fraction] = {}
         for m1, v1 in self._c.items():
-            w1 = m1.to_word()
-            for m2, v2 in other._c.items():
-                add_into(acc, v1 * v2, _reduce_word(w1 + m2.to_word()))
+            add_into(acc, v1, _fold(m1.to_word(), other._c).items())
         return AlgebraElement._adopt(acc)
 
     def __pow__(self, k: int) -> "AlgebraElement":
@@ -324,8 +369,8 @@ def normal_form(x: WordLike, localized: bool = False) -> AlgebraElement:
         if x.is_localized() and not localized:
             raise ValueError("element lies in the localized algebra")
         acc: Dict[Monomial, Fraction] = {}
-        for m, v in x.terms():
-            add_into(acc, v, _reduce_word(m.to_word()))
+        for m, v in x._c.items():
+            add_into(acc, v, ((_word_to_monomial(m.to_word()), 1),))
         return AlgebraElement._adopt(acc)
     if isinstance(x, str):
         if x in LOCALIZED_LETTERS:

@@ -16,6 +16,7 @@ exponents.
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,6 +26,7 @@ from takiffrep.algebra import (_BRACKET, GENERATORS, LOCALIZED_LETTERS,
                                _reduce_word, _theta_zz, _word_to_monomial,
                                bracket, check_theta_automorphism, commutator,
                                normal_form, parse_word_expr, theta)
+from takiffrep.linalg import add_into
 
 F = Fraction
 
@@ -208,6 +210,64 @@ def test_nf_agrees_with_bubble_oracle():
         assert got == straighten_oracle(word), word
 
 
+def test_block_insertion_agrees_with_bubble_oracle():
+    # x * y^k * R for every ordered letter pair with slot(x) > slot(y),
+    # R a random canonical tail above the slot of y, so y^k is a whole block
+    rng = random.Random(210)
+    upper = ("fb", "f", "hb", "h", "e")
+    for x in LOCALIZED_LETTERS:
+        for y in LOCALIZED_LETTERS:
+            if ORDER[x] <= ORDER[y]:
+                continue
+            for k in (1, 2, 3, 7):
+                for _ in range(3):
+                    tail = tuple(
+                        g for g in upper if ORDER[g] > ORDER[y]
+                        for _ in range(rng.randint(0, 1 if k == 7 else 2)))
+                    word = (x,) + (y,) * k + tail
+                    got = _reduce_word(word)
+                    assert (AlgebraElement._adopt(dict(got))
+                            == straighten_oracle(word)), word
+                    assert {type(c) for _, c in got} == {int}, word
+
+
+def product_oracle(a, b):
+    """a * b with each pair of monomials straightened as one whole word."""
+    acc = {}
+    for m1, v1 in a._c.items():
+        for m2, v2 in b._c.items():
+            add_into(acc, v1 * v2, _reduce_word(m1.to_word() + m2.to_word()))
+    return AlgebraElement._adopt(acc)
+
+
+def test_product_agrees_with_per_pair_oracle():
+    rng = random.Random(212)
+
+    def word():
+        return tuple(rng.choice(LOCALIZED_LETTERS)
+                     for _ in range(rng.randint(0, 4)))
+
+    def int_element():
+        out = AlgebraElement.zero()
+        for _ in range(rng.randint(1, 3)):
+            out = out + AlgebraElement.from_word(word(), rng.randint(-5, 5))
+        return out
+
+    def fraction_element():
+        return AlgebraElement({_word_to_monomial(word()):
+                               F(rng.randint(-9, 9), rng.randint(1, 7))
+                               for _ in range(rng.randint(1, 3))})
+
+    for _ in range(120):
+        a, b = int_element(), int_element()
+        got = a * b
+        assert got == product_oracle(a, b), (a, b)
+        assert _coeff_types(got) <= {int}, (a, b)
+        for x, y in ((a, fraction_element()), (fraction_element(), b),
+                     (fraction_element(), fraction_element())):
+            assert x * y == product_oracle(x, y), (x, y)
+
+
 def test_word_to_monomial_counts_letters():
     rng = random.Random(209)
     for _ in range(300):
@@ -229,6 +289,35 @@ def test_nf_long_eb_power_without_recursion():
     want = (AlgebraElement({Monomial(n, 0, 0, 0, 1, 0): 1})
             + AlgebraElement({Monomial(n, 0, 0, 0, 0, 0): 2 * n}))
     assert got == want
+
+
+@pytest.mark.parametrize("word, want", [
+    # f eb^n = eb^n f - n eb^(n-1) hb, from [f, eb] = -hb
+    (("f",) + ("eb",) * 200,
+     {Monomial(200, 0, 1, 0, 0, 0): 1, Monomial(199, 0, 0, 1, 0, 0): -200}),
+    # f eb^-n = eb^-n f + n eb^-(n+1) hb, from the localized rule
+    (("f",) + ("ebinv",) * 200,
+     {Monomial(-200, 0, 1, 0, 0, 0): 1, Monomial(-201, 0, 0, 1, 0, 0): 200}),
+    # e hb^n = hb^n e - 2n eb hb^(n-1), from [e, hb] = -2 eb
+    (("e",) + ("hb",) * 200,
+     {Monomial(0, 0, 0, 200, 0, 1): 1, Monomial(1, 0, 0, 199, 0, 0): -400}),
+    # e f^n = f^n e + n f^(n-1) h - n(n-1) f^(n-1)
+    (("e",) + ("f",) * 40,
+     {Monomial(0, 0, 40, 0, 0, 1): 1, Monomial(0, 0, 39, 0, 1, 0): 40,
+      Monomial(0, 0, 39, 0, 0, 0): -40 * 39}),
+    # e h^n = (h - 2)^n e, from [e, h] = -2e
+    (("e",) + ("h",) * 100,
+     {Monomial(0, 0, 0, 0, i, 1): comb(100, i) * (-2) ** (100 - i)
+      for i in range(101)}),
+], ids=["f_eb200", "f_ebinv200", "e_hb200", "e_f40", "e_h100"])
+def test_nf_long_block_in_closed_form(word, want):
+    # one commutation per power of the block, with no recursion per power
+    _reduce_word.cache_clear()
+    started = time.perf_counter()
+    got = normal_form(word, localized=True)
+    assert time.perf_counter() - started < 2.0
+    assert got._c == want
+    assert _coeff_types(got) == {int}
 
 
 def test_nf_many_unbarred_letters():
@@ -591,8 +680,8 @@ def test_cancelling_sums_and_products_store_no_zero():
 
 
 def test_straightening_drops_terms_that_cancel():
-    # h eb fb, in the bubble loop: the 2 eb fb of h eb = eb h + 2 eb
-    # cancels the -2 eb fb of h fb = fb h - 2 fb
+    # h eb fb: the 2 eb fb of h eb = eb h + 2 eb cancels the -2 eb fb of
+    # h fb = fb h - 2 fb
     assert normal_form(("h", "eb", "fb"))._c == {Monomial(1, 1, 0, 0, 1, 0): 1}
     # e h eb, folded: e h = h e - 2e, and the 2 eb e of h eb e cancels
     # the -2 eb e

@@ -800,6 +800,11 @@ GOLDEN_CASES = [
      "families=theta\nlambda=-3/2,2/3\na=-9/25\nb=-7/4\n"),
     ("saturate_theta_fractional.json", "saturate",
      "family=theta\nlambda=2/3\na=-9/25\nb=-7/4\ncap=4,4\n"),
+    # saved while a letter was still inserted into a monomial by bubbling
+    # it past one letter at a time: words with long blocks of one letter,
+    # eb^-k among them
+    ("nf_blocks.json", "nf e*f^9*eb^-4*hb^3*h^2 h^2*f^3*eb^7*fb^2*e "
+     "e^3*hb^5*f^2*eb^-3 f^2*eb^-12*hb^2*e^2 e^2*h*f^6*fb^3*eb^5", None),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,
