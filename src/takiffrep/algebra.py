@@ -45,17 +45,19 @@ It fixes the letters that commute with eb.  On f and h the sum stops at
 i = 1, since [eb, f] = hb and [eb, h] = -2eb commute with eb, so
 Theta_z(f) = f - z * ebinv * [eb, f] and Theta_z(h) = h - z * [eb, h] *
 ebinv: both shifts are read off the bracket table.  ``theta`` is written
-once, over Z[z]: the powers of the image of
-f form a z-free table of integer coefficient lists, built from the
-``_reduce_word`` cache on each call, and a closed form on each canonical
-monomial extends it to any element.  ``theta`` evaluates that closed form
-at z; ``check_theta_automorphism`` compares both sides of every letter
-relation as polynomials in z, which proves the automorphism for every z.
+once, over Z[z], in the package's one sparse form: an element is a dict
+{(monomial, j): c} of the terms c z^j monomial, kept by ``add_into``.  The
+powers of the image of f are products through the ``_reduce_word`` cache,
+made on each call, and a closed form on each canonical monomial extends
+them to any element.  ``theta`` evaluates that closed form at z;
+``check_theta_automorphism`` compares both sides of every letter relation
+as elements over Z[z], which proves the automorphism for every z.
 ``_reduce_word`` is the module's only cache.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -363,15 +365,15 @@ def normal_form(x: WordLike, localized: bool = False) -> AlgebraElement:
     ``x`` may be a generator name, a textual expression such as
     ``"e*f - f*e"``, a sequence of generator names (a word, leftmost letter
     acting last), or an AlgebraElement.  In non-localized mode any
-    occurrence of ebinv is rejected.
+    occurrence of ebinv is rejected.  An element is already a combination
+    of canonical monomials, so its normal form is a copy of it: the normal
+    form of a normal form is itself, and an idempotence check on the
+    result cannot fail.
     """
     if isinstance(x, AlgebraElement):
-        if x.is_localized() and not localized:
+        if not localized and x.is_localized():
             raise ValueError("element lies in the localized algebra")
-        acc: Dict[Monomial, Fraction] = {}
-        for m, v in x._c.items():
-            add_into(acc, v, ((_word_to_monomial(m.to_word()), 1),))
-        return AlgebraElement._adopt(acc)
+        return AlgebraElement._adopt(dict(x._c))
     if isinstance(x, str):
         if x in LOCALIZED_LETTERS:
             x = (x,)
@@ -402,70 +404,40 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 _F_SHIFT = -_BRACKET[("eb", "f")][0][0]
 _H_SHIFT = -_BRACKET[("eb", "h")][0][0]
 
-# A polynomial in z with integer coefficients (rational ones only when the
-# element twisted has them), as the list [c_0, c_1, ...] of sum c_j z^j.
-ZPoly = List[Fraction]
+# An element over Z[z] is one sparse dict {(monomial, j): c}, the sum of
+# the terms c * z^j * monomial, kept free of zeros by ``add_into`` like
+# every other exact dict, so that equal elements compare equal as dicts.
 
 
-def _zz_add_into(acc: Dict[Monomial, ZPoly], mono: Monomial, p: ZPoly,
-                 scale, shift: int = 0) -> None:
-    """acc[mono] += scale * z^shift * p, in place."""
-    # lists in z: a dict in z per monomial through add_into ran the rewrite
-    # benchmark at 1203-1221 verdicts/s against 1229-1247 (2.1 GHz Xeon)
-    q = acc.get(mono)
-    if q is None:
-        acc[mono] = [0] * shift + [scale * c for c in p]
-        return
-    if len(q) < len(p) + shift:
-        q.extend([0] * (len(p) + shift - len(q)))
-    for i, c in enumerate(p, shift):
-        q[i] += scale * c
-
-
-def _zz_clean(acc: Dict[Monomial, ZPoly]) -> Dict[Monomial, ZPoly]:
-    """Trim trailing zero coefficients, then drop the zero polynomials, so
-    that equal elements over Z[z] compare equal as dicts."""
-    for q in acc.values():
-        while q and not q[-1]:
-            q.pop()
-    return {m: q for m, q in acc.items() if q}
-
-
-def _zz_mul(x: Dict[Monomial, ZPoly],
-            y: Dict[Monomial, ZPoly]) -> Dict[Monomial, ZPoly]:
-    """The product of two elements over Z[z]: monomials through
-    ``_reduce_word``, coefficient lists by convolution."""
-    acc: Dict[Monomial, ZPoly] = {}
-    for m1, p1 in x.items():
+def _zz_mul(x: dict, y: dict) -> dict:
+    """The product of two elements over Z[z]: the powers of z add, and
+    each product of monomials is read from ``_reduce_word`` of the whole
+    word."""
+    acc: dict = {}
+    for (m1, i), c1 in x.items():
         w1 = m1.to_word()
-        for m2, p2 in y.items():
-            for m, w in _reduce_word(w1 + m2.to_word()):
-                for i, c1 in enumerate(p1):
-                    _zz_add_into(acc, m, p2, w * c1, i)
-    return _zz_clean(acc)
+        for (m2, j), c2 in y.items():
+            add_into(acc, c1 * c2, (((m, i + j), w) for m, w in
+                                    _reduce_word(w1 + m2.to_word())))
+    return acc
 
 
-def _f_image_powers(b_max: int) -> List[Dict[Monomial, ZPoly]]:
-    """The table P_0 .. P_b_max of P_b = (f + _F_SHIFT z eb^-1 hb)^b over
-    Z[z], its monomials eb^-i fb^j f^k hb^l.  It is folded one factor at a
-    time, P_b = f P_{b-1} + _F_SHIFT z (eb^-1 hb) P_{b-1}, each product
-    read from ``_reduce_word``."""
-    rows: List[Dict[Monomial, ZPoly]] = [{ONE_MONO: [1]}]
+def _f_image_powers(b_max: int) -> List[dict]:
+    """The table P_0 .. P_b_max of the powers of Theta_z(f) = f +
+    _F_SHIFT z eb^-1 hb over Z[z], its monomials eb^-i fb^j f^k hb^l.
+    Each P_b = Theta_z(f) * P_{b-1} is a ``_zz_mul``, which reads the
+    words f*m and eb^-1*hb*m of each monomial m of P_{b-1} from
+    ``_reduce_word``."""
+    f_image = {(Monomial(0, 0, 1, 0, 0, 0), 0): 1,
+               (Monomial(-1, 0, 0, 1, 0, 0), 1): _F_SHIFT}
+    rows = [{(ONE_MONO, 0): 1}]
     for _ in range(b_max):
-        acc: Dict[Monomial, ZPoly] = {}
-        for m, p in rows[-1].items():
-            w = m.to_word()
-            for mono, u in _reduce_word(("f",) + w):
-                _zz_add_into(acc, mono, p, u)
-            for mono, u in _reduce_word(("ebinv", "hb") + w):
-                _zz_add_into(acc, mono, p, _F_SHIFT * u, 1)
-        rows.append(_zz_clean(acc))
+        rows.append(_zz_mul(f_image, rows[-1]))
     return rows
 
 
-def _theta_zz(c: Dict[Monomial, Fraction],
-              rows: List[Dict[Monomial, ZPoly]]) -> Dict[Monomial, ZPoly]:
-    """Theta_z of a coefficient dict, with coefficients in Z[z].
+def _theta_zz(c: Dict[Monomial, Fraction], rows: List[dict]) -> dict:
+    """Theta_z of a coefficient dict, as an element over Z[z].
 
     ``rows`` is ``_f_image_powers`` up to the largest f exponent in ``c``.
     A canonical monomial maps to the closed form
@@ -474,15 +446,15 @@ def _theta_zz(c: Dict[Monomial, Fraction],
 
     whose output monomials are read off from exponents.
     """
-    out: Dict[Monomial, ZPoly] = {}
+    out: dict = {}
     for m, v in c.items():
         h_terms = [(j, v * comb(m.d, j) * _H_SHIFT ** (m.d - j))
                    for j in range(m.d + 1)]
-        for p, u in rows[m.b].items():
-            for j, w in h_terms:
-                key = Monomial(m.n + p.n, m.a + p.a, p.b, m.c + p.c, j, m.g)
-                _zz_add_into(out, key, u, w, m.d - j)
-    return _zz_clean(out)
+        for (p, i), u in rows[m.b].items():
+            add_into(out, u, (((Monomial(m.n + p.n, m.a + p.a, p.b,
+                                         m.c + p.c, j, m.g), i + m.d - j), w)
+                              for j, w in h_terms))
+    return out
 
 
 def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
@@ -495,22 +467,21 @@ def theta(z: RationalLike, x: WordLike) -> AlgebraElement:
 
     ``x`` is anything ``normal_form(x, localized=True)`` accepts: a letter,
     a word, a textual expression such as ``"e*f - f*e"``, or an element.
-    The image is the Z[z] closed form of ``_theta_zz`` evaluated at z, so
-    an int z on an element with int coefficients gives ints.
+    The image is the Z[z] closed form of ``_theta_zz`` evaluated at z, each
+    term c z^j added into its monomial, so an int z on an element with int
+    coefficients gives ints.
     """
     if not isinstance(z, int):
         z = to_rational(z)
-    if not isinstance(x, AlgebraElement):
-        x = normal_form(x, localized=True)
+    x = normal_form(x, localized=True)
     rows = _f_image_powers(max((m.b for m in x._c), default=0))
+    # not add_into: its product by 1 and sum with 0 would cost two more
+    # Fraction operations per term
     out: Dict[Monomial, Fraction] = {}
-    for m, p in _theta_zz(x._c, rows).items():
-        v = 0
-        for c in reversed(p):
-            v = v * z + c
-        if v:
-            out[m] = v
-    return AlgebraElement._adopt(out)
+    for (m, j), c in _theta_zz(x._c, rows).items():
+        v = c * z ** j
+        out[m] = out[m] + v if m in out else v
+    return AlgebraElement._adopt({m: v for m, v in out.items() if v})
 
 
 def check_theta_automorphism(z: RationalLike) -> dict:
@@ -527,14 +498,12 @@ def check_theta_automorphism(z: RationalLike) -> dict:
     images = {x: _theta_zz({_word_to_monomial((x,)): 1}, rows)
               for x in LOCALIZED_LETTERS}
     pairs = []
-    ok_all = True
     for x in LOCALIZED_LETTERS:
         for y in LOCALIZED_LETTERS:
             lhs = _theta_zz(dict(_reduce_word((x, y))), rows)
-            ok = lhs == _zz_mul(images[x], images[y])
-            ok_all = ok_all and ok
-            pairs.append({"x": x, "y": y, "ok": ok})
-    return {"z": z, "pairs": pairs, "ok": ok_all}
+            pairs.append({"x": x, "y": y,
+                          "ok": lhs == _zz_mul(images[x], images[y])})
+    return {"z": z, "pairs": pairs, "ok": all(p["ok"] for p in pairs)}
 
 
 # -- parsing -------------------------------------------------------------------
@@ -563,6 +532,8 @@ def parse_word_expr(text: str, localized: bool = False) -> AlgebraElement:
             if name not in _LETTER_ALIASES:
                 raise ValueError(f"unknown letter {name!r}")
             letter = _LETTER_ALIASES[name]
+            if abs(k) > sys.maxsize:
+                raise ValueError(f"exponent {k} of {letter!r} is too large")
             if k < 0:
                 if letter != "eb":
                     raise ValueError(f"negative power of {letter!r}")

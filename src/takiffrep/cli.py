@@ -141,6 +141,8 @@ def _suite_nf(cfg, args, rng, window):
     word = cfg.get("word", "", lambda text: [read(text)] if text else [])
     inputs = [read(text) for text in args.words] or word or [
         read(text) for text in ("e*f - f*e", "f*e*h", "eb^-1*eb", "h*eb^-1")]
+    # normal_form of an element returns a copy of it, so the idempotent
+    # field cannot fail; it is kept for the report's bytes
     cases = []
     for text, elem in inputs:
         nf = normal_form(elem, localized=True)

@@ -24,8 +24,8 @@ from takiffrep import algebra
 from takiffrep.algebra import (_BRACKET, GENERATORS, LOCALIZED_LETTERS,
                                AlgebraElement, Monomial, _f_image_powers,
                                _reduce_word, _theta_zz, _word_to_monomial,
-                               bracket, check_theta_automorphism, commutator,
-                               normal_form, parse_word_expr, theta)
+                               _zz_mul, bracket, check_theta_automorphism,
+                               commutator, normal_form, parse_word_expr, theta)
 from takiffrep.linalg import add_into
 
 F = Fraction
@@ -445,6 +445,10 @@ def test_parse_word_expr():
         parse_word_expr("f^-1", localized=True)
     with pytest.raises(ValueError):
         parse_word_expr("")
+    # exponents past sys.maxsize are refused before any word is built
+    for text in ("e^99999999999999999999", "eb^-99999999999999999999"):
+        with pytest.raises(ValueError, match="exponent .* too large"):
+            parse_word_expr(text, localized=True)
     # the signs of a run multiply; to_text writes "a + -2*b"
     assert parse_word_expr("e + -2*f") == normal_form("e") \
         - normal_form("f").scale(2)
@@ -516,6 +520,14 @@ def test_theta_agrees_with_substitution_oracle():
             assert theta(z, elem) == theta_oracle(z, elem), (z, elem)
 
 
+def _zz_at(table, z):
+    """An element over Z[z], {(monomial, j): c}, evaluated at z by hand."""
+    coeffs = {}
+    for (m, j), c in table.items():
+        coeffs[m] = coeffs.get(m, 0) + c * F(z) ** j
+    return AlgebraElement(coeffs)
+
+
 def test_theta_table_evaluated_at_z_agrees_with_oracle():
     # the Z[z] closed form, evaluated at z by hand, at int and Fraction z
     rng = random.Random(212)
@@ -527,9 +539,35 @@ def test_theta_table_evaluated_at_z_agrees_with_oracle():
         rows = _f_image_powers(max(m.b for m, _ in elem.terms()))
         table = _theta_zz(dict(elem.terms()), rows)
         for z in (0, 1, -3, 5, F(2, 7), F(-5, 3)):
-            got = AlgebraElement({m: sum(c * F(z) ** j for j, c in enumerate(p))
-                                  for m, p in table.items()})
-            assert got == theta_oracle(F(z), elem), (z, elem)
+            assert _zz_at(table, z) == theta_oracle(F(z), elem), (z, elem)
+
+
+def test_f_image_powers_are_the_powers_of_theta_f():
+    f = normal_form("f")
+    for b, row in enumerate(_f_image_powers(5)):
+        for z in (0, 1, -3, F(2, 7)):
+            assert _zz_at(row, z) == theta_oracle(F(z), f ** b), (b, z)
+
+
+def test_zz_values_are_never_zero():
+    # dict equality is the proof's equality, so no stored value may be 0
+    rng = random.Random(214)
+    rows = _f_image_powers(6)
+    assert all(all(row.values()) for row in rows)
+    elems = _random_elements(rng, 6)
+    elems += [normal_form(tuple(rng.choice(LOCALIZED_LETTERS)
+                                for _ in range(rng.randint(1, 6))), True)
+              for _ in range(20)]
+    tables = [_theta_zz(dict(elem.terms()), rows) for elem in elems]
+    assert all(all(table.values()) for table in tables)
+    # products of the images of short words, the letters' among them
+    short = [_theta_zz(dict(normal_form(word, True).terms()), rows)
+             for word in [(x,) for x in LOCALIZED_LETTERS] + [
+                 tuple(rng.choice(LOCALIZED_LETTERS) for _ in range(3))
+                 for _ in range(8)]]
+    for x in short:
+        for y in short:
+            assert all(_zz_mul(x, y).values())
 
 
 def conjugation_images(z):
@@ -575,8 +613,8 @@ def test_theta_table_drops_coefficients_that_cancel():
     fh, xh, xhh = Monomial(0, 0, 1, 0, 1, 0), Monomial(-1, 0, 0, 1, 1, 0), \
         Monomial(-1, 0, 0, 1, 2, 0)
     table = _theta_zz({fh: 2, xhh: 1}, _f_image_powers(1))
-    assert table == {fh: [2], Monomial(0, 0, 1, 0, 0, 0): [0, 4],
-                     xh: [0, 2], xhh: [1]}
+    assert table == {(fh, 0): 2, (Monomial(0, 0, 1, 0, 0, 0), 1): 4,
+                     (xh, 1): 2, (xhh, 0): 1}
 
 
 def test_theta_accepts_textual_expressions():

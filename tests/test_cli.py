@@ -549,6 +549,10 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
                           ("scan", "families=X\n"),
                           ("twist-check", "z=\n"),
                           ("omega-quotient", "n_max=-1\n"),
+                          # exponents past sys.maxsize, refused before
+                          # any word is built
+                          ("nf", "word=e^99999999999999999999\n"),
+                          ("nf", "word=eb^-99999999999999999999\n"),
                           # a report that cannot be rendered or written
                           ("nf", "format=xml\n"),
                           ("nf", f"out={tmp_path / 'missing' / 'r.json'}\n"),
