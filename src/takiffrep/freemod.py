@@ -38,6 +38,13 @@ link the compatibility residual (``e34_residual``) vanishes identically and
     eb . g =  (lambda/2) (hbar + b) g(h-2, hbar)
     fb . g = -(1/(2 lambda)) (hbar - b) g(h+2, hbar)
 
+Gamma's and Omega's tables are written straight from the parameters
+(``_gamma_ops``, ``_omega_ops``): each coefficient dict key by key, with
+1/lambda, -1/(2 lambda) and -1/(4 lambda) formed once, alpha1 and beta1
+copied in and every zero key skipped, and no polynomial arithmetic: on
+the parameters the writers only add, subtract, multiply, divide and test
+for zero.  Theta's table is Gamma's transported by ``chevalley``.
+
 The 15 bracket axioms are proved on the dual side.  ``adjoint_table``
 dualizes an operator table onto the functionals
 
@@ -230,15 +237,26 @@ def _reflect(c: PolyHH, sign: int) -> PolyHH:
 
 
 def _gamma_ops(spec: FreeModuleSpec) -> OpTable:
+    """Gamma's table written from (lam, a, b): a key whose value is a
+    multiple of a or of b is written only when a or b is nonzero, so no
+    value is zero."""
     lam, a, b = spec.lam, spec.a, spec.b
-    quad = PolyHH({(0, 2): 1, (0, 0): a})  # hbar^2 + a
-    lead = PolyHH({(1, 1): 1, (0, 1): 2, (0, 0): b})  # (h + 2) hbar + b
+    half = -(1 / lam) / 2
+    quarter = half / 2
+    fb = {(0, 2): quarter}  # -(hbar^2 + a)/(4 lam)
+    lead = {(1, 1): half, (0, 1): 2 * half}  # -((h + 2) hbar + b)/(2 lam)
+    quad = {(0, 2): half}  # -(hbar^2 + a)/(2 lam)
+    if a:
+        fb[0, 0] = quarter * a
+        quad[0, 0] = half * a
+    if b:
+        lead[0, 0] = half * b
+    adopt = PolyHH._adopt
     return {**_CARTAN,
-            "e": ((PolyHH.const(-2 * lam), 1),),
-            "eb": ((PolyHH.const(lam), 0),),
-            "fb": ((quad.scale(Fraction(-1, 4) / lam), 0),),
-            "f": ((lead.scale(Fraction(-1, 2) / lam), 0),
-                  (quad.scale(Fraction(-1, 2) / lam), 1))}
+            "e": ((adopt({(0, 0): -2 * lam}), 1),),
+            "eb": ((adopt({(0, 0): lam}), 0),),
+            "fb": ((adopt(fb), 0),),
+            "f": ((adopt(lead), 0), (adopt(quad), 1))}
 
 
 def chevalley(ops: OpTable) -> OpTable:
@@ -256,19 +274,36 @@ def chevalley(ops: OpTable) -> OpTable:
 
 
 def _omega_ops(spec: FreeModuleSpec) -> OpTable:
+    """Omega's table written from (lam, b, beta1, alpha1): alpha1 and
+    beta1 are copied in with their zero coefficients skipped, and the
+    constant keys of (hbar + b) and (hbar - b) are written only when b is
+    nonzero.  e's first coefficient holds h before alpha1, f's holds beta1
+    before h, the order PolyHH sums gave them."""
     lam, b = spec.lam, spec.b
-    hbar = PolyHH.hbar()
-    a1 = poly1_to_polyhh(spec.alpha1)
-    b1 = poly1_to_polyhh(spec.beta1)
-    plus_b = hbar + PolyHH.const(b)
-    minus_b = hbar - PolyHH.const(b)
+    inv = 1 / lam
+    half = -inv / 2
+    half_lam = lam / 2
+    e0 = {(1, 0): half_lam}  # (lam/2) h + alpha1
+    for j, v in enumerate(spec.alpha1):
+        if v:
+            e0[0, j] = v
+    f0 = {(0, j): v for j, v in enumerate(spec.beta1) if v}
+    f0[1, 0] = half  # beta1 - h/(2 lam)
+    e1 = {(0, 1): -lam}  # -lam (hbar + b)
+    f1 = {(0, 1): -inv}  # -(hbar - b)/lam
+    eb = {(0, 1): half_lam}  # (lam/2) (hbar + b)
+    fb = {(0, 1): half}  # -(hbar - b)/(2 lam)
+    if b:
+        e1[0, 0] = -lam * b
+        f1[0, 0] = inv * b
+        eb[0, 0] = half_lam * b
+        fb[0, 0] = -half * b
+    adopt = PolyHH._adopt
     return {**_CARTAN,
-            "e": ((PolyHH.h().scale(lam / 2) + a1, 0),
-                  (plus_b.scale(-lam), 1)),
-            "f": ((b1 - PolyHH.h().scale(Fraction(1, 2) / lam), 0),
-                  (minus_b.scale(Fraction(-1) / lam), 1)),
-            "eb": ((plus_b.scale(lam / 2), 0),),
-            "fb": ((minus_b.scale(Fraction(-1, 2) / lam), 0),)}
+            "e": ((adopt(e0), 0), (adopt(e1), 1)),
+            "f": ((adopt(f0), 0), (adopt(f1), 1)),
+            "eb": ((adopt(eb), 0),),
+            "fb": ((adopt(fb), 0),)}
 
 
 _OP_TABLES = {"gamma": _gamma_ops, "omega": _omega_ops,
@@ -344,17 +379,20 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     the sign as c0 + c1*k, summed over the terms that share (m, r), in x's
     ``BinomialTable``: c0 at (d/2, m - r, r, 0) and c1 at (d/2, m - r, r,
     1), a zero dropped.  That key is one per (m, r), so each is written
-    once.  A coefficient of higher degree in h raises ValueError.
+    once.  A coefficient of higher degree in h raises ValueError naming
+    its lowest degree above 1.
 
     The sums run on ints: every coefficient is put over one denominator
     E, and beta = p/q is cleared by q^J, J the largest hbar-degree, so
     each monomial n hbar^j (times h^i) adds the integer
     n j!/(j-r)! p^(j-r) q^(J-j+r) to U (i = 0) or V (i = 1) at (m, r).
-    One pass reads each monomial's numerator and denominator, checks its
-    h-degree and takes E and J.  At beta = 0 only r = j adds, n j! (q =
-    1), as p^(j-r) = 0 below it; the pairs (m, r < j) are still made, so the
-    keys come in the order of every other beta: by (m, r) as each first
-    appears, x's terms and their monomials in order, r rising.
+    One pass reads each monomial's numerator and denominator, in the
+    order the coefficient stores them (no sort), checks its h-degree and
+    takes E and J.  At beta = 0 only r = j adds, n j! (q = 1), as p^(j-r)
+    = 0 below it; the pairs (m, r < j) are still made, so the keys come in
+    the order of every other beta: by (m, r) as each first appears, x's
+    terms in order and r rising within a term, whatever the order of its
+    monomials, since each monomial makes every pair (m, r <= j).
     Then c0 = -(U alpha_den + alpha_num V) and c1 = -2V alpha_den are the
     entries over D = E q^J alpha_den, and the table is returned over
     d = D / g, each entry divided by g = gcd(D, every entry), folded
@@ -369,8 +407,9 @@ def adjoint_table(ops: OpTable, alpha: Fraction, beta: Fraction) -> AdjointTable
     for x, terms in ops.items():
         read = monomials[x] = []
         for c, m in terms:
-            for (i, j), e in c.terms():
+            for (i, j), e in c._c.items():
                 if i > 1:
+                    i = min(i for i, _ in c._c if i > 1)
                     raise ValueError(f"operator coefficient of {x} has degree "
                                      f"{i} in h; the adjoint table reads "
                                      "coefficients linear in h")

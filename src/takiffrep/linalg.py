@@ -30,11 +30,20 @@ def vec_clean(v: Vec) -> Vec:
 
 def add_into(acc: dict, c, pairs: Iterable) -> dict:
     """Add c*x at key k of ``acc`` for each (k, x) in ``pairs``, in place,
-    dropping every entry that cancels to zero; returns ``acc``."""
+    dropping every entry that cancels to zero; returns ``acc``.
+
+    A new key takes c*x as it is, with no addition to 0, and the int c = 1
+    multiplies nothing; on int and Fraction values each entry and its type
+    stay those of acc.get(k, 0) + c*x."""
+    unit = type(c) is int and c == 1
     for k, x in pairs:
-        y = acc.get(k, 0) + c * x
-        if y:
-            acc[k] = y
+        if not unit:
+            x = c * x
+        y = acc.get(k)
+        if y is not None:
+            x = y + x
+        if x:
+            acc[k] = x
         else:
             acc.pop(k, None)
     return acc

@@ -809,6 +809,13 @@ GOLDEN_CASES = [
     # eb^-k among them
     ("nf_blocks.json", "nf e*f^9*eb^-4*hb^3*h^2 h^2*f^3*eb^7*fb^2*e "
      "e^3*hb^5*f^2*eb^-3 f^2*eb^-12*hb^2*e^2 e^2*h*f^6*fb^3*eb^5", None),
+    # saved while the free families' op tables were still built by PolyHH
+    # arithmetic: a = 0, b = 0 and zero beta1 coefficients, whose keys the
+    # writers must skip, against nonzero ones at integer and fractional
+    # lambda
+    ("verify_free_zero_params.json", "verify-free",
+     "families=gamma,theta,omega\nlambda=1,-2/3\na=0,5/4\nb=0,-7/2\n"
+     "beta1=0,-1/2,0,3\n"),
 ]
 # the exit status of each golden run: 0 unless listed here
 GOLDEN_EXIT = {"intertwine_unverified.json": 1,

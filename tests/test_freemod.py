@@ -27,7 +27,8 @@ from takiffrep.freemod import (GENERATOR_PAIRS, SHIFT, _apply_terms,
                                random_free_spec, simplicity_criterion_free,
                                submodule_saturate, verify_axioms)
 from takiffrep.linalg import add_into, nullspace, vec_primitive
-from takiffrep.poly import PolyHH, parse_poly, random_rational
+from takiffrep.poly import (PolyHH, parse_poly, poly1_to_polyhh,
+                            random_rational)
 from takiffrep.weightmod import (delta_action, make_weight_m, make_weight_n,
                                  make_weight_v, random_weight_spec,
                                  weight_bracket_report)
@@ -102,9 +103,11 @@ def coercing_chevalley(ops):
 
 
 def _typed_ops(ops):
-    """Each generator's terms (m, [(exponent, type, value)]) in order, so
-    == also compares the order of the terms and int against Fraction."""
-    return [(x, [(m, [(e, type(v), v) for e, v in c.terms()])
+    """Each generator's terms (m, [(exponent, type, value)]) in order, each
+    coefficient's monomials in the order its dict stores them, so == also
+    compares the order of the generators, the terms and the keys, and int
+    against Fraction."""
+    return [(x, [(m, [(e, type(v), v) for e, v in c._c.items()])
                  for c, m in terms]) for x, terms in ops.items()]
 
 
@@ -130,6 +133,123 @@ def test_chevalley_writes_the_terms_of_the_coercing_transport():
     assert _typed_ops(freemod.delta_ops(3, F(-3, 2), F(5, 7))) == \
         _typed_ops(coercing_chevalley(freemod.delta_ops(2, F(-3, 2),
                                                         F(5, 7))))
+
+
+def polyhh_gamma_ops(spec):
+    """``freemod._gamma_ops`` as it was before it wrote each coefficient
+    dict from the parameters: every coefficient built by ``PolyHH``
+    arithmetic, kept as its oracle."""
+    lam, a, b = spec.lam, spec.a, spec.b
+    quad = PolyHH({(0, 2): 1, (0, 0): a})  # hbar^2 + a
+    lead = PolyHH({(1, 1): 1, (0, 1): 2, (0, 0): b})  # (h + 2) hbar + b
+    return {**freemod._CARTAN,
+            "e": ((PolyHH.const(-2 * lam), 1),),
+            "eb": ((PolyHH.const(lam), 0),),
+            "fb": ((quad.scale(Fraction(-1, 4) / lam), 0),),
+            "f": ((lead.scale(Fraction(-1, 2) / lam), 0),
+                  (quad.scale(Fraction(-1, 2) / lam), 1))}
+
+
+def polyhh_omega_ops(spec):
+    """``freemod._omega_ops`` built by ``PolyHH`` arithmetic, as it was
+    before the writer, kept as its oracle."""
+    lam, b = spec.lam, spec.b
+    hbar = PolyHH.hbar()
+    a1 = poly1_to_polyhh(spec.alpha1)
+    b1 = poly1_to_polyhh(spec.beta1)
+    plus_b = hbar + PolyHH.const(b)
+    minus_b = hbar - PolyHH.const(b)
+    return {**freemod._CARTAN,
+            "e": ((PolyHH.h().scale(lam / 2) + a1, 0),
+                  (plus_b.scale(-lam), 1)),
+            "f": ((b1 - PolyHH.h().scale(Fraction(1, 2) / lam), 0),
+                  (minus_b.scale(Fraction(-1) / lam), 1)),
+            "eb": ((plus_b.scale(lam / 2), 0),),
+            "fb": ((minus_b.scale(Fraction(-1, 2) / lam), 0),)}
+
+
+POLYHH_OPS = {"gamma": polyhh_gamma_ops, "omega": polyhh_omega_ops,
+              "theta": lambda spec: freemod.chevalley(polyhh_gamma_ops(spec))}
+
+
+def _writer_specs(seed):
+    """Gamma, Theta and Omega specs drawn from ``seed``: a and b forced to
+    0 in turn, beta1 of degree 0 to 4 with a zero coefficient or all of
+    them zero, and alpha1 moved off the linkage at one coefficient."""
+    rng = random.Random(seed)
+    specs = []
+    for n in range(40):
+        lam = random_rational(rng, nonzero=True)
+        a, b = random_rational(rng), random_rational(rng)
+        a, b = ((a, b), (0, b), (a, 0), (0, 0))[n % 4]
+        specs += [make_gamma(lam, a, b), make_theta_mod(lam, a, b)]
+        beta1 = [random_rational(rng, nonzero=True) for _ in range(n % 5 + 1)]
+        if n % 3 == 0:
+            beta1[rng.randrange(len(beta1))] = 0
+        if n % 7 == 0:
+            beta1 = [0] * len(beta1)
+        specs.append(make_omega(lam, b, beta1))
+        alpha1 = list(alpha_from_beta(beta1, lam, b))
+        alpha1[rng.randrange(len(alpha1))] += random_rational(rng)
+        specs.append(make_omega(lam, b, beta1, alpha1=alpha1))
+    return specs
+
+
+# (alpha, beta) points of the dual tables: beta = 0 with alpha = 0 and
+# alpha != 0, and fractional points on both sides
+_ADJOINT_POINTS = ((F(0), F(0)), (F(3, 2), F(0)), (F(-2), F(0)),
+                   (F(-1, 3), F(2, 5)), (F(0), F(-7, 4)), (F(1), F(3)))
+
+
+def _sorted_ops(ops):
+    """``ops`` with every coefficient dict stored in sorted key order, as
+    ``PolyHH.terms`` reads it: the order ``adjoint_table`` read before it
+    read each dict as stored."""
+    return {x: tuple((PolyHH._adopt(dict(sorted(c._c.items()))), m)
+                     for c, m in terms) for x, terms in ops.items()}
+
+
+def _typed_adjoint(adjoint):
+    """d with its type, the generators in order, and each table's items
+    in order with their types."""
+    d, tables = adjoint
+    return type(d), d, list(tables), _typed_residuals(tables.values())
+
+
+@pytest.mark.parametrize("seed", [7, 20221114])
+def test_op_tables_are_written_as_polyhh_arithmetic_built_them(seed):
+    # ordered items with value types: the generators, the terms and each
+    # coefficient's keys in the order PolyHH arithmetic stored them, and
+    # every value the Fraction it made
+    for spec in _writer_specs(seed):
+        oracle = POLYHH_OPS[spec.family](spec)
+        assert _typed_ops(spec.ops) == _typed_ops(oracle), spec
+        assert all(type(v) is F for terms in spec.ops.values()
+                   for c, _ in terms for v in c._c.values())
+        # the dual tables read each dict as stored, and give what the
+        # oracle's dicts gave read in sorted order
+        for alpha, beta in _ADJOINT_POINTS:
+            assert _typed_adjoint(adjoint_table(spec.ops, alpha, beta)) == \
+                _typed_adjoint(adjoint_table(_sorted_ops(oracle), alpha,
+                                             beta)), (spec, alpha, beta)
+
+
+def test_op_table_comparison_refuses_planted_writer_faults():
+    # the two faults a writer can make: a zero test dropped, which stores
+    # a zero value the bracket prover cannot see, and -1/(2 lam) written
+    # in place of -1/(4 lam) in fb
+    spec = make_gamma(F(-2, 3), 0, F(5, 4))
+    ops = spec.ops
+    (fb, m), = ops["fb"]
+    zero_kept = {**ops, "fb": ((PolyHH._adopt({**fb._c, (0, 0): F(0)}), m),)}
+    # -1/(4 lam) = 3/8 and -1/(2 lam) = 3/4 at lam = -2/3; a = 0
+    assert fb._c == {(0, 2): F(3, 8)}
+    halved = {**ops, "fb": ((PolyHH._adopt({(0, 2): F(3, 4)}), m),)}
+    for planted in (zero_kept, halved):
+        assert _typed_ops(planted) != _typed_ops(polyhh_gamma_ops(spec))
+    passes = [all(p["pass"] for p in prove_brackets(adjoint_table(
+        planted, F(0), F(0)))) for planted in (zero_kept, halved)]
+    assert passes == [True, False]
 
 
 def test_omega_actions():
@@ -322,10 +442,13 @@ def test_verify_axioms_detects_planted_fault(family, x):
 
 
 def test_verify_axioms_rejects_coefficients_quadratic_in_h():
-    spec = make_gamma(1, 0, 0)
-    spec.__dict__["ops"] = {**spec.ops, "f": ((H * H, 0),)}
-    with pytest.raises(ValueError, match="degree 2 in h"):
-        verify_axioms(spec)
+    # the second coefficient stores h^3 before h^2: the refusal names the
+    # lowest degree above 1, as when the monomials were read sorted
+    for c in (H * H, PolyHH._adopt({(3, 0): F(1), (2, 0): F(1)})):
+        spec = make_gamma(1, 0, 0)
+        spec.__dict__["ops"] = {**spec.ops, "f": ((c, 0),)}
+        with pytest.raises(ValueError, match="degree 2 in h"):
+            verify_axioms(spec)
 
 
 # -- prove_brackets against the Fraction prover it replaced ---------------------

@@ -20,6 +20,7 @@ huge integer or Fraction entries; sympy checks a subset of them.
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -212,6 +213,20 @@ def test_add_into_drops_every_entry_that_cancels():
     ints = add_into({"x": 3}, 2, [("x", 4), ("w", -1)])
     assert ints == {"x": 11, "w": -2}
     assert {type(v) for v in ints.values()} == {int}
+
+
+def test_add_into_matches_the_sum_from_zero_in_value_and_type():
+    # a new key stores c*x without adding it to 0, and c = 1 multiplies
+    # nothing; each entry must still be acc.get(k, 0) + c*x, type and all
+    scalars = (1, F(1), -1, 2, 0, F(0), F(3, 2), F(-5, 7))
+    values = (0, 3, -2, F(0), F(2, 5), F(-4), F(1))
+    for c, x, old in product(scalars, values, (None, 5, F(1, 3), F(-2))):
+        acc = {} if old is None else {"k": old}
+        want = acc.get("k", 0) + c * x
+        add_into(acc, c, [("k", x)])
+        assert acc == ({"k": want} if want else {}), (c, x, old)
+        if want:
+            assert type(acc["k"]) is type(want), (c, x, old)
 
 
 def test_vec_axpy_cancels_to_the_empty_vector():
